@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Benchmark the numba masked-scoring kernel against its pure-numpy fallback.
 
-Runs both implementations of each hot loop in one process and prints a
-timing table. The package itself selects the path at import time: set
-VERDOC_NO_NUMBA=1 to force the fallback everywhere.
+Runs both implementations in one process and prints a timing table. The
+package itself selects the path at import time: set VERDOC_NO_NUMBA=1 to
+force the fallback everywhere.
 
 Usage:
-    python benchmarks/bench_kernels.py [--lines N] [--entries N] [--repeat N]
+    python benchmarks/bench_kernels.py [--entries N] [--dimension N] [--repeat N]
 """
 
 import argparse
@@ -25,24 +25,6 @@ def time_call(fn, *args, repeat=5):
         result = fn(*args)
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def bench_lcs(lines, repeat):
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, lines // 2, size=lines).astype(np.int64)
-    b = a.copy()
-    # sprinkle edits so the diff is non-trivial
-    for _ in range(max(1, lines // 20)):
-        b[rng.integers(0, lines)] = rng.integers(lines, lines * 2)
-    rows = []
-    numpy_time, numpy_ops = time_call(_kernels._lcs_ops_numpy, a, b, repeat=repeat)
-    rows.append(("lcs_ops", "numpy", numpy_time))
-    if _kernels.HAS_NUMBA:
-        _kernels._lcs_ops_numba(a[:4], b[:4])  # trigger compilation outside the timer
-        numba_time, numba_ops = time_call(_kernels._lcs_ops_numba, a, b, repeat=repeat)
-        rows.append(("lcs_ops", "numba", numba_time))
-        assert np.array_equal(numpy_ops, numba_ops), "paths disagree"
-    return rows
 
 
 def bench_scores(entries, dimension, repeat):
@@ -69,15 +51,13 @@ def bench_scores(entries, dimension, repeat):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--lines", type=int, default=2000, help="lines per diffed file")
     parser.add_argument("--entries", type=int, default=200_000, help="vector index rows")
     parser.add_argument("--dimension", type=int, default=256)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
     print(f"numba available: {_kernels.HAS_NUMBA}")
-    rows = bench_lcs(args.lines, args.repeat)
-    rows += bench_scores(args.entries, args.dimension, args.repeat)
+    rows = bench_scores(args.entries, args.dimension, args.repeat)
 
     print(f"\n{'kernel':<16} {'path':<7} {'best time':>12}")
     by_kernel = {}

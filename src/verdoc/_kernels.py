@@ -1,20 +1,12 @@
-"""Numeric inner loops: LCS edit-script extraction and masked cosine scoring.
+"""Masked cosine scoring, the vector index's inner loop.
 
-Both kernels have a numba ``@njit`` implementation and a pure-numpy
+The kernel has a numba ``@njit`` implementation and a pure-numpy
 fallback. The fallback is selected when numba is missing or when the
 ``VERDOC_NO_NUMBA`` environment variable is set (checked at import time).
-Both paths produce bit-identical results for the LCS kernel and agree to
-float rounding for the cosine kernel; ``benchmarks/bench_kernels.py``
-compares their speed.
-
-LCS tie-breaking: when the DP table allows both a deletion and an
-insertion, the kernel compares the two line codes and deletes first when
-the old code is smaller. Codes are lexicographic ranks over the union of
-both line sets, so diff(a, b) and diff(b, a) pick mirrored paths and the
-edit scripts are symmetric.
-
-The DP table is quadratic in memory; inputs are intended to be documents
-of up to a few thousand lines.
+The two paths agree to float rounding; ``benchmarks/bench_kernels.py``
+compares their speed. The line diff's LCS kernel is numpy only and lives
+in :mod:`verdoc.changes`; it fills a diagonal band of the table, not the
+whole table, so its memory is O(N*D) for N lines and D edits.
 """
 
 from __future__ import annotations
@@ -22,10 +14,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-
-OP_MATCH = 0
-OP_DELETE = 1
-OP_INSERT = 2
 
 if os.environ.get("VERDOC_NO_NUMBA"):
     HAS_NUMBA = False
@@ -36,60 +24,6 @@ else:
         HAS_NUMBA = True
     except ImportError:
         HAS_NUMBA = False
-
-
-def _lcs_table_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fill the (n+1, m+1) LCS length table, row-vectorized.
-
-    Row recurrence: row[j] = cummax(max(prev[j], prev[j-1] + eq[j])).
-    Valid because DP rows are nondecreasing, so the running maximum
-    absorbs the in-row dependency on row[j-1].
-    """
-    n, m = a.shape[0], b.shape[0]
-    dp = np.zeros((n + 1, m + 1), dtype=np.int32)
-    for i in range(1, n + 1):
-        eq = (b == a[i - 1]).astype(np.int32)
-        cand = np.maximum(dp[i - 1, 1:], dp[i - 1, :-1] + eq)
-        np.maximum.accumulate(cand, out=cand)
-        dp[i, 1:] = cand
-    return dp
-
-
-def _backtrack(dp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = a.shape[0], b.shape[0]
-    ops = np.empty(n + m, dtype=np.int8)
-    k = n + m
-    i, j = n, m
-    while i > 0 and j > 0:
-        if a[i - 1] == b[j - 1]:
-            k -= 1
-            ops[k] = OP_MATCH
-            i -= 1
-            j -= 1
-        else:
-            up = dp[i - 1, j]
-            left = dp[i, j - 1]
-            if up > left or (up == left and a[i - 1] < b[j - 1]):
-                k -= 1
-                ops[k] = OP_DELETE
-                i -= 1
-            else:
-                k -= 1
-                ops[k] = OP_INSERT
-                j -= 1
-    while i > 0:
-        k -= 1
-        ops[k] = OP_DELETE
-        i -= 1
-    while j > 0:
-        k -= 1
-        ops[k] = OP_INSERT
-        j -= 1
-    return ops[k:].copy()
-
-
-def _lcs_ops_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _backtrack(_lcs_table_numpy(a, b), a, b)
 
 
 def _masked_scores_numpy(
@@ -115,51 +49,6 @@ def _masked_scores_numpy(
 if HAS_NUMBA:
 
     @njit(cache=True)
-    def _lcs_ops_numba(a, b):  # pragma: no cover - exercised via lcs_ops
-        n = a.shape[0]
-        m = b.shape[0]
-        dp = np.zeros((n + 1, m + 1), dtype=np.int32)
-        for i in range(1, n + 1):
-            ai = a[i - 1]
-            for j in range(1, m + 1):
-                if ai == b[j - 1]:
-                    dp[i, j] = dp[i - 1, j - 1] + 1
-                else:
-                    up = dp[i - 1, j]
-                    left = dp[i, j - 1]
-                    dp[i, j] = up if up >= left else left
-        ops = np.empty(n + m, dtype=np.int8)
-        k = n + m
-        i = n
-        j = m
-        while i > 0 and j > 0:
-            if a[i - 1] == b[j - 1]:
-                k -= 1
-                ops[k] = OP_MATCH
-                i -= 1
-                j -= 1
-            else:
-                up = dp[i - 1, j]
-                left = dp[i, j - 1]
-                if up > left or (up == left and a[i - 1] < b[j - 1]):
-                    k -= 1
-                    ops[k] = OP_DELETE
-                    i -= 1
-                else:
-                    k -= 1
-                    ops[k] = OP_INSERT
-                    j -= 1
-        while i > 0:
-            k -= 1
-            ops[k] = OP_DELETE
-            i -= 1
-        while j > 0:
-            k -= 1
-            ops[k] = OP_INSERT
-            j -= 1
-        return ops[k:].copy()
-
-    @njit(cache=True)
     def _masked_scores_numba(matrix, norms, query, qnorm, mask):  # pragma: no cover
         n = matrix.shape[0]
         d = matrix.shape[1]
@@ -173,20 +62,6 @@ if HAS_NUMBA:
             denom = norms[i] * qnorm
             out[i] = s / denom if denom > 0.0 else 0.0
         return out
-
-
-def lcs_ops(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-    """Minimal LCS edit script between two int code sequences.
-
-    Returns an int8 array over OP_MATCH / OP_DELETE / OP_INSERT in forward
-    order; matches + deletes consume ``a_codes``, matches + inserts consume
-    ``b_codes``.
-    """
-    a = np.ascontiguousarray(a_codes, dtype=np.int64)
-    b = np.ascontiguousarray(b_codes, dtype=np.int64)
-    if HAS_NUMBA:
-        return _lcs_ops_numba(a, b)
-    return _lcs_ops_numpy(a, b)
 
 
 def masked_scores(

@@ -6,6 +6,15 @@ whitespace (re-rendered Markdown often only touches trailing spaces) but
 hunk text keeps lines verbatim; applying the hunks therefore reproduces
 the new text byte-exactly whenever unchanged lines are byte-identical.
 
+``lcs_ops`` is exact and banded. It trims the common suffix and prefix,
+then fills the LCS table of what remains only on the diagonals that an
+optimal edit path can reach (Ukkonen, "Algorithms for approximate string
+matching", 1985), so time and memory are O((N+M)*D) for D edits rather
+than O(N*M). The edit script is the one the full table gives under the
+documented tie-break: when both a deletion and an insertion are optimal,
+delete first when the old line's code is smaller. Codes are lexicographic
+ranks over both files, so diff(a, b) and diff(b, a) pick mirrored paths.
+
 Implicit records come from diffing adjacent version texts and summarizing
 the hunks in one completion per version pair; explicit records come from
 one completion over a changelog document. Either path optionally embeds
@@ -24,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from . import prompts
-from ._kernels import OP_DELETE, OP_INSERT, OP_MATCH, lcs_ops
 from .errors import ExplicitExtractionError, SchemaViolationError
 from .gateway import CompletionRequest, Gateway, ResponseSchema, parse_json_reply
 from .graph import ChangeKind, ChangeOrigin, ChangeRecord
@@ -35,6 +43,18 @@ from .versions import VersionLabel, compare_versions, parse_version
 logger = logging.getLogger(__name__)
 
 DESCRIPTION_LIMIT = 200
+
+OP_MATCH = 0
+OP_DELETE = 1
+OP_INSERT = 2
+
+# out-of-band cells of the LCS table; every in-band cell is >= 0
+_NEG = -(2**14)
+# match flags computed per block of band rows
+_EQ_BLOCK = 2**16
+# smallest half-width of a second pass: narrower passes cost about the
+# same, since numpy's per-row overhead outweighs the cells they save
+_MIN_REGROW = 128
 
 
 class HunkKind(str, Enum):
@@ -81,6 +101,153 @@ def _codes(old_lines: list, new_lines: list) -> tuple:
     return a, b
 
 
+def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:
+    k = min(a.shape[0], b.shape[0])
+    differ = np.flatnonzero(a[:k] != b[:k])
+    return int(differ[0]) if differ.size else k
+
+
+def _band_table(a: np.ndarray, b: np.ndarray, kmin: int, kmax: int) -> tuple:
+    """Fill the LCS table of ``a`` x ``b`` on the diagonals kmin <= j - i <= kmax.
+
+    Row i holds columns lo[i]..hi[i], the diagonals clamped to the grid, at
+    ``band[start[i] + 1:]`` with one _NEG cell on each side, so a read one
+    column past either end of a row sees _NEG. Row recurrence as in the full
+    table: row[j] = cummax(max(prev[j], prev[j-1] + eq[j])), with the cells
+    outside the band read as _NEG.
+    """
+    n, m = a.shape[0], b.shape[0]
+    rows = np.arange(n + 1)
+    lo = np.maximum(rows + kmin, 0)
+    hi = np.minimum(rows + kmax, m)
+    start = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(hi - lo + 3, out=start[1:])
+    dtype = np.int16 if min(n, m) < -_NEG else np.int32
+    band = np.empty(int(start[-1]), dtype=dtype)
+    band[start[:-1]] = _NEG
+    band[start[1:] - 1] = _NEG
+    band[1 : int(hi[0]) + 2] = 0
+    # windows[i] holds b at the columns i + kmin .. i + kmax of row i; the
+    # cells off the grid hold -1 and are never read
+    span = kmax - kmin + 1
+    b_pad = np.full(n + span, -1, dtype=np.int64)
+    b_pad[1 - kmin : m + 1 - kmin] = b
+    windows = np.lib.stride_tricks.sliding_window_view(b_pad, span)
+    block = max(1, _EQ_BLOCK // span)
+    add, maximum, cummax = np.add, np.maximum, np.maximum.accumulate
+    lo, hi, start = lo.tolist(), hi.tolist(), start.tolist()
+    for top in range(1, n + 1, block):
+        hits = windows[top : top + block] == a[top - 1 : top - 1 + block, None]
+        for i in range(top, min(top + block, n + 1)):
+            first = lo[i]
+            width = hi[i] - first + 1
+            row = band[start[i] + 1 : start[i] + 1 + width]
+            diag = start[i - 1] + first - lo[i - 1]  # prev row, column first - 1
+            skip = first - i - kmin
+            add(band[diag : diag + width], hits[i - top, skip : skip + width], out=row)
+            maximum(row, band[diag + 1 : diag + 1 + width], out=row)
+            cummax(row, out=row)
+    return band, lo, start
+
+
+def _lcs_band(a: np.ndarray, b: np.ndarray) -> tuple:
+    """A band of the LCS table that holds every optimal edit path.
+
+    A path through diagonal k = j - i makes at least |k| + |delta - k|
+    edits, so with e edits on an optimal path every optimal path stays
+    within (e - |delta|) / 2 diagonals of the strip between 0 and delta.
+    The half-width starts at the bound that the code counts give. A band's
+    own edit count is an upper bound on e: once it fits the half-width the
+    band is exact. Otherwise the next pass takes that bound as its
+    half-width when it is at most 8 times the current one, and grows 4
+    times (to at least _MIN_REGROW) when it is not.
+    """
+    n, m = a.shape[0], b.shape[0]
+    delta = m - n
+    _, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    surplus = np.bincount(inverse[:n], minlength=inverse.max() + 1)
+    surplus -= np.bincount(inverse[n:], minlength=surplus.shape[0])
+    width = max(1, (int(np.abs(surplus).sum()) - abs(delta)) // 2)
+    while True:
+        kmin, kmax = min(0, delta) - width, max(0, delta) + width
+        band, lo, start = _band_table(a, b, kmin, kmax)
+        lcs = int(band[start[n] + 1 + m - lo[n]])
+        slack = (n + m - 2 * lcs - abs(delta)) // 2
+        if slack <= width or (kmin <= -n and kmax >= m):
+            return band, lo, start
+        del band
+        width = slack if slack <= 8 * width else max(4 * width, _MIN_REGROW)
+
+
+def _backtrack_middle(a: np.ndarray, b: np.ndarray, rev: bytearray) -> tuple:
+    """Walk the band from (n, m) to the first row or column, appending ops
+    to ``rev`` in reverse; returns where the walk stopped."""
+    i, j = a.shape[0], b.shape[0]
+    if i == 0 or j == 0:
+        return i, j
+    band, lo, start = _lcs_band(a, b)
+    a, b = a.tolist(), b.tolist()
+    while i > 0 and j > 0:
+        x, y = a[i - 1], b[j - 1]
+        if x == y:
+            rev.append(OP_MATCH)
+            i -= 1
+            j -= 1
+            continue
+        up = band[start[i - 1] + 1 + j - lo[i - 1]]
+        left = band[start[i] + j - lo[i]]
+        if up > left or (up == left and x < y):
+            rev.append(OP_DELETE)
+            i -= 1
+        else:
+            rev.append(OP_INSERT)
+            j -= 1
+    return i, j
+
+
+def lcs_ops(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
+    """Minimal LCS edit script between two int code sequences.
+
+    Returns an int8 array over OP_MATCH / OP_DELETE / OP_INSERT in forward
+    order; matches + deletes consume ``a_codes``, matches + inserts consume
+    ``b_codes``. The script equals the backtrack over the full LCS table
+    from (n, m) under the tie-break in the module docstring.
+    """
+    a = np.ascontiguousarray(a_codes, dtype=np.int64)
+    b = np.ascontiguousarray(b_codes, dtype=np.int64)
+    # The backtrack matches greedily from the end, so the common suffix is
+    # its first steps.
+    suffix = _common_prefix(a[::-1], b[::-1])
+    n, m = a.shape[0] - suffix, b.shape[0] - suffix
+    rev = bytearray([OP_MATCH]) * suffix
+    # With a common prefix of length p, the table past row p and column p is
+    # p plus the table of the middle, so the middle's band decides the walk
+    # there.
+    p = _common_prefix(a[:n], b[:m])
+    i, j = _backtrack_middle(a[p:n], b[p:m], rev)
+    i, j = i + p, j + p
+    # The rest lies where i <= p or j <= p, in which dp(i, j) = min(i, j):
+    # up = min(i - 1, j) and left = min(i, j - 1), so off the diagonal a
+    # mismatch always moves toward it, and on the diagonal the rest matches.
+    a_head, b_head = a[:i].tolist(), b[:j].tolist()
+    while i > 0 and j > 0 and i != j:
+        if a_head[i - 1] == b_head[j - 1]:
+            rev.append(OP_MATCH)
+            i -= 1
+            j -= 1
+        elif i < j:
+            rev.append(OP_INSERT)
+            j -= 1
+        else:
+            rev.append(OP_DELETE)
+            i -= 1
+    if i == j:
+        rev += bytes([OP_MATCH]) * i
+    else:
+        rev += bytes([OP_DELETE]) * i + bytes([OP_INSERT]) * j
+    return np.frombuffer(rev, dtype=np.int8)[::-1].copy()
+
+
 def line_diff(old_text: str, new_text: str, hunk_prefix: str = "h") -> list:
     """Minimal LCS-based line diff grouped into hunks, ordered by position."""
     if old_text == new_text:
@@ -90,25 +257,21 @@ def line_diff(old_text: str, new_text: str, hunk_prefix: str = "h") -> list:
     a, b = _codes(old_lines, new_lines)
     ops = lcs_ops(a, b)
 
+    # hunks are the maximal runs of non-match ops; the cumulative op counts
+    # give each run's line spans
+    flips = np.flatnonzero(np.diff(ops != OP_MATCH, prepend=False, append=False))
+    starts, ends = flips[0::2], flips[1::2]
+    old_pos = np.concatenate(([0], np.cumsum(ops != OP_INSERT)))
+    new_pos = np.concatenate(([0], np.cumsum(ops != OP_DELETE)))
     hunks: list = []
-    i = j = 0
-    pos = 0
-    total = len(ops)
-    while pos < total:
-        if ops[pos] == OP_MATCH:
-            i += 1
-            j += 1
-            pos += 1
-            continue
-        old_start, new_start = i, j
-        while pos < total and ops[pos] != OP_MATCH:
-            if ops[pos] == OP_DELETE:
-                i += 1
-            else:
-                j += 1
-            pos += 1
-        removed = old_lines[old_start:i]
-        added = new_lines[new_start:j]
+    for old_start, old_end, new_start, new_end in zip(
+        old_pos[starts].tolist(),
+        old_pos[ends].tolist(),
+        new_pos[starts].tolist(),
+        new_pos[ends].tolist(),
+    ):
+        removed = old_lines[old_start:old_end]
+        added = new_lines[new_start:new_end]
         if removed and added:
             kind = HunkKind.REPLACED_LINES
         elif added:
@@ -119,8 +282,8 @@ def line_diff(old_text: str, new_text: str, hunk_prefix: str = "h") -> list:
             DiffHunk(
                 id=f"{hunk_prefix}{len(hunks):04d}",
                 kind=kind,
-                old_span=(old_start, i) if removed else None,
-                new_span=(new_start, j) if added else None,
+                old_span=(old_start, old_end) if removed else None,
+                new_span=(new_start, new_end) if added else None,
                 old_text="\n".join(removed),
                 new_text="\n".join(added),
             )

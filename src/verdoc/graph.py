@@ -310,7 +310,7 @@ class VersionGraph:
         }
         targets = set(successors.values())
         heads = [n for n in nodes if n.id not in targets]
-        if len(heads) == 1:
+        if len(heads) == 1 and targets <= {n.id for n in nodes}:
             chain = [heads[0]]
             seen = {heads[0].id}
             while chain[-1].id in successors:
@@ -321,8 +321,9 @@ class VersionGraph:
                 chain.append(self.nodes[nxt])
             else:
                 return chain
-        # broken chain (no single head, or a loop); fall back to comparator
-        # order so reads stay usable
+        # broken chain (no single head, a loop, or an edge leaving the
+        # document's versions); fall back to comparator order so reads stay
+        # usable
         return sorted(nodes, key=lambda v: (v.label.sort_key(), v.id))
 
     def list_versions(self, document: str) -> list[VersionLabel]:

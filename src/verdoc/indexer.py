@@ -273,18 +273,8 @@ def build_graph(catalog: CorpusCatalog) -> VersionGraph:
         category_id = graph.add_category(category.name)
         for group in category.groups:
             document_id = graph.add_document(group.canonical_title, category_id)
-            real = {
-                attrs.version.sort_key() for _, attrs in group.members if attrs.version is not None
-            }
-            missing = 0
-            for doc, attrs in group.members:
-                if attrs.version is not None:
-                    label, synthetic = attrs.version, False
-                else:
-                    missing += 1
-                    while parse_version(f"0.0.{missing}").sort_key() in real:
-                        missing += 1
-                    label, synthetic = parse_version(f"0.0.{missing}"), True
+            for (doc, _), (label, synthetic) in zip(group.members, _member_labels(group)):
+                if synthetic:
                     logger.warning(
                         "no version extracted for %s; using synthetic label %s",
                         doc.source_path,
@@ -293,6 +283,26 @@ def build_graph(catalog: CorpusCatalog) -> VersionGraph:
                 graph.add_version(document_id, label, synthetic=synthetic)
     graph.validate_strict()
     return graph
+
+
+def _member_labels(group: DocumentGroup) -> list:
+    """(label, synthetic) per group member, in member order.
+
+    A member without an extracted version gets the next free "0.0.<ordinal>"
+    label, skipping ordinals that a real member's version already takes.
+    """
+    real = {attrs.version.sort_key() for _, attrs in group.members if attrs.version is not None}
+    labels = []
+    missing = 0
+    for _, attrs in group.members:
+        if attrs.version is not None:
+            labels.append((attrs.version, False))
+            continue
+        missing += 1
+        while parse_version(f"0.0.{missing}").sort_key() in real:
+            missing += 1
+        labels.append((parse_version(f"0.0.{missing}"), True))
+    return labels
 
 
 # --- step 4: content indexing --------------------------------------------------------
@@ -350,23 +360,9 @@ def index_content(
 
 
 def _aligned(versions: list, group: DocumentGroup) -> list:
-    """Pair group members with their version nodes in member order.
-
-    Mirrors the synthetic-label numbering used by ``build_graph``.
-    """
+    """Pair group members with their version nodes in member order."""
     by_key = {node.label.sort_key(): node for node in versions}
-    real = {attrs.version.sort_key() for _, attrs in group.members if attrs.version is not None}
-    out = []
-    missing = 0
-    for _, attrs in group.members:
-        if attrs.version is not None:
-            out.append(by_key[attrs.version.sort_key()])
-        else:
-            missing += 1
-            while parse_version(f"0.0.{missing}").sort_key() in real:
-                missing += 1
-            out.append(by_key[parse_version(f"0.0.{missing}").sort_key()])
-    return out
+    return [by_key[label.sort_key()] for label, _ in _member_labels(group)]
 
 
 # --- step 5: change extraction ---------------------------------------------------------

@@ -306,6 +306,23 @@ class TestValidate:
         assert chain_labels(loaded, doc) == ["1.0", "2.0", "3.0"]
         assert any("NEXT_VERSION edges for 3 versions" in p for p in loaded.validate())
 
+    def test_loaded_chain_into_missing_node_validates(self, tmp_path):
+        graph, doc = graph_with_document()
+        for raw in ["1.0", "2.0"]:
+            graph.add_version(doc, raw)
+        graph.add_change(make_record(doc, "1.0", "2.0"))
+        v2 = graph.find_version(doc, "2.0").id
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        data = json.loads(path.read_text())
+        data["edges"].append({"from": v2, "kind": "next_version", "to": "version:ghost"})
+        path.write_text(json.dumps(data))
+        loaded = VersionGraph.load(path)
+        assert chain_labels(loaded, doc) == ["1.0", "2.0"]
+        assert loaded.find_version(doc, "2.0").id == v2
+        problems = loaded.validate()
+        assert any("references a missing node" in p for p in problems)
+
     def test_two_heads_read_in_comparator_order(self):
         graph, doc = graph_with_document()
         for raw in ["3.0", "1.0", "2.0"]:

@@ -1,18 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from verdoc import _kernels
-from verdoc._kernels import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_MATCH,
-    _backtrack,
-    _lcs_ops_numpy,
-    _lcs_table_numpy,
-    _masked_scores_numpy,
-    lcs_ops,
-    masked_scores,
-)
+from verdoc._kernels import _masked_scores_numpy, masked_scores
+from verdoc.changes import OP_DELETE, OP_INSERT, OP_MATCH, _band_table, lcs_ops, line_diff
 
 
 def reference_table(a, b):
@@ -26,6 +19,39 @@ def reference_table(a, b):
             else:
                 dp[i, j] = max(dp[i - 1, j], dp[i, j - 1])
     return dp
+
+
+def reference_ops(a, b):
+    """The documented edit script: backtrack the full table from (n, m),
+    matching greedily and, when deleting and inserting are both optimal,
+    deleting first when the old code is smaller."""
+    dp = reference_table(a, b)
+    ops = []
+    i, j = len(a), len(b)
+    while i > 0 and j > 0:
+        if a[i - 1] == b[j - 1]:
+            ops.append(OP_MATCH)
+            i -= 1
+            j -= 1
+        else:
+            up, left = dp[i - 1, j], dp[i, j - 1]
+            if up > left or (up == left and a[i - 1] < b[j - 1]):
+                ops.append(OP_DELETE)
+                i -= 1
+            else:
+                ops.append(OP_INSERT)
+                j -= 1
+    ops.extend([OP_DELETE] * i + [OP_INSERT] * j)
+    return ops[::-1]
+
+
+def full_band_table(a, b):
+    """The band table over every diagonal, read back as a dense table."""
+    n, m = len(a), len(b)
+    band, lo, start = _band_table(a, b, -n - 1, m + 1)
+    rows = [band[start[i] + 1 : start[i] + 2 + m] for i in range(n + 1)]
+    assert all(first == 0 for first in lo)
+    return np.array(rows, dtype=np.int32)
 
 
 def apply_ops(ops, a, b):
@@ -51,17 +77,23 @@ def test_vectorized_table_matches_reference(seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 6, size=rng.integers(0, 40)).astype(np.int64)
     b = rng.integers(0, 6, size=rng.integers(0, 40)).astype(np.int64)
-    assert np.array_equal(_lcs_table_numpy(a, b), reference_table(a, b))
+    assert np.array_equal(full_band_table(a, b), reference_table(a, b))
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_numba_and_numpy_paths_identical(seed):
     rng = np.random.default_rng(seed + 100)
-    a = rng.integers(0, 8, size=rng.integers(0, 60)).astype(np.int64)
-    b = rng.integers(0, 8, size=rng.integers(0, 60)).astype(np.int64)
-    via_api = lcs_ops(a, b)
-    via_numpy = _lcs_ops_numpy(a, b)
-    assert np.array_equal(via_api, via_numpy)
+    rows, dimension = int(rng.integers(1, 80)), int(rng.integers(1, 40))
+    matrix = rng.normal(size=(rows, dimension))
+    matrix[rng.random(rows) < 0.1] = 0.0  # zero rows score 0
+    norms = np.linalg.norm(matrix, axis=1)
+    query = rng.normal(size=dimension)
+    qnorm = float(np.linalg.norm(query))
+    mask = rng.random(rows) > rng.random()
+    via_api = masked_scores(matrix, norms, query, qnorm, mask)
+    via_numpy = _masked_scores_numpy(matrix, norms, query, qnorm, mask)
+    assert np.allclose(via_api, via_numpy, atol=1e-12)
+    assert np.array_equal(via_api == -2.0, ~mask)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -92,6 +124,93 @@ def test_empty_inputs():
     assert list(lcs_ops(np.array([], dtype=np.int64), np.array([2], dtype=np.int64))) == [OP_INSERT]
 
 
+@st.composite
+def _alphabet_pairs(draw):
+    size = draw(st.integers(2, 8))
+    seq = st.lists(st.integers(0, size - 1), max_size=80)
+    return draw(seq), draw(seq)
+
+
+@st.composite
+def _edited_copies(draw):
+    """Two edited copies of one base, so they share a long prefix and suffix."""
+    size = draw(st.integers(2, 8))
+    base = draw(st.lists(st.integers(0, size - 1), min_size=20, max_size=80))
+
+    def edited():
+        out = list(base)
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(out)))
+            cut = draw(st.integers(0, 3))
+            added = draw(st.lists(st.integers(0, size - 1), max_size=3))
+            out[at : at + cut] = added
+        return out
+
+    return edited(), edited()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(_alphabet_pairs(), _edited_copies()))
+def test_ops_equal_documented_backtrack(pair):
+    a, b = pair
+    ops = lcs_ops(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert ops.tolist() == reference_ops(a, b)
+
+
+def test_prefix_walk_keeps_tie_break():
+    # the common prefix x is not simply matched first: the full-table
+    # backtrack matches the last x of a against it instead
+    x, y, c = 5, 9, 1
+    assert lcs_ops(np.array([x, y, x]), np.array([x, c])).tolist() == [
+        OP_DELETE,
+        OP_DELETE,
+        OP_MATCH,
+        OP_INSERT,
+    ]
+    assert reference_ops([x, y, x], [x, c]) == [OP_DELETE, OP_DELETE, OP_MATCH, OP_INSERT]
+
+
+def _edited_pair(lines, edits, seed):
+    rng = np.random.default_rng(seed)
+    old = [f"line {i} of a long reference page" for i in range(lines)]
+    new = list(old)
+    for e in range(edits):
+        at = int(rng.integers(0, len(new)))
+        kind = e % 3
+        if kind == 0:
+            new[at] = f"rewritten line {e}"
+        elif kind == 1:
+            new.insert(at, f"inserted line {e}")
+        else:
+            del new[at]
+    return "\n".join(old), "\n".join(new)
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def test_few_edits_diff_in_small_memory():
+    old, new = _edited_pair(8000, 5, seed=1)
+    hunks, peak = _peak_mb(line_diff, old, new)
+    assert 1 <= len(hunks) <= 5
+    assert peak < 10.0, f"peak {peak:.1f} MB"
+
+
+def test_long_pair_diffs_in_bounded_memory():
+    # a full (n+1) x (m+1) int32 table would take about 3.4 GiB here
+    old, new = _edited_pair(30000, 20, seed=2)
+    hunks, peak = _peak_mb(line_diff, old, new)
+    assert 1 <= len(hunks) <= 20
+    assert peak < 50.0, f"peak {peak:.1f} MB"
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_masked_scores_paths_agree(seed):
     rng = np.random.default_rng(seed)
@@ -115,13 +234,6 @@ def test_masked_scores_zero_query():
     assert out[0] == 0.0 and out[2] == 0.0 and out[1] == -2.0
 
 
-def test_backtrack_shared_by_both_paths():
-    a = np.array([1, 2, 3, 4], dtype=np.int64)
-    b = np.array([2, 3, 5], dtype=np.int64)
-    table = _lcs_table_numpy(a, b)
-    assert np.array_equal(_backtrack(table, a, b), lcs_ops(a, b))
-
-
 def test_env_flag_selects_fallback(tmp_path):
     # re-import in a subprocess with the flag set; both paths must agree
     import subprocess
@@ -132,13 +244,20 @@ def test_env_flag_selects_fallback(tmp_path):
         "import numpy as np\n"
         "from verdoc import _kernels\n"
         "assert not _kernels.HAS_NUMBA\n"
-        "a = np.array([1, 2, 3, 2], dtype=np.int64); b = np.array([2, 3, 9], dtype=np.int64)\n"
-        "print(','.join(map(str, _kernels.lcs_ops(a, b))))\n"
+        "m = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]]); q = np.array([2.0, 1.0])\n"
+        "mask = np.array([True, False, True])\n"
+        "out = _kernels.masked_scores(m, np.linalg.norm(m, axis=1), q, float(np.linalg.norm(q)), mask)\n"
+        "print(','.join(repr(float(x)) for x in out))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    a = np.array([1, 2, 3, 2], dtype=np.int64)
-    b = np.array([2, 3, 9], dtype=np.int64)
-    expected = ",".join(map(str, lcs_ops(a, b)))
-    assert out.stdout.strip() == expected
+    matrix = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+    query = np.array([2.0, 1.0])
+    mask = np.array([True, False, True])
+    expected = masked_scores(
+        matrix, np.linalg.norm(matrix, axis=1), query, float(np.linalg.norm(query)), mask
+    )
+    got = np.array([float(x) for x in out.stdout.strip().split(",")])
+    assert np.allclose(got, expected, atol=1e-12)
+    assert got[1] == -2.0
