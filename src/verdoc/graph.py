@@ -11,6 +11,10 @@ Structural invariants (checked by :meth:`VersionGraph.validate`):
   (from-version may be absent for a document's first version),
 * edge endpoints respect the level hierarchy.
 
+Each edge is stored once, in ``_out`` (source id -> its outgoing edges);
+``_in`` (target id -> its incoming edges) is the reverse index over the
+same edge objects, and ``edges`` lists them on demand.
+
 Mutations take an internal lock (single writer); reads are lock-free and
 may run from any thread.
 """
@@ -140,10 +144,18 @@ class VersionGraph:
 
     def __init__(self):
         self.nodes: dict[str, Node] = {}
-        self.edges: list[Edge] = []
         self._out: dict[str, list[Edge]] = {}
         self._in: dict[str, list[Edge]] = {}
         self._lock = threading.RLock()
+
+    @property
+    def edges(self) -> list[Edge]:
+        """Every edge, grouped by source; a fresh list on each read.
+
+        ``list()`` copies the values in one step, so a writer adding a node
+        cannot break a lock-free read mid-iteration.
+        """
+        return [e for out in list(self._out.values()) for e in out]
 
     # --- low-level helpers -------------------------------------------------
 
@@ -153,14 +165,12 @@ class VersionGraph:
 
     def _add_edge(self, source: str, kind: EdgeKind, target: str) -> None:
         edge = Edge(source, kind, target)
-        self.edges.append(edge)
         self._out.setdefault(source, []).append(edge)
         self._in.setdefault(target, []).append(edge)
 
     def _remove_edges(self, drop: set) -> None:
         if not drop:
             return
-        self.edges = [e for e in self.edges if e not in drop]
         for index, keys in (
             (self._out, {e.source for e in drop}),
             (self._in, {e.target for e in drop}),

@@ -281,7 +281,6 @@ def build_graph(catalog: CorpusCatalog) -> VersionGraph:
                         label.raw,
                     )
                 graph.add_version(document_id, label, synthetic=synthetic)
-    graph.validate_strict()
     return graph
 
 

@@ -1,10 +1,10 @@
 """Exact top-k cosine search over embedded entries with metadata filters.
 
-Search is a full scan (desk-scale corpora; determinism matters more than
-speed here) with the scoring loop in :mod:`verdoc._kernels`. Results are
-ordered by descending score with ties broken by ascending key, which makes
-search results reproducible and directly comparable against a brute-force
-oracle.
+Search is an exact scan (desk-scale corpora; determinism matters more than
+speed here): the filter picks the candidate rows, and one numpy matvec
+scores them. Results are ordered by descending score with ties broken by
+ascending key, which makes search results reproducible and directly
+comparable against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import masked_scores
 from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
 from .versions import parse_version
 
@@ -44,17 +43,29 @@ class MetadataFilter:
     version_in: Optional[set] = None
 
     def matches(self, metadata: dict) -> bool:
-        for key, value in self.equality.items():
-            if metadata.get(key) != value:
-                return False
-        if self.version_in is not None:
-            raw = metadata.get("version")
-            if raw is None:
-                return False
-            wanted = {parse_version(str(v)).sort_key() for v in self.version_in}
-            if parse_version(raw).sort_key() not in wanted:
-                return False
-        return True
+        return self.matcher()(metadata)
+
+    def matcher(self) -> Callable[[dict], bool]:
+        """``matches`` as a one-argument function that parses the version
+        whitelist once, for testing many entries against one filter."""
+        equality = self.equality
+        wanted = (
+            None
+            if self.version_in is None
+            else {parse_version(str(v)).sort_key() for v in self.version_in}
+        )
+
+        def match(metadata: dict) -> bool:
+            for key, value in equality.items():
+                if metadata.get(key) != value:
+                    return False
+            if wanted is not None:
+                raw = metadata.get("version")
+                if raw is None or parse_version(raw).sort_key() not in wanted:
+                    return False
+            return True
+
+        return match
 
 
 class SearchHit(NamedTuple):
@@ -200,25 +211,25 @@ class VectorIndex:
         snap = self._current_snapshot()
         if not snap.keys:
             return []
-        metadata_filter = metadata_filter or MetadataFilter()
+        match = (metadata_filter or MetadataFilter()).matcher()
         mask = np.fromiter(
-            (metadata_filter.matches(md) for md in snap.metadata),
-            dtype=np.bool_,
-            count=len(snap.metadata),
+            (match(md) for md in snap.metadata), dtype=np.bool_, count=len(snap.metadata)
         )
-        if not mask.any():
+        candidates = np.flatnonzero(mask)
+        if candidates.size == 0:
             return []
-        qnorm = float(np.linalg.norm(query))
-        scores = masked_scores(snap.matrix, snap.norms, query, qnorm, mask)
-        candidates = np.nonzero(mask)[0]
-        order = np.lexsort((snap.key_rank[candidates], -scores[candidates]))
+        # cosine of the candidate rows; a zero-norm row or query scores 0
+        dots = snap.matrix[candidates] @ query
+        denom = snap.norms[candidates] * float(np.linalg.norm(query))
+        scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+        order = np.lexsort((snap.key_rank[candidates], -scores))
         hits = []
         for position in order[:k]:
             row = int(candidates[position])
             hits.append(
                 SearchHit(
                     key=snap.keys[row],
-                    score=float(scores[row]),
+                    score=float(scores[position]),
                     entry=IndexEntry(
                         key=snap.keys[row],
                         vector=snap.matrix[row],

@@ -232,12 +232,7 @@ class TestValidate:
 
     def test_orphan_document_detected(self):
         graph, doc = graph_with_document()
-        graph.edges = [e for e in graph.edges if e.kind is not EdgeKind.HAS_DOCUMENT]
-        graph._in.clear()
-        graph._out.clear()
-        for e in graph.edges:
-            graph._out.setdefault(e.source, []).append(e)
-            graph._in.setdefault(e.target, []).append(e)
+        graph._remove_edges({e for e in graph.edges if e.kind is EdgeKind.HAS_DOCUMENT})
         problems = graph.validate()
         assert any("category parents" in p for p in problems)
 
@@ -378,6 +373,36 @@ class TestPersistence:
         assert loaded.structurally_equal(graph)
         assert loaded.validate() == []
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_adjacency_holds_each_edge_once(self, tmp_path, seed):
+        rng = random.Random(seed)
+        graph = VersionGraph()
+        category = graph.add_category("Data Processing")
+        for title, versions in (("Spark", SPARK_VERSIONS), ("Bootstrap", BOOTSTRAP_VERSIONS)):
+            doc = graph.add_document(title, category)
+            versions = rng.sample(versions, len(versions))
+            for raw in versions:
+                version = graph.add_version(doc, raw)
+                graph.add_content_ref(version, 0, f"{version}#c0")
+            ordered = sorted(versions, key=parse_version)
+            graph.add_change(make_record(doc, None, ordered[0]))
+            for ordinal, (frm, to) in enumerate(zip(ordered, ordered[1:])):
+                graph.add_change(
+                    make_record(doc, frm, to, ordinal, ChangeOrigin.IMPLICIT, [f"h{ordinal}"])
+                )
+            # a late synthetic version relinks a chain that already has records
+            graph.add_version(doc, "0.0.1", synthetic=True)
+        edges = graph.edges
+        assert sorted(e for target in graph._in.values() for e in target) == sorted(edges)
+        assert len(set(edges)) == len(edges)
+        assert all(e in graph._in[e.target] for e in edges)
+        assert graph.validate() == []
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        loaded = VersionGraph.load(path)
+        assert loaded.to_dict() == graph.to_dict()
+        assert sorted(loaded.edges) == sorted(edges)
+
     def test_round_trip_preserves_node_ids(self, tmp_path):
         graph = build_corpus_scale_graph()
         path = tmp_path / "graph.json"
@@ -456,3 +481,48 @@ def test_concurrent_reads_while_holding_graph():
     for t in threads:
         t.join()
     assert not errors
+
+
+def test_edges_read_while_writer_adds_documents():
+    import sys
+    import threading
+
+    graph = VersionGraph()
+    category = graph.add_category("Data Processing")
+    done = threading.Event()
+    errors = []
+
+    def writer():
+        try:
+            for n in range(300):
+                doc = graph.add_document(f"doc {n}", category)
+                graph.add_version(doc, "1.0")
+                graph.add_version(doc, "2.0")
+        except Exception as exc:  # noqa: BLE001 - collected for the main thread
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader():
+        try:
+            while not done.is_set():
+                edges = graph.edges
+                assert len(set(edges)) == len(edges)
+        except Exception as exc:  # noqa: BLE001 - collected for the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(graph.edges) == 300 * 4

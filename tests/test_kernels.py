@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verdoc._kernels import _masked_scores_numpy, masked_scores
 from verdoc.changes import OP_DELETE, OP_INSERT, OP_MATCH, _band_table, lcs_ops, line_diff
 
 
@@ -78,22 +77,6 @@ def test_vectorized_table_matches_reference(seed):
     a = rng.integers(0, 6, size=rng.integers(0, 40)).astype(np.int64)
     b = rng.integers(0, 6, size=rng.integers(0, 40)).astype(np.int64)
     assert np.array_equal(full_band_table(a, b), reference_table(a, b))
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_numba_and_numpy_paths_identical(seed):
-    rng = np.random.default_rng(seed + 100)
-    rows, dimension = int(rng.integers(1, 80)), int(rng.integers(1, 40))
-    matrix = rng.normal(size=(rows, dimension))
-    matrix[rng.random(rows) < 0.1] = 0.0  # zero rows score 0
-    norms = np.linalg.norm(matrix, axis=1)
-    query = rng.normal(size=dimension)
-    qnorm = float(np.linalg.norm(query))
-    mask = rng.random(rows) > rng.random()
-    via_api = masked_scores(matrix, norms, query, qnorm, mask)
-    via_numpy = _masked_scores_numpy(matrix, norms, query, qnorm, mask)
-    assert np.allclose(via_api, via_numpy, atol=1e-12)
-    assert np.array_equal(via_api == -2.0, ~mask)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -209,55 +192,3 @@ def test_long_pair_diffs_in_bounded_memory():
     hunks, peak = _peak_mb(line_diff, old, new)
     assert 1 <= len(hunks) <= 20
     assert peak < 50.0, f"peak {peak:.1f} MB"
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_masked_scores_paths_agree(seed):
-    rng = np.random.default_rng(seed)
-    matrix = rng.normal(size=(50, 16))
-    norms = np.linalg.norm(matrix, axis=1)
-    query = rng.normal(size=16)
-    qnorm = float(np.linalg.norm(query))
-    mask = rng.random(50) > 0.4
-    fast = masked_scores(matrix, norms, query, qnorm, mask)
-    slow = _masked_scores_numpy(matrix, norms, query, qnorm, mask)
-    assert np.allclose(fast, slow, atol=1e-12)
-    assert np.all(fast[~mask] == -2.0)
-    assert np.all(np.abs(fast[mask]) <= 1.0 + 1e-9)
-
-
-def test_masked_scores_zero_query():
-    matrix = np.ones((3, 4))
-    norms = np.linalg.norm(matrix, axis=1)
-    mask = np.array([True, False, True])
-    out = masked_scores(matrix, norms, np.zeros(4), 0.0, mask)
-    assert out[0] == 0.0 and out[2] == 0.0 and out[1] == -2.0
-
-
-def test_env_flag_selects_fallback(tmp_path):
-    # re-import in a subprocess with the flag set; both paths must agree
-    import subprocess
-    import sys
-
-    code = (
-        "import os; os.environ['VERDOC_NO_NUMBA'] = '1';\n"
-        "import numpy as np\n"
-        "from verdoc import _kernels\n"
-        "assert not _kernels.HAS_NUMBA\n"
-        "m = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]]); q = np.array([2.0, 1.0])\n"
-        "mask = np.array([True, False, True])\n"
-        "out = _kernels.masked_scores(m, np.linalg.norm(m, axis=1), q, float(np.linalg.norm(q)), mask)\n"
-        "print(','.join(repr(float(x)) for x in out))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    matrix = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
-    query = np.array([2.0, 1.0])
-    mask = np.array([True, False, True])
-    expected = masked_scores(
-        matrix, np.linalg.norm(matrix, axis=1), query, float(np.linalg.norm(query)), mask
-    )
-    got = np.array([float(x) for x in out.stdout.strip().split(",")])
-    assert np.allclose(got, expected, atol=1e-12)
-    assert got[1] == -2.0

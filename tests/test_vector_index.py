@@ -5,6 +5,7 @@ import pytest
 
 from verdoc.errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
 from verdoc.vector_index import IndexEntry, MetadataFilter, VectorIndex, cosine
+from verdoc.versions import parse_version
 
 
 def entry(key, vector, metadata=None, text=""):
@@ -185,6 +186,102 @@ class TestSearch:
         for e in entries:
             if e.metadata["origin"] == "explicit" and e.key not in {h.key for h in hits}:
                 assert cosine(e.vector, query) <= worst + 1e-12
+
+
+LABELS = ["1.0", "1.2.0", "1.10", "2.0-rc1", "2.0"]
+FILTERS = {
+    "none": None,
+    "equality": MetadataFilter({"shard": "1"}),
+    "version_in": MetadataFilter(version_in={"1.2", "2.0"}),
+    "both": MetadataFilter({"shard": "0"}, version_in={"1.0", "1.10"}),
+}
+
+
+def random_entries(rng, rows, dimension, zero_share=0.1):
+    """Normal vectors, about ``zero_share`` of them all-zero, with a shard
+    and a version label each."""
+    matrix = rng.normal(size=(rows, dimension))
+    matrix[rng.random(rows) < zero_share] = 0.0
+    return [
+        entry(
+            f"k{i:03d}",
+            vector,
+            {
+                "shard": str(int(rng.integers(0, 3))),
+                "version": LABELS[int(rng.integers(0, len(LABELS)))],
+            },
+        )
+        for i, vector in enumerate(matrix)
+    ]
+
+
+def search_all(entries, query, metadata_filter=None):
+    index = VectorIndex(dimension=len(query))
+    for e in reversed(entries):  # row order opposite to key order
+        index.insert(e)
+    return index.search(query, k=len(entries), metadata_filter=metadata_filter)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_search_scores_match_cosine(seed):
+    rng = np.random.default_rng(seed + 100)
+    entries = random_entries(rng, int(rng.integers(1, 80)), int(rng.integers(1, 40)))
+    query = rng.normal(size=entries[0].vector.size)
+    flt = list(FILTERS.values())[seed % len(FILTERS)]
+    vectors = {e.key: e.vector for e in entries}
+    for hit in search_all(entries, query, flt):
+        assert abs(hit.score - cosine(vectors[hit.key], query)) <= 1e-12
+        if not vectors[hit.key].any():
+            assert hit.score == 0.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_returns_only_filtered_rows(seed):
+    rng = np.random.default_rng(seed)
+    entries = random_entries(rng, 50, 16, zero_share=0.0)
+    query = rng.normal(size=16)
+    for name, flt in FILTERS.items():
+        hits = search_all(entries, query, flt)
+        wanted = {e.key for e in entries if flt is None or flt.matches(e.metadata)}
+        assert {h.key for h in hits} == wanted, name
+        assert all(abs(h.score) <= 1.0 for h in hits), name
+
+
+@pytest.mark.parametrize("zero", ["row", "query"])
+@pytest.mark.parametrize("flt", FILTERS)
+def test_zero_norm_scores_zero_with_ties_by_key(zero, flt):
+    rng = np.random.default_rng(4)
+    entries = random_entries(rng, 40, 6, zero_share=0.0)
+    query = np.zeros(6) if zero == "query" else rng.normal(size=6)
+    if zero == "row":
+        for e in entries[::3]:
+            e.vector[:] = 0.0
+    hits = search_all(entries, query, FILTERS[flt])
+    tied = hits if zero == "query" else [h for h in hits if not h.entry.vector.any()]
+    assert tied and all(h.score == 0.0 for h in tied)
+    for prev, nxt in zip(hits, hits[1:]):
+        assert prev.score > nxt.score or (prev.score == nxt.score and prev.key < nxt.key)
+
+
+def test_version_whitelist_parsed_once_per_search(monkeypatch):
+    import verdoc.vector_index as vector_index
+
+    calls = []
+
+    def counting_parse(raw):
+        calls.append(raw)
+        return parse_version(raw)
+
+    rng = np.random.default_rng(8)
+    entries = random_entries(rng, 200, 4)
+    flt = MetadataFilter(version_in={"1.0", "1.10", "2.0-rc1"})
+    index = VectorIndex(dimension=4)
+    for e in entries:
+        index.insert(e)
+    monkeypatch.setattr(vector_index, "parse_version", counting_parse)
+    hits = index.search(rng.normal(size=4), k=5, metadata_filter=flt)
+    assert hits
+    assert len(calls) <= len(entries) + len(flt.version_in)
 
 
 class TestPersistence:
