@@ -6,7 +6,10 @@ Structural invariants (checked by :meth:`VersionGraph.validate`):
 * every document has exactly one category parent, every version exactly
   one document parent, every content ref exactly one version parent,
 * per document, NEXT_VERSION edges form one acyclic chain visiting every
-  version node exactly once in comparator order,
+  version node exactly once in comparator order (when a document's edges
+  break this by anything but their order, which is every chain problem
+  ``validate`` reports except a comparator contradiction, its versions
+  read in comparator order instead),
 * change nodes attach to an ordered version pair of their document
   (from-version may be absent for a document's first version),
 * edge endpoints respect the level hierarchy.
@@ -139,6 +142,19 @@ def node_kind(node: Node) -> NodeKind:
     return _KIND_OF[type(node)]
 
 
+def _comparator_order(version: VersionNode) -> tuple:
+    return (version.label.sort_key(), version.id)
+
+
+def _find(versions: list, label: VersionLabel) -> Optional[VersionNode]:
+    """The first of ``versions`` whose label the comparator equates with ``label``."""
+    key = label.sort_key()
+    for node in versions:
+        if node.label.sort_key() == key:
+            return node
+    return None
+
+
 class VersionGraph:
     """In-memory store for the version graph with traversal primitives."""
 
@@ -223,19 +239,20 @@ class VersionGraph:
         with self._lock:
             doc = self._require(document, NodeKind.DOCUMENT)
             existing = self.versions_of(document)
-            for node in existing:
-                if compare_versions(node.label, label) == 0:
-                    raise DuplicateVersionError(
-                        f"document {doc.title!r} already has version {label.raw!r}"
-                    )
+            if _find(existing, label) is not None:
+                raise DuplicateVersionError(
+                    f"document {doc.title!r} already has version {label.raw!r}"
+                )
             node_id = self._unique_id(f"version:{_slugify(doc.title)}@{_slugify(label.raw)}")
-            self._add_node(VersionNode(id=node_id, document=document, label=label, synthetic=synthetic))
+            node = VersionNode(id=node_id, document=document, label=label, synthetic=synthetic)
+            self._add_node(node)
             self._add_edge(document, EdgeKind.HAS_VERSION, node_id)
-            self._relink_chain(document)
+            self._relink_chain([*existing, node])
             return node_id
 
-    def _relink_chain(self, document: str) -> None:
-        chain = sorted(self.versions_of(document), key=lambda v: (v.label.sort_key(), v.id))
+    def _relink_chain(self, versions: list) -> None:
+        """Replace the NEXT_VERSION edges among ``versions`` by one chain in comparator order."""
+        chain = sorted(versions, key=_comparator_order)
         drop = {
             e
             for v in chain
@@ -267,22 +284,22 @@ class VersionGraph:
     def add_change(self, record: ChangeRecord) -> str:
         """Attach a change record between its version pair via CHANGED_TO edges."""
         with self._lock:
-            self._require(record.document, NodeKind.DOCUMENT)
-            to_node = self.find_version(record.document, record.to_version)
+            chain = self.versions_of(record.document)
+            to_node = _find(chain, record.to_version)
             if to_node is None:
                 raise UnknownVersionError(
                     f"version {record.to_version.raw!r} not in document {record.document!r}",
-                    available=[v.label.raw for v in self.versions_of(record.document)],
+                    available=[v.label.raw for v in chain],
                 )
             if record.id in self.nodes:
                 return record.id
             self._add_node(record)
             if record.from_version is not None:
-                from_node = self.find_version(record.document, record.from_version)
+                from_node = _find(chain, record.from_version)
                 if from_node is None:
                     raise UnknownVersionError(
                         f"version {record.from_version.raw!r} not in document {record.document!r}",
-                        available=[v.label.raw for v in self.versions_of(record.document)],
+                        available=[v.label.raw for v in chain],
                     )
                 self._add_edge(from_node.id, EdgeKind.CHANGED_TO, record.id)
             self._add_edge(record.id, EdgeKind.CHANGED_TO, to_node.id)
@@ -296,45 +313,55 @@ class VersionGraph:
     def documents(self) -> list[DocumentNode]:
         return [n for n in self.nodes.values() if isinstance(n, DocumentNode)]
 
-    def document_by_title(self, title: str) -> Optional[DocumentNode]:
-        for doc in self.documents():
-            if doc.title == title:
-                return doc
-        return None
-
     def versions_of(self, document: str) -> list[VersionNode]:
-        """Version nodes of a document in NEXT_VERSION chain order."""
-        doc = self._require(document, NodeKind.DOCUMENT)
-        nodes = [
-            self.nodes[e.target]
-            for e in self._out.get(doc.id, [])
-            if e.kind is EdgeKind.HAS_VERSION
-        ]
+        """Version nodes of a document in NEXT_VERSION chain order.
+
+        When the document's NEXT_VERSION edges do not form one chain over all
+        its versions (the chain problems :meth:`validate` reports, other than
+        an order that contradicts the comparator), the nodes come back in
+        comparator order instead, so reads stay usable.
+        """
+        self._require(document, NodeKind.DOCUMENT)
+        return self._walk(document)[0]
+
+    def _walk(self, document: str) -> tuple:
+        """The one NEXT_VERSION walker: ``(nodes, problem)`` for a document.
+
+        ``problem`` is None when the edges form a chain, and the nodes are
+        then in chain order; otherwise it names the first broken condition
+        and the nodes are in comparator order.
+        """
+        # enum members are bound once: the scans below touch every edge of
+        # every version, content refs and change records included
+        has_version, next_version, out = EdgeKind.HAS_VERSION, EdgeKind.NEXT_VERSION, self._out
+        nodes = [self.nodes[e.target] for e in out.get(document, ()) if e.kind is has_version]
         if not nodes:
-            return []
-        successors = {
-            e.source: e.target
-            for n in nodes
-            for e in self._out.get(n.id, ())
-            if e.kind is EdgeKind.NEXT_VERSION
-        }
+            return nodes, None
+        ids = {n.id for n in nodes}
+        chain_edges = [
+            e for node_id in ids for e in out.get(node_id, ()) if e.kind is next_version
+        ]
+        successors = {e.source: e.target for e in chain_edges}
         targets = set(successors.values())
-        heads = [n for n in nodes if n.id not in targets]
-        if len(heads) == 1 and targets <= {n.id for n in nodes}:
-            chain = [heads[0]]
-            seen = {heads[0].id}
+        heads = ids - targets
+        if len(chain_edges) != len(nodes) - 1:
+            problem = f"{len(chain_edges)} NEXT_VERSION edges for {len(nodes)} versions"
+        elif not len(successors) == len(targets) == len(chain_edges) or not targets <= ids:
+            # a version with two successors or two predecessors, or an edge
+            # leaving the document's versions
+            problem = "NEXT_VERSION edges do not form a chain"
+        elif len(heads) != 1:
+            problem = f"NEXT_VERSION chain has {len(heads)} heads"
+        else:
+            # sources and targets are unique and the head has no predecessor,
+            # so the walk cannot revisit a node
+            chain = [self.nodes[heads.pop()]]
             while chain[-1].id in successors:
-                nxt = successors[chain[-1].id]
-                if nxt in seen:
-                    break
-                seen.add(nxt)
-                chain.append(self.nodes[nxt])
-            else:
-                return chain
-        # broken chain (no single head, a loop, or an edge leaving the
-        # document's versions); fall back to comparator order so reads stay
-        # usable
-        return sorted(nodes, key=lambda v: (v.label.sort_key(), v.id))
+                chain.append(self.nodes[successors[chain[-1].id]])
+            if len(chain) == len(nodes):
+                return chain, None
+            problem = "NEXT_VERSION chain misses versions"
+        return sorted(nodes, key=_comparator_order), problem
 
     def list_versions(self, document: str) -> list[VersionLabel]:
         return [v.label for v in self.versions_of(document)]
@@ -342,10 +369,7 @@ class VersionGraph:
     def find_version(self, document: str, label: Union[VersionLabel, str]) -> Optional[VersionNode]:
         if isinstance(label, str):
             label = parse_version(label)
-        for node in self.versions_of(document):
-            if compare_versions(node.label, label) == 0:
-                return node
-        return None
+        return _find(self.versions_of(document), label)
 
     def version_pairs(self, document: str) -> list[tuple]:
         chain = self.versions_of(document)
@@ -378,20 +402,20 @@ class VersionGraph:
             frm = parse_version(frm)
         if isinstance(to, str):
             to = parse_version(to)
-        self._require(document, NodeKind.DOCUMENT)
-        available = [v.label.raw for v in self.versions_of(document)]
-        if self.find_version(document, frm) is None:
+        chain = self.versions_of(document)
+        available = [v.label.raw for v in chain]
+        if _find(chain, frm) is None:
             raise UnknownVersionError(
                 f"version {frm.raw!r} not in document {document!r}", available=available
             )
-        if self.find_version(document, to) is None:
+        if _find(chain, to) is None:
             raise UnknownVersionError(
                 f"version {to.raw!r} not in document {document!r}", available=available
             )
         if compare_versions(frm, to) >= 0:
             raise InvertedRangeError(f"range {frm.raw!r} .. {to.raw!r} is not ascending")
         records = []
-        for prev, nxt in self.version_pairs(document):
+        for prev, nxt in zip(chain, chain[1:]):
             if compare_versions(prev.label, frm) >= 0 and compare_versions(nxt.label, to) <= 0:
                 records.extend(self.changes_for_pair(prev, nxt))
         return records
@@ -435,7 +459,8 @@ class VersionGraph:
             if (node_kind(src), node_kind(dst)) != want:
                 problems.append(f"edge {edge} violates the level hierarchy")
 
-        for doc in self.documents():
+        documents = self.documents()
+        for doc in documents:
             parents = [
                 e.source for e in self._in.get(doc.id, []) if e.kind is EdgeKind.HAS_DOCUMENT
             ]
@@ -456,65 +481,38 @@ class VersionGraph:
                 if len(parents) != 1:
                     problems.append(f"content ref {node.id} has {len(parents)} version parents")
 
-        for doc in self.documents():
-            problems.extend(self._validate_chain(doc))
+        # per document: the sort keys of its versions and of its adjacent pairs
+        keys: dict = {}
+        for doc in documents:
+            chain, problem = self._walk(doc.id)
+            problems.extend(self._validate_chain(doc, chain, problem))
+            labels = [v.label.sort_key() for v in chain]
+            keys[doc.id] = (set(labels), set(zip(labels, labels[1:])))
 
         for record in self.change_records():
-            problems.extend(self._validate_change(record))
+            problems.extend(self._validate_change(record, keys.get(record.document)))
 
         return problems
 
-    def _validate_chain(self, doc: DocumentNode) -> list[str]:
-        problems = []
-        nodes = [
-            self.nodes[e.target]
-            for e in self._out.get(doc.id, [])
-            if e.kind is EdgeKind.HAS_VERSION
+    @staticmethod
+    def _validate_chain(doc: DocumentNode, chain: list, problem: Optional[str]) -> list[str]:
+        if problem is not None:
+            return [f"document {doc.id}: {problem}"]
+        return [
+            f"document {doc.id}: chain order {prev.label.raw!r} -> {nxt.label.raw!r} "
+            "contradicts the comparator"
+            for prev, nxt in zip(chain, chain[1:])
+            if compare_versions(prev.label, nxt.label) >= 0
         ]
-        ids = {n.id for n in nodes}
-        chain_edges = [
-            e
-            for node_id in ids
-            for e in self._out.get(node_id, ())
-            if e.kind is EdgeKind.NEXT_VERSION
-        ]
-        if not nodes:
-            return problems
-        if len(chain_edges) != len(nodes) - 1:
-            problems.append(
-                f"document {doc.id}: {len(chain_edges)} NEXT_VERSION edges for {len(nodes)} versions"
-            )
-            return problems
-        successors = {}
-        seen_targets = set()
-        for e in chain_edges:
-            if e.source in successors or e.target in seen_targets or e.target not in ids:
-                problems.append(f"document {doc.id}: NEXT_VERSION edges do not form a chain")
-                return problems
-            successors[e.source] = e.target
-            seen_targets.add(e.target)
-        heads = ids - seen_targets
-        if len(heads) != 1:
-            problems.append(f"document {doc.id}: NEXT_VERSION chain has {len(heads)} heads")
-            return problems
-        chain = [self.nodes[heads.pop()]]
-        while chain[-1].id in successors:
-            chain.append(self.nodes[successors[chain[-1].id]])
-        if len(chain) != len(nodes):
-            problems.append(f"document {doc.id}: NEXT_VERSION chain misses versions")
-            return problems
-        for prev, nxt in zip(chain, chain[1:]):
-            if compare_versions(prev.label, nxt.label) >= 0:
-                problems.append(
-                    f"document {doc.id}: chain order {prev.label.raw!r} -> {nxt.label.raw!r} "
-                    "contradicts the comparator"
-                )
-        return problems
 
-    def _validate_change(self, record: ChangeRecord) -> list[str]:
+    @staticmethod
+    def _validate_change(record: ChangeRecord, keys: Optional[tuple]) -> list[str]:
+        """``keys`` holds the record's document's version keys and adjacent-pair keys."""
+        if keys is None:
+            return [f"change {record.id}: document missing from graph"]
+        versions, pairs = keys
         problems = []
-        to_node = self.find_version(record.document, record.to_version)
-        if to_node is None:
+        if record.to_version.sort_key() not in versions:
             problems.append(f"change {record.id}: to_version missing from graph")
             return problems
         if record.origin is ChangeOrigin.EXPLICIT and record.evidence:
@@ -524,16 +522,10 @@ class VersionGraph:
                 problems.append(f"change {record.id}: implicit record without evidence")
             if record.from_version is None:
                 problems.append(f"change {record.id}: implicit record without from_version")
-            else:
-                pairs = {
-                    (prev.label.sort_key(), nxt.label.sort_key())
-                    for prev, nxt in self.version_pairs(record.document)
-                }
-                key = (record.from_version.sort_key(), record.to_version.sort_key())
-                if key not in pairs:
-                    problems.append(f"change {record.id}: version pair is not chain-adjacent")
+            elif (record.from_version.sort_key(), record.to_version.sort_key()) not in pairs:
+                problems.append(f"change {record.id}: version pair is not chain-adjacent")
         if record.from_version is not None:
-            if self.find_version(record.document, record.from_version) is None:
+            if record.from_version.sort_key() not in versions:
                 problems.append(f"change {record.id}: from_version missing from graph")
         return problems
 

@@ -82,6 +82,9 @@ class DocumentAttributes:
 class DocumentGroup:
     canonical_title: str
     members: list = field(default_factory=list)  # (RawDocument, DocumentAttributes)
+    # set by build_graph: the group's document node and one version node per member
+    document_id: str = ""
+    version_ids: list = field(default_factory=list)
 
     @property
     def is_changelog(self) -> bool:
@@ -265,14 +268,18 @@ def cluster_documents(attrs: list, gateway: Gateway) -> CorpusCatalog:
 def build_graph(catalog: CorpusCatalog) -> VersionGraph:
     """One category node per category, one document per group, one version
     per member. Members without an extracted version get synthetic
-    "0.0.<ordinal>" labels (flagged) so indexing never halts on them."""
+    "0.0.<ordinal>" labels (flagged) so indexing never halts on them.
+
+    Each group records its document and version node ids, which the later
+    stages read instead of looking the group up again."""
     if not catalog.categories:
         raise ClusteringError("catalog has no categories")
     graph = VersionGraph()
     for category in catalog.categories:
         category_id = graph.add_category(category.name)
         for group in category.groups:
-            document_id = graph.add_document(group.canonical_title, category_id)
+            group.document_id = graph.add_document(group.canonical_title, category_id)
+            group.version_ids = []
             for (doc, _), (label, synthetic) in zip(group.members, _member_labels(group)):
                 if synthetic:
                     logger.warning(
@@ -280,7 +287,8 @@ def build_graph(catalog: CorpusCatalog) -> VersionGraph:
                         doc.source_path,
                         label.raw,
                     )
-                graph.add_version(document_id, label, synthetic=synthetic)
+                version_id = graph.add_version(group.document_id, label, synthetic=synthetic)
+                group.version_ids.append(version_id)
     return graph
 
 
@@ -322,17 +330,16 @@ def index_content(
     """
     new_chunks = 0
     for category, group in catalog.all_groups():
-        document = graph.document_by_title(group.canonical_title)
-        if document is None:
+        if group.document_id not in graph.nodes:
             raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
-        versions = graph.versions_of(document.id)
-        for (doc, attrs), version_node in zip(group.members, _aligned(versions, group)):
+        for (doc, _), version_id in zip(group.members, group.version_ids):
+            version = graph.nodes[version_id].label.raw
             chunks = chunk_document(
                 doc,
                 chunk_size=chunk_size,
                 overlap=overlap,
-                document=document.id,
-                version=version_node.label.raw,
+                document=group.document_id,
+                version=version,
             )
             pending = [c for c in chunks if c.key not in vector_index]
             if pending:
@@ -344,8 +351,8 @@ def index_content(
                             vector=vector,
                             metadata={
                                 "category": category.name,
-                                "document": document.id,
-                                "version": version_node.label.raw,
+                                "document": group.document_id,
+                                "version": version,
                                 "ordinal": str(chunk.ordinal),
                                 "origin": "content",
                             },
@@ -354,14 +361,8 @@ def index_content(
                     )
                     new_chunks += 1
             for chunk in chunks:
-                graph.add_content_ref(version_node.id, chunk.ordinal, chunk.key)
+                graph.add_content_ref(version_id, chunk.ordinal, chunk.key)
     return new_chunks
-
-
-def _aligned(versions: list, group: DocumentGroup) -> list:
-    """Pair group members with their version nodes in member order."""
-    by_key = {node.label.sort_key(): node for node in versions}
-    return [by_key[label.sort_key()] for label, _ in _member_labels(group)]
 
 
 # --- step 5: change extraction ---------------------------------------------------------
@@ -382,38 +383,36 @@ def extract_changes(
     indexed = _indexed_records(vector_index)
     total = 0
     for category, group in catalog.all_groups():
-        document = graph.document_by_title(group.canonical_title)
-        versions = graph.versions_of(document.id)
-        aligned = _aligned(versions, group)
-        text_of = {node.id: doc.text for (doc, _), node in zip(group.members, aligned)}
+        document_id = group.document_id
+        text_of = {vid: doc.text for (doc, _), vid in zip(group.members, group.version_ids)}
         if group.is_changelog:
             for doc, attrs in group.members:
                 if attrs.doc_type != "changelog":
                     continue
-                existing = indexed.get(("explicit", document.id, doc.source_path))
+                existing = indexed.get(("explicit", document_id, doc.source_path))
                 if existing:
                     _attach_records(
                         graph, vector_index, gateway, existing, category.name, doc.source_path
                     )
                     continue
                 records = extract_explicit_changes(
-                    doc, attrs, document.id, gateway, vector_index=None, category=category.name
+                    doc, attrs, document_id, gateway, vector_index=None, category=category.name
                 )
                 total += _attach_records(
                     graph, vector_index, gateway, records, category.name, doc.source_path
                 )
         else:
-            for prev_node, next_node in graph.version_pairs(document.id):
+            for prev_node, next_node in graph.version_pairs(document_id):
                 if prev_node.id not in text_of or next_node.id not in text_of:
                     continue
                 existing = indexed.get(
-                    ("implicit", document.id, prev_node.label.raw, next_node.label.raw)
+                    ("implicit", document_id, prev_node.label.raw, next_node.label.raw)
                 )
                 if existing:
                     _attach_records(graph, vector_index, gateway, existing, category.name)
                     continue
                 records = extract_implicit_changes(
-                    document.id,
+                    document_id,
                     (prev_node.label, text_of[prev_node.id]),
                     (next_node.label, text_of[next_node.id]),
                     gateway,
@@ -459,7 +458,7 @@ def _attach_records(
 ) -> int:
     from .changes import index_change_record
 
-    added = 0
+    pending = []
     for record in records:
         if graph.find_version(record.document, record.to_version) is None:
             # changelog mentions a version with no retained documentation
@@ -479,10 +478,12 @@ def _attach_records(
             continue
         graph.add_change(record)
         if record.id not in vector_index:
-            vector = gateway.embed([record.description])[0]
+            pending.append(record)
+    if pending:
+        vectors = gateway.embed([record.description for record in pending])
+        for record, vector in zip(pending, vectors):
             index_change_record(record, vector, vector_index, category, source)
-            added += 1
-    return added
+    return len(pending)
 
 
 # --- whole pipeline ----------------------------------------------------------------------

@@ -327,6 +327,33 @@ class TestValidate:
         assert chain_labels(graph, doc) == ["1.0", "2.0", "3.0"]
         assert any("NEXT_VERSION edges for 3 versions" in p for p in graph.validate())
 
+    def test_detached_loop_reads_all_versions_in_comparator_order(self):
+        graph, doc = graph_with_document()
+        for raw in ["4.0", "2.0", "1.0", "3.0"]:
+            graph.add_version(doc, raw)
+        v2, v3, v4 = (graph.find_version(doc, raw).id for raw in ("2.0", "3.0", "4.0"))
+        # 1.0 -> 2.0, then a loop 3.0 -> 4.0 -> 3.0 that the head never reaches
+        graph._remove_edges({Edge(v2, EdgeKind.NEXT_VERSION, v3)})
+        graph._add_edge(v4, EdgeKind.NEXT_VERSION, v3)
+        assert chain_labels(graph, doc) == ["1.0", "2.0", "3.0", "4.0"]
+        assert f"document {doc}: NEXT_VERSION chain misses versions" in graph.validate()
+
+    def test_change_record_of_missing_document_is_reported(self, tmp_path):
+        graph, doc = graph_with_document()
+        for raw in ["1.0", "2.0"]:
+            graph.add_version(doc, raw)
+        record = make_record(doc, "1.0", "2.0")
+        graph.add_change(record)
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        data = json.loads(path.read_text())
+        for node in data["nodes"]:
+            if node["id"] == record.id:
+                node["document"] = "document:gone"
+        path.write_text(json.dumps(data))
+        problems = VersionGraph.load(path).validate()
+        assert f"change {record.id}: document missing from graph" in problems
+
 
 def build_corpus_scale_graph():
     """34 versions over 4 documents, mirroring a realistic corpus shape."""

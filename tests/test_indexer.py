@@ -297,6 +297,44 @@ class TestIndexDocuments:
         assert calls_second < calls_first / 2  # attributes + changes all cached
 
 
+class TestSharedGroupTitle:
+    """A clustering reply may name two groups alike; each keeps its own nodes."""
+
+    def index(self, alpha_labels, beta_labels):
+        documents = [
+            raw(f"{product}-{label}.md", doc_text(f"{product} Guide", label, [("Usage", [f"{product} {label}"])]))
+            for product, labels in (("Alpha", alpha_labels), ("Beta", beta_labels))
+            for label in labels
+        ]
+        groups = [
+            {"title": "Shared Guide", "members": [0, 1]},
+            {"title": "Shared Guide", "members": [2, 3]},
+        ]
+        reply = json.dumps({"categories": [{"name": "Guides", "groups": groups}]})
+        gateway = make_gateway(script=[{"schema": "clusters", "match": [], "reply": reply}])
+        index = VectorIndex(dimension=DIMENSION)
+        graph = index_documents(documents, gateway, index).graph
+        products: dict = {}  # document id -> products whose chunks carry it
+        for key in index.keys():
+            entry = index.get(key)
+            if entry.metadata["origin"] == "content":
+                product = "Alpha" if "Alpha" in entry.text else "Beta"
+                products.setdefault(entry.metadata["document"], set()).add(product)
+        return graph, products
+
+    @pytest.mark.parametrize(
+        "beta_labels", [["3.0", "4.0"], ["1.0", "2.0"]], ids=["different-labels", "equal-labels"]
+    )
+    def test_each_group_keeps_its_own_document(self, beta_labels):
+        graph, products = self.index(["1.0", "2.0"], beta_labels)
+        assert graph.validate() == []
+        doc_ids = {d.id for d in graph.documents()}
+        assert [d.title for d in graph.documents()] == ["Shared Guide", "Shared Guide"]
+        assert set(products) == doc_ids
+        assert sorted(map(sorted, products.values())) == [["Alpha"], ["Beta"]]
+        assert {r.document for r in graph.change_records()} == doc_ids
+
+
 class TestIndexCorpus:
     def test_deterministic_outputs(self, tmp_path):
         corpus = tmp_path / "corpus"
