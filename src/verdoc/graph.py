@@ -16,7 +16,9 @@ Structural invariants (checked by :meth:`VersionGraph.validate`):
 
 Each edge is stored once, in ``_out`` (source id -> its outgoing edges);
 ``_in`` (target id -> its incoming edges) is the reverse index over the
-same edge objects, and ``edges`` lists them on demand.
+same edge objects, and ``edges`` lists them on demand. ``_by_kind`` holds
+the nodes of each class in ``nodes`` order, so listing the documents,
+categories, change records or content refs never walks every node.
 
 Mutations take an internal lock (single writer); reads are lock-free and
 may run from any thread.
@@ -160,6 +162,7 @@ class VersionGraph:
 
     def __init__(self):
         self.nodes: dict[str, Node] = {}
+        self._by_kind: dict[type, dict[str, Node]] = {cls: {} for cls in _KIND_OF}
         self._out: dict[str, list[Edge]] = {}
         self._in: dict[str, list[Edge]] = {}
         self._lock = threading.RLock()
@@ -176,7 +179,16 @@ class VersionGraph:
     # --- low-level helpers -------------------------------------------------
 
     def _add_node(self, node: Node) -> str:
+        old = self.nodes.get(node.id)
         self.nodes[node.id] = node
+        if old is None or type(old) is type(node):
+            self._by_kind[type(node)][node.id] = node
+        else:
+            # the id keeps its place in ``nodes`` under its new class
+            del self._by_kind[type(old)][node.id]
+            self._by_kind[type(node)] = {
+                i: n for i, n in self.nodes.items() if type(n) is type(node)
+            }
         return node.id
 
     def _add_edge(self, source: str, kind: EdgeKind, target: str) -> None:
@@ -281,10 +293,16 @@ class VersionGraph:
             self._add_edge(version_id, EdgeKind.HAS_CONTENT, node_id)
             return node_id
 
-    def add_change(self, record: ChangeRecord) -> str:
-        """Attach a change record between its version pair via CHANGED_TO edges."""
+    def add_change(self, record: ChangeRecord, chain: Optional[list] = None) -> str:
+        """Attach a change record between its version pair via CHANGED_TO edges.
+
+        ``chain`` is the document's :meth:`versions_of` list when the caller
+        holds one read since the document's last ``add_version``; without
+        it the chain is walked here. Nothing is added when a version is unknown.
+        """
         with self._lock:
-            chain = self.versions_of(record.document)
+            if chain is None:
+                chain = self.versions_of(record.document)
             to_node = _find(chain, record.to_version)
             if to_node is None:
                 raise UnknownVersionError(
@@ -293,7 +311,7 @@ class VersionGraph:
                 )
             if record.id in self.nodes:
                 return record.id
-            self._add_node(record)
+            from_node = None
             if record.from_version is not None:
                 from_node = _find(chain, record.from_version)
                 if from_node is None:
@@ -301,6 +319,8 @@ class VersionGraph:
                         f"version {record.from_version.raw!r} not in document {record.document!r}",
                         available=[v.label.raw for v in chain],
                     )
+            self._add_node(record)
+            if from_node is not None:
                 self._add_edge(from_node.id, EdgeKind.CHANGED_TO, record.id)
             self._add_edge(record.id, EdgeKind.CHANGED_TO, to_node.id)
             return record.id
@@ -308,10 +328,10 @@ class VersionGraph:
     # --- traversal ----------------------------------------------------------
 
     def categories(self) -> list[CategoryNode]:
-        return [n for n in self.nodes.values() if isinstance(n, CategoryNode)]
+        return list(self._by_kind[CategoryNode].values())
 
     def documents(self) -> list[DocumentNode]:
-        return [n for n in self.nodes.values() if isinstance(n, DocumentNode)]
+        return list(self._by_kind[DocumentNode].values())
 
     def versions_of(self, document: str) -> list[VersionNode]:
         """Version nodes of a document in NEXT_VERSION chain order.
@@ -334,7 +354,13 @@ class VersionGraph:
         # enum members are bound once: the scans below touch every edge of
         # every version, content refs and change records included
         has_version, next_version, out = EdgeKind.HAS_VERSION, EdgeKind.NEXT_VERSION, self._out
-        nodes = [self.nodes[e.target] for e in out.get(document, ()) if e.kind is has_version]
+        # a target missing from the graph is left to validate(), which reports the edge
+        get = self.nodes.get
+        nodes = [
+            n
+            for e in out.get(document, ())
+            if e.kind is has_version and (n := get(e.target)) is not None
+        ]
         if not nodes:
             return nodes, None
         ids = {n.id for n in nodes}
@@ -421,10 +447,10 @@ class VersionGraph:
         return records
 
     def change_records(self) -> list[ChangeRecord]:
-        return [n for n in self.nodes.values() if isinstance(n, ChangeRecord)]
+        return list(self._by_kind[ChangeRecord].values())
 
     def content_refs(self) -> list[ContentRefNode]:
-        return [n for n in self.nodes.values() if isinstance(n, ContentRefNode)]
+        return list(self._by_kind[ContentRefNode].values())
 
     # --- validation ---------------------------------------------------------
 

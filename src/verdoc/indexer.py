@@ -1,10 +1,9 @@
 """Indexing pipeline: attribute extraction, document clustering, graph
 construction, content indexing and change extraction, in that order.
 
-Only first pages, diff hunks and changelog bodies are ever sent to the
-completion backend; full documentation bodies are chunked and embedded but
-never prompted. That bound is what keeps indexing cheap and is asserted by
-the acceptance suite.
+Completions see first pages, diff hunks and changelog bodies; bodies are
+chunked and embedded. The doc-type prompt takes the first ten pages, so a
+body shorter than that is prompted whole; a longer one never is.
 
 Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
@@ -106,9 +105,6 @@ class CorpusCatalog:
         for category in self.categories:
             for group in category.groups:
                 yield category, group
-
-    def member_count(self) -> int:
-        return sum(len(g.members) for _, g in self.all_groups())
 
 
 @dataclass
@@ -458,9 +454,13 @@ def _attach_records(
 ) -> int:
     from .changes import index_change_record
 
+    chains: dict = {}  # document id -> versions_of, read again only after add_version
     pending = []
     for record in records:
-        if graph.find_version(record.document, record.to_version) is None:
+        chain = chains.get(record.document)
+        if chain is None:
+            chain = chains[record.document] = graph.versions_of(record.document)
+        if not any(v.label == record.to_version for v in chain):
             # changelog mentions a version with no retained documentation
             graph.add_version(record.document, record.to_version, synthetic=True)
             logger.warning(
@@ -468,15 +468,15 @@ def _attach_records(
                 record.to_version.raw,
                 record.document,
             )
+            chain = chains[record.document] = graph.versions_of(record.document)
         if record.origin.value == "explicit" and record.from_version is None:
-            chain = graph.versions_of(record.document)
             for prev, nxt in zip(chain, chain[1:]):
                 if nxt.label.sort_key() == record.to_version.sort_key():
                     record.from_version = prev.label
                     break
         if record.id in graph.nodes:
             continue
-        graph.add_change(record)
+        graph.add_change(record, chain)
         if record.id not in vector_index:
             pending.append(record)
     if pending:

@@ -115,10 +115,6 @@ Reply again with exactly one JSON object matching the requested shape.\
 """
 
 
-def wrap_document(text: str) -> str:
-    return f"{DOC_BEGIN}\n{text}\n{DOC_END}"
-
-
 def extract_document(prompt: str) -> str:
     """Payload of the last document block in a prompt (few-shot safe)."""
     start = prompt.rfind(DOC_BEGIN)

@@ -5,6 +5,13 @@ speed here): the filter picks the candidate rows, and one numpy matvec
 scores them. Results are ordered by descending score with ties broken by
 ascending key, which makes search results reproducible and directly
 comparable against a brute-force oracle.
+
+Filters run on interned code columns of the search snapshot: one integer
+code per row for each metadata key a filter names, plus one column of
+version sort-key classes for ``version_in``. A column is built on first
+use and dropped with its snapshot on the next insert. A filter tests each
+distinct value once and keeps the rows whose code passed, so once the
+columns exist no Python code runs per row.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,29 +50,21 @@ class MetadataFilter:
     version_in: Optional[set] = None
 
     def matches(self, metadata: dict) -> bool:
-        return self.matcher()(metadata)
+        wanted = self.version_keys()
+        for key, value in self.equality.items():
+            if metadata.get(key) != value:
+                return False
+        if wanted is not None:
+            raw = metadata.get("version")
+            if raw is None or parse_version(raw).sort_key() not in wanted:
+                return False
+        return True
 
-    def matcher(self) -> Callable[[dict], bool]:
-        """``matches`` as a one-argument function that parses the version
-        whitelist once, for testing many entries against one filter."""
-        equality = self.equality
-        wanted = (
-            None
-            if self.version_in is None
-            else {parse_version(str(v)).sort_key() for v in self.version_in}
-        )
-
-        def match(metadata: dict) -> bool:
-            for key, value in equality.items():
-                if metadata.get(key) != value:
-                    return False
-            if wanted is not None:
-                raw = metadata.get("version")
-                if raw is None or parse_version(raw).sort_key() not in wanted:
-                    return False
-            return True
-
-        return match
+    def version_keys(self) -> Optional[set]:
+        """Sort keys of the ``version_in`` whitelist, or None without one."""
+        if self.version_in is None:
+            return None
+        return {parse_version(str(v)).sort_key() for v in self.version_in}
 
 
 class SearchHit(NamedTuple):
@@ -85,8 +84,43 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / denom)
 
 
+class _Column(NamedTuple):
+    """Interned values of one metadata field: ``values[codes[row]]`` is the row's value."""
+
+    codes: np.ndarray
+    values: list
+
+    def keep(self, rows: np.ndarray, verdicts: list) -> np.ndarray:
+        """The ``rows`` whose value passes; ``verdicts`` holds one per ``values`` entry."""
+        return rows[np.array(verdicts, dtype=np.bool_)[self.codes[rows]]]
+
+
+def _intern(values) -> _Column:
+    """One code per distinct value. Values must also share a type to share a
+    code (so 1, 1.0 and True stay apart), and an unhashable value gets a code
+    of its own; every row of a code then compares alike against any value."""
+    code_of: dict = {}
+    distinct: list = []
+    codes = []
+    for value in values:
+        try:
+            code = code_of.setdefault((type(value), value), len(distinct))
+        except TypeError:
+            code = len(distinct)
+        if code == len(distinct):
+            distinct.append(value)
+        codes.append(code)
+    return _Column(np.asarray(codes, dtype=np.intp), distinct)
+
+
+_SORT_KEYS = object()  # column key of the version sort-key classes
+
+
 class _Snapshot(NamedTuple):
-    """Immutable view used by searches; inserts publish a fresh one."""
+    """Immutable view used by searches; inserts publish a fresh one.
+
+    Only ``columns`` fills in later, one filter column at a time.
+    """
 
     keys: tuple
     matrix: np.ndarray
@@ -94,6 +128,43 @@ class _Snapshot(NamedTuple):
     key_rank: np.ndarray
     metadata: tuple
     texts: tuple
+    columns: dict  # filled on first use; concurrent builders store equal columns
+
+    def column(self, key) -> _Column:
+        """The interned column of metadata ``key`` (a missing key reads as None)."""
+        column = self.columns.get(key)
+        if column is None:
+            column = self.columns[key] = _intern(md.get(key) for md in self.metadata)
+        return column
+
+    def version_classes(self) -> _Column:
+        """Version sort keys by row; None where a row has no version."""
+        column = self.columns.get(_SORT_KEYS)
+        if column is None:
+            versions = self.column("version")
+            classes = _intern(
+                None if raw is None else parse_version(raw).sort_key() for raw in versions.values
+            )
+            column = _Column(classes.codes[versions.codes], classes.values)
+            self.columns[_SORT_KEYS] = column
+        return column
+
+    def candidates(self, metadata_filter: MetadataFilter) -> np.ndarray:
+        """The rows ``metadata_filter.matches`` passes, in ascending order.
+
+        Each constraint narrows the rows the last one kept, so only the
+        first touches every row.
+        """
+        rows = np.arange(len(self.keys))
+        for key, value in metadata_filter.equality.items():
+            column = self.column(key)
+            # the test ``matches`` makes, row value first, so nan matches nothing
+            rows = column.keep(rows, [not held != value for held in column.values])
+        wanted = metadata_filter.version_keys()
+        if wanted is not None:
+            column = self.version_classes()
+            rows = column.keep(rows, [sort_key in wanted for sort_key in column.values])
+        return rows
 
 
 class VectorIndex:
@@ -186,6 +257,7 @@ class VectorIndex:
                     key_rank=key_rank,
                     metadata=tuple(self._metadata),
                     texts=tuple(self._texts),
+                    columns={},
                 )
             return self._snapshot
 
@@ -211,34 +283,27 @@ class VectorIndex:
         snap = self._current_snapshot()
         if not snap.keys:
             return []
-        match = (metadata_filter or MetadataFilter()).matcher()
-        mask = np.fromiter(
-            (match(md) for md in snap.metadata), dtype=np.bool_, count=len(snap.metadata)
-        )
-        candidates = np.flatnonzero(mask)
+        candidates = snap.candidates(metadata_filter or MetadataFilter())
         if candidates.size == 0:
             return []
         # cosine of the candidate rows; a zero-norm row or query scores 0
         dots = snap.matrix[candidates] @ query
         denom = snap.norms[candidates] * float(np.linalg.norm(query))
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-        order = np.lexsort((snap.key_rank[candidates], -scores))
-        hits = []
-        for position in order[:k]:
-            row = int(candidates[position])
-            hits.append(
-                SearchHit(
+        top = np.lexsort((snap.key_rank[candidates], -scores))[:k]
+        return [
+            SearchHit(
+                key=snap.keys[row],
+                score=score,
+                entry=IndexEntry(
                     key=snap.keys[row],
-                    score=float(scores[position]),
-                    entry=IndexEntry(
-                        key=snap.keys[row],
-                        vector=snap.matrix[row],
-                        metadata=dict(snap.metadata[row]),
-                        text=snap.texts[row],
-                    ),
-                )
+                    vector=snap.matrix[row],
+                    metadata=dict(snap.metadata[row]),
+                    text=snap.texts[row],
+                ),
             )
-        return hits
+            for row, score in zip(candidates[top].tolist(), scores[top].tolist())
+        ]
 
     # --- persistence -------------------------------------------------------
 

@@ -13,9 +13,12 @@ from verdoc.errors import (
     VersionMismatchError,
 )
 from verdoc.graph import (
+    CategoryNode,
     ChangeKind,
     ChangeOrigin,
     ChangeRecord,
+    ContentRefNode,
+    DocumentNode,
     Edge,
     EdgeKind,
     VersionGraph,
@@ -354,6 +357,84 @@ class TestValidate:
         problems = VersionGraph.load(path).validate()
         assert f"change {record.id}: document missing from graph" in problems
 
+    def test_loaded_version_edge_into_missing_node_validates(self, tmp_path):
+        graph, doc = graph_with_document()
+        for raw in ["1.0", "2.0"]:
+            graph.add_version(doc, raw)
+        graph.add_change(make_record(doc, "1.0", "2.0"))
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        data = json.loads(path.read_text())
+        data["edges"].append({"from": doc, "kind": "has_version", "to": "version:ghost"})
+        path.write_text(json.dumps(data))
+        loaded = VersionGraph.load(path)
+        assert chain_labels(loaded, doc) == ["1.0", "2.0"]
+        dangling = Edge(doc, EdgeKind.HAS_VERSION, "version:ghost")
+        assert f"edge {dangling} references a missing node" in loaded.validate()
+
+    def test_unknown_from_version_leaves_graph_unchanged(self):
+        graph, doc = graph_with_document()
+        for raw in ["1.0", "2.0"]:
+            graph.add_version(doc, raw)
+        before = graph.to_dict()
+        record = make_record(doc, "9.0", "2.0")
+        with pytest.raises(UnknownVersionError):
+            graph.add_change(record)
+        assert record.id not in graph.nodes
+        assert graph.validate() == []
+        assert graph.to_dict() == before
+
+
+def scanned(graph, cls):
+    """Oracle for the per-kind listings: every node of ``cls``, in ``nodes`` order."""
+    return [node for node in graph.nodes.values() if isinstance(node, cls)]
+
+
+class TestKindListings:
+    LISTINGS = {
+        "categories": CategoryNode,
+        "documents": DocumentNode,
+        "change_records": ChangeRecord,
+        "content_refs": ContentRefNode,
+    }
+
+    def assert_listings_match_scan(self, graph):
+        for name, cls in self.LISTINGS.items():
+            assert getattr(graph, name)() == scanned(graph, cls), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_listings_keep_insertion_order(self, tmp_path, seed):
+        rng = random.Random(seed)
+        graph = VersionGraph()
+        categories = [graph.add_category(name) for name in rng.sample(["b", "a", "c", "d"], 3)]
+        for n in range(6):
+            doc = graph.add_document(f"Doc {rng.randrange(100)}", rng.choice(categories))
+            labels = rng.sample(["1.0", "2.0", "3.0", "4.0"], rng.randint(1, 4))
+            for label in labels:
+                graph.add_version(doc, label)
+                graph.add_content_ref(graph.find_version(doc, label).id, 0, f"k{n}-{label}")
+            ordered = sorted(labels, key=parse_version)
+            for ordinal, (frm, to) in enumerate(zip(ordered, ordered[1:])):
+                graph.add_change(make_record(doc, frm, to, ordinal))
+        self.assert_listings_match_scan(graph)
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        self.assert_listings_match_scan(VersionGraph.load(path))
+
+    def test_loaded_id_of_two_kinds_keeps_its_place(self):
+        graph, doc = graph_with_document()
+        graph.add_category("Later")
+        data = graph.to_dict()
+        category = data["nodes"][0]
+        assert category["node_kind"] == "category"
+        # a later node reuses the first category's id as a document
+        data["nodes"].append(
+            {"id": category["id"], "node_kind": "document", "title": "Twin", "category": "x"}
+        )
+        loaded = VersionGraph.from_dict(data)
+        self.assert_listings_match_scan(loaded)
+        assert [d.title for d in loaded.documents()] == ["Twin", "Apache Spark"]
+
 
 def build_corpus_scale_graph():
     """34 versions over 4 documents, mirroring a realistic corpus shape."""
@@ -535,6 +616,8 @@ def test_edges_read_while_writer_adds_documents():
             while not done.is_set():
                 edges = graph.edges
                 assert len(set(edges)) == len(edges)
+                documents = graph.documents()
+                assert len({d.id for d in documents}) == len(documents)
         except Exception as exc:  # noqa: BLE001 - collected for the main thread
             errors.append(exc)
 

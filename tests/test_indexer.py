@@ -10,9 +10,10 @@ from verdoc.errors import (
     IndexingError,
 )
 from verdoc.gateway import MockBackend
-from verdoc.graph import EdgeKind, VersionGraph
+from verdoc.graph import ChangeKind, ChangeOrigin, ChangeRecord, EdgeKind, VersionGraph
 from verdoc.indexer import (
     DocumentAttributes,
+    _attach_records,
     build_graph,
     cluster_documents,
     extract_attributes,
@@ -295,6 +296,41 @@ class TestIndexDocuments:
         index_documents(self.documents(), gateway, index2, attribute_cache=cache)
         calls_second = gateway.usage().calls - calls_first
         assert calls_second < calls_first / 2  # attributes + changes all cached
+
+
+def test_attach_records_walks_each_chain_once(monkeypatch):
+    graph = VersionGraph()
+    doc = graph.add_document("Widget Changelog", graph.add_category("Widgets"))
+    for label in ("1.0", "2.0", "3.0"):
+        graph.add_version(doc, label)
+    records = [
+        ChangeRecord(
+            id=f"change:{doc}#{n}",
+            document=doc,
+            from_version=None,
+            to_version=parse_version(to),
+            kind=ChangeKind.OTHER,
+            description=f"item {n}",
+            origin=ChangeOrigin.EXPLICIT,
+        )
+        for n, to in enumerate(["2.0", "2.0", "2.5", "3.0"])
+    ]
+    walks = []
+    versions_of = VersionGraph.versions_of
+
+    def counting(self, document):
+        walks.append(document)
+        return versions_of(self, document)
+
+    monkeypatch.setattr(VersionGraph, "versions_of", counting)
+    index = VectorIndex(dimension=DIMENSION)
+    assert _attach_records(graph, index, make_gateway(), records, "Widgets") == 4
+    # one walk for the call; the synthetic 2.5 costs add_version's walk and one more
+    assert len(walks) == 3
+    assert [r.from_version.raw for r in records] == ["1.0", "1.0", "2.0", "2.5"]
+    assert graph.find_version(doc, "2.5").synthetic
+    assert graph.validate() == []
+    assert len(index) == 4
 
 
 class TestSharedGroupTitle:

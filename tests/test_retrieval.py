@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from verdoc.engine import Engine
 from verdoc.errors import EmptyIndexError, QueryParseError, VersionNotFoundError
 from verdoc.indexer import index_documents
 from verdoc.ingestion import RawDocument
@@ -267,3 +268,38 @@ class TestResolveDocument:
             graph.add_version(big, raw_label)
         # "widget guide" matches both titles; the richer chain wins
         assert resolve_document(graph, "widget guide").id == big
+
+
+class NoScanDict(dict):
+    """A node map that fails on any read of every node; lookups by id still work."""
+
+    def _scan(self, *args):
+        raise AssertionError("the ask path read every graph node")
+
+    __iter__ = keys = values = items = _scan
+
+
+ASK_ROUTES = [
+    "What Apache Spark versions are available?",
+    "What is the stability level of the assert.CallTracker in Node.js version 20.19.0?",
+    "In which version was assert.deepEqual() removed?",
+    "What changed in Node.js Assert between 21.7.3 and 22.14.0?",
+    "What is the capital of France?",
+]
+
+
+def test_ask_path_reads_no_node_scan(indexed, monkeypatch):
+    graph, index, gateway = indexed
+    category = graph.nodes[graph.documents()[0].category]
+    monkeypatch.setattr(graph, "nodes", NoScanDict(graph.nodes))
+    parsed = [parse_query(text, graph, gateway) for text in ASK_ROUTES]
+    parsed += [
+        ParsedQuery(text="q", intent=QueryIntent.VERSION, category=category.id),
+        ParsedQuery(text="q", intent=QueryIntent.CONTENT, category=category.id),
+        ParsedQuery(text="q", intent=QueryIntent.CONTENT, version=parse_version("21.7.3")),
+    ]
+    modes = {retrieve(query, graph, index, gateway).mode for query in parsed}
+    assert modes == set(RetrievalMode)
+    engine = Engine(graph, index, gateway)
+    for text in ASK_ROUTES:
+        assert engine.ask(text).answer.text

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from verdoc.errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
 from verdoc.vector_index import IndexEntry, MetadataFilter, VectorIndex, cosine
@@ -284,6 +286,65 @@ def test_version_whitelist_parsed_once_per_search(monkeypatch):
     assert len(calls) <= len(entries) + len(flt.version_in)
 
 
+# filter values that compare equal across types (1, 1.0, True), never equal
+# themselves (nan), or that no row holds ("absent")
+NAN = float("nan")
+FIELD_VALUES = st.sampled_from([None, 1, 1.0, True, "1", 0, False, "", "a", NAN])
+FILTER_VALUES = st.one_of(FIELD_VALUES, st.just("absent"))
+VERSION_LABELS = ["1.2", "1.2.0", "v2", "2", "2.0", "2.0-rc1", "1.10"]
+ROW_METADATA = st.fixed_dictionaries(
+    {},
+    optional={"shard": FIELD_VALUES, "version": st.sampled_from([*VERSION_LABELS, None])},
+)
+FILTER = st.builds(
+    MetadataFilter,
+    st.dictionaries(st.sampled_from(["shard", "version"]), FILTER_VALUES, max_size=2),
+    st.none() | st.sets(st.sampled_from([*VERSION_LABELS, "9.9"]), max_size=3),
+)
+GRID_VECTOR = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
+    lambda v: np.asarray(v, dtype=np.float64) / 4.0  # exact dot products; some rows all zero
+)
+STEP = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 11), ROW_METADATA, GRID_VECTOR),
+    st.tuples(st.just("search"), FILTER, GRID_VECTOR),
+)
+
+
+def rows_then_search(values, flt):
+    """Steps that insert one row per shard value and then search with ``flt``."""
+    vector = np.ones(3)
+    inserts = [("insert", n, {"shard": v}, vector) for n, v in enumerate(values)]
+    return [*inserts, ("search", flt, vector)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(STEP, min_size=1, max_size=25))
+@example(rows_then_search([NAN, 1.0], MetadataFilter({"shard": NAN})))
+@example(rows_then_search([1, 1.0, True, "1", None], MetadataFilter({"shard": True})))
+@example(rows_then_search([1, "1", None], MetadataFilter({"shard": None})))
+def test_column_filter_returns_rows_matches_passes(steps):
+    """Interleaved upserts and searches: each search with k = len(index)
+    returns exactly the rows ``MetadataFilter.matches`` passes, by descending
+    cosine and then key; an upsert drops the columns the last search built."""
+    index = VectorIndex(dimension=3)
+    rows = {}
+    for step in steps:
+        if step[0] == "insert":
+            _, n, metadata, vector = step
+            rows[f"k{n:02d}"] = entry(f"k{n:02d}", vector, metadata)
+            index.insert(rows[f"k{n:02d}"])
+            continue
+        _, flt, query = step
+        if not rows:
+            assert index.search(query, k=1, metadata_filter=flt) == []
+            continue
+        hits = index.search(query, k=len(index), metadata_filter=flt)
+        expected = sorted(
+            (-cosine(e.vector, query), key) for key, e in rows.items() if flt.matches(e.metadata)
+        )
+        assert [(-h.score, h.key) for h in hits] == expected
+
+
 class TestPersistence:
     def build(self):
         rng = np.random.default_rng(9)
@@ -335,43 +396,56 @@ class TestPersistence:
 
 
 def test_concurrent_inserts_and_searches():
-    """A writer upserting while readers search must never corrupt results."""
+    """A writer upserting while readers search must never corrupt results,
+    also while the readers build a fresh snapshot's filter columns."""
+    import sys
     import threading
 
     rng = np.random.default_rng(17)
     index = VectorIndex(dimension=8)
+
+    def metadata(i):
+        return {"shard": str(i % 3), "version": LABELS[i % len(LABELS)]}
+
     for i in range(50):
-        index.insert(entry(f"seed{i:02d}", rng.normal(size=8)))
+        index.insert(entry(f"seed{i:02d}", rng.normal(size=8), metadata(i)))
     stop = threading.Event()
     errors = []
 
     def writer():
         try:
             for i in range(300):
-                index.insert(entry(f"new{i:03d}", rng.normal(size=8)))
+                index.insert(entry(f"new{i:03d}", rng.normal(size=8), metadata(i)))
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
         finally:
             stop.set()
 
-    def reader():
+    def reader(flt):
         try:
             query = np.ones(8)
             while not stop.is_set():
-                hits = index.search(query, k=5)
+                hits = index.search(query, k=5, metadata_filter=flt)
                 assert len(hits) <= 5
+                assert all(flt is None or flt.matches(h.entry.metadata) for h in hits)
                 for prev, nxt in zip(hits, hits[1:]):
-                    assert (prev.score, prev.key) >= (nxt.score, prev.key)
+                    assert (-prev.score, prev.key) < (-nxt.score, nxt.key)
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
-    threads = [threading.Thread(target=writer)] + [
-        threading.Thread(target=reader) for _ in range(3)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(flt,)) for flt in FILTERS.values()
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     assert len(index) == 350
 
