@@ -12,8 +12,9 @@ optimal edit path can reach (Ukkonen, "Algorithms for approximate string
 matching", 1985), so time and memory are O((N+M)*D) for D edits rather
 than O(N*M). The edit script is the one the full table gives under the
 documented tie-break: when both a deletion and an insertion are optimal,
-delete first when the old line's code is smaller. Codes are lexicographic
-ranks over both files, so diff(a, b) and diff(b, a) pick mirrored paths.
+delete first when the old line's code is smaller. The codes of the lines
+that tie-break compares are their lexicographic ranks, so diff(a, b) and
+diff(b, a) pick mirrored paths.
 
 Implicit records come from diffing adjacent version texts and summarizing
 the hunks in one completion per version pair; explicit records come from
@@ -88,17 +89,31 @@ _KIND_TO_CHANGE = {
 
 
 def _codes(old_lines: list, new_lines: list) -> tuple:
-    """Map rstripped lines to their lexicographic rank over both files.
+    """Map rstripped lines to int codes: equal lines get equal codes.
 
-    Rank order equals lexicographic order, which is what the kernel's
-    tie-break compares; this keeps diff(a, b) and diff(b, a) symmetric.
+    Only the lines between the common suffix and prefix that ``lcs_ops``
+    trims meet the kernel's tie-break, which compares codes; their codes
+    are their lexicographic ranks among those lines, which keeps diff(a, b)
+    and diff(b, a) symmetric. Every other line gets a code above them.
     """
-    stripped_old = [line.rstrip() for line in old_lines]
-    stripped_new = [line.rstrip() for line in new_lines]
-    rank = {line: i for i, line in enumerate(sorted(set(stripped_old) | set(stripped_new)))}
-    a = np.fromiter((rank[line] for line in stripped_old), dtype=np.int64, count=len(stripped_old))
-    b = np.fromiter((rank[line] for line in stripped_new), dtype=np.int64, count=len(stripped_new))
-    return a, b
+    code_of: dict = {}
+    a, b = (
+        np.fromiter(
+            (code_of.setdefault(line.rstrip(), len(code_of)) for line in lines),
+            dtype=np.int64,
+            count=len(lines),
+        )
+        for lines in (old_lines, new_lines)
+    )
+    suffix = _common_prefix(a[::-1], b[::-1])
+    n, m = a.shape[0] - suffix, b.shape[0] - suffix
+    p = _common_prefix(a[:n], b[:m])
+    middle = np.unique(np.concatenate([a[p:n], b[p:m]])).tolist()
+    distinct = list(code_of)
+    middle.sort(key=distinct.__getitem__)
+    remap = np.arange(len(distinct), dtype=np.int64) + len(middle)
+    remap[middle] = np.arange(len(middle))
+    return remap[a], remap[b]
 
 
 def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:

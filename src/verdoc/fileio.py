@@ -1,0 +1,28 @@
+"""Crash-safe replacement of the files an index run writes."""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so that a crash leaves the old file or the new one.
+
+    The bytes go to a temporary file in the same directory, which is synced
+    to disk before ``os.replace`` renames it over ``path`` (the order that
+    Pillai et al., "All File Systems Are Not Created Equal", OSDI 2014, show
+    a crash-safe update needs). The temporary file is removed when any step
+    fails, so a failed write leaves nothing behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

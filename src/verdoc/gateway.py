@@ -82,33 +82,19 @@ class TokenUsage:
         }
 
 
+_DECODER = json.JSONDecoder()
+
+
 def parse_json_reply(text: str) -> dict:
-    """Extract and parse the first JSON object embedded in a reply."""
+    """Extract and parse the first JSON object embedded in a reply.
+
+    The object starts at the first ``{``; any text after it is ignored.
+    """
     start = text.find("{")
     if start < 0:
         raise ValueError("reply contains no JSON object")
-    depth = 0
-    in_string = False
-    escape = False
-    for index in range(start, len(text)):
-        char = text[index]
-        if in_string:
-            if escape:
-                escape = False
-            elif char == "\\":
-                escape = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-        elif char == "{":
-            depth += 1
-        elif char == "}":
-            depth -= 1
-            if depth == 0:
-                return json.loads(text[start : index + 1])
-    raise ValueError("unbalanced JSON object in reply")
+    data, _ = _DECODER.raw_decode(text, start)
+    return data
 
 
 # --- schema validators ------------------------------------------------------
@@ -492,6 +478,17 @@ class MockBackend:
 
 # --- HTTP backend ---------------------------------------------------------------
 
+# longest wait a server's Retry-After may impose before a retry
+RETRY_AFTER_CAP_S = 30.0
+
+
+def _retry_after_seconds(value: Optional[str], default: float) -> float:
+    """The wait a Retry-After header asks for, capped at RETRY_AFTER_CAP_S;
+    ``default`` when it is absent or not a number of seconds (an HTTP date)."""
+    if value is None or not value.strip().isdecimal():
+        return default
+    return min(float(value), RETRY_AFTER_CAP_S)
+
 
 class HttpBackend:
     """Chat-completions style HTTP backend (one user message per call)."""
@@ -513,6 +510,13 @@ class HttpBackend:
         self.max_retries = max_retries
 
     def _post(self, path: str, payload: dict) -> dict:
+        """POST ``payload`` and return the JSON reply.
+
+        A 429, a 5xx, a failed connection and a timeout are retried up to
+        ``max_retries`` times, after a delay that starts at 0.25 s and
+        doubles; a numeric ``Retry-After`` (RFC 9110 section 10.2.3) replaces
+        the delay, up to RETRY_AFTER_CAP_S. Other 4xx replies fail at once.
+        """
         import requests
 
         headers = {"Content-Type": "application/json"}
@@ -520,28 +524,35 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = f"{self.base_url}{path}"
         delay = 0.25
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(1, self.max_retries + 2):
+            last = attempt > self.max_retries
             try:
                 response = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                if last:
+                    raise BackendUnavailableError(
+                        f"cannot reach {url} after {attempt} attempts: {exc}"
+                    ) from exc
+                wait = delay
             except requests.RequestException as exc:
                 raise BackendUnavailableError(f"cannot reach {url}: {exc}") from exc
-            if response.status_code == 429:
-                if attempt < self.max_retries:
-                    time.sleep(delay)
-                    delay *= 2
-                    continue
-                raise RateLimitedError(f"{url} kept rate limiting after {attempt + 1} attempts")
-            if response.status_code >= 500:
-                raise BackendUnavailableError(f"{url} returned {response.status_code}")
-            if response.status_code >= 400:
-                raise BackendUnavailableError(
-                    f"{url} rejected the request ({response.status_code}): {response.text[:200]}"
-                )
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise BackendUnavailableError(f"{url} returned non-JSON payload") from exc
-        raise RateLimitedError(f"{url} kept rate limiting")
+            else:
+                status = response.status_code
+                if status < 400:
+                    try:
+                        return response.json()
+                    except ValueError as exc:
+                        raise BackendUnavailableError(f"{url} returned non-JSON payload") from exc
+                if status != 429 and status < 500:
+                    raise BackendUnavailableError(
+                        f"{url} rejected the request ({status}): {response.text[:200]}"
+                    )
+                if last:
+                    error = RateLimitedError if status == 429 else BackendUnavailableError
+                    raise error(f"{url} returned {status} after {attempt} attempts")
+                wait = _retry_after_seconds(response.headers.get("Retry-After"), delay)
+            time.sleep(wait)
+            delay *= 2
 
     def complete(self, prompt: str, schema: Optional[ResponseSchema], max_output_tokens: int) -> str:
         data = self._post(

@@ -42,6 +42,7 @@ from .errors import (
     UnknownVersionError,
     VersionMismatchError,
 )
+from .fileio import write_atomic
 from .versions import VersionLabel, compare_versions, parse_version
 
 FORMAT_VERSION = 1
@@ -634,9 +635,8 @@ class VersionGraph:
         }
 
     def save(self, path) -> None:
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        write_atomic(path, payload.encode("utf-8"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "VersionGraph":

@@ -25,10 +25,12 @@ from .changes import extract_explicit_changes, extract_implicit_changes
 from .errors import (
     AttributeExtractionError,
     ClusteringError,
+    CorruptFileError,
     IndexingError,
     SchemaViolationError,
     VerdocError,
 )
+from .fileio import write_atomic
 from .gateway import CompletionRequest, Gateway, ResponseSchema, TokenUsage, parse_json_reply
 from .graph import VersionGraph
 from .ingestion import (
@@ -556,14 +558,21 @@ def index_corpus(
 
     When ``out_dir`` already holds an index, its vector entries and cached
     attributes are reused: unchanged corpora re-index to an identical
-    state without re-spending completion tokens.
+    state without re-spending completion tokens. An unreadable vector index
+    (an older format, or one torn by a crash) is rebuilt in full.
+    Every file is replaced atomically.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     documents = load_corpus(root_path)
 
     index_path = out / INDEX_FILE
-    vector_index = VectorIndex.load(index_path) if index_path.exists() else VectorIndex(dimension)
+    vector_index = VectorIndex(dimension)
+    if index_path.exists():
+        try:
+            vector_index = VectorIndex.load(index_path)
+        except CorruptFileError as exc:
+            logger.warning("re-embedding every entry; unreadable vector index: %s", exc)
     cache_path = out / ATTRIBUTES_FILE
     attribute_cache: dict = {}
     if cache_path.exists():
@@ -584,10 +593,6 @@ def index_corpus(
 
     summary.graph.save(out / GRAPH_FILE)
     vector_index.save(index_path)
-    cache_path.write_text(
-        json.dumps(attribute_cache, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / SUMMARY_FILE).write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    for path, data in ((cache_path, attribute_cache), (out / SUMMARY_FILE, summary.to_dict())):
+        write_atomic(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return summary

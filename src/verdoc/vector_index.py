@@ -16,17 +16,21 @@ columns exist no Python code runs per row.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
+from .fileio import write_atomic
 from .versions import parse_version
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -168,7 +172,7 @@ class _Snapshot(NamedTuple):
 
 
 class VectorIndex:
-    """In-memory vector store with upsert semantics and JSON persistence.
+    """In-memory vector store with upsert semantics, saved as ``.npy`` plus a JSON sidecar.
 
     Inserts run under a lock and invalidate the search snapshot; searches
     build or reuse the snapshot and then run lock-free, so any number of
@@ -250,16 +254,20 @@ class VectorIndex:
                 key_rank = np.empty(count, dtype=np.int64)
                 for rank, row in enumerate(order):
                     key_rank[row] = rank
-                self._snapshot = _Snapshot(
-                    keys=tuple(self._keys),
-                    matrix=matrix,
-                    norms=np.asarray(self._norms, dtype=np.float64),
-                    key_rank=key_rank,
-                    metadata=tuple(self._metadata),
-                    texts=tuple(self._texts),
-                    columns={},
-                )
+                self._publish(matrix, key_rank)
             return self._snapshot
+
+    def _publish(self, matrix: np.ndarray, key_rank: np.ndarray) -> None:
+        """Publish the snapshot of the current rows; ``matrix`` stacks their vectors."""
+        self._snapshot = _Snapshot(
+            keys=tuple(self._keys),
+            matrix=matrix,
+            norms=np.asarray(self._norms, dtype=np.float64),
+            key_rank=key_rank,
+            metadata=tuple(self._metadata),
+            texts=tuple(self._texts),
+            columns={},
+        )
 
     def search(
         self,
@@ -307,34 +315,44 @@ class VectorIndex:
 
     # --- persistence -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        with self._lock:
-            rows = sorted(range(len(self._keys)), key=lambda i: self._keys[i])
-            return {
-                "format_version": FORMAT_VERSION,
-                "dimension": self.dimension,
-                "entries": [
-                    {
-                        "key": self._keys[i],
-                        "vector": [float(x) for x in self._vectors[i]],
-                        "metadata": dict(sorted(self._metadata[i].items())),
-                        "text": self._texts[i],
-                    }
-                    for i in rows
-                ],
-            }
-
     def save(self, path) -> None:
-        payload = json.dumps(self.to_dict(), indent=None, sort_keys=True, separators=(",", ":"))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        """Write the vectors to ``vectors_path(path)`` and then the sidecar ``path``.
+
+        The ``.npy`` holds a little-endian float64 matrix whose row i is
+        entry i of the sidecar; entries are sorted by key, and the sidecar
+        records the ``.npy``'s sha256. Each file is replaced atomically, the
+        ``.npy`` first, so a crash between the two leaves a sidecar whose
+        hash no longer matches and ``load`` reports the index as corrupt.
+        """
+        with self._lock:
+            rows = sorted(range(len(self._keys)), key=self._keys.__getitem__)
+            matrix = np.asarray([self._vectors[i] for i in rows], dtype="<f8")
+            entries = [
+                {"key": self._keys[i], "metadata": self._metadata[i], "text": self._texts[i]}
+                for i in rows
+            ]
+        buffer = io.BytesIO()
+        # the reshape gives an empty index its (0, dimension) shape
+        np.save(buffer, matrix.reshape(len(rows), self.dimension), allow_pickle=False)
+        vectors = buffer.getvalue()
+        sidecar = {
+            "format_version": FORMAT_VERSION,
+            "dimension": self.dimension,
+            "vectors_sha256": hashlib.sha256(vectors).hexdigest(),
+            "entries": entries,
+        }
+        payload = json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n"
+        write_atomic(vectors_path(path), vectors)
+        write_atomic(path, payload.encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "VectorIndex":
+        """Read an index that ``save`` wrote; raises ``CorruptFileError`` when
+        either file is unreadable, malformed or does not match the other."""
+        path = Path(path)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(path.read_bytes())
+        except (OSError, ValueError) as exc:
             raise CorruptFileError(f"cannot read index file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise CorruptFileError(f"index file {path} does not hold an object")
@@ -344,16 +362,54 @@ class VectorIndex:
                 f"unsupported index format_version {version!r} (expected {FORMAT_VERSION})"
             )
         try:
-            index = cls(dimension=int(data["dimension"]))
-            for item in data["entries"]:
-                index.insert(
-                    IndexEntry(
-                        key=item["key"],
-                        vector=np.asarray(item["vector"], dtype=np.float64),
-                        metadata=dict(item["metadata"]),
-                        text=item["text"],
-                    )
-                )
+            dimension = int(data["dimension"])
+            digest = data["vectors_sha256"]
+            entries = data["entries"]
+            keys = [item["key"] for item in entries]
+            metadata = [dict(item["metadata"]) for item in entries]
+            texts = [item["text"] for item in entries]
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"malformed index payload: {exc}") from exc
+        if not all(isinstance(key, str) for key in keys) or any(
+            a >= b for a, b in zip(keys, keys[1:])
+        ):
+            raise CorruptFileError(f"entries of {path} are not sorted by unique string keys")
+
+        npy = vectors_path(path)
+        try:
+            raw = npy.read_bytes()
+        except OSError as exc:
+            raise CorruptFileError(f"cannot read vector file {npy}: {exc}") from exc
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise CorruptFileError(f"vector file {npy} does not match the sha256 in {path}")
+        try:
+            matrix = np.load(io.BytesIO(raw), allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise CorruptFileError(f"cannot read vector file {npy}: {exc}") from exc
+        expected = (len(keys), dimension)
+        if not isinstance(matrix, np.ndarray):
+            raise CorruptFileError(f"vector file {npy} does not hold one array")
+        if matrix.dtype != np.dtype("<f8") or matrix.shape != expected:
+            raise CorruptFileError(
+                f"vector file {npy} holds {matrix.dtype} {matrix.shape}, expected <f8 {expected}"
+            )
+
+        index = cls(dimension=dimension)
+        # rows are views of the one loaded matrix, which the search snapshot
+        # shares; read-only, so no caller can change a stored vector in place
+        matrix.flags.writeable = False
+        index._keys = keys
+        index._row_of = {key: row for row, key in enumerate(keys)}
+        index._vectors = list(matrix)
+        # per row, exactly as ``insert`` computes it: a norm over the whole
+        # matrix differs from it in the last bit for some rows
+        index._norms = [float(np.linalg.norm(row)) for row in index._vectors]
+        index._metadata = metadata
+        index._texts = texts
+        index._publish(matrix, np.arange(len(keys)))
         return index
+
+
+def vectors_path(path) -> Path:
+    """The ``.npy`` file that holds the vectors of the index sidecar at ``path``."""
+    return Path(path).with_suffix(".npy")

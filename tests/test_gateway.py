@@ -1,9 +1,11 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verdoc.errors import (
     BackendUnavailableError,
@@ -11,7 +13,9 @@ from verdoc.errors import (
     RateLimitedError,
     SchemaViolationError,
 )
+from verdoc import gateway as gateway_module
 from verdoc.gateway import (
+    RETRY_AFTER_CAP_S,
     CompletionRequest,
     Gateway,
     HttpBackend,
@@ -214,6 +218,82 @@ class TestValidators:
             parse_json_reply('{"a": 1')
 
 
+def brace_scan_reply(text: str) -> dict:
+    """Reference: the first balanced ``{...}`` span, found by a brace
+    counter that skips string contents, parsed with ``json.loads``."""
+    start = text.find("{")
+    if start < 0:
+        raise ValueError("reply contains no JSON object")
+    depth = 0
+    in_string = False
+    escape = False
+    for index in range(start, len(text)):
+        char = text[index]
+        if in_string:
+            if escape:
+                escape = False
+            elif char == "\\":
+                escape = True
+            elif char == '"':
+                in_string = False
+            continue
+        if char == '"':
+            in_string = True
+        elif char == "{":
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            if depth == 0:
+                return json.loads(text[start : index + 1])
+    raise ValueError("unbalanced JSON object in reply")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ('{"a": 1}', {"a": 1}),
+        ('Sure! {"a": {"b": [1, 2]}} hope that helps', {"a": {"b": [1, 2]}}),
+        ('{"a": "close} and open{ brace"}', {"a": "close} and open{ brace"}),
+        ('{"a": "say \\"hi\\" {"} tail', {"a": 'say "hi" {'}),
+        ('{"a": "back\\\\"} }', {"a": "back\\"}),
+        ('{"a": 1}\n\nThe object above {is the answer}.', {"a": 1}),
+        ('{"a": 1} {"b": 2}', {"a": 1}),
+        ('```json\n{"verdict": "correct"}\n```', {"verdict": "correct"}),
+        ('{"a": NaN}', "nan"),
+        ('{"a": 1', ValueError),
+        ('{"a": {"b": 1}', ValueError),
+        ('{"a": "unterminated}', ValueError),
+        ("{'a': 1}", ValueError),
+        ('{"a": 1,}', ValueError),
+        ('{"a" 1} {"b": 2}', ValueError),
+        ("no object at all", ValueError),
+        ("", ValueError),
+        ('["a", 1]', ValueError),
+        ("} {", ValueError),
+    ],
+)
+def test_parse_json_reply_keeps_the_brace_scan_verdicts(text, expected):
+    got = _outcome(parse_json_reply, text)
+    assert repr(got) == repr(_outcome(brace_scan_reply, text))
+    if expected == "nan":
+        assert got["a"] != got["a"]
+    else:
+        assert got == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet='{}[]":,\\ a1nN', max_size=30))
+def test_parse_json_reply_agrees_with_brace_scan(text):
+    assert repr(_outcome(parse_json_reply, text)) == repr(_outcome(brace_scan_reply, text))
+
+
 class TestMockDeterminism:
     def test_same_prompt_same_reply(self):
         backend = MockBackend()
@@ -253,12 +333,16 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
-        behaviour = self.behaviours.get(self.path, {})
+        behaviour = self.behaviours.setdefault(self.path, {})
+        behaviour["requests"] = behaviour.get("requests", 0) + 1
         status = behaviour.get("status", 200)
-        remaining_429 = behaviour.get("rate_limit_first", 0)
-        if remaining_429 > 0:
-            behaviour["rate_limit_first"] = remaining_429 - 1
-            self.send_response(429)
+        # (status, headers) replies sent, in order, before the normal reply
+        fail_first = behaviour.get("fail_first", [])
+        if fail_first:
+            failed_status, failed_headers = fail_first.pop(0)
+            self.send_response(failed_status)
+            for name, value in failed_headers.items():
+                self.send_header(name, value)
             self.end_headers()
             return
         self.send_response(status)
@@ -283,13 +367,23 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
+def sleeps(monkeypatch):
+    """The waits between retries, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(gateway_module, "time", SimpleNamespace(sleep=waits.append))
+    return waits
+
+
+@pytest.fixture
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps each test's shutdown from waiting 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     _Handler.behaviours = {}
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -312,24 +406,81 @@ class TestHttpBackend:
         with pytest.raises(DimensionMismatchError):
             gateway.embed(["a"])
 
-    def test_rate_limit_retries_then_succeeds(self, http_server):
-        _Handler.behaviours["/chat/completions"] = {"content": "ok", "rate_limit_first": 2}
+    def test_rate_limit_retries_then_succeeds(self, http_server, sleeps):
+        _Handler.behaviours["/chat/completions"] = {"content": "ok", "fail_first": [(429, {})] * 2}
         backend = HttpBackend(http_server, model="m1", max_retries=2)
         assert backend.complete("p", None, 64) == "ok"
+        assert sleeps == [0.25, 0.5]
 
-    def test_rate_limit_exhausted_surfaces(self, http_server):
-        _Handler.behaviours["/chat/completions"] = {"content": "ok", "rate_limit_first": 99}
+    def test_rate_limit_exhausted_surfaces(self, http_server, sleeps):
+        _Handler.behaviours["/chat/completions"] = {"content": "ok", "fail_first": [(429, {})] * 99}
         backend = HttpBackend(http_server, model="m1", max_retries=1)
         with pytest.raises(RateLimitedError):
             backend.complete("p", None, 64)
+        assert sleeps == [0.25]
 
-    def test_server_error_is_backend_unavailable(self, http_server):
-        _Handler.behaviours["/chat/completions"] = {"status": 500}
+    def test_server_error_is_retried_then_succeeds(self, http_server, sleeps):
+        behaviour = {"content": "ok", "fail_first": [(503, {})]}
+        _Handler.behaviours["/chat/completions"] = behaviour
         backend = HttpBackend(http_server, model="m1")
-        with pytest.raises(BackendUnavailableError):
-            backend.complete("p", None, 64)
+        assert backend.complete("p", None, 64) == "ok"
+        assert behaviour["requests"] == 2
+        assert sleeps == [0.25]
 
-    def test_connection_refused_is_backend_unavailable(self):
-        backend = HttpBackend("http://127.0.0.1:1", model="m1", timeout=0.5)
-        with pytest.raises(BackendUnavailableError):
+    def test_retry_after_replaces_the_backoff(self, http_server, sleeps):
+        behaviour = {"content": "ok", "fail_first": [(429, {"Retry-After": "0"})]}
+        _Handler.behaviours["/chat/completions"] = behaviour
+        backend = HttpBackend(http_server, model="m1")
+        assert backend.complete("p", None, 64) == "ok"
+        assert behaviour["requests"] == 2
+        assert sleeps == [0.0]
+
+    @pytest.mark.parametrize(
+        "header,wait",
+        [("86400", RETRY_AFTER_CAP_S), (" 3 ", 3.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.25), ("-1", 0.25)],
+    )
+    def test_retry_after_is_capped_and_dates_use_the_backoff(self, http_server, sleeps, header, wait):
+        _Handler.behaviours["/embeddings"] = {"fail_first": [(503, {"Retry-After": header})]}
+        HttpBackend(http_server, model="m1").embed(["a"], 4)
+        assert sleeps == [wait]
+
+    def test_server_error_is_backend_unavailable(self, http_server, sleeps):
+        behaviour = {"status": 500}
+        _Handler.behaviours["/chat/completions"] = behaviour
+        backend = HttpBackend(http_server, model="m1", max_retries=2)
+        with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
             backend.complete("p", None, 64)
+        assert behaviour["requests"] == 3
+        assert sleeps == [0.25, 0.5]
+
+    def test_client_error_is_not_retried(self, http_server, sleeps):
+        behaviour = {"status": 400}
+        _Handler.behaviours["/chat/completions"] = behaviour
+        with pytest.raises(BackendUnavailableError, match="rejected"):
+            HttpBackend(http_server, model="m1").complete("p", None, 64)
+        assert behaviour["requests"] == 1
+        assert sleeps == []
+
+    def test_connection_refused_is_backend_unavailable(self, sleeps):
+        backend = HttpBackend("http://127.0.0.1:1", model="m1", timeout=0.5)
+        with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
+            backend.complete("p", None, 64)
+        assert sleeps == [0.25, 0.5]
+
+    def test_timeout_is_retried(self, http_server, sleeps, monkeypatch):
+        import requests
+
+        real_post = requests.post
+        calls = []
+
+        def post_timing_out_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise requests.Timeout("read timed out")
+            return real_post(*args, **kwargs)
+
+        monkeypatch.setattr(requests, "post", post_timing_out_once)
+        _Handler.behaviours["/chat/completions"] = {"content": "ok"}
+        assert HttpBackend(http_server, model="m1").complete("p", None, 64) == "ok"
+        assert len(calls) == 2
+        assert sleeps == [0.25]

@@ -1,11 +1,16 @@
 import json
+import logging
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+from verdoc.engine import Engine
 from verdoc.errors import (
     AttributeExtractionError,
     ClusteringError,
+    CorruptFileError,
     EmptyCorpusError,
     IndexingError,
 )
@@ -36,6 +41,9 @@ from conftest import (
     spark_changelog_corpus,
     write_corpus,
 )
+
+# what index_corpus writes besides summary.json, whose usage counts differ by run
+INDEX_FILES = ("graph.json", "vectors.json", "vectors.npy", "attributes.json")
 
 
 class TestExtractAttributes:
@@ -430,6 +438,15 @@ class TestIndexCorpus:
         loaded = VersionGraph.load(out / "graph.json")
         assert loaded.structurally_equal(summary.graph)
 
+    def test_index_files_are_the_only_files_written(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_corpus(corpus, assert_doc_corpus())
+        out = tmp_path / "out"
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        assert sorted(p.name for p in out.iterdir()) == sorted((*INDEX_FILES, "summary.json"))
+
     def test_step_failures_carry_step_name(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -497,3 +514,82 @@ def test_token_frugality_mechanism():
         if index.get(key).metadata.get("origin") == "content"
     )
     assert naive_tokens >= total_tokens
+
+
+class TestCrashSafety:
+    """An index run that stops between two file writes leaves an index that
+    loads whole or is reported corrupt, and the next run rebuilds it."""
+
+    @staticmethod
+    def corpus(tmp_path, grown=False):
+        files = {**spark_changelog_corpus(), **assert_doc_corpus()}
+        if grown:
+            files["assert/23.md"] = doc_text(
+                "Node.js Assert",
+                "23.1.0",
+                [("assert.ok(value)", ["Stability: 2 - Stable", "Tests whether value is truthy."])],
+            )
+        root = tmp_path / "corpus"
+        write_corpus(root, files)
+        return root
+
+    @staticmethod
+    def clean_index(tmp_path, corpus):
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        return clean
+
+    @pytest.mark.parametrize("grown", [False, True], ids=["same-corpus", "grown-corpus"])
+    def test_failed_sidecar_replace_is_detected_and_rebuilt(self, tmp_path, monkeypatch, grown):
+        corpus = self.corpus(tmp_path)
+        out = tmp_path / "out"
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        before = VectorIndex.load(out / "vectors.json")
+        corpus = self.corpus(tmp_path, grown)
+
+        real_replace = os.replace
+
+        def replace_failing_on_sidecar(src, dst):
+            if Path(dst).name == "vectors.json":
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_on_sidecar)
+        with pytest.raises(OSError):
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        monkeypatch.undo()
+        assert not list(out.glob("*.tmp"))
+
+        if grown:
+            # the new .npy went in, the old sidecar stayed: their hashes differ
+            with pytest.raises(CorruptFileError):
+                Engine.load(out, make_gateway())
+        else:
+            loaded = Engine.load(out, make_gateway()).index
+            assert loaded.keys() == before.keys()
+            for key in before.keys():
+                assert loaded.get(key).vector.tobytes() == before.get(key).vector.tobytes()
+
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        clean = self.clean_index(tmp_path, corpus)
+        for name in INDEX_FILES:
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        Engine.load(out, make_gateway())
+
+    def test_v1_index_is_rebuilt_with_a_warning(self, tmp_path, caplog):
+        corpus = self.corpus(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        v1 = {
+            "format_version": 1,
+            "dimension": DIMENSION,
+            "entries": [{"key": "k", "metadata": {}, "text": "", "vector": [1.0] * DIMENSION}],
+        }
+        (out / "vectors.json").write_text(json.dumps(v1))
+        with caplog.at_level(logging.WARNING):
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        assert "unreadable vector index" in caplog.text
+        assert "format_version 1" in caplog.text
+        clean = self.clean_index(tmp_path, corpus)
+        for name in INDEX_FILES:
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name

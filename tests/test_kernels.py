@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verdoc.changes import OP_DELETE, OP_INSERT, OP_MATCH, _band_table, lcs_ops, line_diff
+from verdoc.changes import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_MATCH,
+    _band_table,
+    _codes,
+    lcs_ops,
+    line_diff,
+)
 
 
 def reference_table(a, b):
@@ -138,6 +146,47 @@ def test_ops_equal_documented_backtrack(pair):
     a, b = pair
     ops = lcs_ops(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     assert ops.tolist() == reference_ops(a, b)
+
+
+def codes_ranking_every_line(old_lines, new_lines):
+    """Reference: every rstripped line's lexicographic rank over both files."""
+    stripped_old = [line.rstrip() for line in old_lines]
+    stripped_new = [line.rstrip() for line in new_lines]
+    rank = {line: i for i, line in enumerate(sorted(set(stripped_old) | set(stripped_new)))}
+    return (
+        np.array([rank[line] for line in stripped_old], dtype=np.int64),
+        np.array([rank[line] for line in stripped_new], dtype=np.int64),
+    )
+
+
+_LINES = st.sampled_from(["", "alpha", "alpha  ", "Alpha", "beta", "gamma\t", "gamma", " delta"])
+
+
+@st.composite
+def _edited_line_pairs(draw):
+    """Two edited copies of one page of lines, so the kept prefix and suffix
+    hold lines that the edits also insert."""
+    base = draw(st.lists(_LINES, max_size=60))
+
+    def edited():
+        out = list(base)
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(out)))
+            out[at : at + draw(st.integers(0, 3))] = draw(st.lists(_LINES, max_size=3))
+        return out
+
+    return edited(), edited()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(st.tuples(*[st.lists(_LINES, max_size=40)] * 2), _edited_line_pairs()))
+def test_codes_ranking_the_middle_give_the_same_ops(pair):
+    old, new = pair
+    a, b = _codes(old, new)
+    stripped = [line.rstrip() for line in old + new]
+    codes = np.concatenate([a, b]).tolist()
+    assert all((x == y) == (cx == cy) for x, cx in zip(stripped, codes) for y, cy in zip(stripped, codes))
+    assert lcs_ops(a, b).tolist() == lcs_ops(*codes_ranking_every_line(old, new)).tolist()
 
 
 def test_prefix_walk_keeps_tie_break():

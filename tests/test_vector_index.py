@@ -1,3 +1,6 @@
+import hashlib
+import io
+import json
 import math
 
 import numpy as np
@@ -6,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verdoc.errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
-from verdoc.vector_index import IndexEntry, MetadataFilter, VectorIndex, cosine
+from verdoc.vector_index import IndexEntry, MetadataFilter, VectorIndex, cosine, vectors_path
 from verdoc.versions import parse_version
 
 
@@ -373,11 +376,135 @@ class TestPersistence:
             after = [(h.key, h.score) for h in loaded.search(query, k=7)]
             assert before == after
 
+    def test_round_trip_matches_brute_force_bit_for_bit(self, tmp_path):
+        index = self.build()
+        entries = [index.get(key) for key in index.keys()]
+        path = tmp_path / "vectors.json"
+        index.save(path)
+        loaded = VectorIndex.load(path)
+        assert [loaded.get(e.key).vector.tobytes() for e in entries] == [
+            e.vector.tobytes() for e in entries
+        ]
+        rng = np.random.default_rng(78)
+        flt = MetadataFilter(equality={"version": "1.0"})
+        for metadata_filter in (None, flt):
+            query = quantized(rng, 8)
+            hits = loaded.search(query, k=len(entries), metadata_filter=metadata_filter)
+            expected = sorted(
+                (-cosine(e.vector, query), e.key)
+                for e in entries
+                if metadata_filter is None or metadata_filter.matches(e.metadata)
+            )
+            assert [(-h.score, h.key) for h in hits] == expected
+
+    def test_loaded_index_takes_upserts(self, tmp_path):
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        loaded = VectorIndex.load(path)
+        loaded.insert(entry("k00", np.ones(8), {"version": "9.0"}, text="new"))
+        loaded.insert(entry("k99", -np.ones(8), {}, text="appended"))
+        assert loaded.get("k00").text == "new"
+        assert [h.key for h in loaded.search(np.ones(8), k=1)] == ["k00"]
+        assert [h.key for h in loaded.search(-np.ones(8), k=1)] == ["k99"]
+
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self.build().save(a)
         self.build().save(b)
         assert a.read_bytes() == b.read_bytes()
+        assert vectors_path(a).read_bytes() == vectors_path(b).read_bytes()
+
+    def test_file_layout(self, tmp_path):
+        index = self.build()
+        path = tmp_path / "vectors.json"
+        index.save(path)
+        sidecar = json.loads(path.read_text())
+        raw = (tmp_path / "vectors.npy").read_bytes()
+        assert sidecar["format_version"] == 2
+        assert sidecar["dimension"] == 8
+        assert sidecar["vectors_sha256"] == hashlib.sha256(raw).hexdigest()
+        keys = [item["key"] for item in sidecar["entries"]]
+        assert keys == sorted(index.keys())
+        assert set(sidecar["entries"][0]) == {"key", "metadata", "text"}
+        matrix = np.load(io.BytesIO(raw), allow_pickle=False)
+        assert matrix.dtype == np.dtype("<f8") and matrix.flags.c_contiguous
+        assert [row.tobytes() for row in matrix] == [index.get(k).vector.tobytes() for k in keys]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.json", "vectors.npy"]
+
+    def test_empty_index_round_trips(self, tmp_path):
+        path = tmp_path / "vectors.json"
+        VectorIndex(dimension=4).save(path)
+        loaded = VectorIndex.load(path)
+        assert len(loaded) == 0 and loaded.dimension == 4
+        assert loaded.search(np.ones(4)) == []
+
+    def test_missing_vectors_file_is_corrupt(self, tmp_path):
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        vectors_path(path).unlink()
+        with pytest.raises(CorruptFileError):
+            VectorIndex.load(path)
+
+    @staticmethod
+    def replace_vectors(path, raw, rehash):
+        """Write ``raw`` as the index's .npy; with ``rehash`` the sidecar's
+        sha256 is updated to match, so the checks after the hash run."""
+        vectors_path(path).write_bytes(raw)
+        if rehash:
+            sidecar = json.loads(path.read_text())
+            sidecar["vectors_sha256"] = hashlib.sha256(raw).hexdigest()
+            path.write_text(json.dumps(sidecar))
+
+    @staticmethod
+    def npy_bytes(array, allow_pickle=False):
+        buffer = io.BytesIO()
+        np.save(buffer, array, allow_pickle=allow_pickle)
+        return buffer.getvalue()
+
+    @pytest.mark.parametrize(
+        "tamper,rehash",
+        [("flipped-byte", False)]
+        + [
+            (tamper, rehash)
+            for tamper in ("truncated", "float32", "big-endian", "short", "wide", "object", "zip")
+            for rehash in (False, True)
+        ],
+    )
+    def test_damaged_vectors_file_is_corrupt(self, tmp_path, tamper, rehash):
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        raw = vectors_path(path).read_bytes()
+        matrix = np.load(io.BytesIO(raw))
+        damaged = {
+            "truncated": lambda: raw[: len(raw) - 8],
+            "flipped-byte": lambda: raw[:-1] + bytes([raw[-1] ^ 1]),
+            "float32": lambda: self.npy_bytes(matrix.astype(np.float32)),
+            "big-endian": lambda: self.npy_bytes(matrix.astype(">f8")),
+            "short": lambda: self.npy_bytes(matrix[:-1]),
+            "wide": lambda: self.npy_bytes(np.hstack([matrix, matrix])),
+            "object": lambda: self.npy_bytes(matrix.astype(object), allow_pickle=True),
+            "zip": lambda: zip_bytes(matrix),
+        }[tamper]()
+        self.replace_vectors(path, damaged, rehash)
+        with pytest.raises(CorruptFileError):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[{"key": "b"}, {"key": "a"}], [{"key": "a"}, {"key": "a"}], [{"key": 1}], "nope", [{}]],
+        ids=["unsorted", "duplicate", "non-string", "not-a-list", "no-key"],
+    )
+    def test_malformed_entries_are_corrupt(self, tmp_path, entries):
+        path = tmp_path / "vectors.json"
+        VectorIndex(dimension=2).save(path)
+        sidecar = json.loads(path.read_text())
+        sidecar["entries"] = entries
+        if isinstance(entries, list):
+            for item in entries:
+                item.update(metadata={}, text="")
+        path.write_text(json.dumps(sidecar))
+        with pytest.raises(CorruptFileError):
+            VectorIndex.load(path)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         index = self.build()
@@ -393,6 +520,12 @@ class TestPersistence:
         path.write_text('{"format_version": 7, "dimension": 2, "entries": []}')
         with pytest.raises(VersionMismatchError):
             VectorIndex.load(path)
+
+
+def zip_bytes(matrix):
+    buffer = io.BytesIO()
+    np.savez(buffer, matrix=matrix)
+    return buffer.getvalue()
 
 
 def test_concurrent_inserts_and_searches():
