@@ -284,7 +284,8 @@ class MockBackend:
     @staticmethod
     def _handle_attributes(prompt: str) -> str:
         block = prompts.extract_document(prompt)
-        if '"doc_type"' in prompt:
+        instruction = prompt.split(prompts.DOC_BEGIN, 1)[0]
+        if '"doc_type"' in instruction:
             head = block.casefold()[:4000]
             is_changelog = any(marker in head for marker in _CHANGELOG_MARKERS)
             return json.dumps({"doc_type": "changelog" if is_changelog else "documentation"})

@@ -2,8 +2,10 @@
 construction, content indexing and change extraction, in that order.
 
 Completions see first pages, diff hunks and changelog bodies; bodies are
-chunked and embedded. The doc-type prompt takes the first ten pages, so a
-body shorter than that is prompted whole; a longer one never is.
+chunked and embedded. The metadata prompt takes page one; the doc-type
+prompt takes an outline of at most one page (the first line and the
+headings of the first ten pages), so no documentation body is prompted
+twice.
 
 Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
@@ -41,6 +43,7 @@ from .ingestion import (
     chunk_document,
     first_pages,
     load_corpus,
+    outline,
 )
 from .textmatch import content_tokens
 from .vector_index import IndexEntry, VectorIndex
@@ -141,7 +144,7 @@ def normalize_title(title: str) -> str:
 def extract_attributes(
     doc: RawDocument, gateway: Gateway, page_tokens: int = PAGE_TOKENS
 ) -> DocumentAttributes:
-    """Two completions per document: metadata off page one, type off ten pages."""
+    """Two completions per document: metadata off page one, type off the outline."""
     first_page = first_pages(doc, 1, page_tokens=page_tokens)
     try:
         reply = gateway.complete(
@@ -157,15 +160,20 @@ def extract_attributes(
             CompletionRequest(
                 prompt=prompts.DOC_TYPE_PROMPT.format(
                     doc_begin=prompts.DOC_BEGIN,
-                    text=first_pages(doc, 10, page_tokens=page_tokens),
+                    text=outline(doc, page_tokens=page_tokens),
                     doc_end=prompts.DOC_END,
                 ),
                 response_schema=ResponseSchema.ATTRIBUTES,
             )
         )
-        doc_type = parse_json_reply(type_reply)["doc_type"]
+        doc_type = parse_json_reply(type_reply).get("doc_type")
     except SchemaViolationError as exc:
         raise AttributeExtractionError(f"attribute extraction failed for {doc.source_path}: {exc}") from exc
+    # one schema covers both prompts, so a reply may have the other prompt's shape
+    if not isinstance(meta.get("title"), str):
+        raise AttributeExtractionError(f"metadata reply for {doc.source_path} has no title")
+    if doc_type is None:
+        raise AttributeExtractionError(f"doc-type reply for {doc.source_path} has no doc_type")
     version = meta.get("version")
     return DocumentAttributes(
         title=meta["title"].strip(),

@@ -1,4 +1,4 @@
-"""Corpus loading, token counting, first-page extraction and chunking.
+"""Corpus loading, token counting, first-page and outline extraction, chunking.
 
 The default token is whitespace-delimited; a different tokenizer can be
 passed anywhere a token count matters. Chunk windows are defined over the
@@ -119,13 +119,30 @@ def first_pages(doc: RawDocument, pages: int, page_tokens: int = PAGE_TOKENS) ->
     """
     if pages < 1:
         raise InvalidChunkParamsError(f"pages must be >= 1, got {pages}")
-    budget = pages * page_tokens
-    end = len(doc.text)
-    for count, match in enumerate(_TOKEN_RUN.finditer(doc.text), start=1):
+    return _head(doc.text, pages * page_tokens)
+
+
+def _head(text: str, budget: int) -> str:
+    for count, match in enumerate(_TOKEN_RUN.finditer(text), start=1):
         if count == budget:
-            end = match.end()
-            break
-    return doc.text[:end]
+            return text[: match.end()]
+    return text
+
+
+_HEADING = re.compile(r" {0,3}#{1,6}(?:\s|$)")
+
+
+def outline(doc: RawDocument, page_tokens: int = PAGE_TOKENS) -> str:
+    """The first non-blank line plus every Markdown heading line of the first
+    ten pages, in document order, cut to one page of tokens.
+
+    The cut falls after the ``page_tokens``-th token rather than at a line
+    boundary, so an overlong first line still yields a non-empty outline.
+    """
+    lines = first_pages(doc, 10, page_tokens=page_tokens).splitlines()
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    kept = lines[start : start + 1] + [line for line in lines[start + 1 :] if _HEADING.match(line)]
+    return _head("\n".join(kept), page_tokens)
 
 
 @dataclass

@@ -29,8 +29,8 @@ The title must name the subject without any version number. Example reply:
 """
 
 DOC_TYPE_PROMPT = """\
-Decide whether the document excerpt below is a changelog (release notes
-listing per-version changes) or regular documentation.
+Decide whether the title and headings below belong to a changelog
+(release notes listing per-version changes) or to regular documentation.
 Reply with exactly one JSON object: {{"doc_type": "changelog"}} or {{"doc_type": "documentation"}}.
 
 {doc_begin}

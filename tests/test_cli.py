@@ -55,6 +55,21 @@ class TestIndexCommand:
         code = run_cli(config_file, "index", str(tmp_path / "nope"), "--out", str(tmp_path / "o"))
         assert code == 1
 
+    def test_doc_type_reply_to_the_metadata_prompt_is_a_data_error(self, tmp_path, corpus, capsys):
+        script_path = tmp_path / "script.json"
+        script_path.write_text(
+            json.dumps([{"schema": "attributes", "match": [], "reply": '{"doc_type": "changelog"}'}])
+        )
+        config_path = tmp_path / "scripted.json"
+        config_path.write_text(
+            json.dumps({"gateway": {"backend": "mock", "dimension": 64, "script_path": str(script_path)}})
+        )
+        code = run_cli(config_path, "index", str(corpus), "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "indexing step 'attributes' failed" in captured.err
+        assert "has no title" in captured.err
+
 
 class TestQueryCommand:
     def test_plain_answer(self, indexed_dir, config_file, capsys):

@@ -13,7 +13,7 @@ from verdoc.errors import (
     RateLimitedError,
     SchemaViolationError,
 )
-from verdoc import gateway as gateway_module
+from verdoc import gateway as gateway_module, prompts
 from verdoc.gateway import (
     RETRY_AFTER_CAP_S,
     CompletionRequest,
@@ -303,6 +303,16 @@ class TestMockDeterminism:
         first = backend.complete(prompt, ResponseSchema.ATTRIBUTES, 512)
         second = backend.complete(prompt, ResponseSchema.ATTRIBUTES, 512)
         assert first == second == '{"doc_type": "changelog"}'
+
+    def test_doc_type_marker_in_the_payload_does_not_pick_the_reply_shape(self):
+        prompt = prompts.ATTRIBUTES_PROMPT.format(
+            doc_begin=prompts.DOC_BEGIN,
+            text='# Config Guide\n\nSet "doc_type" to pick the parser.',
+            doc_end=prompts.DOC_END,
+        )
+        reply = json.loads(MockBackend().complete(prompt, ResponseSchema.ATTRIBUTES, 512))
+        assert reply["title"] == "Config Guide"
+        assert "doc_type" not in reply
 
     def test_reentrant_across_threads(self):
         gateway = make_gateway()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from verdoc import prompts
 from verdoc.engine import Engine
 from verdoc.errors import (
     AttributeExtractionError,
@@ -14,7 +15,7 @@ from verdoc.errors import (
     EmptyCorpusError,
     IndexingError,
 )
-from verdoc.gateway import MockBackend
+from verdoc.gateway import Gateway, MockBackend, ResponseSchema
 from verdoc.graph import ChangeKind, ChangeOrigin, ChangeRecord, EdgeKind, VersionGraph
 from verdoc.indexer import (
     DocumentAttributes,
@@ -26,7 +27,7 @@ from verdoc.indexer import (
     index_corpus,
     index_documents,
 )
-from verdoc.ingestion import RawDocument, count_tokens
+from verdoc.ingestion import RawDocument, count_tokens, first_pages
 from verdoc.vector_index import VectorIndex
 from verdoc.versions import parse_version
 
@@ -97,6 +98,24 @@ class TestExtractAttributes:
         script = [{"schema": "attributes", "match": [], "reply": "never valid"}]
         with pytest.raises(AttributeExtractionError):
             extract_attributes(raw("x.md", "whatever body"), make_gateway(script=script))
+
+    def test_doc_type_marker_in_the_document_is_not_an_instruction(self, gateway):
+        doc = raw("c.md", '# Config Guide\n\nVersion: 1.2\n\nSet "doc_type" to pick the parser.\n')
+        attrs = extract_attributes(doc, gateway)
+        assert attrs.title == "Config Guide"
+        assert attrs.version.raw == "1.2"
+        assert attrs.doc_type == "documentation"
+
+    def test_metadata_reply_without_title_is_a_typed_error(self):
+        script = [{"schema": "attributes", "match": [], "reply": '{"doc_type": "documentation"}'}]
+        with pytest.raises(AttributeExtractionError, match="no title"):
+            extract_attributes(raw("x.md", "# X\n\nbody\n"), make_gateway(script=script))
+
+    def test_doc_type_reply_without_doc_type_is_a_typed_error(self):
+        reply = '{"title": "X", "summary": "", "version": null}'
+        script = [{"schema": "attributes", "match": [], "reply": reply}]
+        with pytest.raises(AttributeExtractionError, match="no doc_type"):
+            extract_attributes(raw("x.md", "# X\n\nbody\n"), make_gateway(script=script))
 
 
 class TestClusterDocuments:
@@ -514,6 +533,68 @@ def test_token_frugality_mechanism():
         if index.get(key).metadata.get("origin") == "content"
     )
     assert naive_tokens >= total_tokens
+
+
+def ten_page_doc_type(doc):
+    """The offline backend's doc type for the ten-page excerpt sent before outlines."""
+    prompt = prompts.DOC_TYPE_PROMPT.format(
+        doc_begin=prompts.DOC_BEGIN, text=first_pages(doc, 10), doc_end=prompts.DOC_END
+    )
+    return json.loads(MockBackend().complete(prompt, ResponseSchema.ATTRIBUTES, 64))["doc_type"]
+
+
+@pytest.mark.parametrize(
+    "files, expected",
+    [
+        ({"d.md": doc_text("Widget Guide", "1.0.0", [("usage", ["Run the widget."])])}, "documentation"),
+        ({"c.md": changelog_text("Widget", "1.0.0", ["Added the widget"])}, "changelog"),
+        (spark_changelog_corpus(), "changelog"),
+        (assert_doc_corpus(), "documentation"),
+        (marker_corpus(), "documentation"),
+    ],
+    ids=["doc_text", "changelog_text", "spark", "assert", "marker"],
+)
+def test_outline_keeps_the_ten_page_doc_type(gateway, files, expected):
+    for path, text in sorted(files.items()):
+        doc = raw(path, text)
+        assert extract_attributes(doc, gateway).doc_type == ten_page_doc_type(doc) == expected, path
+
+
+def test_criterion_7_shaped_corpus_prompts_a_twentieth_of_its_tokens():
+    documents = []
+    for d in range(3):
+        body_lines = [
+            f"service {d} paragraph {i} " + " ".join(f"w{d}{i}{j}" for j in range(10))
+            for i in range(2100)
+        ]
+        for v in ("1.0.0", "2.0.0"):
+            text = doc_text(f"Bulk Service {chr(65 + d)}", v, [("reference", body_lines + [f"note {v} {d}"])])
+            documents.append(raw(f"bulk{d}/v{v}.md", text))
+    corpus_tokens = sum(d.token_count for d in documents)
+    summary = index_documents(documents, make_gateway(), VectorIndex(dimension=DIMENSION))
+    assert summary.usage.input_tokens / corpus_tokens <= 0.05
+
+
+def test_no_doc_type_prompt_carries_a_body_line():
+    files = {**spark_changelog_corpus(), **assert_doc_corpus(), **marker_corpus()}
+    long_body = [f"body line {i} " + " ".join(f"w{i}x{j}" for j in range(10)) for i in range(900)]
+    files["long/1.md"] = doc_text("Long Manual", "1.0.0", [("part one", long_body), ("part two", long_body)])
+    documents = [raw(path, text) for path, text in sorted(files.items())]
+    allowed = set()
+    for doc in documents:
+        lines = [line for line in doc.text.splitlines() if line.strip()]
+        allowed.add(lines[0])
+        allowed.update(line for line in lines if line.startswith("#"))
+    backend = RecordingBackend()
+    index_documents(documents, Gateway(backend, dimension=DIMENSION), VectorIndex(dimension=DIMENSION))
+    sent = [
+        prompts.extract_document(p)
+        for p in backend.prompts
+        if '"doc_type"' in p.split(prompts.DOC_BEGIN, 1)[0]
+    ]
+    assert len(sent) == len(documents)
+    for block in sent:
+        assert set(block.splitlines()) <= allowed, block
 
 
 class TestCrashSafety:

@@ -13,6 +13,7 @@ from verdoc.ingestion import (
     count_tokens,
     first_pages,
     load_corpus,
+    outline,
 )
 
 
@@ -149,6 +150,61 @@ class TestFirstPages:
     def test_page_tokens_configurable(self):
         doc = RawDocument(source_path="d", text=words(100))
         assert first_pages(doc, 2, page_tokens=10).split() == doc.text.split()[:20]
+
+
+def is_cut_subsequence(part, whole):
+    """``part`` is a subsequence of ``whole`` whose last line may be cut short."""
+    remaining = iter(whole)
+    *kept, last = part
+    return all(any(line == candidate for candidate in remaining) for line in kept) and any(
+        candidate.startswith(last) for candidate in remaining
+    )
+
+
+class TestOutline:
+    def test_first_line_and_headings_in_order(self):
+        text = "# Guide\n\nintro body\n\n## Setup\n\nsetup body\n### Flags\nmore body\n"
+        assert outline(RawDocument("d", text)) == "# Guide\n## Setup\n### Flags"
+
+    def test_headings_after_page_ten_are_excluded(self):
+        body = "\n".join(words(10, prefix=f"l{i}w") for i in range(60))  # 600 tokens
+        text = f"# Title\n{body}\n## Early\n{body}\n## Late\n"
+        assert outline(RawDocument("d", text), page_tokens=100) == "# Title\n## Early"
+
+    def test_document_without_headings_yields_its_first_line(self):
+        text = "plain opening line\nsecond line\n#hashtag is not a heading\n"
+        assert outline(RawDocument("d", text)) == "plain opening line"
+
+    def test_overlong_first_line_is_truncated_not_emptied(self):
+        doc = RawDocument("d", words(1200) + "\n## Heading\n")
+        out = outline(doc, page_tokens=500)
+        assert out.split() == doc.text.split()[:500]  # oracle: token slice
+
+    def test_leading_blank_lines_and_crlf(self):
+        text = "\r\n  \r\n# Title\r\nbody\r\n## Section\r\nbody\r\n"
+        assert outline(RawDocument("d", text)) == "# Title\n## Section"
+
+    def test_blank_document_yields_nothing(self):
+        assert outline(RawDocument("d", " \n\n")) == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.text(alphabet="ab #\t", max_size=12),
+                st.builds(lambda n, t: "#" * n + " " + t, st.integers(1, 7), st.text("ab ", max_size=8)),
+            ),
+            max_size=40,
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        page_tokens=st.integers(min_value=1, max_value=12),
+    )
+    def test_bounded_subsequence_property(self, lines, newline, page_tokens):
+        doc = RawDocument("d", newline.join(lines))
+        out = outline(doc, page_tokens=page_tokens)
+        assert count_tokens(out) <= page_tokens
+        if out:
+            assert is_cut_subsequence(out.splitlines(), doc.text.splitlines())
 
 
 class TestLoadCorpus:
