@@ -18,9 +18,8 @@ diff(b, a) pick mirrored paths.
 
 Implicit records come from diffing adjacent version texts and summarizing
 the hunks in one completion per version pair; explicit records come from
-one completion over a changelog document. Either path optionally embeds
-and inserts the records into a vector index so change queries can search
-them semantically.
+one completion over a changelog document. ``index_change_record`` and
+``record_from_entry`` write and read a record's vector index entry.
 """
 
 from __future__ import annotations
@@ -342,7 +341,7 @@ def deterministic_description(hunk: DiffHunk) -> str:
 def index_change_record(
     record: ChangeRecord,
     description_vector,
-    vector_index: Optional[VectorIndex],
+    vector_index: VectorIndex,
     category: str,
     source: str = "",
 ) -> None:
@@ -352,8 +351,6 @@ def index_change_record(
     the source file for explicit records, so a record can be rebuilt from
     its entry without re-running extraction.
     """
-    if vector_index is None:
-        return
     metadata = {
         "category": category,
         "document": record.document,
@@ -391,15 +388,25 @@ def record_from_entry(entry) -> ChangeRecord:
     )
 
 
-def extract_implicit_changes(
-    document: str,
-    prev: tuple,
-    nxt: tuple,
-    gateway: Gateway,
-    vector_index: Optional[VectorIndex] = None,
-    category: str = "",
-    document_title: str = "",
-) -> list:
+def indexed_records(vector_index: VectorIndex) -> dict:
+    """Change records already in the index, grouped by extraction unit."""
+    grouped: dict = {}
+    for key in vector_index.keys():
+        entry = vector_index.get(key)
+        md = entry.metadata
+        if md.get("origin") == "explicit":
+            bucket = ("explicit", md["document"], md.get("source", ""))
+        elif md.get("origin") == "implicit":
+            bucket = ("implicit", md["document"], md.get("from_version", ""), md["to_version"])
+        else:
+            continue
+        grouped.setdefault(bucket, []).append(record_from_entry(entry))
+    for records in grouped.values():
+        records.sort(key=lambda r: r.id)
+    return grouped
+
+
+def extract_implicit_changes(document: str, prev: tuple, nxt: tuple, gateway: Gateway) -> list:
     """Diff two adjacent version texts and emit one record per hunk group.
 
     ``prev`` and ``nxt`` are (VersionLabel, text) pairs with prev < nxt.
@@ -417,10 +424,9 @@ def extract_implicit_changes(
     if not hunks:
         return []
 
-    groups = _summarize_hunks(hunks, document_title or document, prev_label, next_label, gateway)
-    records = []
-    for ordinal, (kind, description, members) in enumerate(groups):
-        record = ChangeRecord(
+    groups = _summarize_hunks(hunks, document, prev_label, next_label, gateway)
+    return [
+        ChangeRecord(
             id=f"change:{document}@{prev_label.raw}->{next_label.raw}#r{ordinal:04d}",
             document=document,
             from_version=prev_label,
@@ -430,17 +436,13 @@ def extract_implicit_changes(
             origin=ChangeOrigin.IMPLICIT,
             evidence=[hunks[m].id for m in members],
         )
-        records.append(record)
-    if vector_index is not None and records:
-        vectors = gateway.embed([r.description for r in records])
-        for record, vector in zip(records, vectors):
-            index_change_record(record, vector, vector_index, category)
-    return records
+        for ordinal, (kind, description, members) in enumerate(groups)
+    ]
 
 
 def _summarize_hunks(
     hunks: list,
-    document_title: str,
+    document: str,
     prev_label: VersionLabel,
     next_label: VersionLabel,
     gateway: Gateway,
@@ -453,7 +455,7 @@ def _summarize_hunks(
     prompt = prompts.IMPLICIT_CHANGES_PROMPT.format(
         from_version=prev_label.raw,
         to_version=next_label.raw,
-        document=document_title,
+        document=document,
         hunks=prompts.format_hunks(hunks),
     )
     try:
@@ -484,12 +486,7 @@ def _summarize_hunks(
 
 
 def extract_explicit_changes(
-    changelog: RawDocument,
-    attrs,
-    document: str,
-    gateway: Gateway,
-    vector_index: Optional[VectorIndex] = None,
-    category: str = "",
+    changelog: RawDocument, attrs, document: str, gateway: Gateway
 ) -> list:
     """Extract per-version change items from a changelog document.
 
@@ -539,8 +536,4 @@ def extract_explicit_changes(
         )
     if not records:
         logger.warning("changelog %s yielded no parseable change items", changelog.source_path)
-    if vector_index is not None and records:
-        vectors = gateway.embed([r.description for r in records])
-        for record, vector in zip(records, vectors):
-            index_change_record(record, vector, vector_index, category)
     return records

@@ -9,7 +9,6 @@ item; the engine does not attribute individual sub-claims.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import prompts
 from .gateway import CompletionRequest, Gateway, ResponseSchema
@@ -20,7 +19,6 @@ from .retrieval import ParsedQuery, RetrievedContext
 class Answer:
     text: str
     citations: list = field(default_factory=list)  # provenance dicts of the context used
-    context_echo: Optional[RetrievedContext] = None
 
 
 def _label(item) -> str:
@@ -47,7 +45,6 @@ def answer(
     context: RetrievedContext,
     gateway: Gateway,
     max_output_tokens: int = 512,
-    debug_context: bool = False,
 ) -> Answer:
     prompt = build_prompt(query, context)
     text = gateway.complete(
@@ -61,8 +58,4 @@ def answer(
         {"document": item.document, "version": item.version, "origin": item.origin}
         for item in context.items
     ]
-    return Answer(
-        text=text,
-        citations=citations,
-        context_echo=context if debug_context else None,
-    )
+    return Answer(text=text, citations=citations)

@@ -23,7 +23,12 @@ from pathlib import Path
 from typing import Optional
 
 from . import prompts
-from .changes import extract_explicit_changes, extract_implicit_changes
+from .changes import (
+    extract_explicit_changes,
+    extract_implicit_changes,
+    index_change_record,
+    indexed_records,
+)
 from .errors import (
     AttributeExtractionError,
     ClusteringError,
@@ -386,7 +391,7 @@ def extract_changes(
     are rebuilt from their entries and re-attached to the (fresh) graph, so
     re-runs spend no completion tokens on changes.
     """
-    indexed = _indexed_records(vector_index)
+    indexed = indexed_records(vector_index)
     total = 0
     for category, group in catalog.all_groups():
         document_id = group.document_id
@@ -401,9 +406,7 @@ def extract_changes(
                         graph, vector_index, gateway, existing, category.name, doc.source_path
                     )
                     continue
-                records = extract_explicit_changes(
-                    doc, attrs, document_id, gateway, vector_index=None, category=category.name
-                )
+                records = extract_explicit_changes(doc, attrs, document_id, gateway)
                 total += _attach_records(
                     graph, vector_index, gateway, records, category.name, doc.source_path
                 )
@@ -422,36 +425,9 @@ def extract_changes(
                     (prev_node.label, text_of[prev_node.id]),
                     (next_node.label, text_of[next_node.id]),
                     gateway,
-                    vector_index=None,
-                    category=category.name,
                 )
                 total += _attach_records(graph, vector_index, gateway, records, category.name)
     return total
-
-
-def _indexed_records(vector_index: VectorIndex) -> dict:
-    """Change records already in the index, grouped by extraction unit."""
-    from .changes import record_from_entry
-
-    grouped: dict = {}
-    for key in vector_index.keys():
-        entry = vector_index.get(key)
-        origin = entry.metadata.get("origin")
-        if origin == "explicit":
-            bucket = ("explicit", entry.metadata["document"], entry.metadata.get("source", ""))
-        elif origin == "implicit":
-            bucket = (
-                "implicit",
-                entry.metadata["document"],
-                entry.metadata.get("from_version", ""),
-                entry.metadata["to_version"],
-            )
-        else:
-            continue
-        grouped.setdefault(bucket, []).append(record_from_entry(entry))
-    for records in grouped.values():
-        records.sort(key=lambda r: r.id)
-    return grouped
 
 
 def _attach_records(
@@ -462,8 +438,6 @@ def _attach_records(
     category: str,
     source: str = "",
 ) -> int:
-    from .changes import index_change_record
-
     chains: dict = {}  # document id -> versions_of, read again only after add_version
     pending = []
     for record in records:

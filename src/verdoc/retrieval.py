@@ -25,7 +25,7 @@ from .errors import (
     VersionNotFoundError,
 )
 from .gateway import CompletionRequest, Gateway, ResponseSchema, parse_json_reply
-from .graph import DocumentNode, VersionGraph
+from .graph import ChangeOrigin, DocumentNode, VersionGraph
 from .textmatch import content_tokens
 from .vector_index import MetadataFilter, VectorIndex
 from .versions import VersionLabel, compare_versions, parse_version
@@ -33,6 +33,7 @@ from .versions import VersionLabel, compare_versions, parse_version
 logger = logging.getLogger(__name__)
 
 DEFAULT_K = 5
+CHANGE_ORIGINS = frozenset(origin.value for origin in ChangeOrigin)
 
 
 class QueryIntent(str, Enum):
@@ -243,16 +244,19 @@ def _retrieve_change_range(parsed: ParsedQuery, graph: VersionGraph) -> Retrieve
         ContextItem(
             text=record.description,
             document=title,
-            version=(
-                f"{record.from_version.raw} -> {record.to_version.raw}"
-                if record.from_version is not None
-                else record.to_version.raw
+            version=_span(
+                record.from_version.raw if record.from_version else "", record.to_version.raw
             ),
             origin=record.origin.value,
         )
         for record in records
     ]
     return RetrievedContext(items=items, mode=RetrievalMode.GRAPH_TRAVERSAL, intent=parsed.intent)
+
+
+def _span(from_raw: str, to_raw: str) -> str:
+    """A change item's version: "from -> to", or the target alone without a from version."""
+    return f"{from_raw} -> {to_raw}" if from_raw else to_raw
 
 
 def _embed_query(gateway: Gateway, text: str):
@@ -266,27 +270,22 @@ def _search_changes(
     gateway: Gateway,
     k: int,
 ) -> RetrievedContext:
-    """Semantic search over explicit and implicit records in one pool."""
+    """One semantic search over explicit and implicit records."""
     if len(index) == 0:
         raise EmptyIndexError("the vector index is empty; run indexing first")
     query_vector = _embed_query(gateway, parsed.text)
     base = {"document": parsed.document} if parsed.document is not None else {}
-    hits = []
-    for origin in ("explicit", "implicit"):
-        hits.extend(
-            index.search(query_vector, k=k, metadata_filter=MetadataFilter({**base, "origin": origin}))
-        )
-    hits.sort(key=lambda h: (-h.score, h.key))
+    hits = index.search(
+        query_vector, k=k, metadata_filter=MetadataFilter({**base, "origin": CHANGE_ORIGINS})
+    )
     items = []
-    for hit in hits[:k]:
+    for hit in hits:
         md = hit.entry.metadata
-        frm = md.get("from_version", "")
-        version = f"{frm} -> {md['to_version']}" if frm else md["to_version"]
         items.append(
             ContextItem(
                 text=hit.entry.text,
                 document=_title_of(graph, md["document"]),
-                version=version,
+                version=_span(md.get("from_version", ""), md["to_version"]),
                 origin=md["origin"],
             )
         )

@@ -45,9 +45,11 @@ class IndexEntry:
 class MetadataFilter:
     """Equality constraints plus an optional version whitelist.
 
-    An empty filter matches everything. ``version_in`` compares the entry's
-    ``version`` metadata under the version comparator, so "1.2" matches an
-    entry tagged "1.2.0".
+    An empty filter matches everything. An ``equality`` value that is a set
+    means "any of": the entry's value must be a member, so an unhashable
+    value matches no set. ``version_in`` compares the entry's ``version``
+    metadata under the version comparator, so "1.2" matches an entry
+    tagged "1.2.0".
     """
 
     equality: dict = field(default_factory=dict)
@@ -56,7 +58,7 @@ class MetadataFilter:
     def matches(self, metadata: dict) -> bool:
         wanted = self.version_keys()
         for key, value in self.equality.items():
-            if metadata.get(key) != value:
+            if not _equality_test(value)(metadata.get(key)):
                 return False
         if wanted is not None:
             raw = metadata.get("version")
@@ -69,6 +71,24 @@ class MetadataFilter:
         if self.version_in is None:
             return None
         return {parse_version(str(v)).sort_key() for v in self.version_in}
+
+
+def _equality_test(value):
+    """The test an equality constraint with ``value`` makes of a held value.
+
+    A scalar is compared row value first, ``not held != value``, so nan
+    matches nothing; a set tests membership.
+    """
+    if not isinstance(value, (set, frozenset)):
+        return lambda held: not held != value
+
+    def member(held) -> bool:
+        try:
+            return held in value
+        except TypeError:  # unhashable
+            return False
+
+    return member
 
 
 class SearchHit(NamedTuple):
@@ -162,8 +182,8 @@ class _Snapshot(NamedTuple):
         rows = np.arange(len(self.keys))
         for key, value in metadata_filter.equality.items():
             column = self.column(key)
-            # the test ``matches`` makes, row value first, so nan matches nothing
-            rows = column.keep(rows, [not held != value for held in column.values])
+            test = _equality_test(value)
+            rows = column.keep(rows, [test(held) for held in column.values])
         wanted = metadata_filter.version_keys()
         if wanted is not None:
             column = self.version_classes()
@@ -191,7 +211,6 @@ class VectorIndex:
         self._texts: list = []
         self._snapshot: Optional[_Snapshot] = None
         self._lock = threading.RLock()
-        self.search_count = 0  # instrumentation; lets callers assert routing
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -287,7 +306,6 @@ class VectorIndex:
             raise DimensionMismatchError(
                 f"query has shape {query.shape}, index dimension is {self.dimension}"
             )
-        self.search_count += 1
         snap = self._current_snapshot()
         if not snap.keys:
             return []

@@ -15,10 +15,9 @@ from verdoc.changes import (
 from verdoc.graph import ChangeKind, ChangeOrigin
 from verdoc.indexer import DocumentAttributes
 from verdoc.ingestion import RawDocument
-from verdoc.vector_index import VectorIndex
 from verdoc.versions import parse_version
 
-from conftest import DIMENSION, changelog_text, doc_text, make_gateway
+from conftest import changelog_text, doc_text, make_gateway
 
 
 class TestLineDiff:
@@ -188,20 +187,16 @@ class TestImplicitExtraction:
                 ),
             ],
         )
-        index = VectorIndex(dimension=DIMENSION)
         records = extract_implicit_changes(
             "document:assert",
             (parse_version("21.7.3"), prev_text),
             (parse_version("22.14.0"), next_text),
             gateway,
-            vector_index=index,
-            document_title="Node.js Assert",
         )
         added = [r for r in records if r.kind is ChangeKind.ADDED]
         assert any("partialDeepStrictEqual" in r.description for r in added)
         assert all(r.origin is ChangeOrigin.IMPLICIT for r in records)
         assert all(r.evidence for r in records)
-        assert len(index) == len(records)
 
     def test_identical_versions_yield_nothing(self, gateway):
         text = doc_text("Guide", "1.0", [("topic", ["same content"])])
@@ -292,15 +287,11 @@ class TestExplicitExtraction:
                 ["Upgraded Avro to version 1.11.4", "Fixed regression in UI job listing"],
             ),
         )
-        index = VectorIndex(dimension=DIMENSION)
-        records = extract_explicit_changes(
-            doc, self.attrs("3.5.5"), "document:spark", gateway, vector_index=index
-        )
+        records = extract_explicit_changes(doc, self.attrs("3.5.5"), "document:spark", gateway)
         avro = [r for r in records if "Avro" in r.description]
         assert avro and avro[0].to_version.raw == "3.5.5"
         assert avro[0].description == "Upgraded Avro to version 1.11.4"
         assert all(r.origin is ChangeOrigin.EXPLICIT and not r.evidence for r in records)
-        assert len(index) == len(records)
 
     def test_bootstrap_badges(self, gateway):
         doc = RawDocument(

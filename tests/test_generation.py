@@ -1,7 +1,7 @@
 import pytest
 
 from verdoc import prompts
-from verdoc.generation import Answer, answer, build_prompt
+from verdoc.generation import answer, build_prompt
 from verdoc.retrieval import ContextItem, ParsedQuery, QueryIntent, RetrievalMode, RetrievedContext
 
 from conftest import make_gateway
@@ -93,10 +93,3 @@ class TestAnswer:
         query = ParsedQuery(text="What Apache Spark versions are available?", intent=QueryIntent.VERSION)
         result = answer(query, context, gateway)
         assert result.text == ", ".join(f"Version {raw}" for raw in labels)
-
-    def test_context_echo_optional(self):
-        gateway = make_gateway()
-        context = RetrievedContext(items=[item("a")])
-        assert answer(content_query(), context, gateway).context_echo is None
-        echoed = answer(content_query(), context, gateway, debug_context=True)
-        assert isinstance(echoed, Answer) and echoed.context_echo is context

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from verdoc import prompts
+from verdoc.changes import record_from_entry
 from verdoc.engine import Engine
 from verdoc.errors import (
     AttributeExtractionError,
@@ -307,6 +308,17 @@ class TestIndexDocuments:
             r for r in summary.graph.change_records() if r.origin.value == "implicit"
         ]
         assert any("partialDeepStrictEqual" in r.description for r in implicit)
+
+    def test_each_change_record_has_one_entry_that_rebuilds_it(self, gateway):
+        index = VectorIndex(dimension=DIMENSION)
+        records = index_documents(self.documents(), gateway, index).graph.change_records()
+        assert {r.origin for r in records} == set(ChangeOrigin)
+        change_keys = [
+            key for key in index.keys() if index.get(key).metadata["origin"] != "content"
+        ]
+        assert sorted(change_keys) == sorted(r.id for r in records)
+        for record in records:
+            assert record_from_entry(index.get(record.id)) == record
 
     def test_usage_accounted(self, gateway):
         index = VectorIndex(dimension=DIMENSION)

@@ -16,12 +16,14 @@ from verdoc.retrieval import (
     retrieve,
     select_mode,
 )
-from verdoc.vector_index import VectorIndex
+from verdoc.vector_index import MetadataFilter, VectorIndex
 from verdoc.versions import parse_version
 
 from conftest import (
     DIMENSION,
     assert_doc_corpus,
+    changelog_text,
+    doc_text,
     make_gateway,
     marker_corpus,
     raw,
@@ -155,12 +157,15 @@ class TestRetrieve:
             "Version 3.5.5",
         ]
 
-    def test_version_listing_never_touches_vector_index(self, indexed):
+    def test_version_listing_never_touches_vector_index(self, indexed, monkeypatch):
         graph, index, gateway = indexed
         parsed = parse_query("What Apache Spark versions are available?", graph, gateway)
-        before = index.search_count
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the version route searched the vector index")
+
+        monkeypatch.setattr(VectorIndex, "search", no_search)
         retrieve(parsed, graph, index, gateway)
-        assert index.search_count == before
 
     def test_version_filtered_content_is_pure(self, indexed):
         graph, index, gateway = indexed
@@ -219,6 +224,51 @@ class TestRetrieve:
         parsed = ParsedQuery(text="stability of assert ok", intent=QueryIntent.CONTENT)
         context = retrieve(parsed, graph, index, gateway, k=2)
         assert len(context.items) <= 2
+
+    def test_change_search_merges_both_origins_by_score_then_key(self):
+        """Criterion 5's seeded functions, plus a changelog that lists them:
+        a change search without a document returns the top k of explicit and
+        implicit records together, as the two per-origin searches merged."""
+        stems = ["frobnicate", "marshal", "tokenize", "quantize", "replay", "compact"]
+        names = [f"vx_{stem}_{i}" for i, stem in enumerate(stems)]
+        files = {}
+        for d in range(3):
+            title = f"API Surface {chr(ord('A') + d)}"
+            lines = [f"stable api line {i}" for i in range(3)]
+            for v in range(1, 4):
+                if v > 1:
+                    lines = lines + [f"The function {names[d * 2 + v - 2]} was introduced."]
+                files[f"api{d}/v{v}.md"] = doc_text(title, f"{v}.0.0", [("functions", lines)])
+        files["api-changelog/3.0.0.md"] = changelog_text(
+            "API Surface", "3.0.0", [f"Added the function {name}" for name in names]
+        )
+        gateway = make_gateway()
+        index = VectorIndex(dimension=DIMENSION)
+        graph = index_documents(
+            [raw(path, text) for path, text in sorted(files.items())], gateway, index
+        ).graph
+        seen_origins = set()
+        for name in names:
+            text = f"When was the function {name} added?"
+            context = retrieve(ParsedQuery(text, QueryIntent.CHANGE), graph, index, gateway, k=5)
+            query = gateway.embed([text])[0]
+            hits = [
+                hit
+                for origin in ("explicit", "implicit")
+                for hit in index.search(query, 5, MetadataFilter({"origin": origin}))
+            ]
+            hits = sorted(hits, key=lambda hit: (-hit.score, hit.key))[:5]
+            expected = []
+            for hit in hits:
+                md = hit.entry.metadata
+                span = md["to_version"]
+                if md["from_version"]:
+                    span = f"{md['from_version']} -> {span}"
+                expected.append((hit.entry.text, span, md["origin"]))
+            assert [(item.text, item.version, item.origin) for item in context.items] == expected
+            assert any(name in item.text for item in context.items)
+            seen_origins.update(item.origin for item in context.items)
+        assert seen_origins == {"explicit", "implicit"}
 
     def test_baseline_mode_can_mix_versions(self):
         gateway = make_gateway()

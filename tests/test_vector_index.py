@@ -290,14 +290,19 @@ def test_version_whitelist_parsed_once_per_search(monkeypatch):
 
 
 # filter values that compare equal across types (1, 1.0, True), never equal
-# themselves (nan), or that no row holds ("absent")
+# themselves (nan), or that no row holds ("absent"), alone or as an any-of
+# set; rows may also hold an unhashable value, which no set holds
 NAN = float("nan")
 FIELD_VALUES = st.sampled_from([None, 1, 1.0, True, "1", 0, False, "", "a", NAN])
-FILTER_VALUES = st.one_of(FIELD_VALUES, st.just("absent"))
+SCALAR_FILTER_VALUES = st.one_of(FIELD_VALUES, st.just("absent"))
+FILTER_VALUES = st.one_of(SCALAR_FILTER_VALUES, st.sets(SCALAR_FILTER_VALUES, max_size=3))
 VERSION_LABELS = ["1.2", "1.2.0", "v2", "2", "2.0", "2.0-rc1", "1.10"]
 ROW_METADATA = st.fixed_dictionaries(
     {},
-    optional={"shard": FIELD_VALUES, "version": st.sampled_from([*VERSION_LABELS, None])},
+    optional={
+        "shard": st.one_of(FIELD_VALUES, st.just(["1"])),
+        "version": st.sampled_from([*VERSION_LABELS, None]),
+    },
 )
 FILTER = st.builds(
     MetadataFilter,
@@ -325,6 +330,8 @@ def rows_then_search(values, flt):
 @example(rows_then_search([NAN, 1.0], MetadataFilter({"shard": NAN})))
 @example(rows_then_search([1, 1.0, True, "1", None], MetadataFilter({"shard": True})))
 @example(rows_then_search([1, "1", None], MetadataFilter({"shard": None})))
+@example(rows_then_search([NAN, 1.0, ["1"]], MetadataFilter({"shard": {NAN, 1}})))
+@example(rows_then_search([1, 1.0, True, "1", None, ["1"]], MetadataFilter({"shard": {True, "1"}})))
 def test_column_filter_returns_rows_matches_passes(steps):
     """Interleaved upserts and searches: each search with k = len(index)
     returns exactly the rows ``MetadataFilter.matches`` passes, by descending
