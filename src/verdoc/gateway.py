@@ -9,6 +9,12 @@ suffix is attempted before ``SchemaViolationError`` is raised.
 
 Usage counters cover completion traffic (embedding calls are local math
 for the mock backend and are not part of the indexing token budget).
+
+The mock's embedding is a batch kernel over feature-hashed unigrams and
+bigrams (the hashing trick): within one ``embed`` call each distinct gram
+is md5-hashed once, each text's ±1 slot counts are summed by one
+``np.bincount``, and every row is L2-normalized. The counts are exact
+integers, so a text's vector is the same bytes whatever batch carries it.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 import threading
 import time
@@ -190,31 +197,19 @@ def validate_reply(reply: str, schema: Optional[ResponseSchema]) -> None:
 
 # --- deterministic embedding --------------------------------------------------
 
+# the two fields of an md5 digest the feature hashing reads: the slot word
+# (first four bytes, little-endian) and the sign byte (the fifth)
+_DIGEST_FIELDS = np.dtype(
+    {"names": ["slot", "sign"], "formats": ["<u4", "u1"], "offsets": [0, 4], "itemsize": 16}
+)
+# a gram whose sign byte is even subtracts one from its slot, an odd one adds one
+_SIGNS = np.array([-1.0, 1.0])
 
-def hash_embedding(text: str, dimension: int) -> np.ndarray:
-    """Feature-hashed unigrams + bigrams, L2-normalized.
 
-    A pure function of the text bytes; empty or degenerate input maps to
-    the first basis vector so every embedding has unit norm.
-    """
-    vec = np.zeros(dimension, dtype=np.float64)
-    tokens = [t.casefold() for t in text.split()]
-    if not tokens:
-        vec[0] = 1.0
-        return vec
-    grams = list(tokens)
-    grams.extend(a + " " + b for a, b in zip(tokens, tokens[1:]))
-    for gram in grams:
-        digest = hashlib.md5(gram.encode("utf-8")).digest()
-        index = int.from_bytes(digest[:4], "little") % dimension
-        sign = 1.0 if digest[4] & 1 else -1.0
-        vec[index] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        vec[:] = 0.0
-        vec[0] = 1.0
-        return vec
-    return vec / norm
+def _basis_vector(dimension: int) -> np.ndarray:
+    vector = np.zeros(dimension, dtype=np.float64)
+    vector[0] = 1.0
+    return vector
 
 
 # --- mock backend ---------------------------------------------------------------
@@ -277,7 +272,37 @@ class MockBackend:
         return self._handle_answer(prompt)
 
     def embed(self, texts: list, dimension: int) -> list:
-        return [hash_embedding(text, dimension) for text in texts]
+        """Feature-hashed unigrams + bigrams of each text, L2-normalized.
+
+        Each gram (a casefolded whitespace token, or two adjacent ones
+        joined by a space) adds +1 or -1 to one of ``dimension`` slots,
+        both read from the md5 digest of its UTF-8 bytes. A vector is a
+        pure function of its text; empty or degenerate input maps to the
+        first basis vector so every embedding has unit norm.
+
+        Each distinct gram of the call is hashed once, into a table local
+        to the call. The ±1 terms are summed by ``np.bincount`` in float64,
+        where every partial sum is an exact integer, so the counts, their
+        norm and the vectors do not depend on the order of summation.
+        """
+        digests: dict = {}
+        vectors = []
+        for text in texts:
+            # casefolding never creates or removes whitespace, so folding
+            # the text before splitting equals folding each token
+            grams = text.casefold().split()
+            grams += [a + " " + b for a, b in zip(grams, grams[1:])]
+            if not grams:
+                vectors.append(_basis_vector(dimension))
+                continue
+            missing = set(grams).difference(digests)
+            digests.update({gram: hashlib.md5(gram.encode("utf-8")).digest() for gram in missing})
+            fields = np.frombuffer(b"".join(map(digests.__getitem__, grams)), dtype=_DIGEST_FIELDS)
+            signs = _SIGNS.take(fields["sign"] & 1)
+            counts = np.bincount(fields["slot"] % dimension, weights=signs, minlength=dimension)
+            norm = math.sqrt(counts @ counts)
+            vectors.append(counts / norm if norm else _basis_vector(dimension))
+        return vectors
 
     # -- handlers --
 

@@ -336,13 +336,17 @@ def index_content(
 ) -> int:
     """Chunk, embed and insert every version's text; returns new chunk count.
 
-    Chunks already present in the index (same document/version/ordinal key)
-    are skipped, which makes interrupted runs resumable and re-runs no-ops.
+    The pending chunks of all versions of a document group go to the
+    gateway in one embed call, and are inserted in (version, ordinal)
+    order. Chunks already present in the index (same
+    document/version/ordinal key) are skipped, which makes interrupted
+    runs resumable and re-runs no-ops.
     """
     new_chunks = 0
     for category, group in catalog.all_groups():
         if group.document_id not in graph.nodes:
             raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
+        pending = []  # (version, chunk) not yet in the index
         for (doc, _), version_id in zip(group.members, group.version_ids):
             version = graph.nodes[version_id].label.raw
             chunks = chunk_document(
@@ -352,27 +356,28 @@ def index_content(
                 document=group.document_id,
                 version=version,
             )
-            pending = [c for c in chunks if c.key not in vector_index]
-            if pending:
-                vectors = gateway.embed([c.text for c in pending])
-                for chunk, vector in zip(pending, vectors):
-                    vector_index.insert(
-                        IndexEntry(
-                            key=chunk.key,
-                            vector=vector,
-                            metadata={
-                                "category": category.name,
-                                "document": group.document_id,
-                                "version": version,
-                                "ordinal": str(chunk.ordinal),
-                                "origin": "content",
-                            },
-                            text=chunk.text,
-                        )
-                    )
-                    new_chunks += 1
+            pending += [(version, c) for c in chunks if c.key not in vector_index]
             for chunk in chunks:
                 graph.add_content_ref(version_id, chunk.ordinal, chunk.key)
+        if not pending:
+            continue
+        vectors = gateway.embed([chunk.text for _, chunk in pending])
+        for (version, chunk), vector in zip(pending, vectors):
+            vector_index.insert(
+                IndexEntry(
+                    key=chunk.key,
+                    vector=vector,
+                    metadata={
+                        "category": category.name,
+                        "document": group.document_id,
+                        "version": version,
+                        "ordinal": str(chunk.ordinal),
+                        "origin": "content",
+                    },
+                    text=chunk.text,
+                )
+            )
+        new_chunks += len(pending)
     return new_chunks
 
 

@@ -108,9 +108,6 @@ def chunk_document(
     return chunks
 
 
-_TOKEN_RUN = re.compile(r"\S+")
-
-
 def first_pages(doc: RawDocument, pages: int, page_tokens: int = PAGE_TOKENS) -> str:
     """The first ``pages * page_tokens`` whitespace tokens of the document.
 
@@ -123,10 +120,13 @@ def first_pages(doc: RawDocument, pages: int, page_tokens: int = PAGE_TOKENS) ->
 
 
 def _head(text: str, budget: int) -> str:
-    for count, match in enumerate(_TOKEN_RUN.finditer(text), start=1):
-        if count == budget:
-            return text[: match.end()]
-    return text
+    """``text`` up to the end of its ``budget``-th whitespace token; the
+    whole text when it has fewer tokens or ``budget`` is below one."""
+    if budget < 1:
+        return text
+    # one C-level match; re caches the compiled pattern of each budget
+    match = re.match(rf"\s*(?:\S+\s+){{{budget - 1}}}\S+", text)
+    return text[: match.end()] if match else text
 
 
 _HEADING = re.compile(r" {0,3}#{1,6}(?:\s|$)")

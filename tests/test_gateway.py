@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -21,12 +22,14 @@ from verdoc.gateway import (
     HttpBackend,
     MockBackend,
     ResponseSchema,
-    hash_embedding,
     parse_json_reply,
     validate_reply,
 )
+from verdoc.indexer import DocumentAttributes, build_graph, cluster_documents, index_content
+from verdoc.vector_index import VectorIndex
+from verdoc.versions import parse_version
 
-from conftest import DIMENSION, make_gateway
+from conftest import DIMENSION, doc_text, make_gateway, raw
 
 
 class TestMockScripting:
@@ -165,11 +168,55 @@ class TestEmbeddings:
         assert float(a @ b) > float(a @ c)
 
     def test_pure_function_of_text(self):
-        assert np.array_equal(hash_embedding("same text", 32), hash_embedding("same text", 32))
+        (alone,) = MockBackend().embed(["same text"], 32)
+        _, in_batch, _ = MockBackend().embed(["other", "same text", "same text again"], 32)
+        assert alone.tobytes() == in_batch.tobytes()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             make_gateway().embed([])
+
+
+def reference_embedding(text: str, dimension: int) -> np.ndarray:
+    """The per-gram loop that the batch kernel replaced, kept as its oracle."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    tokens = [t.casefold() for t in text.split()]
+    if not tokens:
+        vec[0] = 1.0
+        return vec
+    grams = list(tokens)
+    grams.extend(a + " " + b for a, b in zip(tokens, tokens[1:]))
+    for gram in grams:
+        digest = hashlib.md5(gram.encode("utf-8")).digest()
+        index = int.from_bytes(digest[:4], "little") % dimension
+        sign = 1.0 if digest[4] & 1 else -1.0
+        vec[index] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[:] = 0.0
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
+# short words over few letters, so grams repeat within and across texts;
+# ß, ﬁ and İ grow under casefolding, Σ folds like σ and ς, and the
+# separators include Unicode whitespace that str.split() honours
+_EMBED_TEXT = st.text(alphabet="abßﬁİΣσς \t\n\xa0\u2003\x1c", max_size=24)
+_EMBED_BATCH = st.lists(_EMBED_TEXT, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_EMBED_BATCH, dimension=st.sampled_from([1, 3, 64, 256]))
+def test_batch_kernel_matches_the_per_gram_loop_byte_for_byte(batch, dimension):
+    vectors = MockBackend().embed(batch, dimension)
+    assert len(vectors) == len(batch)
+    for text, vector in zip(batch, vectors):
+        expected = reference_embedding(text, dimension)
+        assert vector.dtype == expected.dtype and vector.shape == expected.shape
+        assert vector.tobytes() == expected.tobytes(), text
 
 
 class TestValidators:
@@ -345,6 +392,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length) or b"{}")
         behaviour = self.behaviours.setdefault(self.path, {})
         behaviour["requests"] = behaviour.get("requests", 0) + 1
+        behaviour.setdefault("bodies", []).append(body)
         status = behaviour.get("status", 200)
         # (status, headers) replies sent, in order, before the normal reply
         fail_first = behaviour.get("fail_first", [])
@@ -409,6 +457,33 @@ class TestHttpBackend:
         vectors = gateway.embed(["a", "b"])
         assert len(vectors) == 2
         assert np.array_equal(vectors[1], np.array([2.0, 2.0, 2.0, 2.0]))
+
+    def test_indexing_a_group_sends_its_versions_in_one_request(self, http_server):
+        _Handler.behaviours["/embeddings"] = {"dimension": 4}
+        members = []
+        for version in ("1.0.0", "2.0.0"):
+            text = doc_text("Two Step", version, [("usage", [f"w{i} for {version}" for i in range(12)])])
+            attrs = DocumentAttributes(
+                title="Two Step", summary="", version=parse_version(version), doc_type="documentation"
+            )
+            members.append((raw(f"two/{version}.md", text), attrs))
+        catalog = cluster_documents(members, make_gateway())
+        graph = build_graph(catalog)
+        index = VectorIndex(dimension=4)
+        gateway = Gateway(HttpBackend(http_server, model="m1"), dimension=4)
+        count = index_content(graph, catalog, gateway, index, chunk_size=16, overlap=4)
+
+        behaviour = _Handler.behaviours["/embeddings"]
+        assert behaviour["requests"] == 1
+        (sent,) = [body["input"] for body in behaviour["bodies"]]
+        keys = index.keys()
+        assert count == len(keys) == len(sent)
+        assert {index.get(key).metadata["version"] for key in keys} == {"1.0.0", "2.0.0"}
+        # the server answers input i with the constant vector i + 1
+        for position, key in enumerate(keys):
+            entry = index.get(key)
+            assert entry.text == sent[position]
+            assert np.array_equal(entry.vector, np.full(4, position + 1.0))
 
     def test_dimension_mismatch_surfaces(self, http_server):
         _Handler.behaviours["/embeddings"] = {"dimension": 3}

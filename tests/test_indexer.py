@@ -489,18 +489,74 @@ class TestIndexCorpus:
 
 
 class RecordingBackend:
-    """Wraps the offline backend and captures every completion prompt."""
+    """Wraps the offline backend and captures every completion prompt and
+    every embed batch."""
 
     def __init__(self):
         self.inner = MockBackend()
         self.prompts = []
+        self.batches = []
 
     def complete(self, prompt, schema, max_output_tokens):
         self.prompts.append(prompt)
         return self.inner.complete(prompt, schema, max_output_tokens)
 
     def embed(self, texts, dimension):
+        self.batches.append(list(texts))
         return self.inner.embed(texts, dimension)
+
+
+class TestContentBatching:
+    def documents(self):
+        files = {**spark_changelog_corpus(), **assert_doc_corpus()}
+        return [raw(path, text) for path, text in sorted(files.items())]
+
+    @staticmethod
+    def content_batches(backend, index):
+        """The recorded embed batches that carry content chunks."""
+        chunk_texts = {
+            index.get(key).text
+            for key in index.keys()
+            if index.get(key).metadata["origin"] == "content"
+        }
+        return [batch for batch in backend.batches if chunk_texts.issuperset(batch)]
+
+    def test_one_content_request_per_group_and_none_on_reindex(self):
+        backend = RecordingBackend()
+        index = VectorIndex(dimension=DIMENSION)
+        summary = index_documents(self.documents(), Gateway(backend, dimension=DIMENSION), index)
+        groups = summary.graph.documents()
+        entries = [index.get(key) for key in index.keys()]
+        content = [
+            [e for e in entries if e.metadata["origin"] == "content" and e.metadata["document"] == d.id]
+            for d in groups
+        ]
+        assert len(groups) == 2
+        assert all(len({e.metadata["version"] for e in group}) > 1 for group in content)
+        assert self.content_batches(backend, index) == [[e.text for e in group] for group in content]
+
+        again = RecordingBackend()
+        index_documents(self.documents(), Gateway(again, dimension=DIMENSION), index)
+        assert self.content_batches(again, index) == []
+
+    def test_keys_come_out_in_group_version_ordinal_order(self):
+        index = VectorIndex(dimension=DIMENSION)
+        summary = index_documents(self.documents(), make_gateway(), index, chunk_size=64, overlap=8)
+        graph = summary.graph
+        by_version = {}
+        for ref in graph.content_refs():
+            by_version.setdefault((ref.document, ref.version), []).append(ref)
+        expected = [
+            ref.key
+            for document in graph.documents()
+            for version in graph.versions_of(document.id)
+            for ref in sorted(
+                by_version.get((document.id, version.label.raw), []), key=lambda r: r.ordinal
+            )
+        ]
+        keys = [key for key in index.keys() if index.get(key).metadata["origin"] == "content"]
+        assert len(set(keys)) > len(graph.documents()) * 2
+        assert keys == expected
 
 
 def test_no_completion_ever_carries_a_full_documentation_body():

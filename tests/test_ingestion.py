@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from verdoc.ingestion import (
     Chunk,
     CorpusReport,
     RawDocument,
+    _head,
     chunk_document,
     count_tokens,
     first_pages,
@@ -150,6 +152,23 @@ class TestFirstPages:
     def test_page_tokens_configurable(self):
         doc = RawDocument(source_path="d", text=words(100))
         assert first_pages(doc, 2, page_tokens=10).split() == doc.text.split()[:20]
+
+
+def reference_head(text, budget):
+    """The per-token loop ``_head`` replaced, kept as its oracle."""
+    for count, match in enumerate(re.finditer(r"\S+", text), start=1):
+        if count == budget:
+            return text[: match.end()]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(alphabet="ab# \t\n\xa0\u2003\x1c", max_size=40),
+    budget=st.integers(min_value=-2, max_value=14),
+)
+def test_head_matches_the_per_token_loop(text, budget):
+    assert _head(text, budget) == reference_head(text, budget)
 
 
 def is_cut_subsequence(part, whole):
