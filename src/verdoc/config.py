@@ -30,7 +30,6 @@ class GatewayConfig:
     dimension: int = DEFAULT_DIMENSION
     rate_in: float = 0.0
     rate_out: float = 0.0
-    max_concurrency: int = 4
     api_key: Optional[str] = None
     script_path: Optional[str] = None  # mock reply script
 
@@ -138,5 +137,4 @@ def build_gateway(config: Config) -> Gateway:
         dimension=gw.dimension,
         rate_in=gw.rate_in,
         rate_out=gw.rate_out,
-        max_concurrency=gw.max_concurrency,
     )

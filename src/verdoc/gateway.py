@@ -618,13 +618,11 @@ class Gateway:
         dimension: int = DEFAULT_DIMENSION,
         rate_in: float = 0.0,
         rate_out: float = 0.0,
-        max_concurrency: int = 4,
     ):
         self.backend = backend
         self.dimension = dimension
         self.rate_in = rate_in
         self.rate_out = rate_out
-        self._semaphore = threading.BoundedSemaphore(max(1, max_concurrency))
         self._lock = threading.Lock()
         self._usage = TokenUsage()
 
@@ -635,8 +633,7 @@ class Gateway:
         error = ""
         for attempt in range(2):
             sent = prompt if attempt == 0 else prompt + prompts.REPROMPT_SUFFIX.format(error=error)
-            with self._semaphore:
-                reply = self.backend.complete(sent, request.response_schema, request.max_output_tokens)
+            reply = self.backend.complete(sent, request.response_schema, request.max_output_tokens)
             self._record(sent, reply)
             try:
                 validate_reply(reply, request.response_schema)
@@ -651,8 +648,7 @@ class Gateway:
     def embed(self, texts: list) -> list:
         if not texts:
             raise ValueError("texts must be non-empty")
-        with self._semaphore:
-            vectors = self.backend.embed(list(texts), self.dimension)
+        vectors = self.backend.embed(list(texts), self.dimension)
         for vector in vectors:
             if vector.shape != (self.dimension,):
                 raise DimensionMismatchError(
@@ -677,7 +673,3 @@ class Gateway:
             snapshot.input_tokens * self.rate_in + snapshot.output_tokens * self.rate_out
         )
         return snapshot
-
-    def reset_usage(self) -> None:
-        with self._lock:
-            self._usage = TokenUsage()

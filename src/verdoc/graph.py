@@ -667,8 +667,3 @@ class VersionGraph:
         if not isinstance(data, dict):
             raise CorruptFileError(f"graph file {path} does not hold an object")
         return cls.from_dict(data)
-
-    # --- equality (structural) --------------------------------------------------
-
-    def structurally_equal(self, other: "VersionGraph") -> bool:
-        return self.to_dict() == other.to_dict()

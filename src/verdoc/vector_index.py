@@ -6,12 +6,12 @@ scores them. Results are ordered by descending score with ties broken by
 ascending key, which makes search results reproducible and directly
 comparable against a brute-force oracle.
 
-Filters run on interned code columns of the search snapshot: one integer
-code per row for each metadata key a filter names, plus one column of
-version sort-key classes for ``version_in``. A column is built on first
-use and dropped with its snapshot on the next insert. A filter tests each
-distinct value once and keeps the rows whose code passed, so once the
-columns exist no Python code runs per row.
+Filters run on interned code columns of the index: one integer code per
+row for each metadata key a filter names, plus one column of version
+sort-key classes for ``version_in``. A column is built on first use and
+dropped on the next insert. A filter tests each distinct value once and
+keeps the rows whose code passed, so once the columns exist no Python code
+runs per row.
 """
 
 from __future__ import annotations
@@ -140,63 +140,16 @@ def _intern(values) -> _Column:
 _SORT_KEYS = object()  # column key of the version sort-key classes
 
 
-class _Snapshot(NamedTuple):
-    """Immutable view used by searches; inserts publish a fresh one.
-
-    Only ``columns`` fills in later, one filter column at a time.
-    """
-
-    keys: tuple
-    matrix: np.ndarray
-    norms: np.ndarray
-    key_rank: np.ndarray
-    metadata: tuple
-    texts: tuple
-    columns: dict  # filled on first use; concurrent builders store equal columns
-
-    def column(self, key) -> _Column:
-        """The interned column of metadata ``key`` (a missing key reads as None)."""
-        column = self.columns.get(key)
-        if column is None:
-            column = self.columns[key] = _intern(md.get(key) for md in self.metadata)
-        return column
-
-    def version_classes(self) -> _Column:
-        """Version sort keys by row; None where a row has no version."""
-        column = self.columns.get(_SORT_KEYS)
-        if column is None:
-            versions = self.column("version")
-            classes = _intern(
-                None if raw is None else parse_version(raw).sort_key() for raw in versions.values
-            )
-            column = _Column(classes.codes[versions.codes], classes.values)
-            self.columns[_SORT_KEYS] = column
-        return column
-
-    def candidates(self, metadata_filter: MetadataFilter) -> np.ndarray:
-        """The rows ``metadata_filter.matches`` passes, in ascending order.
-
-        Each constraint narrows the rows the last one kept, so only the
-        first touches every row.
-        """
-        rows = np.arange(len(self.keys))
-        for key, value in metadata_filter.equality.items():
-            column = self.column(key)
-            test = _equality_test(value)
-            rows = column.keep(rows, [test(held) for held in column.values])
-        wanted = metadata_filter.version_keys()
-        if wanted is not None:
-            column = self.version_classes()
-            rows = column.keep(rows, [sort_key in wanted for sort_key in column.values])
-        return rows
-
-
 class VectorIndex:
     """In-memory vector store with upsert semantics, saved as ``.npy`` plus a JSON sidecar.
 
-    Inserts run under a lock and invalidate the search snapshot; searches
-    build or reuse the snapshot and then run lock-free, so any number of
-    concurrent searches may overlap while writers stay serialized.
+    Each row is stored once: its vector in one float64 matrix whose capacity
+    doubles as rows arrive, its norm in an array beside it, and its key,
+    metadata and text in lists. The filter columns and the key ranks are
+    caches that the next insert drops. Every read and write of the rows
+    runs under one lock. ``insert`` copies the caller's vector in, and
+    ``get`` and search hits hand out copies, so no caller can change a
+    stored row.
     """
 
     def __init__(self, dimension: int):
@@ -205,12 +158,13 @@ class VectorIndex:
         self.dimension = dimension
         self._keys: list = []
         self._row_of: dict = {}
-        self._vectors: list = []
-        self._norms: list = []
+        self._matrix = np.zeros((0, dimension), dtype=np.float64)
+        self._norms = np.zeros(0, dtype=np.float64)
         self._metadata: list = []
         self._texts: list = []
-        self._snapshot: Optional[_Snapshot] = None
-        self._lock = threading.RLock()
+        self._columns: dict = {}
+        self._key_rank: Optional[np.ndarray] = None
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -230,63 +184,85 @@ class VectorIndex:
             )
         with self._lock:
             row = self._row_of.get(entry.key)
-            norm = float(np.linalg.norm(vector))
             if row is None:
-                self._row_of[entry.key] = len(self._keys)
+                row = len(self._keys)
+                if row == len(self._matrix):  # full: double the capacity
+                    capacity = max(1, 2 * row)
+                    # np.resize fills the new rows with repeats; rows past len(self) are never read
+                    self._matrix = np.resize(self._matrix, (capacity, self.dimension))
+                    self._norms = np.resize(self._norms, capacity)
+                self._row_of[entry.key] = row
                 self._keys.append(entry.key)
-                self._vectors.append(vector)
-                self._norms.append(norm)
                 self._metadata.append(dict(entry.metadata))
                 self._texts.append(entry.text)
             else:
-                self._vectors[row] = vector
-                self._norms[row] = norm
                 self._metadata[row] = dict(entry.metadata)
                 self._texts[row] = entry.text
-            self._snapshot = None
+            self._matrix[row] = vector
+            self._norms[row] = float(np.linalg.norm(vector))
+            self._columns = {}
+            self._key_rank = None
 
     def get(self, key: str) -> Optional[IndexEntry]:
         with self._lock:
             row = self._row_of.get(key)
             if row is None:
                 return None
-            return IndexEntry(
-                key=key,
-                vector=self._vectors[row],
-                metadata=dict(self._metadata[row]),
-                text=self._texts[row],
-            )
+            return self._entry(row)
 
-    def _current_snapshot(self) -> _Snapshot:
-        snapshot = self._snapshot
-        if snapshot is not None:
-            return snapshot
-        with self._lock:
-            if self._snapshot is None:
-                count = len(self._keys)
-                matrix = (
-                    np.vstack(self._vectors)
-                    if count
-                    else np.zeros((0, self.dimension), dtype=np.float64)
-                )
-                order = sorted(range(count), key=lambda i: self._keys[i])
-                key_rank = np.empty(count, dtype=np.int64)
-                for rank, row in enumerate(order):
-                    key_rank[row] = rank
-                self._publish(matrix, key_rank)
-            return self._snapshot
-
-    def _publish(self, matrix: np.ndarray, key_rank: np.ndarray) -> None:
-        """Publish the snapshot of the current rows; ``matrix`` stacks their vectors."""
-        self._snapshot = _Snapshot(
-            keys=tuple(self._keys),
-            matrix=matrix,
-            norms=np.asarray(self._norms, dtype=np.float64),
-            key_rank=key_rank,
-            metadata=tuple(self._metadata),
-            texts=tuple(self._texts),
-            columns={},
+    def _entry(self, row: int) -> IndexEntry:
+        return IndexEntry(
+            key=self._keys[row],
+            vector=self._matrix[row].copy(),
+            metadata=dict(self._metadata[row]),
+            text=self._texts[row],
         )
+
+    # --- filter columns and key ranks, rebuilt after an insert --------------
+
+    def _column(self, key) -> _Column:
+        """The interned column of metadata ``key`` (a missing key reads as None)."""
+        column = self._columns.get(key)
+        if column is None:
+            column = self._columns[key] = _intern(md.get(key) for md in self._metadata)
+        return column
+
+    def _version_classes(self) -> _Column:
+        """Version sort keys by row; None where a row has no version."""
+        column = self._columns.get(_SORT_KEYS)
+        if column is None:
+            versions = self._column("version")
+            classes = _intern(
+                None if raw is None else parse_version(raw).sort_key() for raw in versions.values
+            )
+            column = _Column(classes.codes[versions.codes], classes.values)
+            self._columns[_SORT_KEYS] = column
+        return column
+
+    def _candidates(self, metadata_filter: MetadataFilter) -> np.ndarray:
+        """The rows ``metadata_filter.matches`` passes, in ascending order.
+
+        Each constraint narrows the rows the last one kept, so only the
+        first touches every row.
+        """
+        rows = np.arange(len(self._keys))
+        for key, value in metadata_filter.equality.items():
+            column = self._column(key)
+            test = _equality_test(value)
+            rows = column.keep(rows, [test(held) for held in column.values])
+        wanted = metadata_filter.version_keys()
+        if wanted is not None:
+            column = self._version_classes()
+            rows = column.keep(rows, [sort_key in wanted for sort_key in column.values])
+        return rows
+
+    def _key_ranks(self) -> np.ndarray:
+        """Each row's position in ascending key order."""
+        if self._key_rank is None:
+            order = sorted(range(len(self._keys)), key=self._keys.__getitem__)
+            self._key_rank = np.empty(len(order), dtype=np.int64)
+            self._key_rank[order] = np.arange(len(order))
+        return self._key_rank
 
     def search(
         self,
@@ -306,30 +282,19 @@ class VectorIndex:
             raise DimensionMismatchError(
                 f"query has shape {query.shape}, index dimension is {self.dimension}"
             )
-        snap = self._current_snapshot()
-        if not snap.keys:
-            return []
-        candidates = snap.candidates(metadata_filter or MetadataFilter())
-        if candidates.size == 0:
-            return []
-        # cosine of the candidate rows; a zero-norm row or query scores 0
-        dots = snap.matrix[candidates] @ query
-        denom = snap.norms[candidates] * float(np.linalg.norm(query))
-        scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-        top = np.lexsort((snap.key_rank[candidates], -scores))[:k]
-        return [
-            SearchHit(
-                key=snap.keys[row],
-                score=score,
-                entry=IndexEntry(
-                    key=snap.keys[row],
-                    vector=snap.matrix[row],
-                    metadata=dict(snap.metadata[row]),
-                    text=snap.texts[row],
-                ),
-            )
-            for row, score in zip(candidates[top].tolist(), scores[top].tolist())
-        ]
+        with self._lock:
+            candidates = self._candidates(metadata_filter or MetadataFilter())
+            if candidates.size == 0:
+                return []
+            # cosine of the candidate rows; a zero-norm row or query scores 0
+            dots = self._matrix[candidates] @ query
+            denom = self._norms[candidates] * float(np.linalg.norm(query))
+            scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+            top = np.lexsort((self._key_ranks()[candidates], -scores))[:k]
+            return [
+                SearchHit(key=self._keys[row], score=score, entry=self._entry(row))
+                for row, score in zip(candidates[top].tolist(), scores[top].tolist())
+            ]
 
     # --- persistence -------------------------------------------------------
 
@@ -344,14 +309,13 @@ class VectorIndex:
         """
         with self._lock:
             rows = sorted(range(len(self._keys)), key=self._keys.__getitem__)
-            matrix = np.asarray([self._vectors[i] for i in rows], dtype="<f8")
+            matrix = np.asarray(self._matrix[rows], dtype="<f8")
             entries = [
                 {"key": self._keys[i], "metadata": self._metadata[i], "text": self._texts[i]}
                 for i in rows
             ]
         buffer = io.BytesIO()
-        # the reshape gives an empty index its (0, dimension) shape
-        np.save(buffer, matrix.reshape(len(rows), self.dimension), allow_pickle=False)
+        np.save(buffer, matrix, allow_pickle=False)
         vectors = buffer.getvalue()
         sidecar = {
             "format_version": FORMAT_VERSION,
@@ -413,18 +377,15 @@ class VectorIndex:
             )
 
         index = cls(dimension=dimension)
-        # rows are views of the one loaded matrix, which the search snapshot
-        # shares; read-only, so no caller can change a stored vector in place
-        matrix.flags.writeable = False
         index._keys = keys
         index._row_of = {key: row for row, key in enumerate(keys)}
-        index._vectors = list(matrix)
+        index._matrix = matrix
         # per row, exactly as ``insert`` computes it: a norm over the whole
         # matrix differs from it in the last bit for some rows
-        index._norms = [float(np.linalg.norm(row)) for row in index._vectors]
+        index._norms = np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
         index._metadata = metadata
         index._texts = texts
-        index._publish(matrix, np.arange(len(keys)))
+        index._key_rank = np.arange(len(keys))
         return index
 
 

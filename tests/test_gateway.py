@@ -118,12 +118,6 @@ class TestUsageAccounting:
         assert delta.input_tokens == solo.usage().input_tokens
         assert delta.calls == 1
 
-    def test_reset(self):
-        gateway = make_gateway()
-        gateway.complete(CompletionRequest(prompt="x"))
-        gateway.reset_usage()
-        assert gateway.usage().calls == 0
-
     def test_counters_monotone_across_calls(self):
         gateway = make_gateway()
         previous = gateway.usage()

@@ -467,7 +467,7 @@ class TestPersistence:
         graph = VersionGraph()
         path = tmp_path / "graph.json"
         graph.save(path)
-        assert VersionGraph.load(path).structurally_equal(graph)
+        assert VersionGraph.load(path).to_dict() == graph.to_dict()
 
     def test_round_trip_corpus_scale_graph(self, tmp_path):
         graph = build_corpus_scale_graph()
@@ -475,10 +475,10 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         graph.save(path)
         loaded = VersionGraph.load(path)
-        # oracle: structural equality checks node/edge counts and payloads
+        # oracle: node/edge counts and the whole serialized payload
         assert len(loaded.nodes) == len(graph.nodes)
         assert len(loaded.edges) == len(graph.edges)
-        assert loaded.structurally_equal(graph)
+        assert loaded.to_dict() == graph.to_dict()
         assert loaded.validate() == []
 
     @pytest.mark.parametrize("seed", range(5))

@@ -355,6 +355,38 @@ def test_column_filter_returns_rows_matches_passes(steps):
         assert [(-h.score, h.key) for h in hits] == expected
 
 
+@pytest.mark.parametrize("source", ["inserted", "loaded"])
+def test_writes_into_handed_out_vectors_change_no_row(tmp_path, source):
+    """After an insert, writing into the caller's array, a ``get`` vector or a
+    hit's vector changes no stored row: searches, ``get`` and the saved bytes
+    stay as they were."""
+    caller = np.array([1.0, 0.0])
+    index = VectorIndex(dimension=2)
+    index.insert(IndexEntry(key="a", vector=caller, metadata={}, text="x"))
+    index.insert(entry("b", [0.5, 0.5]))
+    if source == "loaded":
+        index.save(tmp_path / "first.json")
+        index = VectorIndex.load(tmp_path / "first.json")
+    query = np.array([1.0, 0.0])
+
+    def observed(name):
+        index.save(tmp_path / f"{name}.json")
+        return (
+            [(h.key, h.score, h.entry.vector.tobytes()) for h in index.search(query, k=2)],
+            index.get("a").vector.tobytes(),
+            (tmp_path / f"{name}.json").read_bytes(),
+            (tmp_path / f"{name}.npy").read_bytes(),
+        )
+
+    before = observed("before")
+    assert before[0][0][:2] == ("a", 1.0)
+    caller[:] = [0.0, 1.0]
+    index.get("a").vector[:] = [0.0, 1.0]
+    for hit in index.search(query, k=2):
+        hit.entry.vector[:] = [0.0, 1.0]
+    assert observed("after") == before
+
+
 class TestPersistence:
     def build(self):
         rng = np.random.default_rng(9)
