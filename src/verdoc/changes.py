@@ -6,15 +6,24 @@ whitespace (re-rendered Markdown often only touches trailing spaces) but
 hunk text keeps lines verbatim; applying the hunks therefore reproduces
 the new text byte-exactly whenever unchanged lines are byte-identical.
 
-``lcs_ops`` is exact and banded. It trims the common suffix and prefix,
-then fills the LCS table of what remains only on the diagonals that an
-optimal edit path can reach (Ukkonen, "Algorithms for approximate string
-matching", 1985), so time and memory are O((N+M)*D) for D edits rather
-than O(N*M). The edit script is the one the full table gives under the
-documented tie-break: when both a deletion and an insertion are optimal,
-delete first when the old line's code is smaller. The codes of the lines
-that tie-break compares are their lexicographic ranks, so diff(a, b) and
-diff(b, a) pick mirrored paths.
+``lcs_ops`` is exact. It trims the common suffix and prefix, then walks
+what remains, the middle, by one of two exact methods that give the same
+edit script. Myers' greedy pass ("An O(ND) Difference Algorithm and Its
+Variations", 1986) stores each round's furthest reach per diagonal and
+costs O((N+M)*D) Python steps for D edits, about D^2/2 of them diagonal
+visits, so it wins when edits are few for the middle's length. A first
+pass on a budget of _PROBE_STEPS_PER_LINE steps per middle line settles
+most diffs before any line is coded. Past it, the line counts bound D from
+below, and a second pass on _GREEDY_STEPS_PER_LINE steps per line runs
+unless that bound already exceeds what its budget covers. Past that, the
+LCS table is filled only on the diagonals that an optimal edit path can
+reach (Ukkonen, "Algorithms for approximate string matching", 1985), one
+numpy row per middle line, starting from the lower bound on D that the
+greedy passes or the counts proved. The edit script is the one the full
+table gives under the documented tie-break: when both a deletion and an
+insertion are optimal, delete first when the old key is smaller. It
+compares the keys themselves (the rstripped lines, for ``line_diff``), so
+diff(a, b) and diff(b, a) pick mirrored paths.
 
 Implicit records come from diffing adjacent version texts and summarizing
 the hunks in one completion per version pair; explicit records come from
@@ -28,6 +37,7 @@ import hashlib
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, count
 from typing import Optional
 
 import numpy as np
@@ -55,6 +65,11 @@ _EQ_BLOCK = 2**16
 # smallest half-width of a second pass: narrower passes cost about the
 # same, since numpy's per-row overhead outweighs the cells they save
 _MIN_REGROW = 128
+# work budgets of the greedy pass per middle line, in diagonal visits plus
+# snake steps: a first pass before the line counts are taken, and a second
+# one when the counts allow it; past the second the band runs
+_PROBE_STEPS_PER_LINE = 1
+_GREEDY_STEPS_PER_LINE = 4
 
 
 class HunkKind(str, Enum):
@@ -87,38 +102,111 @@ _KIND_TO_CHANGE = {
 }
 
 
-def _codes(old_lines: list, new_lines: list) -> tuple:
-    """Map rstripped lines to int codes: equal lines get equal codes.
+def _run(a: list, b: list, i: int, j: int, most: int) -> int:
+    """Length of the longest run a[i:i+x] == b[j:j+x] with x <= ``most``.
 
-    Only the lines between the common suffix and prefix that ``lcs_ops``
-    trims meet the kernel's tie-break, which compares codes; their codes
-    are their lexicographic ranks among those lines, which keeps diff(a, b)
-    and diff(b, a) symmetric. Every other line gets a code above them.
+    Compares blocks that double while they match, then halve down to the
+    end of the run, so a run of x keys takes O(log x) slice comparisons.
     """
-    code_of: dict = {}
-    a, b = (
-        np.fromiter(
-            (code_of.setdefault(line.rstrip(), len(code_of)) for line in lines),
-            dtype=np.int64,
-            count=len(lines),
-        )
-        for lines in (old_lines, new_lines)
-    )
-    suffix = _common_prefix(a[::-1], b[::-1])
-    n, m = a.shape[0] - suffix, b.shape[0] - suffix
-    p = _common_prefix(a[:n], b[:m])
-    middle = np.unique(np.concatenate([a[p:n], b[p:m]])).tolist()
-    distinct = list(code_of)
-    middle.sort(key=distinct.__getitem__)
-    remap = np.arange(len(distinct), dtype=np.int64) + len(middle)
-    remap[middle] = np.arange(len(middle))
-    return remap[a], remap[b]
+    done, step = 0, 1
+    while step <= most - done and a[i + done : i + done + step] == b[j + done : j + done + step]:
+        done += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if step <= most - done and a[i + done : i + done + step] == b[j + done : j + done + step]:
+            done += step
+    return done
 
 
-def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:
-    k = min(a.shape[0], b.shape[0])
-    differ = np.flatnonzero(a[:k] != b[:k])
-    return int(differ[0]) if differ.size else k
+def _greedy_rounds(a, b, edits_at_least: int, steps_per_line: int) -> tuple:
+    """Furthest reaches of Myers' greedy pass over ``a`` x ``b``.
+
+    Dist(i, j) is the edit count of the best path from the origin to cell
+    (i, j). Round d holds, for each diagonal k = j - i with |k| <= d and the
+    parity of d, the furthest row i with Dist(i, i + k) <= d; Dist never
+    decreases along a diagonal, so the cells up to that row are all of the
+    diagonal's cells with Dist <= d. A diagonal's reach is the best of a
+    delete from diagonal k + 1, an insert from k - 1 and its own reach two
+    rounds back, followed by its snake of matches.
+
+    Returns (rounds, d) when round d is the first to reach (n, m), so d is
+    the edit count. Once the rounds cost more than ``steps_per_line`` *
+    (n + m) diagonal visits plus snake steps, returns (None, d) with d a
+    lower bound on the edit count. Round d <= min(n, m) visits d + 1
+    diagonals, so the rounds up to a lower bound e cost about e^2 / 2; when
+    that alone exceeds the budget, no round runs.
+    """
+    n, m = len(a), len(b)
+    budget = steps_per_line * (n + m)
+    if edits_at_least * edits_at_least > 2 * budget:
+        return None, edits_at_least
+    offset = n + 1  # reach[k + offset] is diagonal k's furthest row; -2 is unreached
+    reach = [-2] * (n + m + 3)
+    reach[offset] = 0
+    end = m - n + offset
+    rounds: list = []
+    steps = 0
+    for d in range(n + m + 1):
+        lo = -d if d <= n else (d - n) % 2 - n
+        hi = d if d <= m else m - (d - m) % 2
+        for v in range(lo + offset, hi + offset + 1, 2):
+            k = v - offset
+            row = reach[v]
+            deleted = reach[v + 1] + 1
+            if row < deleted <= n:
+                row = deleted
+            inserted = reach[v - 1]
+            if inserted > row and inserted + k <= m:
+                row = inserted
+            if row < 0:
+                continue
+            limit = min(n, m - k)
+            if row < limit and a[row] == b[row + k]:
+                snake = _run(a, b, row, row + k, limit - row)
+                steps += snake
+                row += snake
+            reach[v] = row
+        steps += (hi - lo) // 2 + 1
+        rounds.append((lo, reach[lo + offset : hi + offset + 1 : 2]))
+        if reach[end] == n:
+            return rounds, d
+        if steps > budget:
+            return None, max(d + 1, edits_at_least)
+    raise AssertionError("round n + m reaches (n, m)")
+
+
+def _backtrack_greedy(rounds: list, a, b, rev: bytearray) -> tuple:
+    """Walk from (n, m) to the first row or column under the documented
+    tie-break, appending ops to ``rev`` in reverse; returns where the walk
+    stopped.
+
+    A match keeps Dist. At a mismatch the cells above and to the left have
+    Dist one below or one above the current cell's, and at least one is
+    below, so two reads of the previous round decide the edit.
+    """
+    n, m = i, j = len(a), len(b)
+    a_back, b_back = a[::-1], b[::-1]  # a run of matches back from (i, j) is a run forward here
+    d = len(rounds) - 1
+    while i > 0 and j > 0:
+        if a[i - 1] == b[j - 1]:
+            run = _run(a_back, b_back, n - i, m - j, min(i, j))
+            rev += bytes([OP_MATCH]) * run
+            i -= run
+            j -= run
+            continue
+        lo, reach = rounds[d - 1]
+        left = (j - i - 1 - lo) // 2  # (i, j - 1); (i - 1, j) is on the next diagonal
+        left_ok = 0 <= left < len(reach) and reach[left] >= i
+        up_ok = -1 <= left < len(reach) - 1 and reach[left + 1] >= i - 1
+        if up_ok and (not left_ok or a[i - 1] < b[j - 1]):
+            rev.append(OP_DELETE)
+            i -= 1
+        else:
+            rev.append(OP_INSERT)
+            j -= 1
+        d -= 1
+    return i, j
 
 
 def _band_table(a: np.ndarray, b: np.ndarray, kmin: int, kmax: int) -> tuple:
@@ -164,24 +252,21 @@ def _band_table(a: np.ndarray, b: np.ndarray, kmin: int, kmax: int) -> tuple:
     return band, lo, start
 
 
-def _lcs_band(a: np.ndarray, b: np.ndarray) -> tuple:
+def _lcs_band(a: np.ndarray, b: np.ndarray, edits_at_least: int) -> tuple:
     """A band of the LCS table that holds every optimal edit path.
 
     A path through diagonal k = j - i makes at least |k| + |delta - k|
     edits, so with e edits on an optimal path every optimal path stays
     within (e - |delta|) / 2 diagonals of the strip between 0 and delta.
-    The half-width starts at the bound that the code counts give. A band's
-    own edit count is an upper bound on e: once it fits the half-width the
-    band is exact. Otherwise the next pass takes that bound as its
+    The half-width starts at the bound that ``edits_at_least``, a lower
+    bound on e, gives. A band's own edit count is an upper bound on e: once
+    it fits the half-width the band is exact. Otherwise the next pass takes that bound as its
     half-width when it is at most 8 times the current one, and grows 4
     times (to at least _MIN_REGROW) when it is not.
     """
     n, m = a.shape[0], b.shape[0]
     delta = m - n
-    _, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
-    surplus = np.bincount(inverse[:n], minlength=inverse.max() + 1)
-    surplus -= np.bincount(inverse[n:], minlength=surplus.shape[0])
-    width = max(1, (int(np.abs(surplus).sum()) - abs(delta)) // 2)
+    width = max(1, (edits_at_least - abs(delta)) // 2)
     while True:
         kmin, kmax = min(0, delta) - width, max(0, delta) + width
         band, lo, start = _band_table(a, b, kmin, kmax)
@@ -193,24 +278,25 @@ def _lcs_band(a: np.ndarray, b: np.ndarray) -> tuple:
         width = slack if slack <= 8 * width else max(4 * width, _MIN_REGROW)
 
 
-def _backtrack_middle(a: np.ndarray, b: np.ndarray, rev: bytearray) -> tuple:
+def _backtrack_band(
+    a: np.ndarray, b: np.ndarray, a_keys, b_keys, rev: bytearray, edits_at_least: int
+) -> tuple:
     """Walk the band from (n, m) to the first row or column, appending ops
-    to ``rev`` in reverse; returns where the walk stopped."""
+    to ``rev`` in reverse; returns where the walk stopped. ``a`` and ``b``
+    hold equality codes of the keys ``a_keys`` and ``b_keys``, and
+    ``edits_at_least`` is a lower bound on their edit count (0 always is)."""
     i, j = a.shape[0], b.shape[0]
-    if i == 0 or j == 0:
-        return i, j
-    band, lo, start = _lcs_band(a, b)
+    band, lo, start = _lcs_band(a, b, edits_at_least)
     a, b = a.tolist(), b.tolist()
     while i > 0 and j > 0:
-        x, y = a[i - 1], b[j - 1]
-        if x == y:
+        if a[i - 1] == b[j - 1]:
             rev.append(OP_MATCH)
             i -= 1
             j -= 1
             continue
         up = band[start[i - 1] + 1 + j - lo[i - 1]]
         left = band[start[i] + j - lo[i]]
-        if up > left or (up == left and x < y):
+        if up > left or (up == left and a_keys[i - 1] < b_keys[j - 1]):
             rev.append(OP_DELETE)
             i -= 1
         else:
@@ -219,33 +305,58 @@ def _backtrack_middle(a: np.ndarray, b: np.ndarray, rev: bytearray) -> tuple:
     return i, j
 
 
-def lcs_ops(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-    """Minimal LCS edit script between two int code sequences.
+def _backtrack_middle(a: list, b: list, rev: bytearray) -> tuple:
+    """Walk the middle from (n, m) to the first row or column, appending
+    ops to ``rev`` in reverse; returns where the walk stopped.
+
+    A first greedy pass on a small budget settles the common case, few
+    edits for the length, before the keys are coded. Past it, the line
+    counts bound the edit count from below: what one side holds of a key
+    beyond the other's count must be deleted or inserted. A second greedy
+    pass runs on the full budget unless that bound shows it too small, and
+    the band walks the rest.
+    """
+    if not a or not b:
+        return len(a), len(b)
+    rounds, edits = _greedy_rounds(a, b, 0, _PROBE_STEPS_PER_LINE)
+    if rounds is None:
+        code_of = dict(zip(dict.fromkeys(chain(a, b)), count()))
+        a_codes, b_codes = (
+            np.fromiter(map(code_of.__getitem__, keys), np.int64, len(keys)) for keys in (a, b)
+        )
+        counts = [np.bincount(codes, minlength=len(code_of)) for codes in (a_codes, b_codes)]
+        edits = max(edits, int(np.abs(counts[0] - counts[1]).sum()))
+        rounds, edits = _greedy_rounds(a, b, edits, _GREEDY_STEPS_PER_LINE)
+        if rounds is None:
+            return _backtrack_band(a_codes, b_codes, a, b, rev, edits)
+    return _backtrack_greedy(rounds, a, b, rev)
+
+
+def lcs_ops(a_keys, b_keys) -> np.ndarray:
+    """Minimal LCS edit script between two sequences of ordered keys.
 
     Returns an int8 array over OP_MATCH / OP_DELETE / OP_INSERT in forward
-    order; matches + deletes consume ``a_codes``, matches + inserts consume
-    ``b_codes``. The script equals the backtrack over the full LCS table
+    order; matches + deletes consume ``a_keys``, matches + inserts consume
+    ``b_keys``. The script equals the backtrack over the full LCS table
     from (n, m) under the tie-break in the module docstring.
     """
-    a = np.ascontiguousarray(a_codes, dtype=np.int64)
-    b = np.ascontiguousarray(b_codes, dtype=np.int64)
+    a_keys, b_keys = list(a_keys), list(b_keys)
     # The backtrack matches greedily from the end, so the common suffix is
     # its first steps.
-    suffix = _common_prefix(a[::-1], b[::-1])
-    n, m = a.shape[0] - suffix, b.shape[0] - suffix
+    suffix = _run(a_keys[::-1], b_keys[::-1], 0, 0, min(len(a_keys), len(b_keys)))
+    n, m = len(a_keys) - suffix, len(b_keys) - suffix
     rev = bytearray([OP_MATCH]) * suffix
     # With a common prefix of length p, the table past row p and column p is
-    # p plus the table of the middle, so the middle's band decides the walk
-    # there.
-    p = _common_prefix(a[:n], b[:m])
-    i, j = _backtrack_middle(a[p:n], b[p:m], rev)
+    # p plus the table of the middle, so the middle's edit paths decide the
+    # walk there.
+    p = _run(a_keys, b_keys, 0, 0, min(n, m))
+    i, j = _backtrack_middle(a_keys[p:n], b_keys[p:m], rev)
     i, j = i + p, j + p
     # The rest lies where i <= p or j <= p, in which dp(i, j) = min(i, j):
     # up = min(i - 1, j) and left = min(i, j - 1), so off the diagonal a
     # mismatch always moves toward it, and on the diagonal the rest matches.
-    a_head, b_head = a[:i].tolist(), b[:j].tolist()
     while i > 0 and j > 0 and i != j:
-        if a_head[i - 1] == b_head[j - 1]:
+        if a_keys[i - 1] == b_keys[j - 1]:
             rev.append(OP_MATCH)
             i -= 1
             j -= 1
@@ -268,8 +379,7 @@ def line_diff(old_text: str, new_text: str, hunk_prefix: str = "h") -> list:
         return []
     old_lines = old_text.split("\n")
     new_lines = new_text.split("\n")
-    a, b = _codes(old_lines, new_lines)
-    ops = lcs_ops(a, b)
+    ops = lcs_ops(list(map(str.rstrip, old_lines)), list(map(str.rstrip, new_lines)))
 
     # hunks are the maximal runs of non-match ops; the cumulative op counts
     # give each run's line spans
@@ -374,33 +484,46 @@ def index_change_record(
 
 def record_from_entry(entry) -> ChangeRecord:
     """Rebuild a change record from its vector index entry."""
-    md = entry.metadata
+    return _record(entry.key, entry.metadata, entry.text, parse_version)
+
+
+def _record(key: str, md: dict, text: str, label) -> ChangeRecord:
+    """The change record that index_change_record stored under ``key``;
+    ``label`` turns a raw version string into its VersionLabel."""
     evidence = md.get("evidence", "")
     return ChangeRecord(
-        id=entry.key,
+        id=key,
         document=md["document"],
-        from_version=None if not md.get("from_version") else parse_version(md["from_version"]),
-        to_version=parse_version(md["to_version"]),
+        from_version=None if not md.get("from_version") else label(md["from_version"]),
+        to_version=label(md["to_version"]),
         kind=ChangeKind(md["record_kind"]),
-        description=entry.text,
+        description=text,
         origin=ChangeOrigin(md["origin"]),
         evidence=evidence.split(",") if evidence else [],
     )
 
 
 def indexed_records(vector_index: VectorIndex) -> dict:
-    """Change records already in the index, grouped by extraction unit."""
+    """Change records already in the index, grouped by extraction unit.
+
+    Reads no vectors, and parses each distinct version label once.
+    """
+    labels: dict = {}
+
+    def label(raw: str) -> VersionLabel:
+        if raw not in labels:
+            labels[raw] = parse_version(raw)
+        return labels[raw]
+
     grouped: dict = {}
-    for key in vector_index.keys():
-        entry = vector_index.get(key)
-        md = entry.metadata
+    for key, md, text in vector_index.rows():
         if md.get("origin") == "explicit":
             bucket = ("explicit", md["document"], md.get("source", ""))
         elif md.get("origin") == "implicit":
             bucket = ("implicit", md["document"], md.get("from_version", ""), md["to_version"])
         else:
             continue
-        grouped.setdefault(bucket, []).append(record_from_entry(entry))
+        grouped.setdefault(bucket, []).append(_record(key, md, text, label))
     for records in grouped.values():
         records.sort(key=lambda r: r.id)
     return grouped

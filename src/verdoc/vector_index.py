@@ -210,6 +210,15 @@ class VectorIndex:
                 return None
             return self._entry(row)
 
+    def rows(self) -> list:
+        """(key, metadata, text) of every entry in insertion order, without
+        the vectors; the metadata dicts are copies."""
+        with self._lock:
+            return [
+                (key, dict(metadata), text)
+                for key, metadata, text in zip(self._keys, self._metadata, self._texts)
+            ]
+
     def _entry(self, row: int) -> IndexEntry:
         return IndexEntry(
             key=self._keys[row],

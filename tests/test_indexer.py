@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from verdoc import prompts
-from verdoc.changes import record_from_entry
+from verdoc.changes import indexed_records, record_from_entry
 from verdoc.engine import Engine
 from verdoc.errors import (
     AttributeExtractionError,
@@ -319,6 +319,23 @@ class TestIndexDocuments:
         assert sorted(change_keys) == sorted(r.id for r in records)
         for record in records:
             assert record_from_entry(index.get(record.id)) == record
+
+    def test_indexed_records_rebuild_every_record_without_reading_vectors(
+        self, gateway, monkeypatch
+    ):
+        index = VectorIndex(dimension=DIMENSION)
+        records = index_documents(self.documents(), gateway, index).graph.change_records()
+
+        def no_get(self, key):
+            raise AssertionError("indexed_records copied an entry's vector")
+
+        monkeypatch.setattr(VectorIndex, "get", no_get)
+        grouped = indexed_records(index)
+        rebuilt = sorted((r for group in grouped.values() for r in group), key=lambda r: r.id)
+        assert rebuilt == sorted(records, key=lambda r: r.id)
+        assert [r.to_version.raw for r in rebuilt] == [
+            r.to_version.raw for r in sorted(records, key=lambda r: r.id)
+        ]
 
     def test_usage_accounted(self, gateway):
         index = VectorIndex(dimension=DIMENSION)

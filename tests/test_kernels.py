@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import verdoc.changes
 from verdoc.changes import (
     OP_DELETE,
     OP_INSERT,
     OP_MATCH,
+    _GREEDY_STEPS_PER_LINE,
+    _backtrack_band,
+    _backtrack_greedy,
     _band_table,
-    _codes,
+    _greedy_rounds,
+    apply_hunks,
     lcs_ops,
     line_diff,
 )
@@ -180,13 +185,10 @@ def _edited_line_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(pair=st.one_of(st.tuples(*[st.lists(_LINES, max_size=40)] * 2), _edited_line_pairs()))
-def test_codes_ranking_the_middle_give_the_same_ops(pair):
+def test_stripped_lines_give_the_ops_of_their_ranks(pair):
     old, new = pair
-    a, b = _codes(old, new)
-    stripped = [line.rstrip() for line in old + new]
-    codes = np.concatenate([a, b]).tolist()
-    assert all((x == y) == (cx == cy) for x, cx in zip(stripped, codes) for y, cy in zip(stripped, codes))
-    assert lcs_ops(a, b).tolist() == lcs_ops(*codes_ranking_every_line(old, new)).tolist()
+    stripped = [line.rstrip() for line in old], [line.rstrip() for line in new]
+    assert lcs_ops(*stripped).tolist() == lcs_ops(*codes_ranking_every_line(old, new)).tolist()
 
 
 def test_prefix_walk_keeps_tie_break():
@@ -241,3 +243,89 @@ def test_long_pair_diffs_in_bounded_memory():
     hunks, peak = _peak_mb(line_diff, old, new)
     assert 1 <= len(hunks) <= 20
     assert peak < 50.0, f"peak {peak:.1f} MB"
+
+
+def test_few_edits_never_fill_the_band(monkeypatch):
+    filled = []
+
+    def spy(*args):
+        filled.append(args)
+        return _band_table(*args)
+
+    monkeypatch.setattr(verdoc.changes, "_band_table", spy)
+    old, new = _edited_pair(6000, 10, seed=3)
+    hunks = line_diff(old, new)
+    assert apply_hunks(old, hunks) == new
+    assert filled == []
+
+    rewritten = "\n".join(f"rewritten line {i}" for i in range(6000))
+    assert apply_hunks(old, line_diff(old, rewritten)) == rewritten
+    assert filled
+
+
+@st.composite
+def _long_edited_copies(draw):
+    """A page of 300-2000 lines from a small vocabulary and an edited copy,
+    so many lines repeat and the tie-break decides between optimal paths."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocabulary = draw(st.integers(2, 50))
+    old = [f"l{x}" for x in rng.integers(0, vocabulary, draw(st.integers(300, 2000)))]
+    new = list(old)
+    for _ in range(draw(st.integers(1, 12))):
+        at = int(rng.integers(0, len(new) + 1))
+        added = [f"l{x}" for x in rng.integers(0, vocabulary + 3, int(rng.integers(0, 4)))]
+        new[at : at + int(rng.integers(0, 4))] = added
+    return (old, new) if draw(st.booleans()) else (new, old)
+
+
+def band_walk(a, b):
+    """The band's walk over the whole pair, without trimming: the oracle for
+    the greedy walk on inputs too large for ``reference_ops``."""
+    codes = {}
+    a_codes, b_codes = (np.array([codes.setdefault(x, len(codes)) for x in seq]) for seq in (a, b))
+    rev = bytearray()
+    i, j = _backtrack_band(a_codes, b_codes, a, b, rev, 0)
+    return rev, i, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_long_edited_copies())
+def test_greedy_walk_equals_band_walk(pair):
+    old, new = pair
+    rounds, edits = _greedy_rounds(old, new, 0, _GREEDY_STEPS_PER_LINE)
+    assert rounds is not None
+    rev = bytearray()
+    assert (rev, *_backtrack_greedy(rounds, old, new, rev)) == band_walk(old, new)
+    assert rev.count(OP_DELETE) + rev.count(OP_INSERT) <= edits
+    if len(old) <= 400:
+        assert lcs_ops(old, new).tolist() == reference_ops(old, new)
+
+
+# the band kernel alone peaked at 18.4 MB on these shapes (tracemalloc,
+# Python 3.11); the bound leaves 9% above that for the greedy pass
+WORST_CASE_PEAK_MB = 20.0
+
+
+def _worst_case_pair(shape, lines=3000):
+    old = [f"old line {i}" for i in range(lines)]
+    unrelated = [f"new line {i}" for i in range(lines)]
+
+    def blank_every_5th(page):
+        return [line if i % 5 else "" for i, line in enumerate(page)]
+
+    return {
+        "unrelated": (old, unrelated),
+        "unrelated-blank-every-5th": (blank_every_5th(old), blank_every_5th(unrelated)),
+        "halves-swapped": (old, old[lines // 2 :] + old[: lines // 2]),
+        "reversed": (old, old[::-1]),
+    }[shape]
+
+
+@pytest.mark.parametrize(
+    "shape", ["unrelated", "unrelated-blank-every-5th", "halves-swapped", "reversed"]
+)
+def test_worst_cases_diff_in_bounded_memory(shape):
+    old, new = ("\n".join(page) for page in _worst_case_pair(shape))
+    hunks, peak = _peak_mb(line_diff, old, new)
+    assert apply_hunks(old, hunks) == new
+    assert peak < WORST_CASE_PEAK_MB, f"peak {peak:.1f} MB"

@@ -387,6 +387,17 @@ def test_writes_into_handed_out_vectors_change_no_row(tmp_path, source):
     assert observed("after") == before
 
 
+def test_rows_read_every_entry_but_its_vector():
+    index = VectorIndex(dimension=2)
+    index.insert(entry("b", [1.0, 0.0], {"origin": "content"}, text="first"))
+    index.insert(entry("a", [0.0, 1.0], {"origin": "implicit"}, text="second"))
+    index.insert(entry("b", [0.5, 0.5], {"origin": "explicit"}, text="upserted"))
+    rows = index.rows()
+    assert rows == [("b", {"origin": "explicit"}, "upserted"), ("a", {"origin": "implicit"}, "second")]
+    rows[0][1]["origin"] = "changed"
+    assert index.get("b").metadata == {"origin": "explicit"}
+
+
 class TestPersistence:
     def build(self):
         rng = np.random.default_rng(9)
