@@ -27,8 +27,9 @@ diff(a, b) and diff(b, a) pick mirrored paths.
 
 Implicit records come from diffing adjacent version texts and summarizing
 the hunks in one completion per version pair; explicit records come from
-one completion over a changelog document. ``index_change_record`` and
-``record_from_entry`` write and read a record's vector index entry.
+one completion over a changelog document; an explicit record's id carries
+the ``source_tag`` of its changelog file. A record is stored once, as a
+node of the version graph.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import ExplicitExtractionError, SchemaViolationError
 from .gateway import CompletionRequest, Gateway, ResponseSchema, parse_json_reply
 from .graph import ChangeKind, ChangeOrigin, ChangeRecord
 from .ingestion import RawDocument
-from .vector_index import IndexEntry, VectorIndex
 from .versions import VersionLabel, compare_versions, parse_version
 
 logger = logging.getLogger(__name__)
@@ -448,85 +448,9 @@ def deterministic_description(hunk: DiffHunk) -> str:
     return ""
 
 
-def index_change_record(
-    record: ChangeRecord,
-    description_vector,
-    vector_index: VectorIndex,
-    category: str,
-    source: str = "",
-) -> None:
-    """Insert a change record into the vector index.
-
-    The metadata carries every record field (evidence comma-joined) plus
-    the source file for explicit records, so a record can be rebuilt from
-    its entry without re-running extraction.
-    """
-    metadata = {
-        "category": category,
-        "document": record.document,
-        "version": record.to_version.raw,
-        "to_version": record.to_version.raw,
-        "from_version": "" if record.from_version is None else record.from_version.raw,
-        "origin": record.origin.value,
-        "record_kind": record.kind.value,
-        "evidence": ",".join(record.evidence),
-        "source": source,
-    }
-    vector_index.insert(
-        IndexEntry(
-            key=record.id,
-            vector=description_vector,
-            metadata=metadata,
-            text=record.description,
-        )
-    )
-
-
-def record_from_entry(entry) -> ChangeRecord:
-    """Rebuild a change record from its vector index entry."""
-    return _record(entry.key, entry.metadata, entry.text, parse_version)
-
-
-def _record(key: str, md: dict, text: str, label) -> ChangeRecord:
-    """The change record that index_change_record stored under ``key``;
-    ``label`` turns a raw version string into its VersionLabel."""
-    evidence = md.get("evidence", "")
-    return ChangeRecord(
-        id=key,
-        document=md["document"],
-        from_version=None if not md.get("from_version") else label(md["from_version"]),
-        to_version=label(md["to_version"]),
-        kind=ChangeKind(md["record_kind"]),
-        description=text,
-        origin=ChangeOrigin(md["origin"]),
-        evidence=evidence.split(",") if evidence else [],
-    )
-
-
-def indexed_records(vector_index: VectorIndex) -> dict:
-    """Change records already in the index, grouped by extraction unit.
-
-    Reads no vectors, and parses each distinct version label once.
-    """
-    labels: dict = {}
-
-    def label(raw: str) -> VersionLabel:
-        if raw not in labels:
-            labels[raw] = parse_version(raw)
-        return labels[raw]
-
-    grouped: dict = {}
-    for key, md, text in vector_index.rows():
-        if md.get("origin") == "explicit":
-            bucket = ("explicit", md["document"], md.get("source", ""))
-        elif md.get("origin") == "implicit":
-            bucket = ("implicit", md["document"], md.get("from_version", ""), md["to_version"])
-        else:
-            continue
-        grouped.setdefault(bucket, []).append(_record(key, md, text, label))
-    for records in grouped.values():
-        records.sort(key=lambda r: r.id)
-    return grouped
+def source_tag(source_path: str) -> str:
+    """The tag of a changelog file that its explicit records' ids carry, as ``#x<tag>-``."""
+    return hashlib.sha1(source_path.encode("utf-8")).hexdigest()[:8]
 
 
 def extract_implicit_changes(document: str, prev: tuple, nxt: tuple, gateway: Gateway) -> list:
@@ -635,7 +559,7 @@ def extract_explicit_changes(
         raise ExplicitExtractionError(
             f"changelog extraction failed for {changelog.source_path}: {exc}"
         ) from exc
-    source_tag = hashlib.sha1(changelog.source_path.encode("utf-8")).hexdigest()[:8]
+    tag = source_tag(changelog.source_path)
     records = []
     for item in data["changes"]:
         raw_version = item.get("version")
@@ -647,7 +571,7 @@ def extract_explicit_changes(
         label = parse_version(str(raw_version))
         records.append(
             ChangeRecord(
-                id=f"change:{document}@{label.raw}#x{source_tag}-{len(records):04d}",
+                id=f"change:{document}@{label.raw}#x{tag}-{len(records):04d}",
                 document=document,
                 from_version=None,
                 to_version=label,

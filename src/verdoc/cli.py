@@ -182,7 +182,7 @@ def eval_command(ctx, dataset, index_dir, judge_mode, report_path):
 @click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.pass_context
 def validate(ctx, index_dir):
-    """Run the graph validator over an index."""
+    """Check the graph's invariants and that graph and vector index agree."""
     engine = _engine(ctx, index_dir)
     problems = engine.validate()
     if problems:

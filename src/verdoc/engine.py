@@ -84,4 +84,18 @@ class Engine:
         return self.graph.changes_between(doc.id, frm, to)
 
     def validate(self) -> list:
-        return self.graph.validate()
+        """The graph's invariant violations, then every mismatch between the
+        graph and the vector index: a content ref or change record without
+        an entry, and an entry that nothing in the graph references."""
+        problems = self.graph.validate()
+        for ref in self.graph.content_refs():
+            if ref.key not in self.index:
+                problems.append(f"content ref {ref.id}: no vector entry {ref.key!r}")
+        for record in self.graph.change_records():
+            if record.id not in self.index:
+                problems.append(f"change {record.id}: no vector entry")
+        referenced = self.graph.index_keys()
+        for key in self.index.keys():
+            if key not in referenced:
+                problems.append(f"vector entry {key!r}: referenced by no content ref or change")
+        return problems

@@ -26,6 +26,7 @@ may run from any thread.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import threading
@@ -453,6 +454,11 @@ class VersionGraph:
     def content_refs(self) -> list[ContentRefNode]:
         return list(self._by_kind[ContentRefNode].values())
 
+    def index_keys(self) -> set:
+        """The vector-index keys the graph references: each content ref's key
+        and each change record's id."""
+        return {ref.key for ref in self.content_refs()} | set(self._by_kind[ChangeRecord])
+
     # --- validation ---------------------------------------------------------
 
     _EDGE_LEVELS = {
@@ -590,7 +596,8 @@ class VersionGraph:
         return data
 
     @staticmethod
-    def _node_from_dict(data: dict) -> Node:
+    def _node_from_dict(data: dict, label=parse_version) -> Node:
+        """The node ``_node_to_dict`` wrote; ``label`` parses a raw version label."""
         kind = NodeKind(data["node_kind"])
         if kind is NodeKind.CATEGORY:
             return CategoryNode(id=data["id"], name=data["name"])
@@ -600,7 +607,7 @@ class VersionGraph:
             return VersionNode(
                 id=data["id"],
                 document=data["document"],
-                label=parse_version(data["label"]),
+                label=label(data["label"]),
                 synthetic=bool(data.get("synthetic", False)),
             )
         if kind is NodeKind.CONTENT_REF:
@@ -615,9 +622,9 @@ class VersionGraph:
             id=data["id"],
             document=data["document"],
             from_version=(
-                None if data.get("from_version") is None else parse_version(data["from_version"])
+                None if data.get("from_version") is None else label(data["from_version"])
             ),
-            to_version=parse_version(data["to_version"]),
+            to_version=label(data["to_version"]),
             kind=ChangeKind(data["kind"]),
             description=data["description"],
             origin=ChangeOrigin(data["origin"]),
@@ -642,28 +649,54 @@ class VersionGraph:
     def from_dict(cls, data: dict) -> "VersionGraph":
         graph = cls()
         try:
-            version = data["format_version"]
-            if version != FORMAT_VERSION:
-                raise VersionMismatchError(
-                    f"unsupported graph format_version {version!r} (expected {FORMAT_VERSION})"
-                )
-            for node_data in data["nodes"]:
+            for node_data in _nodes(data):
                 graph._add_node(cls._node_from_dict(node_data))
             for edge_data in data["edges"]:
                 graph._add_edge(edge_data["from"], EdgeKind(edge_data["kind"]), edge_data["to"])
-        except VersionMismatchError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"malformed graph payload: {exc}") from exc
         return graph
 
     @classmethod
     def load(cls, path) -> "VersionGraph":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptFileError(f"cannot read graph file {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CorruptFileError(f"graph file {path} does not hold an object")
-        return cls.from_dict(data)
+        return cls.from_dict(_read(path))
+
+
+def load_change_records(path) -> list[ChangeRecord]:
+    """The change records of the graph file at ``path``, in id order.
+
+    Decodes no other node and builds no graph, and parses each distinct
+    version label once, so reading a previous index's records stays cheap.
+    """
+    data = _read(path)
+    label = functools.cache(parse_version)
+    change = NodeKind.CHANGE.value
+    try:
+        return [
+            VersionGraph._node_from_dict(node, label)
+            for node in _nodes(data)
+            if node["node_kind"] == change
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFileError(f"malformed graph payload: {exc}") from exc
+
+
+def _read(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CorruptFileError(f"cannot read graph file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CorruptFileError(f"graph file {path} does not hold an object")
+    return data
+
+
+def _nodes(data: dict) -> list:
+    """The node payloads of a graph file of this format."""
+    version = data["format_version"]
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(
+            f"unsupported graph format_version {version!r} (expected {FORMAT_VERSION})"
+        )
+    return data["nodes"]

@@ -9,8 +9,12 @@ twice.
 
 Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
-cached next to the index, and already-present chunks are skipped by
-(document, version, ordinal) key.
+cached next to the index, already-present chunks are skipped by
+(document, version, ordinal) key, and the change records of the previous
+graph are reused per changelog file and per version pair. A run ends with
+the graph as the one record of what the index holds: the vector entries
+it does not reference and the cached attributes of files no longer in
+the corpus are dropped.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import prompts
 from .changes import (
     extract_explicit_changes,
     extract_implicit_changes,
-    index_change_record,
-    indexed_records,
+    source_tag,
 )
 from .errors import (
     AttributeExtractionError,
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .fileio import write_atomic
 from .gateway import CompletionRequest, Gateway, ResponseSchema, TokenUsage, parse_json_reply
-from .graph import VersionGraph
+from .graph import ChangeOrigin, VersionGraph, load_change_records
 from .ingestion import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
@@ -371,7 +374,6 @@ def index_content(
                         "category": category.name,
                         "document": group.document_id,
                         "version": version,
-                        "ordinal": str(chunk.ordinal),
                         "origin": "content",
                     },
                     text=chunk.text,
@@ -389,41 +391,45 @@ def extract_changes(
     catalog: CorpusCatalog,
     gateway: Gateway,
     vector_index: VectorIndex,
+    previous: Iterable = (),
 ) -> int:
     """Explicit records for changelog documents, implicit diffs elsewhere.
 
-    Work already present in the vector index is not re-extracted: records
-    are rebuilt from their entries and re-attached to the (fresh) graph, so
-    re-runs spend no completion tokens on changes.
+    ``previous`` holds the change records of an earlier run. A changelog
+    file or version pair that has records there is not re-extracted: its
+    records are re-attached to the (fresh) graph, so re-runs spend no
+    completion tokens on changes. An explicit record's from-version is
+    derived again from the new chain, so a changelog file that is gone
+    leaves no stale pair behind.
     """
-    indexed = indexed_records(vector_index)
+    reusable: dict = {}
+    for record in previous:
+        reusable.setdefault(_extraction_unit(record), []).append(record)
     total = 0
-    for category, group in catalog.all_groups():
+    for _, group in catalog.all_groups():
         document_id = group.document_id
         text_of = {vid: doc.text for (doc, _), vid in zip(group.members, group.version_ids)}
         if group.is_changelog:
             for doc, attrs in group.members:
                 if attrs.doc_type != "changelog":
                     continue
-                existing = indexed.get(("explicit", document_id, doc.source_path))
+                existing = reusable.get((document_id, source_tag(doc.source_path)))
                 if existing:
-                    _attach_records(
-                        graph, vector_index, gateway, existing, category.name, doc.source_path
-                    )
+                    # in extraction order, each from-version derived as for a fresh record
+                    existing.sort(key=lambda r: int(r.id.rpartition("-")[2]))
+                    for record in existing:
+                        record.from_version = None
+                    _attach_records(graph, vector_index, gateway, existing)
                     continue
                 records = extract_explicit_changes(doc, attrs, document_id, gateway)
-                total += _attach_records(
-                    graph, vector_index, gateway, records, category.name, doc.source_path
-                )
+                total += _attach_records(graph, vector_index, gateway, records)
         else:
             for prev_node, next_node in graph.version_pairs(document_id):
                 if prev_node.id not in text_of or next_node.id not in text_of:
                     continue
-                existing = indexed.get(
-                    ("implicit", document_id, prev_node.label.raw, next_node.label.raw)
-                )
+                existing = reusable.get((document_id, prev_node.label.raw, next_node.label.raw))
                 if existing:
-                    _attach_records(graph, vector_index, gateway, existing, category.name)
+                    _attach_records(graph, vector_index, gateway, existing)
                     continue
                 records = extract_implicit_changes(
                     document_id,
@@ -431,17 +437,21 @@ def extract_changes(
                     (next_node.label, text_of[next_node.id]),
                     gateway,
                 )
-                total += _attach_records(graph, vector_index, gateway, records, category.name)
+                total += _attach_records(graph, vector_index, gateway, records)
     return total
 
 
+def _extraction_unit(record) -> tuple:
+    """What a record was extracted from: (document, changelog source tag) for
+    an explicit record, (document, from, to) for an implicit one."""
+    if record.origin is ChangeOrigin.EXPLICIT:
+        return record.document, record.id.rpartition("#x")[2].partition("-")[0]
+    from_raw = "" if record.from_version is None else record.from_version.raw
+    return record.document, from_raw, record.to_version.raw
+
+
 def _attach_records(
-    graph: VersionGraph,
-    vector_index: VectorIndex,
-    gateway: Gateway,
-    records: list,
-    category: str,
-    source: str = "",
+    graph: VersionGraph, vector_index: VectorIndex, gateway: Gateway, records: list
 ) -> int:
     chains: dict = {}  # document id -> versions_of, read again only after add_version
     pending = []
@@ -471,7 +481,9 @@ def _attach_records(
     if pending:
         vectors = gateway.embed([record.description for record in pending])
         for record, vector in zip(pending, vectors):
-            index_change_record(record, vector, vector_index, category, source)
+            # the record lives in the graph; its entry holds what a change search filters on
+            metadata = {"document": record.document, "origin": record.origin.value}
+            vector_index.insert(IndexEntry(record.id, vector, metadata, text=""))
     return len(pending)
 
 
@@ -486,21 +498,32 @@ def index_documents(
     overlap: int = CHUNK_OVERLAP,
     page_tokens: int = PAGE_TOKENS,
     attribute_cache: Optional[dict] = None,
+    change_records: Iterable = (),
 ) -> IndexSummary:
-    """Run the five steps over already-loaded documents."""
+    """Run the five steps over already-loaded documents.
+
+    ``attribute_cache`` maps a file's path:hash to its extracted attributes
+    and keeps only the files of ``documents``; ``change_records`` are an
+    earlier run's records, reused where their source is unchanged. The
+    vector entries the new graph does not reference are dropped.
+    """
     usage_before = gateway.usage()
     attrs = []
     step = "attributes"
     try:
-        for doc in documents:
-            cached = None if attribute_cache is None else attribute_cache.get(_cache_key(doc))
+        cache_keys = [_cache_key(doc) for doc in documents]
+        for doc, key in zip(documents, cache_keys):
+            cached = None if attribute_cache is None else attribute_cache.get(key)
             if cached is not None:
                 attrs.append((doc, DocumentAttributes.from_dict(cached)))
                 continue
             extracted = extract_attributes(doc, gateway, page_tokens=page_tokens)
             attrs.append((doc, extracted))
             if attribute_cache is not None:
-                attribute_cache[_cache_key(doc)] = extracted.to_dict()
+                attribute_cache[key] = extracted.to_dict()
+        if attribute_cache is not None:
+            for stale in attribute_cache.keys() - set(cache_keys):
+                del attribute_cache[stale]
         step = "clustering"
         catalog = cluster_documents(attrs, gateway)
         step = "graph"
@@ -510,12 +533,14 @@ def index_documents(
             graph, catalog, gateway, vector_index, chunk_size=chunk_size, overlap=overlap
         )
         step = "changes"
-        changes = extract_changes(graph, catalog, gateway, vector_index)
+        changes = extract_changes(graph, catalog, gateway, vector_index, change_records)
         graph.validate_strict()
     except VerdocError as exc:
         if isinstance(exc, IndexingError):
             raise
         raise IndexingError(step, exc) from exc
+    referenced = graph.index_keys()
+    vector_index.drop([key for key in vector_index.keys() if key not in referenced])
     return IndexSummary(
         graph=graph,
         chunks=chunks,
@@ -543,11 +568,12 @@ def index_corpus(
 ) -> IndexSummary:
     """Index a corpus directory and persist graph, vectors and summary.
 
-    When ``out_dir`` already holds an index, its vector entries and cached
-    attributes are reused: unchanged corpora re-index to an identical
-    state without re-spending completion tokens. An unreadable vector index
-    (an older format, or one torn by a crash) is rebuilt in full.
-    Every file is replaced atomically.
+    When ``out_dir`` already holds an index, its vector entries, cached
+    attributes and change records are reused: unchanged corpora re-index
+    to an identical state without re-spending completion tokens. An
+    unreadable vector index (an older format, or one torn by a crash) is
+    re-embedded in full, and an unreadable graph has its changes
+    re-extracted. Every file is replaced atomically.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -560,6 +586,13 @@ def index_corpus(
             vector_index = VectorIndex.load(index_path)
         except CorruptFileError as exc:
             logger.warning("re-embedding every entry; unreadable vector index: %s", exc)
+    graph_path = out / GRAPH_FILE
+    change_records: list = []
+    if graph_path.exists():
+        try:
+            change_records = load_change_records(graph_path)
+        except CorruptFileError as exc:
+            logger.warning("re-extracting every change; unreadable graph: %s", exc)
     cache_path = out / ATTRIBUTES_FILE
     attribute_cache: dict = {}
     if cache_path.exists():
@@ -576,9 +609,10 @@ def index_corpus(
         overlap=overlap,
         page_tokens=page_tokens,
         attribute_cache=attribute_cache,
+        change_records=change_records,
     )
 
-    summary.graph.save(out / GRAPH_FILE)
+    summary.graph.save(graph_path)
     vector_index.save(index_path)
     for path, data in ((cache_path, attribute_cache), (out / SUMMARY_FILE, summary.to_dict())):
         write_atomic(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))

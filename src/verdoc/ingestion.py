@@ -1,7 +1,6 @@
 """Corpus loading, token counting, first-page and outline extraction, chunking.
 
-The default token is whitespace-delimited; a different tokenizer can be
-passed anywhere a token count matters. Chunk windows are defined over the
+A token is a whitespace-delimited word. Chunk windows are defined over the
 token sequence, so rejoining chunk tokens (dropping each chunk's leading
 overlap) reproduces the document's token sequence exactly.
 """
@@ -12,7 +11,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import EmptyCorpusError, InvalidChunkParamsError
 
@@ -24,15 +23,9 @@ CHUNK_OVERLAP = 50
 
 CORPUS_EXTENSIONS = (".md", ".txt")
 
-Tokenizer = Callable[[str], list]
 
-
-def whitespace_tokenize(text: str) -> list:
-    return text.split()
-
-
-def count_tokens(text: str, tokenizer: Tokenizer = whitespace_tokenize) -> int:
-    return len(tokenizer(text))
+def count_tokens(text: str) -> int:
+    return len(text.split())
 
 
 @dataclass
@@ -73,7 +66,6 @@ def chunk_document(
     *,
     document: str = "",
     version: str = "",
-    tokenizer: Tokenizer = whitespace_tokenize,
 ) -> list:
     """Split a document into overlapping token windows.
 
@@ -86,7 +78,7 @@ def chunk_document(
         raise InvalidChunkParamsError(
             f"need 0 <= overlap < chunk_size, got chunk_size={chunk_size} overlap={overlap}"
         )
-    tokens = tokenizer(doc.text)
+    tokens = doc.text.split()
     total = len(tokens)
     stride = chunk_size - overlap
     chunks = []

@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import prompts
 from .errors import (
+    CorruptFileError,
     DocumentNotFoundError,
     EmptyIndexError,
     QueryParseError,
@@ -25,7 +26,7 @@ from .errors import (
     VersionNotFoundError,
 )
 from .gateway import CompletionRequest, Gateway, ResponseSchema, parse_json_reply
-from .graph import ChangeOrigin, DocumentNode, VersionGraph
+from .graph import ChangeOrigin, ChangeRecord, DocumentNode, VersionGraph
 from .textmatch import content_tokens
 from .vector_index import MetadataFilter, VectorIndex
 from .versions import VersionLabel, compare_versions, parse_version
@@ -240,23 +241,19 @@ def _retrieve_change_range(parsed: ParsedQuery, graph: VersionGraph) -> Retrieve
             )
     records = graph.changes_between(parsed.document, frm, to)
     title = _title_of(graph, parsed.document)
-    items = [
-        ContextItem(
-            text=record.description,
-            document=title,
-            version=_span(
-                record.from_version.raw if record.from_version else "", record.to_version.raw
-            ),
-            origin=record.origin.value,
-        )
-        for record in records
-    ]
+    items = [_change_item(record, title) for record in records]
     return RetrievedContext(items=items, mode=RetrievalMode.GRAPH_TRAVERSAL, intent=parsed.intent)
 
 
-def _span(from_raw: str, to_raw: str) -> str:
-    """A change item's version: "from -> to", or the target alone without a from version."""
-    return f"{from_raw} -> {to_raw}" if from_raw else to_raw
+def _change_item(record: ChangeRecord, title: str) -> ContextItem:
+    """A change record as context; its version is "from -> to", or the
+    target alone without a from version."""
+    version = record.to_version.raw
+    if record.from_version is not None:
+        version = f"{record.from_version.raw} -> {version}"
+    return ContextItem(
+        text=record.description, document=title, version=version, origin=record.origin.value
+    )
 
 
 def _embed_query(gateway: Gateway, text: str):
@@ -270,7 +267,8 @@ def _search_changes(
     gateway: Gateway,
     k: int,
 ) -> RetrievedContext:
-    """One semantic search over explicit and implicit records."""
+    """One semantic search over explicit and implicit records; the graph
+    holds the record behind each hit."""
     if len(index) == 0:
         raise EmptyIndexError("the vector index is empty; run indexing first")
     query_vector = _embed_query(gateway, parsed.text)
@@ -280,15 +278,10 @@ def _search_changes(
     )
     items = []
     for hit in hits:
-        md = hit.entry.metadata
-        items.append(
-            ContextItem(
-                text=hit.entry.text,
-                document=_title_of(graph, md["document"]),
-                version=_span(md.get("from_version", ""), md["to_version"]),
-                origin=md["origin"],
-            )
-        )
+        record = graph.nodes.get(hit.key)
+        if not isinstance(record, ChangeRecord):
+            raise CorruptFileError(f"change entry {hit.key!r} has no change record in the graph")
+        items.append(_change_item(record, _title_of(graph, record.document)))
     return RetrievedContext(items=items, mode=RetrievalMode.CHANGE_SEARCH, intent=parsed.intent)
 
 

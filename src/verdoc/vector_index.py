@@ -9,9 +9,9 @@ comparable against a brute-force oracle.
 Filters run on interned code columns of the index: one integer code per
 row for each metadata key a filter names, plus one column of version
 sort-key classes for ``version_in``. A column is built on first use and
-dropped on the next insert. A filter tests each distinct value once and
-keeps the rows whose code passed, so once the columns exist no Python code
-runs per row.
+dropped on the next insert or drop. A filter tests each distinct value
+once and keeps the rows whose code passed, so once the columns exist no
+Python code runs per row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchErr
 from .fileio import write_atomic
 from .versions import parse_version
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -146,8 +146,8 @@ class VectorIndex:
     Each row is stored once: its vector in one float64 matrix whose capacity
     doubles as rows arrive, its norm in an array beside it, and its key,
     metadata and text in lists. The filter columns and the key ranks are
-    caches that the next insert drops. Every read and write of the rows
-    runs under one lock. ``insert`` copies the caller's vector in, and
+    caches that the next insert or drop clears. Every read and write of
+    the rows runs under one lock. ``insert`` copies the caller's vector in, and
     ``get`` and search hits hand out copies, so no caller can change a
     stored row.
     """
@@ -210,14 +210,21 @@ class VectorIndex:
                 return None
             return self._entry(row)
 
-    def rows(self) -> list:
-        """(key, metadata, text) of every entry in insertion order, without
-        the vectors; the metadata dicts are copies."""
+    def drop(self, keys) -> None:
+        """Delete the entries of ``keys``; a key the index lacks is skipped."""
         with self._lock:
-            return [
-                (key, dict(metadata), text)
-                for key, metadata, text in zip(self._keys, self._metadata, self._texts)
-            ]
+            gone = {self._row_of[key] for key in keys if key in self._row_of}
+            if not gone:
+                return
+            kept = [row for row in range(len(self._keys)) if row not in gone]
+            self._keys = [self._keys[row] for row in kept]
+            self._row_of = {key: row for row, key in enumerate(self._keys)}
+            self._matrix = self._matrix[kept]
+            self._norms = self._norms[kept]
+            self._metadata = [self._metadata[row] for row in kept]
+            self._texts = [self._texts[row] for row in kept]
+            self._columns = {}
+            self._key_rank = None
 
     def _entry(self, row: int) -> IndexEntry:
         return IndexEntry(

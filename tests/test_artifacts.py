@@ -17,7 +17,7 @@ from verdoc.indexer import index_corpus
 PINNED = {
     "graph.json": "86c10a93381ebbcf03d06d1b281a65436d1bfacc3060aeed6a39bededa968740",
     # holds the sha256 of vectors.npy, so it pins the vectors too
-    "vectors.json": "25e5717c1a105f6486e681aaa925da23a7a026dba7b1e2bf7be8f01baf2c77e6",
+    "vectors.json": "6688ea84678c354ac7c99e11f1ae6b45c4e8a55728ce3c6617351e70469f95e9",
     "attributes.json": "6a3be9d8dd1aa95ce807256776d8af541895ea6a419f1210373e2a5f406280ad",
     "summary.json": "bcc7cc19077610665f8d7cf6ffb4b738c1c2ab1a2aa58c52c6543892801707ae",
 }

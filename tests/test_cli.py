@@ -7,6 +7,7 @@ from verdoc.engine import Engine
 from verdoc.errors import ConfigError, EmptyIndexError
 from verdoc.config import load_config, build_gateway
 from verdoc.evaluation import QAItem, save_dataset
+from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import assert_doc_corpus, spark_changelog_corpus, write_corpus
 
@@ -258,6 +259,17 @@ class TestValidateAndUsage:
         captured = capsys.readouterr()
         assert code == 0
         assert "graph valid" in captured.out
+
+    def test_validate_reports_an_orphan_entry_as_a_data_error(
+        self, indexed_dir, config_file, capsys
+    ):
+        index = VectorIndex.load(indexed_dir / "vectors.json")
+        index.insert(IndexEntry("orphan", [1.0] * 64, {"origin": "content"}, "stale"))
+        index.save(indexed_dir / "vectors.json")
+        code = run_cli(config_file, "validate", "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "violation: vector entry 'orphan'" in captured.err
 
     def test_usage_prints_token_accounting(self, indexed_dir, config_file, capsys):
         code = run_cli(config_file, "usage", "--index", str(indexed_dir))

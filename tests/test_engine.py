@@ -4,6 +4,7 @@ from verdoc.engine import Engine
 from verdoc.errors import DocumentNotFoundError, InvertedRangeError
 from verdoc.indexer import index_corpus
 from verdoc.retrieval import QueryIntent, RetrievalMode
+from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import DIMENSION, assert_doc_corpus, make_gateway, spark_changelog_corpus, write_corpus
 
@@ -61,6 +62,21 @@ def test_changes_inverted_range(engine):
 
 def test_validate_clean(engine):
     assert engine.validate() == []
+
+
+def test_validate_checks_the_graph_against_the_index_both_ways(engine):
+    graph, index = engine.graph, VectorIndex(dimension=DIMENSION)
+    ref, record = graph.content_refs()[0], graph.change_records()[0]
+    for key in engine.index.keys():
+        if key not in (ref.key, record.id):
+            index.insert(engine.index.get(key))
+    index.insert(IndexEntry("orphan", [1.0] * DIMENSION, {"origin": "content"}, "stale"))
+    problems = Engine(graph, index, engine.gateway).validate()
+    assert problems == [
+        f"content ref {ref.id}: no vector entry {ref.key!r}",
+        f"change {record.id}: no vector entry",
+        "vector entry 'orphan': referenced by no content ref or change",
+    ]
 
 
 def test_baseline_toggle_passes_through(engine):

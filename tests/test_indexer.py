@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from verdoc import prompts
-from verdoc.changes import indexed_records, record_from_entry
+from verdoc import graph as graph_module, prompts
 from verdoc.engine import Engine
 from verdoc.errors import (
     AttributeExtractionError,
@@ -17,7 +16,14 @@ from verdoc.errors import (
     IndexingError,
 )
 from verdoc.gateway import Gateway, MockBackend, ResponseSchema
-from verdoc.graph import ChangeKind, ChangeOrigin, ChangeRecord, EdgeKind, VersionGraph
+from verdoc.graph import (
+    ChangeKind,
+    ChangeOrigin,
+    ChangeRecord,
+    EdgeKind,
+    VersionGraph,
+    load_change_records,
+)
 from verdoc.indexer import (
     DocumentAttributes,
     _attach_records,
@@ -29,6 +35,7 @@ from verdoc.indexer import (
     index_documents,
 )
 from verdoc.ingestion import RawDocument, count_tokens, first_pages
+from verdoc.retrieval import ParsedQuery, QueryIntent, RetrievalMode
 from verdoc.vector_index import VectorIndex
 from verdoc.versions import parse_version
 
@@ -309,7 +316,7 @@ class TestIndexDocuments:
         ]
         assert any("partialDeepStrictEqual" in r.description for r in implicit)
 
-    def test_each_change_record_has_one_entry_that_rebuilds_it(self, gateway):
+    def test_each_change_record_has_one_entry_under_its_id(self, gateway):
         index = VectorIndex(dimension=DIMENSION)
         records = index_documents(self.documents(), gateway, index).graph.change_records()
         assert {r.origin for r in records} == set(ChangeOrigin)
@@ -318,24 +325,24 @@ class TestIndexDocuments:
         ]
         assert sorted(change_keys) == sorted(r.id for r in records)
         for record in records:
-            assert record_from_entry(index.get(record.id)) == record
+            entry = index.get(record.id)
+            assert entry.metadata == {"document": record.document, "origin": record.origin.value}
+            assert entry.text == ""
 
-    def test_indexed_records_rebuild_every_record_without_reading_vectors(
-        self, gateway, monkeypatch
+    def test_load_change_records_returns_every_saved_record(
+        self, gateway, tmp_path, monkeypatch
     ):
         index = VectorIndex(dimension=DIMENSION)
-        records = index_documents(self.documents(), gateway, index).graph.change_records()
-
-        def no_get(self, key):
-            raise AssertionError("indexed_records copied an entry's vector")
-
-        monkeypatch.setattr(VectorIndex, "get", no_get)
-        grouped = indexed_records(index)
-        rebuilt = sorted((r for group in grouped.values() for r in group), key=lambda r: r.id)
-        assert rebuilt == sorted(records, key=lambda r: r.id)
-        assert [r.to_version.raw for r in rebuilt] == [
-            r.to_version.raw for r in sorted(records, key=lambda r: r.id)
-        ]
+        graph = index_documents(self.documents(), gateway, index).graph
+        graph.save(tmp_path / "graph.json")
+        parsed = []
+        real_parse = graph_module.parse_version
+        monkeypatch.setattr(
+            graph_module, "parse_version", lambda raw: parsed.append(raw) or real_parse(raw)
+        )
+        records = load_change_records(tmp_path / "graph.json")
+        assert records == sorted(graph.change_records(), key=lambda r: r.id)
+        assert len(parsed) == len(set(parsed))  # each distinct label once
 
     def test_usage_accounted(self, gateway):
         index = VectorIndex(dimension=DIMENSION)
@@ -380,7 +387,7 @@ def test_attach_records_walks_each_chain_once(monkeypatch):
 
     monkeypatch.setattr(VersionGraph, "versions_of", counting)
     index = VectorIndex(dimension=DIMENSION)
-    assert _attach_records(graph, index, make_gateway(), records, "Widgets") == 4
+    assert _attach_records(graph, index, make_gateway(), records) == 4
     # one walk for the call; the synthetic 2.5 costs add_version's walk and one more
     assert len(walks) == 3
     assert [r.from_version.raw for r in records] == ["1.0", "1.0", "2.0", "2.5"]
@@ -759,3 +766,44 @@ class TestCrashSafety:
         clean = self.clean_index(tmp_path, corpus)
         for name in INDEX_FILES:
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_v2_index_is_rebuilt_with_a_warning(self, tmp_path, caplog):
+        corpus = self.corpus(tmp_path)
+        out = self.clean_index(tmp_path, corpus)
+        sidecar = json.loads((out / "vectors.json").read_text())
+        sidecar["format_version"] = 2
+        (out / "vectors.json").write_text(json.dumps(sidecar))
+        gateway = make_gateway()
+        with caplog.at_level(logging.WARNING):
+            index_corpus(corpus, out, gateway, dimension=DIMENSION)
+        assert "format_version 2" in caplog.text
+        # the records come from graph.json: only the clustering completion is sent
+        assert gateway.usage().calls == 1
+        clean = self.clean_index(tmp_path / "again", corpus)
+        for name in INDEX_FILES:
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_reindex_after_deletes_and_an_added_version_matches_a_fresh_index(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, {**spark_changelog_corpus(), **assert_doc_corpus()})
+    out = tmp_path / "out"
+    index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+    (corpus / "assert" / "20.md").unlink()
+    (corpus / "spark" / "2.4.7.md").unlink()
+    added = [("assert.fail(message)", ["Stability: 2 - Stable", "Throws an AssertionError."])]
+    write_corpus(corpus, {"assert/23.md": doc_text("Node.js Assert", "23.11.0", added)})
+    index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+    clean = tmp_path / "clean"
+    index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+    for name in INDEX_FILES:
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    engine = Engine.load(out, make_gateway())
+    assert engine.validate() == []
+    parsed = ParsedQuery("What changed in the assert module?", QueryIntent.CHANGE)
+    context = engine.retrieve(parsed, k=100)
+    assert context.mode is RetrievalMode.CHANGE_SEARCH
+    versions = {item.version for item in context.items}
+    assert "22.14.0 -> 23.11.0" in versions
+    assert not any("20.19.0" in v or "2.4.7" in v for v in versions), versions

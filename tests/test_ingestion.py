@@ -35,9 +35,6 @@ class TestCountTokens:
         assert count_tokens(text) == len(text.split())  # oracle: whitespace split
         assert count_tokens(text) == 1000
 
-    def test_custom_tokenizer_hook(self):
-        assert count_tokens("a-b-c", tokenizer=lambda t: t.split("-")) == 3
-
 
 def window_oracle(token_count, chunk_size, overlap):
     """Enumerate expected spans with stride chunk_size - overlap."""

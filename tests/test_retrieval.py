@@ -3,7 +3,12 @@ import itertools
 import pytest
 
 from verdoc.engine import Engine
-from verdoc.errors import EmptyIndexError, QueryParseError, VersionNotFoundError
+from verdoc.errors import (
+    CorruptFileError,
+    EmptyIndexError,
+    QueryParseError,
+    VersionNotFoundError,
+)
 from verdoc.indexer import index_documents
 from verdoc.ingestion import RawDocument
 from verdoc.retrieval import (
@@ -16,7 +21,7 @@ from verdoc.retrieval import (
     retrieve,
     select_mode,
 )
-from verdoc.vector_index import MetadataFilter, VectorIndex
+from verdoc.vector_index import IndexEntry, MetadataFilter, VectorIndex
 from verdoc.versions import parse_version
 
 from conftest import (
@@ -219,6 +224,21 @@ class TestRetrieve:
         with pytest.raises(EmptyIndexError):
             retrieve(parsed, graph, empty, gateway)
 
+    def test_change_hit_without_a_record_in_the_graph_is_corrupt(self, indexed):
+        graph, index, gateway = indexed
+        text = "When was partialDeepStrictEqual added?"
+        orphan = VectorIndex(dimension=DIMENSION)
+        orphan.insert(
+            IndexEntry(
+                key="change:document:gone@1.0->2.0#r0000",
+                vector=gateway.embed([text])[0],
+                metadata={"document": "document:gone", "origin": "implicit"},
+                text="",
+            )
+        )
+        with pytest.raises(CorruptFileError, match="no change record"):
+            retrieve(ParsedQuery(text, QueryIntent.CHANGE), graph, orphan, gateway)
+
     def test_k_limits_results(self, indexed):
         graph, index, gateway = indexed
         parsed = ParsedQuery(text="stability of assert ok", intent=QueryIntent.CONTENT)
@@ -260,11 +280,11 @@ class TestRetrieve:
             hits = sorted(hits, key=lambda hit: (-hit.score, hit.key))[:5]
             expected = []
             for hit in hits:
-                md = hit.entry.metadata
-                span = md["to_version"]
-                if md["from_version"]:
-                    span = f"{md['from_version']} -> {span}"
-                expected.append((hit.entry.text, span, md["origin"]))
+                record = graph.nodes[hit.key]
+                span = record.to_version.raw
+                if record.from_version is not None:
+                    span = f"{record.from_version.raw} -> {span}"
+                expected.append((record.description, span, record.origin.value))
             assert [(item.text, item.version, item.origin) for item in context.items] == expected
             assert any(name in item.text for item in context.items)
             seen_origins.update(item.origin for item in context.items)

@@ -387,15 +387,35 @@ def test_writes_into_handed_out_vectors_change_no_row(tmp_path, source):
     assert observed("after") == before
 
 
-def test_rows_read_every_entry_but_its_vector():
+def test_drop_deletes_rows_and_the_caches_built_over_them(tmp_path):
     index = VectorIndex(dimension=2)
-    index.insert(entry("b", [1.0, 0.0], {"origin": "content"}, text="first"))
-    index.insert(entry("a", [0.0, 1.0], {"origin": "implicit"}, text="second"))
-    index.insert(entry("b", [0.5, 0.5], {"origin": "explicit"}, text="upserted"))
-    rows = index.rows()
-    assert rows == [("b", {"origin": "explicit"}, "upserted"), ("a", {"origin": "implicit"}, "second")]
-    rows[0][1]["origin"] = "changed"
-    assert index.get("b").metadata == {"origin": "explicit"}
+    for key, vector, origin in [
+        ("c", [1.0, 0.0], "content"),
+        ("a", [0.9, 0.1], "implicit"),
+        ("b", [0.0, 1.0], "content"),
+        ("d", [0.8, 0.2], "content"),
+    ]:
+        index.insert(entry(key, vector, {"origin": origin}, text=key))
+    content = MetadataFilter({"origin": "content"})
+    assert [h.key for h in index.search(np.array([1.0, 0.0]), k=4, metadata_filter=content)] == [
+        "c",
+        "d",
+        "b",
+    ]
+    index.drop(["c", "a", "missing"])
+    assert index.keys() == ["b", "d"] and "c" not in index and index.get("a") is None
+    hits = index.search(np.array([1.0, 0.0]), k=4, metadata_filter=content)
+    assert [(h.key, h.entry.text) for h in hits] == [("d", "d"), ("b", "b")]
+    index.insert(entry("e", [1.0, 0.0], {"origin": "content"}, text="e"))
+    assert [h.key for h in index.search(np.array([1.0, 0.0]), k=1)] == ["e"]
+    index.save(tmp_path / "dropped.json")
+    fresh = VectorIndex(dimension=2)
+    for key, vector in [("b", [0.0, 1.0]), ("d", [0.8, 0.2]), ("e", [1.0, 0.0])]:
+        fresh.insert(entry(key, vector, {"origin": "content"}, text=key))
+    fresh.save(tmp_path / "fresh.json")
+    for suffix in (".json", ".npy"):
+        dropped = (tmp_path / "dropped").with_suffix(suffix).read_bytes()
+        assert dropped == (tmp_path / "fresh").with_suffix(suffix).read_bytes()
 
 
 class TestPersistence:
@@ -470,7 +490,7 @@ class TestPersistence:
         index.save(path)
         sidecar = json.loads(path.read_text())
         raw = (tmp_path / "vectors.npy").read_bytes()
-        assert sidecar["format_version"] == 2
+        assert sidecar["format_version"] == 3
         assert sidecar["dimension"] == 8
         assert sidecar["vectors_sha256"] == hashlib.sha256(raw).hexdigest()
         keys = [item["key"] for item in sidecar["entries"]]
