@@ -26,6 +26,7 @@ may run from any thread.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import re
@@ -81,6 +82,18 @@ class ChangeKind(str, Enum):
 class ChangeOrigin(str, Enum):
     EXPLICIT = "explicit"
     IMPLICIT = "implicit"
+
+
+def _by_value(enum: type) -> dict:
+    """Value -> member of ``enum``, for the decoders: an unknown value raises
+    KeyError and an unhashable one TypeError, as ``enum(value)`` raises ValueError."""
+    return {member.value: member for member in enum}
+
+
+_NODE_KINDS = _by_value(NodeKind)
+_EDGE_KINDS = _by_value(EdgeKind)
+_CHANGE_KINDS = _by_value(ChangeKind)
+_ORIGINS = _by_value(ChangeOrigin)
 
 
 class Edge(NamedTuple):
@@ -596,9 +609,9 @@ class VersionGraph:
         return data
 
     @staticmethod
-    def _node_from_dict(data: dict, label=parse_version) -> Node:
+    def _node_from_dict(data: dict, label) -> Node:
         """The node ``_node_to_dict`` wrote; ``label`` parses a raw version label."""
-        kind = NodeKind(data["node_kind"])
+        kind = _NODE_KINDS[data["node_kind"]]
         if kind is NodeKind.CATEGORY:
             return CategoryNode(id=data["id"], name=data["name"])
         if kind is NodeKind.DOCUMENT:
@@ -625,9 +638,9 @@ class VersionGraph:
                 None if data.get("from_version") is None else label(data["from_version"])
             ),
             to_version=label(data["to_version"]),
-            kind=ChangeKind(data["kind"]),
+            kind=_CHANGE_KINDS[data["kind"]],
             description=data["description"],
-            origin=ChangeOrigin(data["origin"]),
+            origin=_ORIGINS[data["origin"]],
             evidence=list(data.get("evidence", [])),
         )
 
@@ -647,14 +660,24 @@ class VersionGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VersionGraph":
+        """The graph ``to_dict`` wrote, filled in bulk and not validated, so that
+        :meth:`validate` can report dangling edges and broken chains.
+
+        An id given twice keeps its first place in ``nodes`` and its last
+        node, as repeated ``_add_node`` calls would leave it.
+        """
         graph = cls()
-        try:
-            for node_data in _nodes(data):
-                graph._add_node(cls._node_from_dict(node_data))
-            for edge_data in data["edges"]:
-                graph._add_edge(edge_data["from"], EdgeKind(edge_data["kind"]), edge_data["to"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptFileError(f"malformed graph payload: {exc}") from exc
+        with _decoding():
+            nodes = _decode_nodes(_nodes(data))
+            edges = _decode_edges(data)
+            graph.nodes = {node.id: node for node in nodes}
+            by_kind = graph._by_kind
+            for node_id, node in graph.nodes.items():
+                by_kind[type(node)][node_id] = node
+            out, into = graph._out, graph._in
+            for edge in edges:
+                out.setdefault(edge.source, []).append(edge)
+                into.setdefault(edge.target, []).append(edge)
         return graph
 
     @classmethod
@@ -665,19 +688,37 @@ class VersionGraph:
 def load_change_records(path) -> list[ChangeRecord]:
     """The change records of the graph file at ``path``, in id order.
 
-    Decodes no other node and builds no graph, and parses each distinct
-    version label once, so reading a previous index's records stays cheap.
+    Decodes no other node and builds no graph, so reading a previous
+    index's records stays cheap. The edges are decoded too, so that a file
+    ``VersionGraph.load`` refuses yields no records either.
     """
     data = _read(path)
+    change = NodeKind.CHANGE
+    with _decoding():
+        _decode_edges(data)
+        return _decode_nodes(
+            node for node in _nodes(data) if _NODE_KINDS[node["node_kind"]] is change
+        )
+
+
+def _decode_nodes(payloads) -> list:
+    """The nodes of ``payloads``, each distinct version label parsed once."""
     label = functools.cache(parse_version)
-    change = NodeKind.CHANGE.value
+    decode = VersionGraph._node_from_dict
+    return [decode(data, label) for data in payloads]
+
+
+def _decode_edges(data: dict) -> list:
+    kind = _EDGE_KINDS
+    return [Edge(e["from"], kind[e["kind"]], e["to"]) for e in data["edges"]]
+
+
+@contextlib.contextmanager
+def _decoding():
+    """Report a malformed payload as a ``CorruptFileError``."""
     try:
-        return [
-            VersionGraph._node_from_dict(node, label)
-            for node in _nodes(data)
-            if node["node_kind"] == change
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptFileError(f"malformed graph payload: {exc}") from exc
 
 

@@ -137,6 +137,17 @@ def _intern(values) -> _Column:
     return _Column(np.asarray(codes, dtype=np.intp), distinct)
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Each row's norm, bit for bit as ``insert`` computes it.
+
+    ``np.linalg.norm(row)`` is ``sqrt(row.dot(row))``, one BLAS dot per row.
+    A stack of (1, n) @ (n, 1) products makes that same dot call for every
+    row in one numpy loop; ``einsum`` or ``(matrix * matrix).sum(1)`` sum
+    in another order and differ in the last bit for some rows.
+    """
+    return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])[:, 0, 0])
+
+
 _SORT_KEYS = object()  # column key of the version sort-key classes
 
 
@@ -359,19 +370,21 @@ class VectorIndex:
             raise VersionMismatchError(
                 f"unsupported index format_version {version!r} (expected {FORMAT_VERSION})"
             )
+        keys, metadata, texts = [], [], []
         try:
             dimension = int(data["dimension"])
             digest = data["vectors_sha256"]
-            entries = data["entries"]
-            keys = [item["key"] for item in entries]
-            metadata = [dict(item["metadata"]) for item in entries]
-            texts = [item["text"] for item in entries]
+            for item in data["entries"]:
+                key, held, text = item["key"], item["metadata"], item["text"]
+                if not (isinstance(key, str) and isinstance(held, dict) and isinstance(text, str)):
+                    raise ValueError(f"entry {key!r} needs string key and text, object metadata")
+                keys.append(key)
+                metadata.append(held)
+                texts.append(text)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"malformed index payload: {exc}") from exc
-        if not all(isinstance(key, str) for key in keys) or any(
-            a >= b for a, b in zip(keys, keys[1:])
-        ):
-            raise CorruptFileError(f"entries of {path} are not sorted by unique string keys")
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise CorruptFileError(f"entries of {path} are not sorted by unique keys")
 
         npy = vectors_path(path)
         try:
@@ -396,9 +409,7 @@ class VectorIndex:
         index._keys = keys
         index._row_of = {key: row for row, key in enumerate(keys)}
         index._matrix = matrix
-        # per row, exactly as ``insert`` computes it: a norm over the whole
-        # matrix differs from it in the last bit for some rows
-        index._norms = np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
+        index._norms = _row_norms(matrix)
         index._metadata = metadata
         index._texts = texts
         index._key_rank = np.arange(len(keys))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from verdoc import graph as graph_module
 from verdoc.errors import (
     CorruptFileError,
     DuplicateVersionError,
@@ -22,6 +23,8 @@ from verdoc.graph import (
     Edge,
     EdgeKind,
     VersionGraph,
+    VersionNode,
+    load_change_records,
 )
 from verdoc.versions import compare_versions, parse_version
 
@@ -535,6 +538,77 @@ class TestPersistence:
     def test_missing_file_is_corrupt(self, tmp_path):
         with pytest.raises(CorruptFileError):
             VersionGraph.load(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "node_kind,field,value",
+        [
+            ("version", "node_kind", "release"),
+            ("version", "node_kind", ["version"]),
+            ("change", "kind", "renamed"),
+            ("change", "origin", "guessed"),
+            ("change", "kind", ["added"]),
+            ("change", "from_version", 3.0),
+            ("change", "to_version", ["3.3.4"]),
+        ],
+        ids=[
+            "unknown-node-kind",
+            "list-node-kind",
+            "unknown-change-kind",
+            "unknown-origin",
+            "list-change-kind",
+            "number-label",
+            "list-label",
+        ],
+    )
+    def test_bad_node_field_is_corrupt_to_both_loaders(self, tmp_path, node_kind, field, value):
+        path = tmp_path / "graph.json"
+        build_corpus_scale_graph().save(path)
+        data = json.loads(path.read_text())
+        node = next(n for n in data["nodes"] if n["node_kind"] == node_kind)
+        node[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptFileError):
+            VersionGraph.load(path)
+        with pytest.raises(CorruptFileError):
+            load_change_records(path)
+
+    @pytest.mark.parametrize("kind", ["next", ["next_version"], None])
+    def test_bad_edge_kind_is_corrupt_to_both_loaders(self, tmp_path, kind):
+        path = tmp_path / "graph.json"
+        build_corpus_scale_graph().save(path)
+        data = json.loads(path.read_text())
+        data["edges"][3]["kind"] = kind
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptFileError):
+            VersionGraph.load(path)
+        with pytest.raises(CorruptFileError):
+            load_change_records(path)
+
+    def test_load_parses_each_distinct_label_once(self, tmp_path, monkeypatch):
+        graph = build_corpus_scale_graph()
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        parsed = []
+        real_parse = graph_module.parse_version
+        monkeypatch.setattr(
+            graph_module, "parse_version", lambda raw: parsed.append(raw) or real_parse(raw)
+        )
+        assert VersionGraph.load(path).to_dict() == graph.to_dict()
+        labels = {node.label.raw for node in graph.nodes.values() if isinstance(node, VersionNode)}
+        assert sorted(parsed) == sorted(labels)
+
+    def test_load_then_save_rewrites_criterion_9_graph_byte_for_byte(self, tmp_path, monkeypatch):
+        from conftest import make_gateway, spark_changelog_corpus, write_corpus
+        from test_acceptance import DIMENSION, purity_corpus
+
+        from verdoc.indexer import index_corpus
+
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "corpus", {**purity_corpus(), **spark_changelog_corpus()})
+        index_corpus("corpus", "out", make_gateway(dimension=DIMENSION), dimension=DIMENSION)
+        written = tmp_path / "out" / "graph.json"
+        VersionGraph.load(written).save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == written.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -576,6 +576,28 @@ class TestPersistence:
         with pytest.raises(CorruptFileError):
             VectorIndex.load(path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("metadata", [["document", "x"]]),
+            ("metadata", []),
+            ("metadata", "document"),
+            ("metadata", None),
+            ("text", None),
+            ("text", 5),
+            ("text", ["x"]),
+        ],
+        ids=["pairs", "empty-list", "string", "null", "null-text", "number-text", "list-text"],
+    )
+    def test_non_object_metadata_or_non_string_text_is_corrupt(self, tmp_path, field, value):
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        sidecar = json.loads(path.read_text())
+        sidecar["entries"][7][field] = value
+        path.write_text(json.dumps(sidecar))
+        with pytest.raises(CorruptFileError, match="k07"):
+            VectorIndex.load(path)
+
     def test_truncated_file_is_corrupt(self, tmp_path):
         index = self.build()
         path = tmp_path / "vectors.json"
@@ -590,6 +612,38 @@ class TestPersistence:
         path.write_text('{"format_version": 7, "dimension": 2, "entries": []}')
         with pytest.raises(VersionMismatchError):
             VectorIndex.load(path)
+
+
+def test_loaded_index_matches_the_inserted_one_bit_for_bit(tmp_path):
+    """``load`` recomputes each row's norm exactly as ``insert`` did, so every
+    search of the loaded index returns the in-memory index's keys and scores
+    to the last bit, filtered or not."""
+    rng = np.random.default_rng(14)
+    matrix = rng.normal(size=(400, 64)) * rng.uniform(1e-3, 1e3, size=(400, 1))
+    matrix[::37] = 0.0
+    # rows where a norm summed in another order differs in the last bit
+    # from the per-row dot, so the comparison below can tell them apart
+    per_row = np.array([np.linalg.norm(row) for row in matrix])
+    assert np.any(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) != per_row)
+    documents, labels = ["alpha", "beta", "gamma"], ["1.0", "1.2", "1.2.0", "2.0", "v2.1"]
+    index = VectorIndex(dimension=64)
+    # rows go in by key, the order ``save`` writes: the matvec that scores the
+    # candidates may round a row differently at another position in the block
+    for i in range(len(matrix)):
+        metadata = {"document": documents[i % 3], "version": labels[i % 5]}
+        index.insert(entry(f"k{i:03d}", matrix[i], metadata, text=f"t{i}"))
+    path = tmp_path / "vectors.json"
+    index.save(path)
+    loaded = VectorIndex.load(path)
+    assert loaded._norms.tobytes() == per_row.tobytes()
+    filters = [None, *(MetadataFilter({"document": d}) for d in documents)]
+    filters += [MetadataFilter(version_in={"1.2"}), MetadataFilter({"document": "beta"}, {"2"})]
+    k = len(matrix)
+    for _ in range(5):
+        query = rng.normal(size=64)
+        for flt in filters:
+            want = [(h.key, repr(h.score)) for h in index.search(query, k, flt)]
+            assert [(h.key, repr(h.score)) for h in loaded.search(query, k, flt)] == want
 
 
 def zip_bytes(matrix):
