@@ -16,6 +16,7 @@ from .config import build_gateway, load_config
 from .engine import Engine
 from .errors import VerdocError
 from .evaluation import load_dataset, run_eval
+from .fileio import json_bytes, write_atomic
 from .indexer import SUMMARY_FILE, index_corpus
 
 logger = logging.getLogger(__name__)
@@ -169,9 +170,7 @@ def eval_command(ctx, dataset, index_dir, judge_mode, report_path):
     report = run_eval(engine, items, judge_mode=mode)
     payload = report.to_dict()
     if report_path:
-        Path(report_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_atomic(report_path, json_bytes(payload))
     for category, stats in payload["per_category"].items():
         click.echo(f"{category}: {stats['correct']}/{stats['total']} = {stats['accuracy']:.3f}")
     click.echo(f"overall: {payload['overall_correct']}/{payload['overall_total']} = "

@@ -44,7 +44,7 @@ from .errors import (
     UnknownVersionError,
     VersionMismatchError,
 )
-from .fileio import write_atomic
+from .fileio import json_bytes, write_atomic
 from .versions import VersionLabel, compare_versions, parse_version
 
 FORMAT_VERSION = 1
@@ -655,8 +655,7 @@ class VersionGraph:
         }
 
     def save(self, path) -> None:
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        write_atomic(path, payload.encode("utf-8"))
+        write_atomic(path, json_bytes(self.to_dict()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "VersionGraph":

@@ -10,11 +10,12 @@ twice.
 Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
 cached next to the index, already-present chunks are skipped by
-(document, version, ordinal) key, and the change records of the previous
-graph are reused per changelog file and per version pair. A run ends with
-the graph as the one record of what the index holds: the vector entries
-it does not reference and the cached attributes of files no longer in
-the corpus are dropped.
+(document, version, ordinal) key before their text is joined, and the
+change records of the previous graph are reused per changelog file and per
+version pair. A run ends with the graph as the one record of what the index
+holds: the vector entries it does not reference and the cached attributes
+of files no longer in the corpus are dropped. When a run inserts and drops
+no vector entry, the vector files of the previous run are left untouched.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     SchemaViolationError,
     VerdocError,
 )
-from .fileio import write_atomic
+from .fileio import json_bytes, write_atomic
 from .gateway import CompletionRequest, Gateway, ResponseSchema, TokenUsage, parse_json_reply
 from .graph import ChangeOrigin, VersionGraph, load_change_records
 from .ingestion import (
@@ -342,14 +343,16 @@ def index_content(
     The pending chunks of all versions of a document group go to the
     gateway in one embed call, and are inserted in (version, ordinal)
     order. Chunks already present in the index (same
-    document/version/ordinal key) are skipped, which makes interrupted
-    runs resumable and re-runs no-ops.
+    document/version/ordinal key) are skipped without joining their text,
+    which makes interrupted runs resumable and re-runs no-ops.
     """
     new_chunks = 0
     for category, group in catalog.all_groups():
         if group.document_id not in graph.nodes:
             raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
-        pending = []  # (version, chunk) not yet in the index
+        # (version, key, text) not yet in the index; holding the joined text
+        # rather than the chunk lets each version's token list go
+        pending = []
         for (doc, _), version_id in zip(group.members, group.version_ids):
             version = graph.nodes[version_id].label.raw
             chunks = chunk_document(
@@ -359,16 +362,18 @@ def index_content(
                 document=group.document_id,
                 version=version,
             )
-            pending += [(version, c) for c in chunks if c.key not in vector_index]
             for chunk in chunks:
-                graph.add_content_ref(version_id, chunk.ordinal, chunk.key)
+                key = chunk.key
+                graph.add_content_ref(version_id, chunk.ordinal, key)
+                if key not in vector_index:
+                    pending.append((version, key, chunk.text))
         if not pending:
             continue
-        vectors = gateway.embed([chunk.text for _, chunk in pending])
-        for (version, chunk), vector in zip(pending, vectors):
+        vectors = gateway.embed([text for _, _, text in pending])
+        for (version, key, text), vector in zip(pending, vectors):
             vector_index.insert(
                 IndexEntry(
-                    key=chunk.key,
+                    key=key,
                     vector=vector,
                     metadata={
                         "category": category.name,
@@ -376,7 +381,7 @@ def index_content(
                         "version": version,
                         "origin": "content",
                     },
-                    text=chunk.text,
+                    text=text,
                 )
             )
         new_chunks += len(pending)
@@ -573,7 +578,11 @@ def index_corpus(
     to an identical state without re-spending completion tokens. An
     unreadable vector index (an older format, or one torn by a crash) is
     re-embedded in full, and an unreadable graph has its changes
-    re-extracted. Every file is replaced atomically.
+    re-extracted. Every file is replaced atomically. ``vectors.npy`` and
+    ``vectors.json`` are written only when the run inserted or dropped an
+    entry or found no readable index: otherwise they already hold the
+    entries the run would write, since it loaded them (the ``.npy``
+    checked against its sha256) and changed none.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -613,7 +622,8 @@ def index_corpus(
     )
 
     summary.graph.save(graph_path)
-    vector_index.save(index_path)
+    if vector_index.dirty:
+        vector_index.save(index_path)
     for path, data in ((cache_path, attribute_cache), (out / SUMMARY_FILE, summary.to_dict())):
-        write_atomic(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        write_atomic(path, json_bytes(data))
     return summary

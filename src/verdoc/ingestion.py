@@ -3,10 +3,16 @@
 A token is a whitespace-delimited word. Chunk windows are defined over the
 token sequence, so rejoining chunk tokens (dropping each chunk's leading
 overlap) reproduces the document's token sequence exactly.
+
+Loading a corpus reads the files and nothing more: a document's token count
+and a chunk's text are computed when first read, so a re-index of an
+unchanged corpus, which skips every chunk already in the index, joins no
+chunk text and counts no tokens.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -32,31 +38,36 @@ def count_tokens(text: str) -> int:
 class RawDocument:
     source_path: str
     text: str
-    token_count: int = 0
 
-    def __post_init__(self):
-        if not self.token_count:
-            self.token_count = count_tokens(self.text)
+    @functools.cached_property
+    def token_count(self) -> int:
+        return count_tokens(self.text)
 
 
 @dataclass
 class Chunk:
     """One token window of a document version.
 
-    ``token_span`` is half-open over the token sequence; consecutive chunks
-    of one document overlap by exactly the configured overlap except that
-    the final chunk may be shorter.
+    ``token_span`` is half-open over ``tokens``, the token sequence of the
+    whole document, which every chunk of the document shares; consecutive
+    chunks overlap by exactly the configured overlap except that the final
+    chunk may be shorter. ``text`` joins the span's tokens on first read.
     """
 
     document: str
     version: str
     ordinal: int
-    text: str
     token_span: tuple
+    tokens: list = field(repr=False)
 
     @property
     def key(self) -> str:
         return f"{self.document}@{self.version}#c{self.ordinal:04d}"
+
+    @functools.cached_property
+    def text(self) -> str:
+        start, end = self.token_span
+        return " ".join(self.tokens[start:end])
 
 
 def chunk_document(
@@ -90,8 +101,8 @@ def chunk_document(
                 document=document,
                 version=version,
                 ordinal=len(chunks),
-                text=" ".join(tokens[start:end]),
                 token_span=(start, end),
+                tokens=tokens,
             )
         )
         if end >= total:
@@ -116,9 +127,13 @@ def _head(text: str, budget: int) -> str:
     whole text when it has fewer tokens or ``budget`` is below one."""
     if budget < 1:
         return text
-    # one C-level match; re caches the compiled pattern of each budget
-    match = re.match(rf"\s*(?:\S+\s+){{{budget - 1}}}\S+", text)
-    return text[: match.end()] if match else text
+    # splitting stops after the budget-th token; the part after it, when
+    # there is one, starts at the next token
+    parts = text.split(None, budget)
+    if len(parts) < budget:
+        return text
+    rest = len(parts[budget]) if len(parts) > budget else 0
+    return text[: len(text) - rest].rstrip()
 
 
 _HEADING = re.compile(r" {0,3}#{1,6}(?:\s|$)")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,6 +162,10 @@ class VectorIndex:
     the rows runs under one lock. ``insert`` copies the caller's vector in, and
     ``get`` and search hits hand out copies, so no caller can change a
     stored row.
+
+    ``dirty`` is False only from ``load`` until an insert or a drop
+    changes the index: while it is False, the files the index was loaded
+    from hold what ``save`` would write.
     """
 
     def __init__(self, dimension: int):
@@ -176,6 +181,7 @@ class VectorIndex:
         self._columns: dict = {}
         self._key_rank: Optional[np.ndarray] = None
         self._lock = threading.Lock()
+        self.dirty = True
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -213,6 +219,7 @@ class VectorIndex:
             self._norms[row] = float(np.linalg.norm(vector))
             self._columns = {}
             self._key_rank = None
+            self.dirty = True
 
     def get(self, key: str) -> Optional[IndexEntry]:
         with self._lock:
@@ -236,6 +243,7 @@ class VectorIndex:
             self._texts = [self._texts[row] for row in kept]
             self._columns = {}
             self._key_rank = None
+            self.dirty = True
 
     def _entry(self, row: int) -> IndexEntry:
         return IndexEntry(
@@ -386,25 +394,7 @@ class VectorIndex:
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise CorruptFileError(f"entries of {path} are not sorted by unique keys")
 
-        npy = vectors_path(path)
-        try:
-            raw = npy.read_bytes()
-        except OSError as exc:
-            raise CorruptFileError(f"cannot read vector file {npy}: {exc}") from exc
-        if hashlib.sha256(raw).hexdigest() != digest:
-            raise CorruptFileError(f"vector file {npy} does not match the sha256 in {path}")
-        try:
-            matrix = np.load(io.BytesIO(raw), allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            raise CorruptFileError(f"cannot read vector file {npy}: {exc}") from exc
-        expected = (len(keys), dimension)
-        if not isinstance(matrix, np.ndarray):
-            raise CorruptFileError(f"vector file {npy} does not hold one array")
-        if matrix.dtype != np.dtype("<f8") or matrix.shape != expected:
-            raise CorruptFileError(
-                f"vector file {npy} holds {matrix.dtype} {matrix.shape}, expected <f8 {expected}"
-            )
-
+        matrix = _read_matrix(vectors_path(path), digest, (len(keys), dimension))
         index = cls(dimension=dimension)
         index._keys = keys
         index._row_of = {key: row for row, key in enumerate(keys)}
@@ -413,7 +403,45 @@ class VectorIndex:
         index._metadata = metadata
         index._texts = texts
         index._key_rank = np.arange(len(keys))
+        index.dirty = False
         return index
+
+
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_matrix(npy: Path, digest: str, shape: tuple) -> np.ndarray:
+    """The ``<f8`` matrix of ``shape`` that ``npy`` holds, raising
+    ``CorruptFileError`` unless the file's sha256 is ``digest`` and its
+    header describes that matrix and nothing more.
+
+    The file is read once, into a writable buffer, and the matrix is built
+    over that buffer, so loading copies no vector twice.
+    """
+    try:
+        with open(npy, "rb") as handle:
+            version = np.lib.format.read_magic(handle)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"unsupported .npy version {version}")
+            stored, fortran_order, dtype = _NPY_HEADERS[version](handle)
+            offset = handle.tell()
+            raw = bytearray(os.fstat(handle.fileno()).st_size)
+            handle.seek(0)
+            size = handle.readinto(raw)
+    except (OSError, ValueError) as exc:
+        raise CorruptFileError(f"cannot read vector file {npy}: {exc}") from exc
+    if size != len(raw) or hashlib.sha256(raw).hexdigest() != digest:
+        raise CorruptFileError(f"vector file {npy} does not match the sha256 of its sidecar")
+    count = shape[0] * shape[1]
+    if dtype != np.dtype("<f8") or fortran_order or stored != shape or len(raw) - offset != 8 * count:
+        raise CorruptFileError(
+            f"vector file {npy} holds {dtype} {stored} in {len(raw) - offset} bytes,"
+            f" expected C-order <f8 {shape}"
+        )
+    return np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
 
 
 def vectors_path(path) -> Path:

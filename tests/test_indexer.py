@@ -714,21 +714,31 @@ class TestCrashSafety:
 
     @pytest.mark.parametrize("grown", [False, True], ids=["same-corpus", "grown-corpus"])
     def test_failed_sidecar_replace_is_detected_and_rebuilt(self, tmp_path, monkeypatch, grown):
+        """A failed replace of the sidecar leaves a hash mismatch that loading
+        reports and the next run rebuilds. A re-index of the same corpus
+        inserts and drops nothing, so it replaces neither vector file and
+        never meets the failing replace."""
         corpus = self.corpus(tmp_path)
         out = tmp_path / "out"
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
-        before = VectorIndex.load(out / "vectors.json")
+        vector_files = [out / "vectors.json", out / "vectors.npy"]
+        before = [(path.read_bytes(), path.stat().st_ino) for path in vector_files]
         corpus = self.corpus(tmp_path, grown)
 
         real_replace = os.replace
+        replaced = []
 
         def replace_failing_on_sidecar(src, dst):
+            replaced.append(Path(dst).name)
             if Path(dst).name == "vectors.json":
                 raise OSError("no space left on device")
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace_failing_on_sidecar)
-        with pytest.raises(OSError):
+        if grown:
+            with pytest.raises(OSError):
+                index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        else:
             index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
         monkeypatch.undo()
         assert not list(out.glob("*.tmp"))
@@ -738,10 +748,9 @@ class TestCrashSafety:
             with pytest.raises(CorruptFileError):
                 Engine.load(out, make_gateway())
         else:
-            loaded = Engine.load(out, make_gateway()).index
-            assert loaded.keys() == before.keys()
-            for key in before.keys():
-                assert loaded.get(key).vector.tobytes() == before.get(key).vector.tobytes()
+            assert "graph.json" in replaced
+            assert not {"vectors.json", "vectors.npy"} & set(replaced), replaced
+            assert [(path.read_bytes(), path.stat().st_ino) for path in vector_files] == before
 
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
         clean = self.clean_index(tmp_path, corpus)
@@ -782,6 +791,71 @@ class TestCrashSafety:
         clean = self.clean_index(tmp_path / "again", corpus)
         for name in INDEX_FILES:
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+class TestVectorFileWrites:
+    """A run writes ``vectors.npy`` and ``vectors.json`` only when it inserted
+    or dropped an entry, or found no readable index; the other index files
+    are written on every run."""
+
+    VECTOR_FILES = ("vectors.json", "vectors.npy")
+
+    @staticmethod
+    def indexed(tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {**spark_changelog_corpus(), **assert_doc_corpus()})
+        out = tmp_path / "out"
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        return corpus, out
+
+    @staticmethod
+    def files(out, names):
+        return {name: ((out / name).read_bytes(), (out / name).stat().st_ino) for name in names}
+
+    def test_unchanged_reindex_leaves_the_vector_files_untouched(self, tmp_path):
+        corpus, out = self.indexed(tmp_path)
+        vectors = self.files(out, self.VECTOR_FILES)
+        others = self.files(out, ("graph.json", "attributes.json", "summary.json"))
+        summary = index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        assert (summary.chunks, summary.changes) == (0, 0)
+        assert self.files(out, self.VECTOR_FILES) == vectors
+        rewritten = self.files(out, others)
+        assert all(rewritten[name][1] != others[name][1] for name in others), "not rewritten"
+        assert rewritten["graph.json"][0] == others["graph.json"][0]
+
+    @pytest.mark.parametrize("edit", ["added-version", "deleted-file"])
+    def test_reindex_that_inserts_or_drops_rewrites_the_vector_files(self, tmp_path, edit):
+        corpus, out = self.indexed(tmp_path)
+        vectors = self.files(out, self.VECTOR_FILES)
+        if edit == "added-version":
+            added = [("assert.fail(message)", ["Stability: 2 - Stable", "Throws an AssertionError."])]
+            write_corpus(corpus, {"assert/23.md": doc_text("Node.js Assert", "23.11.0", added)})
+        else:
+            # the newest version: its chunks and records go, and nothing is re-extracted
+            (corpus / "assert" / "22.md").unlink()
+        summary = index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        if edit == "deleted-file":
+            assert (summary.chunks, summary.changes) == (0, 0)
+        now = self.files(out, self.VECTOR_FILES)
+        assert all(now[name] != vectors[name] for name in self.VECTOR_FILES)
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        for name in INDEX_FILES:
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["torn-npy", "missing-npy", "missing-sidecar"])
+    def test_reindex_over_an_unreadable_index_rewrites_the_vector_files(self, tmp_path, damage):
+        corpus, out = self.indexed(tmp_path)
+        expected = {name: (out / name).read_bytes() for name in INDEX_FILES}
+        npy, sidecar = out / "vectors.npy", out / "vectors.json"
+        if damage == "torn-npy":
+            npy.write_bytes(expected["vectors.npy"][:-8])
+        else:
+            (npy if damage == "missing-npy" else sidecar).unlink()
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        for name in INDEX_FILES:
+            assert (out / name).read_bytes() == expected[name], name
+        Engine.load(out, make_gateway())
 
 
 def test_reindex_after_deletes_and_an_added_version_matches_a_fresh_index(tmp_path):

@@ -3,7 +3,7 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verdoc.errors import EmptyCorpusError, InvalidChunkParamsError
 from verdoc.ingestion import (
@@ -166,6 +166,40 @@ def reference_head(text, budget):
 )
 def test_head_matches_the_per_token_loop(text, budget):
     assert _head(text, budget) == reference_head(text, budget)
+
+
+def regex_head(text, budget):
+    """The one-match ``_head`` that a bounded split replaced, kept as its oracle."""
+    if budget < 1:
+        return text
+    match = re.match(rf"\s*(?:\S+\s+){{{budget - 1}}}\S+", text)
+    return text[: match.end()] if match else text
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.text(
+        alphabet=st.sampled_from("ab# \t\n\r\x0b\x0c\xa0\x85\u2003\u2028\u3000\x1c\x1f") | st.characters(),
+        max_size=60,
+    ),
+    budget=st.integers(min_value=-2, max_value=20),
+)
+@example(text="  a b  c \n", budget=3)
+@example(text="a b c", budget=3)
+@example(text="a\u3000b\x1cc d", budget=3)
+@example(text=" \n ", budget=1)
+@example(text="", budget=5)
+def test_head_matches_the_regex_it_replaced(text, budget):
+    assert _head(text, budget) == regex_head(text, budget)
+
+
+def test_split_and_regex_agree_on_whitespace():
+    """``str.split``, ``str.rstrip`` and ``re``'s ``\\s`` share one set of
+    whitespace characters, which ``_head``'s cut relies on."""
+    every = "".join(map(chr, range(0x110000)))
+    by_regex = set(re.findall(r"\s", every))
+    assert by_regex == set(every) - set("".join(every.split()))
+    assert by_regex == {c for c in every if c != c.rstrip()}
 
 
 def is_cut_subsequence(part, whole):

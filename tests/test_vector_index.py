@@ -613,6 +613,69 @@ class TestPersistence:
         with pytest.raises(VersionMismatchError):
             VectorIndex.load(path)
 
+    def test_loaded_index_takes_an_upsert_of_an_existing_key_in_place(self, tmp_path):
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        loaded = VectorIndex.load(path)
+        loaded.insert(entry("k07", np.full(8, 0.5), {"version": "9.0"}, text="new"))
+        assert len(loaded) == 50
+        assert loaded.get("k07").vector.tolist() == [0.5] * 8
+        assert [h.key for h in loaded.search(np.ones(8), k=1)] == ["k07"]
+        loaded.save(path)
+        again = VectorIndex.load(path)
+        assert again.get("k07").vector.tolist() == [0.5] * 8
+        assert again.get("k08").vector.tobytes() == self.build().get("k08").vector.tobytes()
+
+    @pytest.mark.parametrize("tamper", ["fortran-order", "trailing-bytes", "header-only", "empty"])
+    def test_npy_that_does_not_hold_exactly_the_matrix_is_corrupt(self, tmp_path, tamper):
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        raw = vectors_path(path).read_bytes()
+        matrix = np.load(io.BytesIO(raw))
+        damaged = {
+            "fortran-order": lambda: self.npy_bytes(np.asfortranarray(matrix)),
+            "trailing-bytes": lambda: raw + bytes(8),
+            "header-only": lambda: raw[:128],
+            "empty": lambda: b"",
+        }[tamper]()
+        self.replace_vectors(path, damaged, rehash=True)
+        with pytest.raises(CorruptFileError):
+            VectorIndex.load(path)
+
+
+class TestDirty:
+    """``dirty`` is False only while the index holds what its files hold."""
+
+    def saved(self, tmp_path):
+        index = VectorIndex(dimension=4)
+        for i in range(3):
+            index.insert(entry(f"k{i}", np.eye(4)[i], {"version": "1.0"}, text=f"t{i}"))
+        path = tmp_path / "vectors.json"
+        index.save(path)
+        return index, path
+
+    def test_new_and_inserted_indexes_are_dirty(self, tmp_path):
+        assert VectorIndex(dimension=4).dirty
+        index, _ = self.saved(tmp_path)
+        assert index.dirty
+
+    def test_loaded_index_is_clean_until_an_insert(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        loaded = VectorIndex.load(path)
+        assert not loaded.dirty
+        loaded.search(np.ones(4), k=2, metadata_filter=MetadataFilter({"version": "1.0"}))
+        loaded.get("k0")
+        loaded.drop(["absent"])
+        assert not loaded.dirty
+        loaded.insert(entry("k0", np.eye(4)[0], {"version": "1.0"}, text="t0"))
+        assert loaded.dirty
+
+    def test_drop_of_a_held_key_makes_it_dirty(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        loaded = VectorIndex.load(path)
+        loaded.drop(["k1", "absent"])
+        assert loaded.dirty and loaded.keys() == ["k0", "k2"]
+
 
 def test_loaded_index_matches_the_inserted_one_bit_for_bit(tmp_path):
     """``load`` recomputes each row's norm exactly as ``insert`` did, so every
