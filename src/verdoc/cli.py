@@ -17,7 +17,7 @@ from .engine import Engine
 from .errors import VerdocError
 from .evaluation import load_dataset, run_eval
 from .fileio import json_bytes, write_atomic
-from .indexer import SUMMARY_FILE, index_corpus
+from .indexer import SUMMARY_FILE, index_corpus, manifest_problems
 
 logger = logging.getLogger(__name__)
 
@@ -181,9 +181,10 @@ def eval_command(ctx, dataset, index_dir, judge_mode, report_path):
 @click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.pass_context
 def validate(ctx, index_dir):
-    """Check the graph's invariants and that graph and vector index agree."""
+    """Check the graph's invariants, that graph and vector index agree, and
+    that every file the manifest lists still has its recorded sha256."""
     engine = _engine(ctx, index_dir)
-    problems = engine.validate()
+    problems = engine.validate() + manifest_problems(index_dir)
     if problems:
         for problem in problems:
             click.echo(f"violation: {problem}", err=True)

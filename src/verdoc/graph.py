@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import json
 import re
 import threading
@@ -654,8 +655,11 @@ class VersionGraph:
             ],
         }
 
-    def save(self, path) -> None:
-        write_atomic(path, json_bytes(self.to_dict()))
+    def save(self, path) -> str:
+        """Replace ``path`` with the graph's JSON; returns the sha256 of the bytes written."""
+        data = json_bytes(self.to_dict())
+        write_atomic(path, data)
+        return hashlib.sha256(data).hexdigest()
 
     @classmethod
     def from_dict(cls, data: dict) -> "VersionGraph":

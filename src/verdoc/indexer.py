@@ -16,10 +16,21 @@ version pair. A run ends with the graph as the one record of what the index
 holds: the vector entries it does not reference and the cached attributes
 of files no longer in the corpus are dropped. When a run inserts and drops
 no vector entry, the vector files of the previous run are left untouched.
+
+Every full run writes ``manifest.json`` last. It records a digest of the
+clustered catalog (each category name, group title and member's cache key
+and attributes), the chunking, page and embedding parameters, and the
+sha256 of ``graph.json``, ``vectors.json``, ``vectors.npy`` and
+``attributes.json``. A re-index whose files all hit the attribute cache and
+whose catalog, parameters and files match the manifest stops right after
+clustering: it loads the graph on disk and writes nothing. A run that
+stops early leaves a manifest that no longer matches, so the next run
+takes the full path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -43,6 +54,7 @@ from .errors import (
 )
 from .fileio import json_bytes, write_atomic
 from .gateway import CompletionRequest, Gateway, ResponseSchema, TokenUsage, parse_json_reply
+from .graph import FORMAT_VERSION as GRAPH_FORMAT_VERSION
 from .graph import ChangeOrigin, VersionGraph, load_change_records
 from .ingestion import (
     CHUNK_OVERLAP,
@@ -55,7 +67,8 @@ from .ingestion import (
     outline,
 )
 from .textmatch import content_tokens
-from .vector_index import IndexEntry, VectorIndex
+from .vector_index import FORMAT_VERSION as VECTOR_FORMAT_VERSION
+from .vector_index import IndexEntry, VectorIndex, vectors_path
 from .versions import VersionLabel, parse_version
 
 logger = logging.getLogger(__name__)
@@ -64,6 +77,10 @@ GRAPH_FILE = "graph.json"
 INDEX_FILE = "vectors.json"
 SUMMARY_FILE = "summary.json"
 ATTRIBUTES_FILE = "attributes.json"
+MANIFEST_FILE = "manifest.json"
+MANIFEST_FORMAT_VERSION = 1
+# the files whose sha256 the manifest records
+HASHED_FILES = (GRAPH_FILE, INDEX_FILE, vectors_path(INDEX_FILE).name, ATTRIBUTES_FILE)
 
 
 @dataclass
@@ -495,27 +512,31 @@ def _attach_records(
 # --- whole pipeline ----------------------------------------------------------------------
 
 
-def index_documents(
+@contextlib.contextmanager
+def _stage(step: str):
+    """Report a failure inside ``step`` as an ``IndexingError`` naming it."""
+    try:
+        yield
+    except IndexingError:
+        raise
+    except VerdocError as exc:
+        raise IndexingError(step, exc) from exc
+
+
+def catalog_documents(
     documents: list,
     gateway: Gateway,
-    vector_index: VectorIndex,
-    chunk_size: int = CHUNK_SIZE,
-    overlap: int = CHUNK_OVERLAP,
     page_tokens: int = PAGE_TOKENS,
     attribute_cache: Optional[dict] = None,
-    change_records: Iterable = (),
-) -> IndexSummary:
-    """Run the five steps over already-loaded documents.
+) -> CorpusCatalog:
+    """Steps 1 and 2: each document's attributes, then their clustering.
 
-    ``attribute_cache`` maps a file's path:hash to its extracted attributes
-    and keeps only the files of ``documents``; ``change_records`` are an
-    earlier run's records, reused where their source is unchanged. The
-    vector entries the new graph does not reference are dropped.
+    ``attribute_cache`` maps a file's path:hash to its extracted attributes;
+    a file found there sends no completion, and the cache is left holding
+    the files of ``documents`` and no others.
     """
-    usage_before = gateway.usage()
     attrs = []
-    step = "attributes"
-    try:
+    with _stage("attributes"):
         cache_keys = [_cache_key(doc) for doc in documents]
         for doc, key in zip(documents, cache_keys):
             cached = None if attribute_cache is None else attribute_cache.get(key)
@@ -529,28 +550,52 @@ def index_documents(
         if attribute_cache is not None:
             for stale in attribute_cache.keys() - set(cache_keys):
                 del attribute_cache[stale]
-        step = "clustering"
-        catalog = cluster_documents(attrs, gateway)
-        step = "graph"
+    with _stage("clustering"):
+        return cluster_documents(attrs, gateway)
+
+
+def index_documents(
+    documents: list,
+    gateway: Gateway,
+    vector_index: VectorIndex,
+    chunk_size: int = CHUNK_SIZE,
+    overlap: int = CHUNK_OVERLAP,
+    page_tokens: int = PAGE_TOKENS,
+    attribute_cache: Optional[dict] = None,
+    change_records: Iterable = (),
+    catalog: Optional[CorpusCatalog] = None,
+) -> IndexSummary:
+    """Run the five steps over already-loaded documents.
+
+    Steps 1 and 2 are :func:`catalog_documents`, with ``page_tokens`` and
+    ``attribute_cache``; a caller that already has the ``catalog`` of
+    ``documents`` passes it, and only steps 3 to 5 run. ``change_records``
+    are an earlier run's records, reused where their source is unchanged.
+    The vector entries the new graph does not reference are dropped.
+    """
+    usage_before = gateway.usage()
+    if catalog is None:
+        catalog = catalog_documents(documents, gateway, page_tokens, attribute_cache)
+    with _stage("graph"):
         graph = build_graph(catalog)
-        step = "content"
+    with _stage("content"):
         chunks = index_content(
             graph, catalog, gateway, vector_index, chunk_size=chunk_size, overlap=overlap
         )
-        step = "changes"
+    with _stage("changes"):
         changes = extract_changes(graph, catalog, gateway, vector_index, change_records)
         graph.validate_strict()
-    except VerdocError as exc:
-        if isinstance(exc, IndexingError):
-            raise
-        raise IndexingError(step, exc) from exc
     referenced = graph.index_keys()
     vector_index.drop([key for key in vector_index.keys() if key not in referenced])
+    return _summary(graph, catalog, documents, gateway.usage().minus(usage_before), chunks, changes)
+
+
+def _summary(graph, catalog, documents, usage, chunks=0, changes=0) -> IndexSummary:
     return IndexSummary(
         graph=graph,
         chunks=chunks,
         changes=changes,
-        usage=gateway.usage().minus(usage_before),
+        usage=usage,
         documents=len(documents),
         groups=sum(1 for _ in catalog.all_groups()),
         categories=len(catalog.categories),
@@ -558,8 +603,85 @@ def index_documents(
 
 
 def _cache_key(doc: RawDocument) -> str:
-    digest = hashlib.sha256(doc.text.encode("utf-8")).hexdigest()[:16]
-    return f"{doc.source_path}:{digest}"
+    return f"{doc.source_path}:{doc.sha256[:16]}"
+
+
+# --- the manifest ------------------------------------------------------------------------
+
+
+def _inputs_digest(catalog: CorpusCatalog) -> str:
+    """The sha256 of what an index of ``catalog`` is built from: each
+    category's name, each group's title, and each member's cache key and
+    attributes, in catalog order, behind the formats of the graph and vector
+    files, so that an index of an older format is built again."""
+    listing = [
+        [
+            category.name,
+            [
+                [group.canonical_title, [[_cache_key(d), a.to_dict()] for d, a in group.members]]
+                for group in category.groups
+            ],
+        ]
+        for category in catalog.categories
+    ]
+    payload = [GRAPH_FORMAT_VERSION, VECTOR_FORMAT_VERSION, listing]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("ascii")).hexdigest()
+
+
+def _file_sha256(path: Path) -> Optional[str]:
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
+def _read_manifest(path: Path) -> Optional[dict]:
+    try:
+        data = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _changed_files(index_dir: Path, files: dict) -> list:
+    """The names in ``files`` whose file under ``index_dir`` is missing or
+    does not hash to the sha256 recorded beside the name."""
+    return [name for name, digest in files.items() if _file_sha256(index_dir / name) != digest]
+
+
+def _unchanged_graph(out: Path, expected: dict) -> Optional[VersionGraph]:
+    """The graph of the index in ``out`` when its manifest records
+    ``expected`` and every file it lists still has its recorded sha256;
+    None when the index has to be built again."""
+    recorded = _read_manifest(out / MANIFEST_FILE)
+    if recorded is None:
+        return None
+    files = recorded.pop("files", None)
+    if recorded != expected or not isinstance(files, dict) or set(files) != set(HASHED_FILES):
+        return None
+    if _changed_files(out, files):
+        return None
+    try:
+        return VersionGraph.load(out / GRAPH_FILE)
+    except CorruptFileError:
+        return None
+
+
+def manifest_problems(index_dir) -> list:
+    """Each file that the manifest of the index in ``index_dir`` lists and
+    that is missing or no longer has its recorded sha256. An index without a
+    manifest has nothing to report."""
+    path = Path(index_dir) / MANIFEST_FILE
+    if not path.exists():
+        return []
+    manifest = _read_manifest(path)
+    files = None if manifest is None else manifest.get("files")
+    if not isinstance(files, dict):
+        return [f"{MANIFEST_FILE}: unreadable or lists no files"]
+    return [
+        f"{name}: sha256 differs from the one in {MANIFEST_FILE}"
+        for name in _changed_files(Path(index_dir), files)
+    ]
 
 
 def index_corpus(
@@ -571,10 +693,17 @@ def index_corpus(
     overlap: int = CHUNK_OVERLAP,
     page_tokens: int = PAGE_TOKENS,
 ) -> IndexSummary:
-    """Index a corpus directory and persist graph, vectors and summary.
+    """Index a corpus directory and persist graph, vectors, summary and manifest.
 
-    When ``out_dir`` already holds an index, its vector entries, cached
-    attributes and change records are reused: unchanged corpora re-index
+    The corpus is loaded and clustered first. When every file's attributes
+    are cached and the manifest of ``out_dir`` records this catalog and
+    these parameters, and each file it lists still has its recorded sha256,
+    the index already holds what this run would write: the run returns the
+    graph on disk with 0 chunks and 0 changes, and writes no file, so
+    ``summary.json`` still describes the run that built the index.
+
+    Otherwise the vector entries, cached attributes and change records of
+    an index in ``out_dir`` are reused, so an unchanged corpus re-indexes
     to an identical state without re-spending completion tokens. An
     unreadable vector index (an older format, or one torn by a crash) is
     re-embedded in full, and an unreadable graph has its changes
@@ -582,11 +711,36 @@ def index_corpus(
     ``vectors.json`` are written only when the run inserted or dropped an
     entry or found no readable index: otherwise they already hold the
     entries the run would write, since it loaded them (the ``.npy``
-    checked against its sha256) and changed none.
+    checked against its sha256) and changed none. ``manifest.json`` is
+    written last, so a run that stops early leaves a manifest whose inputs
+    or file hashes do not match, and the next run builds the index again.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     documents = load_corpus(root_path)
+
+    cache_path = out / ATTRIBUTES_FILE
+    attribute_cache: dict = {}
+    if cache_path.exists():
+        try:
+            attribute_cache = json.loads(cache_path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
+            logger.warning("ignoring unreadable attribute cache at %s", cache_path)
+    # every file is cached and no cached file is gone: the cache stays as it is on disk
+    cached = attribute_cache.keys() == {_cache_key(doc) for doc in documents}
+    usage_before = gateway.usage()
+    catalog = catalog_documents(documents, gateway, page_tokens, attribute_cache)
+    manifest = {
+        "format_version": MANIFEST_FORMAT_VERSION,
+        "inputs": _inputs_digest(catalog),
+        "chunk_size": chunk_size,
+        "overlap": overlap,
+        "page_tokens": page_tokens,
+        "dimension": dimension,
+    }
+    graph = _unchanged_graph(out, manifest) if cached else None
+    if graph is not None:
+        return _summary(graph, catalog, documents, gateway.usage().minus(usage_before))
 
     index_path = out / INDEX_FILE
     vector_index = VectorIndex(dimension)
@@ -602,13 +756,6 @@ def index_corpus(
             change_records = load_change_records(graph_path)
         except CorruptFileError as exc:
             logger.warning("re-extracting every change; unreadable graph: %s", exc)
-    cache_path = out / ATTRIBUTES_FILE
-    attribute_cache: dict = {}
-    if cache_path.exists():
-        try:
-            attribute_cache = json.loads(cache_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            logger.warning("ignoring unreadable attribute cache at %s", cache_path)
 
     summary = index_documents(
         documents,
@@ -616,14 +763,19 @@ def index_corpus(
         vector_index,
         chunk_size=chunk_size,
         overlap=overlap,
-        page_tokens=page_tokens,
-        attribute_cache=attribute_cache,
         change_records=change_records,
+        catalog=catalog,
     )
+    summary.usage = gateway.usage().minus(usage_before)  # the clustering above included
 
-    summary.graph.save(graph_path)
+    files = {GRAPH_FILE: summary.graph.save(graph_path)}
     if vector_index.dirty:
-        vector_index.save(index_path)
-    for path, data in ((cache_path, attribute_cache), (out / SUMMARY_FILE, summary.to_dict())):
-        write_atomic(path, json_bytes(data))
+        files.update(vector_index.save(index_path))
+    else:
+        files.update({path.name: _file_sha256(path) for path in (index_path, vectors_path(index_path))})
+    attributes = json_bytes(attribute_cache)
+    write_atomic(cache_path, attributes)
+    files[ATTRIBUTES_FILE] = hashlib.sha256(attributes).hexdigest()
+    write_atomic(out / SUMMARY_FILE, json_bytes(summary.to_dict()))
+    write_atomic(out / MANIFEST_FILE, json_bytes({**manifest, "files": files}))
     return summary

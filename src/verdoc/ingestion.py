@@ -13,6 +13,7 @@ chunk text and counts no tokens.
 from __future__ import annotations
 
 import functools
+import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
@@ -42,6 +43,11 @@ class RawDocument:
     @functools.cached_property
     def token_count(self) -> int:
         return count_tokens(self.text)
+
+    @functools.cached_property
+    def sha256(self) -> str:
+        """The hex sha256 of the UTF-8 text."""
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -333,7 +333,7 @@ class VectorIndex:
 
     # --- persistence -------------------------------------------------------
 
-    def save(self, path) -> None:
+    def save(self, path) -> dict:
         """Write the vectors to ``vectors_path(path)`` and then the sidecar ``path``.
 
         The ``.npy`` holds a little-endian float64 matrix whose row i is
@@ -341,6 +341,7 @@ class VectorIndex:
         records the ``.npy``'s sha256. Each file is replaced atomically, the
         ``.npy`` first, so a crash between the two leaves a sidecar whose
         hash no longer matches and ``load`` reports the index as corrupt.
+        Returns the sha256 of each file written, by file name.
         """
         with self._lock:
             rows = sorted(range(len(self._keys)), key=self._keys.__getitem__)
@@ -352,15 +353,19 @@ class VectorIndex:
         buffer = io.BytesIO()
         np.save(buffer, matrix, allow_pickle=False)
         vectors = buffer.getvalue()
+        npy = vectors_path(path)
+        digests = {npy.name: hashlib.sha256(vectors).hexdigest()}
         sidecar = {
             "format_version": FORMAT_VERSION,
             "dimension": self.dimension,
-            "vectors_sha256": hashlib.sha256(vectors).hexdigest(),
+            "vectors_sha256": digests[npy.name],
             "entries": entries,
         }
-        payload = json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n"
-        write_atomic(vectors_path(path), vectors)
-        write_atomic(path, payload.encode("utf-8"))
+        payload = (json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+        write_atomic(npy, vectors)
+        write_atomic(path, payload)
+        digests[Path(path).name] = hashlib.sha256(payload).hexdigest()
+        return digests
 
     @classmethod
     def load(cls, path) -> "VectorIndex":

@@ -20,6 +20,8 @@ PINNED = {
     "vectors.json": "6688ea84678c354ac7c99e11f1ae6b45c4e8a55728ce3c6617351e70469f95e9",
     "attributes.json": "6a3be9d8dd1aa95ce807256776d8af541895ea6a419f1210373e2a5f406280ad",
     "summary.json": "bcc7cc19077610665f8d7cf6ffb4b738c1c2ab1a2aa58c52c6543892801707ae",
+    # holds the sha256 of the other files but summary.json, and of the clustered corpus
+    "manifest.json": "7d225160f7cfdfb75b2e9d6be81a90c0968cd14f18da61f382022a4cd7a93922",
 }
 
 

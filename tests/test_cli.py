@@ -271,6 +271,25 @@ class TestValidateAndUsage:
         assert code == 2
         assert "violation: vector entry 'orphan'" in captured.err
 
+    def test_validate_reports_a_file_that_differs_from_the_manifest(
+        self, indexed_dir, config_file, capsys
+    ):
+        attributes = indexed_dir / "attributes.json"
+        attributes.write_text(attributes.read_text() + "\n")
+        code = run_cli(config_file, "validate", "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "violation: attributes.json: sha256 differs from the one in manifest.json"
+        ]
+
+    def test_validate_accepts_an_index_without_a_manifest(self, indexed_dir, config_file, capsys):
+        (indexed_dir / "manifest.json").unlink()
+        code = run_cli(config_file, "validate", "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "graph valid" in captured.out
+
     def test_usage_prints_token_accounting(self, indexed_dir, config_file, capsys):
         code = run_cli(config_file, "usage", "--index", str(indexed_dir))
         captured = capsys.readouterr()

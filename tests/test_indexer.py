@@ -500,7 +500,8 @@ class TestIndexCorpus:
         out = tmp_path / "out"
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
-        assert sorted(p.name for p in out.iterdir()) == sorted((*INDEX_FILES, "summary.json"))
+        written = (*INDEX_FILES, "summary.json", "manifest.json")
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
     def test_step_failures_carry_step_name(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -716,7 +717,7 @@ class TestCrashSafety:
     def test_failed_sidecar_replace_is_detected_and_rebuilt(self, tmp_path, monkeypatch, grown):
         """A failed replace of the sidecar leaves a hash mismatch that loading
         reports and the next run rebuilds. A re-index of the same corpus
-        inserts and drops nothing, so it replaces neither vector file and
+        finds the index its manifest describes, so it replaces no file and
         never meets the failing replace."""
         corpus = self.corpus(tmp_path)
         out = tmp_path / "out"
@@ -748,8 +749,7 @@ class TestCrashSafety:
             with pytest.raises(CorruptFileError):
                 Engine.load(out, make_gateway())
         else:
-            assert "graph.json" in replaced
-            assert not {"vectors.json", "vectors.npy"} & set(replaced), replaced
+            assert replaced == []
             assert [(path.read_bytes(), path.stat().st_ino) for path in vector_files] == before
 
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
@@ -795,8 +795,8 @@ class TestCrashSafety:
 
 class TestVectorFileWrites:
     """A run writes ``vectors.npy`` and ``vectors.json`` only when it inserted
-    or dropped an entry, or found no readable index; the other index files
-    are written on every run."""
+    or dropped an entry, or found no readable index; a re-index that finds
+    the index its manifest describes writes no file at all."""
 
     VECTOR_FILES = ("vectors.json", "vectors.npy")
 
@@ -813,15 +813,17 @@ class TestVectorFileWrites:
         return {name: ((out / name).read_bytes(), (out / name).stat().st_ino) for name in names}
 
     def test_unchanged_reindex_leaves_the_vector_files_untouched(self, tmp_path):
+        """Every index file keeps its bytes, inode and mtime, the vector files included."""
         corpus, out = self.indexed(tmp_path)
-        vectors = self.files(out, self.VECTOR_FILES)
-        others = self.files(out, ("graph.json", "attributes.json", "summary.json"))
+
+        def state():
+            paths = [out / name for name in (*INDEX_FILES, "summary.json", "manifest.json")]
+            return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in paths}
+
+        before = state()
         summary = index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
         assert (summary.chunks, summary.changes) == (0, 0)
-        assert self.files(out, self.VECTOR_FILES) == vectors
-        rewritten = self.files(out, others)
-        assert all(rewritten[name][1] != others[name][1] for name in others), "not rewritten"
-        assert rewritten["graph.json"][0] == others["graph.json"][0]
+        assert state() == before
 
     @pytest.mark.parametrize("edit", ["added-version", "deleted-file"])
     def test_reindex_that_inserts_or_drops_rewrites_the_vector_files(self, tmp_path, edit):
@@ -881,3 +883,94 @@ def test_reindex_after_deletes_and_an_added_version_matches_a_fresh_index(tmp_pa
     versions = {item.version for item in context.items}
     assert "22.14.0 -> 23.11.0" in versions
     assert not any("20.19.0" in v or "2.4.7" in v for v in versions), versions
+
+
+class TestManifest:
+    """A re-index stops after clustering when ``manifest.json`` records the
+    same inputs and parameters and every file it lists is unchanged;
+    anything else takes the full path."""
+
+    indexed = staticmethod(TestVectorFileWrites.indexed)
+
+    @pytest.mark.parametrize(
+        "param, value", [("chunk_size", 128), ("overlap", 8), ("page_tokens", 100), ("dimension", 32)]
+    )
+    def test_changed_parameter_takes_the_full_path(self, tmp_path, param, value):
+        corpus, out = self.indexed(tmp_path)
+        params = {"dimension": DIMENSION, param: value}
+        index_corpus(corpus, out, make_gateway(dimension=params["dimension"]), **params)
+        assert json.loads((out / "manifest.json").read_text())[param] == value
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(dimension=params["dimension"]), **params)
+        assert (out / "graph.json").read_bytes() == (clean / "graph.json").read_bytes()
+
+    @pytest.mark.parametrize("then", ["grown", "reverted"])
+    @pytest.mark.parametrize(
+        "stop_at", ["vectors.npy", "vectors.json", "attributes.json", "summary.json", "manifest.json"]
+    )
+    def test_run_stopped_before_the_manifest_is_built_again(self, tmp_path, monkeypatch, stop_at, then):
+        """A grown-corpus run stops after replacing graph.json: re-indexing
+        the grown corpus, or the corpus reverted to what the manifest
+        describes, writes what a fresh index of it writes."""
+        corpus = TestCrashSafety.corpus(tmp_path)
+        out = tmp_path / "out"
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        graph_before = (out / "graph.json").read_bytes()
+        TestCrashSafety.corpus(tmp_path, grown=True)
+
+        real_replace = os.replace
+
+        def replace_stopping_at(src, dst):
+            if Path(dst).name == stop_at:
+                raise OSError("stopped")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_stopping_at)
+        with pytest.raises(OSError):
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        monkeypatch.undo()
+        assert (out / "graph.json").read_bytes() != graph_before
+
+        if then == "reverted":
+            (corpus / "assert" / "23.md").unlink()
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        Engine.load(out, make_gateway())
+
+    def test_file_edited_in_place_is_extracted_again(self, tmp_path):
+        corpus, out = self.indexed(tmp_path)
+        edited = corpus / "assert" / "22.md"
+        edited.write_text(edited.read_text().replace("truthy", "zorblax"), encoding="utf-8")
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        backend = RecordingBackend()
+        index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        # the metadata and doc-type prompts of the edited file, then clustering
+        assert len(backend.prompts) == 3
+        assert "zorblax" in backend.prompts[0]
+        assert json.loads((out / "manifest.json").read_text())["inputs"] != inputs
+
+    def test_skipped_run_returns_what_a_full_reindex_returns(self, tmp_path):
+        corpus, out = self.indexed(tmp_path)
+        full = tmp_path / "full"
+        full.mkdir()
+        for name in (*INDEX_FILES, "summary.json"):
+            (full / name).write_bytes((out / name).read_bytes())
+        manifest = (out / "manifest.json").stat()
+
+        skipped = index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        # without a manifest the run takes the full path over the same index
+        rebuilt = index_corpus(corpus, full, make_gateway(), dimension=DIMENSION)
+        assert (out / "manifest.json").stat().st_mtime_ns == manifest.st_mtime_ns
+        assert (full / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+        assert skipped.to_dict() == rebuilt.to_dict()
+        assert skipped.graph.to_dict() == rebuilt.graph.to_dict()
+
+    def test_skipped_run_sends_only_the_clustering_completion_and_no_embed_call(self, tmp_path):
+        corpus, out = self.indexed(tmp_path)
+        backend = RecordingBackend()
+        index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        assert backend.batches == []
+        assert len(backend.prompts) == 1
