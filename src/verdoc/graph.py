@@ -26,7 +26,6 @@ may run from any thread.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -195,16 +194,8 @@ class VersionGraph:
     # --- low-level helpers -------------------------------------------------
 
     def _add_node(self, node: Node) -> str:
-        old = self.nodes.get(node.id)
         self.nodes[node.id] = node
-        if old is None or type(old) is type(node):
-            self._by_kind[type(node)][node.id] = node
-        else:
-            # the id keeps its place in ``nodes`` under its new class
-            del self._by_kind[type(old)][node.id]
-            self._by_kind[type(node)] = {
-                i: n for i, n in self.nodes.items() if type(n) is type(node)
-            }
+        self._by_kind[type(node)][node.id] = node
         return node.id
 
     def _add_edge(self, source: str, kind: EdgeKind, target: str) -> None:
@@ -242,15 +233,15 @@ class VersionGraph:
 
     # --- construction ------------------------------------------------------
 
-    def add_category(self, name: str, node_id: Optional[str] = None) -> str:
+    def add_category(self, name: str) -> str:
         with self._lock:
-            node_id = node_id or self._unique_id(f"category:{_slugify(name)}")
+            node_id = self._unique_id(f"category:{_slugify(name)}")
             return self._add_node(CategoryNode(id=node_id, name=name))
 
-    def add_document(self, title: str, category: str, node_id: Optional[str] = None) -> str:
+    def add_document(self, title: str, category: str) -> str:
         with self._lock:
             self._require(category, NodeKind.CATEGORY)
-            node_id = node_id or self._unique_id(f"document:{_slugify(title)}")
+            node_id = self._unique_id(f"document:{_slugify(title)}")
             self._add_node(DocumentNode(id=node_id, title=title, category=category))
             self._add_edge(category, EdgeKind.HAS_DOCUMENT, node_id)
             return node_id
@@ -664,83 +655,42 @@ class VersionGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "VersionGraph":
         """The graph ``to_dict`` wrote, filled in bulk and not validated, so that
-        :meth:`validate` can report dangling edges and broken chains.
+        :meth:`validate` can report dangling edges and broken chains. A
+        malformed payload raises ``CorruptFileError``.
 
-        An id given twice keeps its first place in ``nodes`` and its last
-        node, as repeated ``_add_node`` calls would leave it.
+        Each distinct version label is parsed once. An id given twice keeps
+        its first place in ``nodes`` and its last node.
         """
         graph = cls()
-        with _decoding():
-            nodes = _decode_nodes(_nodes(data))
-            edges = _decode_edges(data)
+        label = functools.cache(parse_version)
+        decode, edge_kinds = cls._node_from_dict, _EDGE_KINDS
+        try:
+            version = data["format_version"]
+            if version != FORMAT_VERSION:
+                raise VersionMismatchError(
+                    f"unsupported graph format_version {version!r} (expected {FORMAT_VERSION})"
+                )
+            nodes = (decode(payload, label) for payload in data["nodes"])
             graph.nodes = {node.id: node for node in nodes}
             by_kind = graph._by_kind
             for node_id, node in graph.nodes.items():
                 by_kind[type(node)][node_id] = node
             out, into = graph._out, graph._in
-            for edge in edges:
+            for e in data["edges"]:
+                edge = Edge(e["from"], edge_kinds[e["kind"]], e["to"])
                 out.setdefault(edge.source, []).append(edge)
                 into.setdefault(edge.target, []).append(edge)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CorruptFileError(f"malformed graph payload: {exc}") from exc
         return graph
 
     @classmethod
     def load(cls, path) -> "VersionGraph":
-        return cls.from_dict(_read(path))
-
-
-def load_change_records(path) -> list[ChangeRecord]:
-    """The change records of the graph file at ``path``, in id order.
-
-    Decodes no other node and builds no graph, so reading a previous
-    index's records stays cheap. The edges are decoded too, so that a file
-    ``VersionGraph.load`` refuses yields no records either.
-    """
-    data = _read(path)
-    change = NodeKind.CHANGE
-    with _decoding():
-        _decode_edges(data)
-        return _decode_nodes(
-            node for node in _nodes(data) if _NODE_KINDS[node["node_kind"]] is change
-        )
-
-
-def _decode_nodes(payloads) -> list:
-    """The nodes of ``payloads``, each distinct version label parsed once."""
-    label = functools.cache(parse_version)
-    decode = VersionGraph._node_from_dict
-    return [decode(data, label) for data in payloads]
-
-
-def _decode_edges(data: dict) -> list:
-    kind = _EDGE_KINDS
-    return [Edge(e["from"], kind[e["kind"]], e["to"]) for e in data["edges"]]
-
-
-@contextlib.contextmanager
-def _decoding():
-    """Report a malformed payload as a ``CorruptFileError``."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CorruptFileError(f"malformed graph payload: {exc}") from exc
-
-
-def _read(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptFileError(f"cannot read graph file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CorruptFileError(f"graph file {path} does not hold an object")
-    return data
-
-
-def _nodes(data: dict) -> list:
-    """The node payloads of a graph file of this format."""
-    version = data["format_version"]
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"unsupported graph format_version {version!r} (expected {FORMAT_VERSION})"
-        )
-    return data["nodes"]
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CorruptFileError(f"cannot read graph file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise CorruptFileError(f"graph file {path} does not hold an object")
+        return cls.from_dict(data)

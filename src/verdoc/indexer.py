@@ -9,23 +9,22 @@ twice.
 
 Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
-cached next to the index, already-present chunks are skipped by
-(document, version, ordinal) key before their text is joined, and the
-change records of the previous graph are reused per changelog file and per
-version pair. A run ends with the graph as the one record of what the index
-holds: the vector entries it does not reference and the cached attributes
-of files no longer in the corpus are dropped. When a run inserts and drops
-no vector entry, the vector files of the previous run are left untouched.
+cached next to the index, a chunk whose entry already holds its text and
+metadata is not embedded again, and the change records of the previous
+graph are reused per changelog file and per version pair. A run ends with
+the graph as the one record of what the index holds: the vector entries it
+does not reference and the cached attributes of files no longer in the
+corpus are dropped.
 
 Every full run writes ``manifest.json`` last. It records a digest of the
 clustered catalog (each category name, group title and member's cache key
 and attributes), the chunking, page and embedding parameters, and the
 sha256 of ``graph.json``, ``vectors.json``, ``vectors.npy`` and
-``attributes.json``. A re-index whose files all hit the attribute cache and
-whose catalog, parameters and files match the manifest stops right after
-clustering: it loads the graph on disk and writes nothing. A run that
-stops early leaves a manifest that no longer matches, so the next run
-takes the full path.
+``attributes.json``. The manifest is the one shortcut: a re-index whose
+catalog, parameters and files match it stops right after clustering, loads
+the graph on disk and writes nothing, and any other run rebuilds and
+rewrites every file. A run that stops early leaves a manifest that no
+longer matches, so the next run takes the full path.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .errors import (
     AttributeExtractionError,
     ClusteringError,
     CorruptFileError,
+    DimensionMismatchError,
     IndexingError,
     SchemaViolationError,
     VerdocError,
@@ -55,7 +55,7 @@ from .errors import (
 from .fileio import json_bytes, write_atomic
 from .gateway import CompletionRequest, Gateway, ResponseSchema, TokenUsage, parse_json_reply
 from .graph import FORMAT_VERSION as GRAPH_FORMAT_VERSION
-from .graph import ChangeOrigin, VersionGraph, load_change_records
+from .graph import ChangeOrigin, VersionGraph
 from .ingestion import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
@@ -355,23 +355,29 @@ def index_content(
     chunk_size: int = CHUNK_SIZE,
     overlap: int = CHUNK_OVERLAP,
 ) -> int:
-    """Chunk, embed and insert every version's text; returns new chunk count.
+    """Chunk, embed and upsert every version's text; returns the count of
+    chunks embedded.
 
     The pending chunks of all versions of a document group go to the
-    gateway in one embed call, and are inserted in (version, ordinal)
-    order. Chunks already present in the index (same
-    document/version/ordinal key) are skipped without joining their text,
-    which makes interrupted runs resumable and re-runs no-ops.
+    gateway in one embed call, and are upserted in (version, ordinal)
+    order. A chunk whose (document, version, ordinal) key already holds its
+    text and metadata is not embedded again, which makes interrupted runs
+    resumable and re-runs no-ops; a version edited in place, another
+    chunking or a renamed category replaces the entries it changes.
     """
     new_chunks = 0
     for category, group in catalog.all_groups():
         if group.document_id not in graph.nodes:
             raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
-        # (version, key, text) not yet in the index; holding the joined text
-        # rather than the chunk lets each version's token list go
-        pending = []
+        pending = []  # (key, metadata, text) of the entries to embed
         for (doc, _), version_id in zip(group.members, group.version_ids):
             version = graph.nodes[version_id].label.raw
+            metadata = {
+                "category": category.name,
+                "document": group.document_id,
+                "version": version,
+                "origin": "content",
+            }
             chunks = chunk_document(
                 doc,
                 chunk_size=chunk_size,
@@ -382,25 +388,14 @@ def index_content(
             for chunk in chunks:
                 key = chunk.key
                 graph.add_content_ref(version_id, chunk.ordinal, key)
-                if key not in vector_index:
-                    pending.append((version, key, chunk.text))
+                held = vector_index.get(key)
+                if held is None or held.text != chunk.text or held.metadata != metadata:
+                    pending.append((key, metadata, chunk.text))
         if not pending:
             continue
         vectors = gateway.embed([text for _, _, text in pending])
-        for (version, key, text), vector in zip(pending, vectors):
-            vector_index.insert(
-                IndexEntry(
-                    key=key,
-                    vector=vector,
-                    metadata={
-                        "category": category.name,
-                        "document": group.document_id,
-                        "version": version,
-                        "origin": "content",
-                    },
-                    text=text,
-                )
-            )
+        for (key, metadata, text), vector in zip(pending, vectors):
+            vector_index.insert(IndexEntry(key=key, vector=vector, metadata=metadata, text=text))
         new_chunks += len(pending)
     return new_chunks
 
@@ -695,25 +690,24 @@ def index_corpus(
 ) -> IndexSummary:
     """Index a corpus directory and persist graph, vectors, summary and manifest.
 
-    The corpus is loaded and clustered first. When every file's attributes
-    are cached and the manifest of ``out_dir`` records this catalog and
-    these parameters, and each file it lists still has its recorded sha256,
-    the index already holds what this run would write: the run returns the
-    graph on disk with 0 chunks and 0 changes, and writes no file, so
-    ``summary.json`` still describes the run that built the index.
+    The corpus is loaded and clustered first. When the manifest of
+    ``out_dir`` records this catalog and these parameters, and each file it
+    lists still has its recorded sha256, the index already holds what this
+    run would write: the run returns the graph on disk with 0 chunks and 0
+    changes, and writes no file, so ``summary.json`` still describes the
+    run that built the index. An attribute-cache miss or a cached file that
+    is gone changes the catalog, and a damaged cache its sha256, so neither
+    passes this check.
 
     Otherwise the vector entries, cached attributes and change records of
     an index in ``out_dir`` are reused, so an unchanged corpus re-indexes
     to an identical state without re-spending completion tokens. An
-    unreadable vector index (an older format, or one torn by a crash) is
-    re-embedded in full, and an unreadable graph has its changes
-    re-extracted. Every file is replaced atomically. ``vectors.npy`` and
-    ``vectors.json`` are written only when the run inserted or dropped an
-    entry or found no readable index: otherwise they already hold the
-    entries the run would write, since it loaded them (the ``.npy``
-    checked against its sha256) and changed none. ``manifest.json`` is
-    written last, so a run that stops early leaves a manifest whose inputs
-    or file hashes do not match, and the next run builds the index again.
+    unreadable vector index (an older format, one torn by a crash, or one
+    of another dimension) is re-embedded in full, and an unreadable graph
+    has its changes re-extracted. Every file is replaced atomically, and
+    ``manifest.json`` is written last, so a run that stops early leaves a
+    manifest whose inputs or file hashes do not match, and the next run
+    builds the index again.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -726,8 +720,6 @@ def index_corpus(
             attribute_cache = json.loads(cache_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             logger.warning("ignoring unreadable attribute cache at %s", cache_path)
-    # every file is cached and no cached file is gone: the cache stays as it is on disk
-    cached = attribute_cache.keys() == {_cache_key(doc) for doc in documents}
     usage_before = gateway.usage()
     catalog = catalog_documents(documents, gateway, page_tokens, attribute_cache)
     manifest = {
@@ -738,7 +730,7 @@ def index_corpus(
         "page_tokens": page_tokens,
         "dimension": dimension,
     }
-    graph = _unchanged_graph(out, manifest) if cached else None
+    graph = _unchanged_graph(out, manifest)
     if graph is not None:
         return _summary(graph, catalog, documents, gateway.usage().minus(usage_before))
 
@@ -746,14 +738,17 @@ def index_corpus(
     vector_index = VectorIndex(dimension)
     if index_path.exists():
         try:
-            vector_index = VectorIndex.load(index_path)
-        except CorruptFileError as exc:
+            loaded = VectorIndex.load(index_path)
+            if loaded.dimension != dimension:
+                raise DimensionMismatchError(f"it has dimension {loaded.dimension}, not {dimension}")
+            vector_index = loaded
+        except (CorruptFileError, DimensionMismatchError) as exc:
             logger.warning("re-embedding every entry; unreadable vector index: %s", exc)
     graph_path = out / GRAPH_FILE
     change_records: list = []
     if graph_path.exists():
         try:
-            change_records = load_change_records(graph_path)
+            change_records = VersionGraph.load(graph_path).change_records()
         except CorruptFileError as exc:
             logger.warning("re-extracting every change; unreadable graph: %s", exc)
 
@@ -768,11 +763,7 @@ def index_corpus(
     )
     summary.usage = gateway.usage().minus(usage_before)  # the clustering above included
 
-    files = {GRAPH_FILE: summary.graph.save(graph_path)}
-    if vector_index.dirty:
-        files.update(vector_index.save(index_path))
-    else:
-        files.update({path.name: _file_sha256(path) for path in (index_path, vectors_path(index_path))})
+    files = {GRAPH_FILE: summary.graph.save(graph_path), **vector_index.save(index_path)}
     attributes = json_bytes(attribute_cache)
     write_atomic(cache_path, attributes)
     files[ATTRIBUTES_FILE] = hashlib.sha256(attributes).hexdigest()

@@ -5,9 +5,7 @@ token sequence, so rejoining chunk tokens (dropping each chunk's leading
 overlap) reproduces the document's token sequence exactly.
 
 Loading a corpus reads the files and nothing more: a document's token count
-and a chunk's text are computed when first read, so a re-index of an
-unchanged corpus, which skips every chunk already in the index, joins no
-chunk text and counts no tokens.
+and hash are computed when first read.
 """
 
 from __future__ import annotations
@@ -54,26 +52,21 @@ class RawDocument:
 class Chunk:
     """One token window of a document version.
 
-    ``token_span`` is half-open over ``tokens``, the token sequence of the
-    whole document, which every chunk of the document shares; consecutive
-    chunks overlap by exactly the configured overlap except that the final
-    chunk may be shorter. ``text`` joins the span's tokens on first read.
+    ``token_span`` is half-open over the document's token sequence, and
+    ``text`` joins the span's tokens with single spaces; consecutive chunks
+    overlap by exactly the configured overlap except that the final chunk
+    may be shorter.
     """
 
     document: str
     version: str
     ordinal: int
     token_span: tuple
-    tokens: list = field(repr=False)
+    text: str
 
     @property
     def key(self) -> str:
         return f"{self.document}@{self.version}#c{self.ordinal:04d}"
-
-    @functools.cached_property
-    def text(self) -> str:
-        start, end = self.token_span
-        return " ".join(self.tokens[start:end])
 
 
 def chunk_document(
@@ -108,7 +101,7 @@ def chunk_document(
                 version=version,
                 ordinal=len(chunks),
                 token_span=(start, end),
-                tokens=tokens,
+                text=" ".join(tokens[start:end]),
             )
         )
         if end >= total:

@@ -162,10 +162,6 @@ class VectorIndex:
     the rows runs under one lock. ``insert`` copies the caller's vector in, and
     ``get`` and search hits hand out copies, so no caller can change a
     stored row.
-
-    ``dirty`` is False only from ``load`` until an insert or a drop
-    changes the index: while it is False, the files the index was loaded
-    from hold what ``save`` would write.
     """
 
     def __init__(self, dimension: int):
@@ -181,7 +177,6 @@ class VectorIndex:
         self._columns: dict = {}
         self._key_rank: Optional[np.ndarray] = None
         self._lock = threading.Lock()
-        self.dirty = True
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -219,7 +214,6 @@ class VectorIndex:
             self._norms[row] = float(np.linalg.norm(vector))
             self._columns = {}
             self._key_rank = None
-            self.dirty = True
 
     def get(self, key: str) -> Optional[IndexEntry]:
         with self._lock:
@@ -243,7 +237,6 @@ class VectorIndex:
             self._texts = [self._texts[row] for row in kept]
             self._columns = {}
             self._key_rank = None
-            self.dirty = True
 
     def _entry(self, row: int) -> IndexEntry:
         return IndexEntry(
@@ -408,7 +401,6 @@ class VectorIndex:
         index._metadata = metadata
         index._texts = texts
         index._key_rank = np.arange(len(keys))
-        index.dirty = False
         return index
 
 

@@ -24,7 +24,6 @@ from verdoc.graph import (
     EdgeKind,
     VersionGraph,
     VersionNode,
-    load_change_records,
 )
 from verdoc.versions import compare_versions, parse_version
 
@@ -561,6 +560,7 @@ class TestPersistence:
         ],
     )
     def test_bad_node_field_is_corrupt_to_both_loaders(self, tmp_path, node_kind, field, value):
+        """The file reader ``load`` and the payload decoder ``from_dict``."""
         path = tmp_path / "graph.json"
         build_corpus_scale_graph().save(path)
         data = json.loads(path.read_text())
@@ -570,10 +570,11 @@ class TestPersistence:
         with pytest.raises(CorruptFileError):
             VersionGraph.load(path)
         with pytest.raises(CorruptFileError):
-            load_change_records(path)
+            VersionGraph.from_dict(data)
 
     @pytest.mark.parametrize("kind", ["next", ["next_version"], None])
     def test_bad_edge_kind_is_corrupt_to_both_loaders(self, tmp_path, kind):
+        """The file reader ``load`` and the payload decoder ``from_dict``."""
         path = tmp_path / "graph.json"
         build_corpus_scale_graph().save(path)
         data = json.loads(path.read_text())
@@ -582,7 +583,7 @@ class TestPersistence:
         with pytest.raises(CorruptFileError):
             VersionGraph.load(path)
         with pytest.raises(CorruptFileError):
-            load_change_records(path)
+            VersionGraph.from_dict(data)
 
     def test_load_parses_each_distinct_label_once(self, tmp_path, monkeypatch):
         graph = build_corpus_scale_graph()

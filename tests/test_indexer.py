@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from verdoc import graph as graph_module, prompts
+from verdoc import prompts
 from verdoc.engine import Engine
 from verdoc.errors import (
     AttributeExtractionError,
@@ -22,7 +22,6 @@ from verdoc.graph import (
     ChangeRecord,
     EdgeKind,
     VersionGraph,
-    load_change_records,
 )
 from verdoc.indexer import (
     DocumentAttributes,
@@ -328,21 +327,6 @@ class TestIndexDocuments:
             entry = index.get(record.id)
             assert entry.metadata == {"document": record.document, "origin": record.origin.value}
             assert entry.text == ""
-
-    def test_load_change_records_returns_every_saved_record(
-        self, gateway, tmp_path, monkeypatch
-    ):
-        index = VectorIndex(dimension=DIMENSION)
-        graph = index_documents(self.documents(), gateway, index).graph
-        graph.save(tmp_path / "graph.json")
-        parsed = []
-        real_parse = graph_module.parse_version
-        monkeypatch.setattr(
-            graph_module, "parse_version", lambda raw: parsed.append(raw) or real_parse(raw)
-        )
-        records = load_change_records(tmp_path / "graph.json")
-        assert records == sorted(graph.change_records(), key=lambda r: r.id)
-        assert len(parsed) == len(set(parsed))  # each distinct label once
 
     def test_usage_accounted(self, gateway):
         index = VectorIndex(dimension=DIMENSION)
@@ -794,9 +778,8 @@ class TestCrashSafety:
 
 
 class TestVectorFileWrites:
-    """A run writes ``vectors.npy`` and ``vectors.json`` only when it inserted
-    or dropped an entry, or found no readable index; a re-index that finds
-    the index its manifest describes writes no file at all."""
+    """A re-index that finds the index its manifest describes writes no file
+    at all; every other run writes ``vectors.npy`` and ``vectors.json``."""
 
     VECTOR_FILES = ("vectors.json", "vectors.npy")
 
@@ -893,16 +876,49 @@ class TestManifest:
     indexed = staticmethod(TestVectorFileWrites.indexed)
 
     @pytest.mark.parametrize(
-        "param, value", [("chunk_size", 128), ("overlap", 8), ("page_tokens", 100), ("dimension", 32)]
+        "changed",
+        [
+            {"chunk_size": 128},
+            {"overlap": 8},
+            {"page_tokens": 100},
+            {"dimension": 32},
+            {"chunk_size": 16, "overlap": 4},
+        ],
+        ids=["chunk_size-128", "overlap-8", "page_tokens-100", "dimension-32", "chunk_size-16-overlap-4"],
     )
-    def test_changed_parameter_takes_the_full_path(self, tmp_path, param, value):
+    def test_changed_parameter_takes_the_full_path(self, tmp_path, changed):
+        """A re-index with other parameters writes what a fresh index with
+        them writes: every chunk window and every vector of another
+        dimension is embedded again."""
         corpus, out = self.indexed(tmp_path)
-        params = {"dimension": DIMENSION, param: value}
+        params = {"dimension": DIMENSION, **changed}
         index_corpus(corpus, out, make_gateway(dimension=params["dimension"]), **params)
-        assert json.loads((out / "manifest.json").read_text())[param] == value
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {name: manifest[name] for name in changed} == changed
         clean = tmp_path / "clean"
         index_corpus(corpus, clean, make_gateway(dimension=params["dimension"]), **params)
-        assert (out / "graph.json").read_bytes() == (clean / "graph.json").read_bytes()
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        Engine.load(out, make_gateway(dimension=params["dimension"])).ask("What does assert.ok test?")
+
+    @pytest.mark.parametrize("damage", ["deleted", "invalid-json"])
+    def test_damaged_attribute_cache_takes_the_full_path(self, tmp_path, damage):
+        """The manifest's sha256 of attributes.json is the only guard of the
+        cache: every file's attributes are extracted again."""
+        corpus, out = self.indexed(tmp_path)
+        cache = out / "attributes.json"
+        if damage == "deleted":
+            cache.unlink()
+        else:
+            cache.write_text("{not json", encoding="utf-8")
+        backend = RecordingBackend()
+        index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        files = len(list(corpus.rglob("*.md")))
+        assert len(backend.prompts) == 2 * files + 1
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
 
     @pytest.mark.parametrize("then", ["grown", "reverted"])
     @pytest.mark.parametrize(
@@ -951,6 +967,34 @@ class TestManifest:
         assert len(backend.prompts) == 3
         assert "zorblax" in backend.prompts[0]
         assert json.loads((out / "manifest.json").read_text())["inputs"] != inputs
+
+    def test_version_edited_in_place_gets_its_new_text(self, tmp_path):
+        """Every content entry of an edited version holds its new text, as in
+        a fresh index, and a question pinned to that version reads it."""
+        corpus, out = self.indexed(tmp_path)
+        edited = corpus / "assert" / "22.md"
+        edited.write_text(edited.read_text().replace("truthy", "zorblax"), encoding="utf-8")
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+
+        def content(index_dir):
+            entries = json.loads((index_dir / "vectors.json").read_text())["entries"]
+            return [e for e in entries if e["metadata"]["origin"] == "content"]
+
+        assert content(out) == content(clean)
+        engine = Engine.load(out, make_gateway())
+        (document,) = [d for d in engine.graph.documents() if d.title == "Node.js Assert"]
+        parsed = ParsedQuery(
+            "Which value does assert.ok test for zorblax?",
+            QueryIntent.CONTENT,
+            document=document.id,
+            version=parse_version("22.14.0"),
+        )
+        context = engine.retrieve(parsed, k=10)
+        assert context.items and {item.version for item in context.items} == {"22.14.0"}
+        texts = " ".join(item.text for item in context.items)
+        assert "zorblax" in texts and "truthy" not in texts
 
     def test_skipped_run_returns_what_a_full_reindex_returns(self, tmp_path):
         corpus, out = self.indexed(tmp_path)

@@ -643,40 +643,6 @@ class TestPersistence:
             VectorIndex.load(path)
 
 
-class TestDirty:
-    """``dirty`` is False only while the index holds what its files hold."""
-
-    def saved(self, tmp_path):
-        index = VectorIndex(dimension=4)
-        for i in range(3):
-            index.insert(entry(f"k{i}", np.eye(4)[i], {"version": "1.0"}, text=f"t{i}"))
-        path = tmp_path / "vectors.json"
-        index.save(path)
-        return index, path
-
-    def test_new_and_inserted_indexes_are_dirty(self, tmp_path):
-        assert VectorIndex(dimension=4).dirty
-        index, _ = self.saved(tmp_path)
-        assert index.dirty
-
-    def test_loaded_index_is_clean_until_an_insert(self, tmp_path):
-        _, path = self.saved(tmp_path)
-        loaded = VectorIndex.load(path)
-        assert not loaded.dirty
-        loaded.search(np.ones(4), k=2, metadata_filter=MetadataFilter({"version": "1.0"}))
-        loaded.get("k0")
-        loaded.drop(["absent"])
-        assert not loaded.dirty
-        loaded.insert(entry("k0", np.eye(4)[0], {"version": "1.0"}, text="t0"))
-        assert loaded.dirty
-
-    def test_drop_of_a_held_key_makes_it_dirty(self, tmp_path):
-        _, path = self.saved(tmp_path)
-        loaded = VectorIndex.load(path)
-        loaded.drop(["k1", "absent"])
-        assert loaded.dirty and loaded.keys() == ["k0", "k2"]
-
-
 def test_loaded_index_matches_the_inserted_one_bit_for_bit(tmp_path):
     """``load`` recomputes each row's norm exactly as ``insert`` did, so every
     search of the loaded index returns the in-memory index's keys and scores
