@@ -128,12 +128,16 @@ def _validate_clusters(data: dict) -> None:
     if not isinstance(categories, list):
         raise ValueError("categories must be a list")
     for category in categories:
+        if not isinstance(category, dict):
+            raise ValueError("category must be an object")
         if not isinstance(category.get("name"), str):
             raise ValueError("category name must be a string")
         groups = category.get("groups")
         if not isinstance(groups, list):
             raise ValueError("groups must be a list")
         for group in groups:
+            if not isinstance(group, dict):
+                raise ValueError("group must be an object")
             if not isinstance(group.get("title"), str):
                 raise ValueError("group title must be a string")
             members = group.get("members")
@@ -159,6 +163,8 @@ def _validate_change_summary(data: dict) -> None:
     if not isinstance(changes, list):
         raise ValueError("changes must be a list")
     for item in changes:
+        if not isinstance(item, dict):
+            raise ValueError("change must be an object")
         if item.get("kind") not in _CHANGE_KINDS:
             raise ValueError("change kind must be added/removed/modified/other")
         if not isinstance(item.get("description"), str):

@@ -11,10 +11,10 @@ Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
 cached next to the index, a chunk whose entry already holds its text and
 metadata is not embedded again, and the change records of the previous
-graph are reused per changelog file and per version pair. A run ends with
-the graph as the one record of what the index holds: the vector entries it
-does not reference and the cached attributes of files no longer in the
-corpus are dropped.
+graph are reused per changelog file and per version pair whose files the
+previous run indexed unchanged. A run ends with the graph as the one
+record of what the index holds: the vector entries it does not reference
+and the cached attributes of files no longer in the corpus are dropped.
 
 Every full run writes ``manifest.json`` last. It records a digest of the
 clustered catalog (each category name, group title and member's cache key
@@ -131,6 +131,9 @@ class Category:
 @dataclass
 class CorpusCatalog:
     categories: list = field(default_factory=list)
+    # cache keys of the files an earlier index was built from; extract_changes
+    # reuses that index's records of a unit only when all its files are here
+    indexed: frozenset = frozenset()
 
     def all_groups(self):
         for category in self.categories:
@@ -413,45 +416,55 @@ def extract_changes(
     """Explicit records for changelog documents, implicit diffs elsewhere.
 
     ``previous`` holds the change records of an earlier run. A changelog
-    file or version pair that has records there is not re-extracted: its
-    records are re-attached to the (fresh) graph, so re-runs spend no
-    completion tokens on changes. An explicit record's from-version is
-    derived again from the new chain, so a changelog file that is gone
-    leaves no stale pair behind.
+    file or version pair that has records there, and whose files all have
+    a cache key in ``catalog.indexed``, is not re-extracted: its records
+    are re-attached to the (fresh) graph, so re-runs spend no completion
+    tokens on changes. A unit with a file that is new or changed since is
+    extracted again. An explicit record's from-version is derived again
+    from the new chain, so a changelog file that is gone leaves no stale
+    pair behind.
     """
     reusable: dict = {}
     for record in previous:
         reusable.setdefault(_extraction_unit(record), []).append(record)
+
+    def reused(unit, docs) -> Optional[list]:
+        if all(_cache_key(doc) in catalog.indexed for doc in docs):
+            return reusable.get(unit)
+        return None
+
     total = 0
     for _, group in catalog.all_groups():
         document_id = group.document_id
-        text_of = {vid: doc.text for (doc, _), vid in zip(group.members, group.version_ids)}
+        doc_of = {vid: doc for (doc, _), vid in zip(group.members, group.version_ids)}
         if group.is_changelog:
             for doc, attrs in group.members:
                 if attrs.doc_type != "changelog":
                     continue
-                existing = reusable.get((document_id, source_tag(doc.source_path)))
+                existing = reused((document_id, source_tag(doc.source_path)), [doc])
                 if existing:
                     # in extraction order, each from-version derived as for a fresh record
                     existing.sort(key=lambda r: int(r.id.rpartition("-")[2]))
                     for record in existing:
                         record.from_version = None
-                    _attach_records(graph, vector_index, gateway, existing)
+                    _attach_records(graph, vector_index, gateway, existing, fresh=False)
                     continue
                 records = extract_explicit_changes(doc, attrs, document_id, gateway)
                 total += _attach_records(graph, vector_index, gateway, records)
         else:
             for prev_node, next_node in graph.version_pairs(document_id):
-                if prev_node.id not in text_of or next_node.id not in text_of:
+                if prev_node.id not in doc_of or next_node.id not in doc_of:
                     continue
-                existing = reusable.get((document_id, prev_node.label.raw, next_node.label.raw))
+                prev_doc, next_doc = doc_of[prev_node.id], doc_of[next_node.id]
+                unit = (document_id, prev_node.label.raw, next_node.label.raw)
+                existing = reused(unit, [prev_doc, next_doc])
                 if existing:
-                    _attach_records(graph, vector_index, gateway, existing)
+                    _attach_records(graph, vector_index, gateway, existing, fresh=False)
                     continue
                 records = extract_implicit_changes(
                     document_id,
-                    (prev_node.label, text_of[prev_node.id]),
-                    (next_node.label, text_of[next_node.id]),
+                    (prev_node.label, prev_doc.text),
+                    (next_node.label, next_doc.text),
                     gateway,
                 )
                 total += _attach_records(graph, vector_index, gateway, records)
@@ -468,8 +481,18 @@ def _extraction_unit(record) -> tuple:
 
 
 def _attach_records(
-    graph: VersionGraph, vector_index: VectorIndex, gateway: Gateway, records: list
+    graph: VersionGraph,
+    vector_index: VectorIndex,
+    gateway: Gateway,
+    records: list,
+    fresh: bool = True,
 ) -> int:
+    """Add ``records`` to the graph and embed them; returns the count embedded.
+
+    A ``fresh`` record was just extracted and is embedded even when its id
+    has an entry, because a record keeps its id when its description
+    changes; a reused record is embedded only when its entry is missing.
+    """
     chains: dict = {}  # document id -> versions_of, read again only after add_version
     pending = []
     for record in records:
@@ -493,7 +516,7 @@ def _attach_records(
         if record.id in graph.nodes:
             continue
         graph.add_change(record, chain)
-        if record.id not in vector_index:
+        if fresh or record.id not in vector_index:
             pending.append(record)
     if pending:
         vectors = gateway.embed([record.description for record in pending])
@@ -527,16 +550,19 @@ def catalog_documents(
     """Steps 1 and 2: each document's attributes, then their clustering.
 
     ``attribute_cache`` maps a file's path:hash to its extracted attributes;
-    a file found there sends no completion, and the cache is left holding
-    the files of ``documents`` and no others.
+    a file found there sends no completion, an entry that is not an
+    attribute object is a miss, and the cache is left holding the files of
+    ``documents`` and no others. The catalog's ``indexed`` holds the keys
+    the cache held on entry: the files of the run that wrote it.
     """
     attrs = []
+    indexed = frozenset(attribute_cache or ())
     with _stage("attributes"):
         cache_keys = [_cache_key(doc) for doc in documents]
         for doc, key in zip(documents, cache_keys):
-            cached = None if attribute_cache is None else attribute_cache.get(key)
+            cached = None if attribute_cache is None else _cached_attributes(attribute_cache.get(key))
             if cached is not None:
-                attrs.append((doc, DocumentAttributes.from_dict(cached)))
+                attrs.append((doc, cached))
                 continue
             extracted = extract_attributes(doc, gateway, page_tokens=page_tokens)
             attrs.append((doc, extracted))
@@ -546,7 +572,23 @@ def catalog_documents(
             for stale in attribute_cache.keys() - set(cache_keys):
                 del attribute_cache[stale]
     with _stage("clustering"):
-        return cluster_documents(attrs, gateway)
+        catalog = cluster_documents(attrs, gateway)
+    catalog.indexed = indexed
+    return catalog
+
+
+def _cached_attributes(entry) -> Optional[DocumentAttributes]:
+    """The attributes of an attribute-cache entry; None (a miss) when it is
+    missing or is not an attribute object: one with a text ``title``,
+    ``summary`` and ``doc_type``, and a ``version`` that is text or null."""
+    if not isinstance(entry, dict):
+        return None
+    if not all(isinstance(entry.get(name), str) for name in ("title", "summary", "doc_type")):
+        return None
+    version = entry.get("version", False)  # False: no version key
+    if version is not None and not isinstance(version, str):
+        return None
+    return DocumentAttributes.from_dict(entry)
 
 
 def index_documents(
@@ -644,15 +686,15 @@ def _changed_files(index_dir: Path, files: dict) -> list:
     return [name for name, digest in files.items() if _file_sha256(index_dir / name) != digest]
 
 
-def _unchanged_graph(out: Path, expected: dict) -> Optional[VersionGraph]:
-    """The graph of the index in ``out`` when its manifest records
-    ``expected`` and every file it lists still has its recorded sha256;
-    None when the index has to be built again."""
-    recorded = _read_manifest(out / MANIFEST_FILE)
+def _unchanged_graph(out: Path, recorded: Optional[dict], expected: dict) -> Optional[VersionGraph]:
+    """The graph of the index in ``out`` when its manifest ``recorded``
+    records ``expected`` and every file it lists still has its recorded
+    sha256; None when the index has to be built again."""
     if recorded is None:
         return None
-    files = recorded.pop("files", None)
-    if recorded != expected or not isinstance(files, dict) or set(files) != set(HASHED_FILES):
+    files = recorded.get("files")
+    rest = {name: value for name, value in recorded.items() if name != "files"}
+    if rest != expected or not isinstance(files, dict) or set(files) != set(HASHED_FILES):
         return None
     if _changed_files(out, files):
         return None
@@ -660,6 +702,15 @@ def _unchanged_graph(out: Path, expected: dict) -> Optional[VersionGraph]:
         return VersionGraph.load(out / GRAPH_FILE)
     except CorruptFileError:
         return None
+
+
+def _described_by(recorded: Optional[dict], path: Path) -> bool:
+    """Whether the manifest ``recorded`` records the sha256 that ``path``
+    has now; an index without a manifest is taken as it is."""
+    if recorded is None:
+        return True
+    files = recorded.get("files")
+    return isinstance(files, dict) and files.get(path.name) == _file_sha256(path)
 
 
 def manifest_problems(index_dir) -> list:
@@ -690,21 +741,26 @@ def index_corpus(
 ) -> IndexSummary:
     """Index a corpus directory and persist graph, vectors, summary and manifest.
 
-    The corpus is loaded and clustered first. When the manifest of
-    ``out_dir`` records this catalog and these parameters, and each file it
-    lists still has its recorded sha256, the index already holds what this
-    run would write: the run returns the graph on disk with 0 chunks and 0
-    changes, and writes no file, so ``summary.json`` still describes the
-    run that built the index. An attribute-cache miss or a cached file that
-    is gone changes the catalog, and a damaged cache its sha256, so neither
-    passes this check.
+    The corpus is loaded and clustered first; cached attributes are used
+    only when the manifest records the same ``page_tokens``. When the
+    manifest of ``out_dir`` records this catalog and these parameters, and
+    each file it lists still has its recorded sha256, the index already
+    holds what this run would write: the run returns the graph on disk with
+    0 chunks and 0 changes, and writes no file, so ``summary.json`` still
+    describes the run that built the index. An attribute-cache miss or a
+    cached file that is gone changes the catalog, and a damaged cache its
+    sha256, so neither passes this check.
 
     Otherwise the vector entries, cached attributes and change records of
     an index in ``out_dir`` are reused, so an unchanged corpus re-indexes
-    to an identical state without re-spending completion tokens. An
-    unreadable vector index (an older format, one torn by a crash, or one
-    of another dimension) is re-embedded in full, and an unreadable graph
-    has its changes re-extracted. Every file is replaced atomically, and
+    to an identical state without re-spending completion tokens. A change
+    record is reused only when every file it was extracted from has the
+    cache key it had in the run that wrote ``attributes.json`` (every file
+    counts when the manifest records this catalog), and only from a
+    ``graph.json`` that the manifest describes. An unreadable vector index
+    (an older format, one torn by a crash, or one of another dimension) is
+    re-embedded in full, and an unreadable graph has its changes
+    re-extracted. Every file is replaced atomically, and
     ``manifest.json`` is written last, so a run that stops early leaves a
     manifest whose inputs or file hashes do not match, and the next run
     builds the index again.
@@ -712,14 +768,19 @@ def index_corpus(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     documents = load_corpus(root_path)
+    recorded = _read_manifest(out / MANIFEST_FILE)
 
     cache_path = out / ATTRIBUTES_FILE
     attribute_cache: dict = {}
-    if cache_path.exists():
+    # attributes cached at another page_tokens were extracted from other pages
+    if cache_path.exists() and (recorded is None or recorded.get("page_tokens") == page_tokens):
         try:
             attribute_cache = json.loads(cache_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            attribute_cache = None
+        if not isinstance(attribute_cache, dict):
             logger.warning("ignoring unreadable attribute cache at %s", cache_path)
+            attribute_cache = {}
     usage_before = gateway.usage()
     catalog = catalog_documents(documents, gateway, page_tokens, attribute_cache)
     manifest = {
@@ -730,9 +791,11 @@ def index_corpus(
         "page_tokens": page_tokens,
         "dimension": dimension,
     }
-    graph = _unchanged_graph(out, manifest)
+    graph = _unchanged_graph(out, recorded, manifest)
     if graph is not None:
         return _summary(graph, catalog, documents, gateway.usage().minus(usage_before))
+    if recorded is not None and recorded.get("inputs") == manifest["inputs"]:
+        catalog.indexed = frozenset(attribute_cache)  # the files the manifest's run indexed
 
     index_path = out / INDEX_FILE
     vector_index = VectorIndex(dimension)
@@ -746,7 +809,11 @@ def index_corpus(
             logger.warning("re-embedding every entry; unreadable vector index: %s", exc)
     graph_path = out / GRAPH_FILE
     change_records: list = []
-    if graph_path.exists():
+    if not _described_by(recorded, graph_path):
+        # missing, or replaced by a run that stopped: its records may come
+        # from files that attributes.json does not list
+        logger.warning("re-extracting every change; %s does not match %s", GRAPH_FILE, MANIFEST_FILE)
+    elif graph_path.exists():
         try:
             change_records = VersionGraph.load(graph_path).change_records()
         except CorruptFileError as exc:

@@ -4,7 +4,8 @@ Search is an exact scan (desk-scale corpora; determinism matters more than
 speed here): the filter picks the candidate rows, and one numpy matvec
 scores them. Results are ordered by descending score with ties broken by
 ascending key, which makes search results reproducible and directly
-comparable against a brute-force oracle.
+comparable against a brute-force oracle. Only the rows scoring at least
+the k-th score, found by one partition, are sorted by (score, key).
 
 Filters run on interned code columns of the index: one integer code per
 row for each metadata key a filter names, plus one column of version
@@ -157,9 +158,9 @@ class VectorIndex:
 
     Each row is stored once: its vector in one float64 matrix whose capacity
     doubles as rows arrive, its norm in an array beside it, and its key,
-    metadata and text in lists. The filter columns and the key ranks are
-    caches that the next insert or drop clears. Every read and write of
-    the rows runs under one lock. ``insert`` copies the caller's vector in, and
+    metadata and text in lists. The filter columns are caches that the
+    next insert or drop clears. Every read and write of the rows runs
+    under one lock. ``insert`` copies the caller's vector in, and
     ``get`` and search hits hand out copies, so no caller can change a
     stored row.
     """
@@ -175,7 +176,6 @@ class VectorIndex:
         self._metadata: list = []
         self._texts: list = []
         self._columns: dict = {}
-        self._key_rank: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -213,7 +213,6 @@ class VectorIndex:
             self._matrix[row] = vector
             self._norms[row] = float(np.linalg.norm(vector))
             self._columns = {}
-            self._key_rank = None
 
     def get(self, key: str) -> Optional[IndexEntry]:
         with self._lock:
@@ -236,7 +235,6 @@ class VectorIndex:
             self._metadata = [self._metadata[row] for row in kept]
             self._texts = [self._texts[row] for row in kept]
             self._columns = {}
-            self._key_rank = None
 
     def _entry(self, row: int) -> IndexEntry:
         return IndexEntry(
@@ -246,7 +244,7 @@ class VectorIndex:
             text=self._texts[row],
         )
 
-    # --- filter columns and key ranks, rebuilt after an insert --------------
+    # --- filter columns, rebuilt after an insert -----------------------------
 
     def _column(self, key) -> _Column:
         """The interned column of metadata ``key`` (a missing key reads as None)."""
@@ -284,14 +282,6 @@ class VectorIndex:
             rows = column.keep(rows, [sort_key in wanted for sort_key in column.values])
         return rows
 
-    def _key_ranks(self) -> np.ndarray:
-        """Each row's position in ascending key order."""
-        if self._key_rank is None:
-            order = sorted(range(len(self._keys)), key=self._keys.__getitem__)
-            self._key_rank = np.empty(len(order), dtype=np.int64)
-            self._key_rank[order] = np.arange(len(order))
-        return self._key_rank
-
     def search(
         self,
         query: np.ndarray,
@@ -318,7 +308,12 @@ class VectorIndex:
             dots = self._matrix[candidates] @ query
             denom = self._norms[candidates] * float(np.linalg.norm(query))
             scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-            top = np.lexsort((self._key_ranks()[candidates], -scores))[:k]
+            if len(scores) > k:
+                # the rows not below the k-th score: ties across it and nan stay in
+                pool = np.flatnonzero(~(-scores > np.partition(-scores, k - 1)[k - 1]))
+                candidates, scores = candidates[pool], scores[pool]
+            keys = np.array([self._keys[row] for row in candidates.tolist()], dtype=object)
+            top = np.lexsort((keys, -scores))[:k]
             return [
                 SearchHit(key=self._keys[row], score=score, entry=self._entry(row))
                 for row, score in zip(candidates[top].tolist(), scores[top].tolist())
@@ -400,7 +395,6 @@ class VectorIndex:
         index._norms = _row_norms(matrix)
         index._metadata = metadata
         index._texts = texts
-        index._key_rank = np.arange(len(keys))
         return index
 
 

@@ -240,6 +240,9 @@ class TestValidators:
             (ResponseSchema.CLUSTERS, '{"categories": "nope"}'),
             (ResponseSchema.PARSED_QUERY, '{"intent": "wat"}'),
             (ResponseSchema.CHANGE_SUMMARY, '{"changes": [{"kind": "huge"}]}'),
+            (ResponseSchema.CHANGE_SUMMARY, '{"changes": ["oops"]}'),
+            (ResponseSchema.CLUSTERS, '{"categories": [1]}'),
+            (ResponseSchema.CLUSTERS, '{"categories": [{"name": "a", "groups": [[1]]}]}'),
             (ResponseSchema.JUDGE, '{"verdict": "maybe"}'),
             (ResponseSchema.JUDGE, "no json here"),
         ],

@@ -497,6 +497,32 @@ class TestIndexCorpus:
         assert excinfo.value.step == "attributes"
 
 
+@pytest.mark.parametrize(
+    "schema,bad,fallback",
+    [
+        ("change_summary", '{"changes": ["oops"]}', "using per-hunk records"),
+        ("clusters", '{"categories": [1]}', "using title fallback"),
+        ("clusters", '{"categories": [{"name": "a", "groups": [[1]]}]}', "using title fallback"),
+    ],
+    ids=["change-item", "category-item", "group-item"],
+)
+def test_reply_with_items_that_are_not_objects_takes_the_fallback(tmp_path, caplog, schema, bad, fallback):
+    """Such a reply is a schema violation: it is reprompted once, and then
+    the stage's fallback builds what it builds for a reply with no JSON."""
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, assert_doc_corpus())
+    outs = {}
+    for reply in (bad, "no json here"):
+        outs[reply] = tmp_path / f"out-{len(outs)}"
+        gateway = make_gateway(script=[{"schema": schema, "match": [], "reply": reply}])
+        with caplog.at_level(logging.WARNING):
+            index_corpus(corpus, outs[reply], gateway, dimension=DIMENSION)
+        assert "violated (attempt 2)" in caplog.text and fallback in caplog.text
+        caplog.clear()
+    for name in (*INDEX_FILES, "manifest.json"):
+        assert (outs[bad] / name).read_bytes() == (outs["no json here"] / name).read_bytes(), name
+
+
 class RecordingBackend:
     """Wraps the offline backend and captures every completion prompt and
     every embed batch."""
@@ -881,10 +907,18 @@ class TestManifest:
             {"chunk_size": 128},
             {"overlap": 8},
             {"page_tokens": 100},
+            {"page_tokens": 3},
             {"dimension": 32},
             {"chunk_size": 16, "overlap": 4},
         ],
-        ids=["chunk_size-128", "overlap-8", "page_tokens-100", "dimension-32", "chunk_size-16-overlap-4"],
+        ids=[
+            "chunk_size-128",
+            "overlap-8",
+            "page_tokens-100",
+            "page_tokens-3",
+            "dimension-32",
+            "chunk_size-16-overlap-4",
+        ],
     )
     def test_changed_parameter_takes_the_full_path(self, tmp_path, changed):
         """A re-index with other parameters writes what a fresh index with
@@ -901,7 +935,7 @@ class TestManifest:
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
         Engine.load(out, make_gateway(dimension=params["dimension"])).ask("What does assert.ok test?")
 
-    @pytest.mark.parametrize("damage", ["deleted", "invalid-json"])
+    @pytest.mark.parametrize("damage", ["deleted", "invalid-json", "not-an-object"])
     def test_damaged_attribute_cache_takes_the_full_path(self, tmp_path, damage):
         """The manifest's sha256 of attributes.json is the only guard of the
         cache: every file's attributes are extracted again."""
@@ -910,11 +944,29 @@ class TestManifest:
         if damage == "deleted":
             cache.unlink()
         else:
-            cache.write_text("{not json", encoding="utf-8")
+            cache.write_text("{not json" if damage == "invalid-json" else "[1, 2]", encoding="utf-8")
         backend = RecordingBackend()
         index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
         files = len(list(corpus.rglob("*.md")))
         assert len(backend.prompts) == 2 * files + 1
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["a-list", "a-number-title"])
+    def test_cached_entry_that_is_not_an_attribute_object_is_a_miss(self, tmp_path, damage):
+        corpus, out = self.indexed(tmp_path)
+        cache = out / "attributes.json"
+        entries = json.loads(cache.read_text())
+        (damaged,) = [key for key in entries if "/assert/21.md:" in key]
+        entries[damaged] = ["not", "attributes"] if damage == "a-list" else {**entries[damaged], "title": 5}
+        cache.write_text(json.dumps(entries), encoding="utf-8")
+        backend = RecordingBackend()
+        index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        # the metadata and doc-type prompts of that file, then clustering
+        assert len(backend.prompts) == 3
+        assert "Version: 21.7.3" in backend.prompts[0]
         clean = tmp_path / "clean"
         index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
         for name in (*INDEX_FILES, "manifest.json"):
@@ -956,6 +1008,32 @@ class TestManifest:
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
         Engine.load(out, make_gateway())
 
+    def test_run_stopped_after_the_graph_reuses_none_of_its_records(self, tmp_path, monkeypatch):
+        """A run over an edited version stops after replacing graph.json,
+        and the edit is undone: the records in that graph.json came from the
+        edited text, so the next run extracts every change again."""
+        corpus, out = self.indexed(tmp_path)
+        edited = corpus / "assert" / "22.md"
+        original = edited.read_text()
+        edited.write_text(original.replace("partialDeepStrictEqual", "zorblaxEqual"), encoding="utf-8")
+        real_replace = os.replace
+
+        def replace_stopping_at_vectors(src, dst):
+            if Path(dst).name == "vectors.npy":
+                raise OSError("stopped")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_stopping_at_vectors)
+        with pytest.raises(OSError):
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        monkeypatch.undo()
+        edited.write_text(original, encoding="utf-8")
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
     def test_file_edited_in_place_is_extracted_again(self, tmp_path):
         corpus, out = self.indexed(tmp_path)
         edited = corpus / "assert" / "22.md"
@@ -963,10 +1041,57 @@ class TestManifest:
         inputs = json.loads((out / "manifest.json").read_text())["inputs"]
         backend = RecordingBackend()
         index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
-        # the metadata and doc-type prompts of the edited file, then clustering
-        assert len(backend.prompts) == 3
+        # the metadata and doc-type prompts of the edited file, clustering,
+        # then the summary of the one version pair the edited file is in
+        assert len(backend.prompts) == 4
         assert "zorblax" in backend.prompts[0]
+        assert "between version 21.7.3 and\nversion 22.14.0" in backend.prompts[3]
+        assert "zorblax" in backend.prompts[3]
         assert json.loads((out / "manifest.json").read_text())["inputs"] != inputs
+
+    @pytest.mark.parametrize(
+        "files,edited,old,new,question,wanted",
+        [
+            (
+                {"gadget/CHANGELOG.md": changelog_text("Gadget", "1.0.0", ["Added the gadget dial"])},
+                "gadget/CHANGELOG.md",
+                "- Added the gadget dial\n",
+                "- Added the gadget dial\n\n## Version 1.1.0\n\n- Removed the zorblax switch\n",
+                "Which release removed the zorblax switch?",
+                "Removed the zorblax switch",
+            ),
+            (
+                assert_doc_corpus(),
+                "assert/22.md",
+                "partialDeepStrictEqual",
+                "zorblaxEqual",
+                "Which version added zorblaxEqual to Node.js Assert?",
+                "## assert.zorblaxEqual(actual, expected)",
+            ),
+        ],
+        ids=["grown-changelog", "version-edited-in-place"],
+    )
+    def test_edited_file_has_its_changes_extracted_again(
+        self, tmp_path, files, edited, old, new, question, wanted
+    ):
+        """The change records of a changelog that grew a release, or of the
+        version pairs of a version edited in place, are extracted again:
+        the index is what a fresh index writes, and the question about the
+        edit reads the new record."""
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, files)
+        out = tmp_path / "out"
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        path = corpus / edited
+        path.write_text(path.read_text().replace(old, new), encoding="utf-8")
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+        result = Engine.load(out, make_gateway()).ask(question)
+        assert wanted in [item.text for item in result.context.items]
 
     def test_version_edited_in_place_gets_its_new_text(self, tmp_path):
         """Every content entry of an edited version holds its new text, as in

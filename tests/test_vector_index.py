@@ -252,15 +252,35 @@ def test_search_returns_only_filtered_rows(seed):
         assert all(abs(h.score) <= 1.0 for h in hits), name
 
 
-@pytest.mark.parametrize("zero", ["row", "query"])
+@pytest.mark.parametrize("zero", ["row", "query", "rows-across-top-k"])
 @pytest.mark.parametrize("flt", FILTERS)
 def test_zero_norm_scores_zero_with_ties_by_key(zero, flt):
     rng = np.random.default_rng(4)
     entries = random_entries(rng, 40, 6, zero_share=0.0)
     query = np.zeros(6) if zero == "query" else rng.normal(size=6)
-    if zero == "row":
+    if zero != "query":
         for e in entries[::3]:
             e.vector[:] = 0.0
+    if zero == "rows-across-top-k":
+        # the zero rows tie at 0.0 across the k-th place, the rows go in in
+        # descending key order, and a zero row of the smallest key is
+        # inserted between the two searches: each time the smallest tied key
+        # takes the one tied place
+        flt = FILTERS[flt]
+        matching = [e for e in entries if flt is None or flt.matches(e.metadata)]
+        k = sum(cosine(e.vector, query) > 0.0 for e in matching) + 1
+        assert sum(not e.vector.any() for e in matching) > 1
+        index = VectorIndex(dimension=6)
+        for e in reversed(entries):
+            index.insert(e)
+        first = [h.key for h in index.search(query, k=k, metadata_filter=flt)]
+        assert first == brute_force(entries, query, k, flt)
+        entries.append(entry("k00", np.zeros(6), matching[-1].metadata))
+        index.insert(entries[-1])
+        second = [h.key for h in index.search(query, k=k, metadata_filter=flt)]
+        assert second == brute_force(entries, query, k, flt)
+        assert second == first[:-1] + ["k00"]
+        return
     hits = search_all(entries, query, FILTERS[flt])
     tied = hits if zero == "query" else [h for h in hits if not h.entry.vector.any()]
     assert tied and all(h.score == 0.0 for h in tied)
