@@ -27,9 +27,10 @@ diff(a, b) and diff(b, a) pick mirrored paths.
 
 Implicit records come from diffing adjacent version texts and summarizing
 the hunks in one completion per version pair; explicit records come from
-one completion over a changelog document; an explicit record's id carries
-the ``source_tag`` of its changelog file. A record is stored once, as a
-node of the version graph.
+one completion over a changelog document. A record's id carries the
+``source_tag`` of the texts it came from, so the id alone tells whether a
+record still describes the corpus. A record is stored once, as a node of
+the version graph.
 """
 
 from __future__ import annotations
@@ -448,33 +449,46 @@ def deterministic_description(hunk: DiffHunk) -> str:
     return ""
 
 
-def source_tag(source_path: str) -> str:
-    """The tag of a changelog file that its explicit records' ids carry, as ``#x<tag>-``."""
-    return hashlib.sha1(source_path.encode("utf-8")).hexdigest()[:8]
+def source_tag(*sources: str) -> str:
+    """The tag that names, in a change record's id, what the record was
+    extracted from: ``#r<tag>-`` hashes the sha256 of an implicit record's
+    two version texts, ``#x<tag>-`` is a ``changelog_tag``. A record whose
+    sources changed gets a new id."""
+    return hashlib.sha1("\n".join(sources).encode("utf-8")).hexdigest()[:8]
+
+
+def changelog_tag(changelog: RawDocument, attrs) -> str:
+    """The ``source_tag`` of a changelog file's explicit records: its path,
+    the sha256 of its text, and the version of its attributes, which the
+    extraction prompt names."""
+    version = "" if attrs.version is None else attrs.version.raw
+    return source_tag(changelog.source_path, changelog.sha256, version)
 
 
 def extract_implicit_changes(document: str, prev: tuple, nxt: tuple, gateway: Gateway) -> list:
     """Diff two adjacent version texts and emit one record per hunk group.
 
-    ``prev`` and ``nxt`` are (VersionLabel, text) pairs with prev < nxt.
-    One completion summarizes all hunks of the pair; the reply may merge
-    adjacent hunks when it returns a valid partition of hunk indices,
+    ``prev`` and ``nxt`` are (VersionLabel, RawDocument) pairs with prev <
+    nxt. One completion summarizes all hunks of the pair; the reply may
+    merge adjacent hunks when it returns a valid partition of hunk indices,
     otherwise every hunk gets its own record with the deterministic
-    first-line description.
+    first-line description. Record ids carry the ``source_tag`` of the two
+    texts.
     """
-    (prev_label, prev_text) = prev
-    (next_label, next_text) = nxt
+    (prev_label, prev_doc) = prev
+    (next_label, next_doc) = nxt
     if compare_versions(prev_label, next_label) >= 0:
         raise ValueError(f"versions not ascending: {prev_label.raw} .. {next_label.raw}")
-    prefix = f"change:{document}@{prev_label.raw}->{next_label.raw}#h"
-    hunks = line_diff(prev_text, next_text, hunk_prefix=prefix)
+    pair = f"change:{document}@{prev_label.raw}->{next_label.raw}"
+    hunks = line_diff(prev_doc.text, next_doc.text, hunk_prefix=f"{pair}#h")
     if not hunks:
         return []
 
     groups = _summarize_hunks(hunks, document, prev_label, next_label, gateway)
+    tag = source_tag(prev_doc.sha256, next_doc.sha256)
     return [
         ChangeRecord(
-            id=f"change:{document}@{prev_label.raw}->{next_label.raw}#r{ordinal:04d}",
+            id=f"{pair}#r{tag}-{ordinal:04d}",
             document=document,
             from_version=prev_label,
             to_version=next_label,
@@ -559,7 +573,7 @@ def extract_explicit_changes(
         raise ExplicitExtractionError(
             f"changelog extraction failed for {changelog.source_path}: {exc}"
         ) from exc
-    tag = source_tag(changelog.source_path)
+    tag = changelog_tag(changelog, attrs)
     records = []
     for item in data["changes"]:
         raw_version = item.get("version")

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
+import json
 import os
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 
@@ -31,72 +30,5 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def json_bytes(value) -> bytes:
-    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, encoded.
-
-    ``indent`` sends ``json.dumps`` to its pure-Python encoder. This writer
-    makes the same text by appending the pieces to one list, with strings
-    quoted by the C escaper. Object keys must be strings.
-    """
-    parts: list = []
-    _encode(value, parts.append, "\n")
-    parts.append("\n")
-    return "".join(parts).encode("ascii")
-
-
-def _encode(value, out, newline: str) -> None:
-    """Append ``value`` to ``out``; ``newline`` is the line break plus the indent
-    of the line ``value`` starts on."""
-    if isinstance(value, str):
-        out(_quote(value))
-        return
-    if isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out(separator)
-            out(_quote(key))
-            out(": ")
-            if type(item) is str:
-                out(_quote(item))
-            else:
-                _encode(item, out, inner)
-            separator = "," + inner
-        out(newline + "}")
-        return
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out(separator)
-            _encode(item, out, inner)
-            separator = "," + inner
-        out(newline + "]")
-        return
-    out(_scalar(value))
-
-
-def _scalar(value) -> str:
-    """The JSON text of a number, a bool or None, as ``json.dumps`` writes it."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    """``json.dumps(value, sort_keys=True, separators=(",", ":")) + "\\n"``, encoded."""
+    return (json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")

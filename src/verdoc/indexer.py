@@ -11,9 +11,9 @@ Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
 cached next to the index, a chunk whose entry already holds its text and
 metadata is not embedded again, and the change records of the previous
-graph are reused per changelog file and per version pair whose files the
-previous run indexed unchanged. A run ends with the graph as the one
-record of what the index holds: the vector entries it does not reference
+graph are reused per changelog file and per version pair whose current
+texts their ids name (``changes.source_tag``). A run ends with the graph
+as the one record of what the index holds: the vector entries it does not reference
 and the cached attributes of files no longer in the corpus are dropped.
 
 Every full run writes ``manifest.json`` last. It records a digest of the
@@ -39,6 +39,7 @@ from typing import Iterable, Optional
 
 from . import prompts
 from .changes import (
+    changelog_tag,
     extract_explicit_changes,
     extract_implicit_changes,
     source_tag,
@@ -131,9 +132,6 @@ class Category:
 @dataclass
 class CorpusCatalog:
     categories: list = field(default_factory=list)
-    # cache keys of the files an earlier index was built from; extract_changes
-    # reuses that index's records of a unit only when all its files are here
-    indexed: frozenset = frozenset()
 
     def all_groups(self):
         for category in self.categories:
@@ -415,23 +413,18 @@ def extract_changes(
 ) -> int:
     """Explicit records for changelog documents, implicit diffs elsewhere.
 
-    ``previous`` holds the change records of an earlier run. A changelog
-    file or version pair that has records there, and whose files all have
-    a cache key in ``catalog.indexed``, is not re-extracted: its records
-    are re-attached to the (fresh) graph, so re-runs spend no completion
-    tokens on changes. A unit with a file that is new or changed since is
-    extracted again. An explicit record's from-version is derived again
-    from the new chain, so a changelog file that is gone leaves no stale
-    pair behind.
+    ``previous`` holds the change records of an earlier run. A record's id
+    names its source (see ``changes.source_tag``), so a changelog file or
+    version pair that has records in ``previous`` under its current source
+    is not re-extracted: its records are re-attached to the (fresh) graph,
+    and re-runs spend no completion tokens on changes. A unit whose text
+    changed since has no records under its new source, and is extracted
+    again. An explicit record's from-version is derived again from the new
+    chain, so a changelog file that is gone leaves no stale pair behind.
     """
     reusable: dict = {}
     for record in previous:
         reusable.setdefault(_extraction_unit(record), []).append(record)
-
-    def reused(unit, docs) -> Optional[list]:
-        if all(_cache_key(doc) in catalog.indexed for doc in docs):
-            return reusable.get(unit)
-        return None
 
     total = 0
     for _, group in catalog.all_groups():
@@ -441,7 +434,7 @@ def extract_changes(
             for doc, attrs in group.members:
                 if attrs.doc_type != "changelog":
                     continue
-                existing = reused((document_id, source_tag(doc.source_path)), [doc])
+                existing = reusable.get((document_id, "x" + changelog_tag(doc, attrs)))
                 if existing:
                     # in extraction order, each from-version derived as for a fresh record
                     existing.sort(key=lambda r: int(r.id.rpartition("-")[2]))
@@ -456,28 +449,27 @@ def extract_changes(
                 if prev_node.id not in doc_of or next_node.id not in doc_of:
                     continue
                 prev_doc, next_doc = doc_of[prev_node.id], doc_of[next_node.id]
-                unit = (document_id, prev_node.label.raw, next_node.label.raw)
-                existing = reused(unit, [prev_doc, next_doc])
+                tag = "r" + source_tag(prev_doc.sha256, next_doc.sha256)
+                existing = reusable.get((document_id, prev_node.label.raw, next_node.label.raw, tag))
                 if existing:
                     _attach_records(graph, vector_index, gateway, existing, fresh=False)
                     continue
                 records = extract_implicit_changes(
-                    document_id,
-                    (prev_node.label, prev_doc.text),
-                    (next_node.label, next_doc.text),
-                    gateway,
+                    document_id, (prev_node.label, prev_doc), (next_node.label, next_doc), gateway
                 )
                 total += _attach_records(graph, vector_index, gateway, records)
     return total
 
 
 def _extraction_unit(record) -> tuple:
-    """What a record was extracted from: (document, changelog source tag) for
-    an explicit record, (document, from, to) for an implicit one."""
+    """What a record's id names as its source: (document, "x" + changelog
+    tag) for an explicit record, (document, from, to, "r" + texts tag) for
+    an implicit one. An id of an older format names no current source."""
+    tag = record.id.rpartition("-")[0].rpartition("#")[2]
     if record.origin is ChangeOrigin.EXPLICIT:
-        return record.document, record.id.rpartition("#x")[2].partition("-")[0]
+        return record.document, tag
     from_raw = "" if record.from_version is None else record.from_version.raw
-    return record.document, from_raw, record.to_version.raw
+    return record.document, from_raw, record.to_version.raw, tag
 
 
 def _attach_records(
@@ -552,11 +544,9 @@ def catalog_documents(
     ``attribute_cache`` maps a file's path:hash to its extracted attributes;
     a file found there sends no completion, an entry that is not an
     attribute object is a miss, and the cache is left holding the files of
-    ``documents`` and no others. The catalog's ``indexed`` holds the keys
-    the cache held on entry: the files of the run that wrote it.
+    ``documents`` and no others.
     """
     attrs = []
-    indexed = frozenset(attribute_cache or ())
     with _stage("attributes"):
         cache_keys = [_cache_key(doc) for doc in documents]
         for doc, key in zip(documents, cache_keys):
@@ -572,9 +562,7 @@ def catalog_documents(
             for stale in attribute_cache.keys() - set(cache_keys):
                 del attribute_cache[stale]
     with _stage("clustering"):
-        catalog = cluster_documents(attrs, gateway)
-    catalog.indexed = indexed
-    return catalog
+        return cluster_documents(attrs, gateway)
 
 
 def _cached_attributes(entry) -> Optional[DocumentAttributes]:
@@ -741,8 +729,10 @@ def index_corpus(
 ) -> IndexSummary:
     """Index a corpus directory and persist graph, vectors, summary and manifest.
 
-    The corpus is loaded and clustered first; cached attributes are used
-    only when the manifest records the same ``page_tokens``. When the
+    The corpus is loaded and clustered first; its files are named by their
+    paths under ``root_path``, so the root may be given relative or
+    absolute. Cached attributes are used only when the manifest records the
+    same ``page_tokens``. When the
     manifest of ``out_dir`` records this catalog and these parameters, and
     each file it lists still has its recorded sha256, the index already
     holds what this run would write: the run returns the graph on disk with
@@ -754,9 +744,8 @@ def index_corpus(
     Otherwise the vector entries, cached attributes and change records of
     an index in ``out_dir`` are reused, so an unchanged corpus re-indexes
     to an identical state without re-spending completion tokens. A change
-    record is reused only when every file it was extracted from has the
-    cache key it had in the run that wrote ``attributes.json`` (every file
-    counts when the manifest records this catalog), and only from a
+    record is reused when its id names the current texts it was extracted
+    from, whatever the attribute cache holds, and only from a
     ``graph.json`` that the manifest describes. An unreadable vector index
     (an older format, one torn by a crash, or one of another dimension) is
     re-embedded in full, and an unreadable graph has its changes
@@ -794,8 +783,6 @@ def index_corpus(
     graph = _unchanged_graph(out, recorded, manifest)
     if graph is not None:
         return _summary(graph, catalog, documents, gateway.usage().minus(usage_before))
-    if recorded is not None and recorded.get("inputs") == manifest["inputs"]:
-        catalog.indexed = frozenset(attribute_cache)  # the files the manifest's run indexed
 
     index_path = out / INDEX_FILE
     vector_index = VectorIndex(dimension)
@@ -810,8 +797,7 @@ def index_corpus(
     graph_path = out / GRAPH_FILE
     change_records: list = []
     if not _described_by(recorded, graph_path):
-        # missing, or replaced by a run that stopped: its records may come
-        # from files that attributes.json does not list
+        # missing, or not the graph the manifest's run wrote
         logger.warning("re-extracting every change; %s does not match %s", GRAPH_FILE, MANIFEST_FILE)
     elif graph_path.exists():
         try:

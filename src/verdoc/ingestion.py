@@ -160,6 +160,8 @@ class CorpusReport:
 def load_corpus(root_path, *, report: Optional[CorpusReport] = None) -> list:
     """Load every .md/.txt file under ``root_path``, path-sorted.
 
+    A document's ``source_path`` is its path relative to the root, with
+    POSIX separators, so it does not depend on how the root was given.
     Unreadable files are reported (and logged) per file without aborting
     the load; an empty result raises ``EmptyCorpusError``.
     """
@@ -167,11 +169,12 @@ def load_corpus(root_path, *, report: Optional[CorpusReport] = None) -> list:
     if not root.is_dir():
         raise EmptyCorpusError(f"corpus root {root} is not a directory")
     paths = sorted(
-        (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in CORPUS_EXTENSIONS),
-        key=lambda p: p.as_posix(),
+        (p.relative_to(root).as_posix(), p)
+        for p in root.rglob("*")
+        if p.is_file() and p.suffix.lower() in CORPUS_EXTENSIONS
     )
     documents = []
-    for path in paths:
+    for source_path, path in paths:
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -184,7 +187,7 @@ def load_corpus(root_path, *, report: Optional[CorpusReport] = None) -> list:
             if report is not None:
                 report.unreadable.append((str(path), "empty file"))
             continue
-        documents.append(RawDocument(source_path=str(path), text=text))
+        documents.append(RawDocument(source_path=source_path, text=text))
     if not documents:
         raise EmptyCorpusError(f"no readable .md/.txt documents under {root}")
     if report is not None:

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
-from .fileio import write_atomic
+from .fileio import json_bytes, write_atomic
 from .versions import parse_version
 
 FORMAT_VERSION = 3
@@ -349,7 +349,7 @@ class VectorIndex:
             "vectors_sha256": digests[npy.name],
             "entries": entries,
         }
-        payload = (json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+        payload = json_bytes(sidecar)
         write_atomic(npy, vectors)
         write_atomic(path, payload)
         digests[Path(path).name] = hashlib.sha256(payload).hexdigest()

@@ -2,9 +2,8 @@
 
 A change that alters any of these files alters the on-disk format or what
 indexing computes; when that is the change's purpose, update the digests
-here and say so in CHANGES.md. The corpus is indexed through a relative
-path, so the source paths stored in the files do not depend on where the
-test runs.
+here and say so in CHANGES.md. Source paths are stored relative to the
+corpus root, so the files do not depend on where the test runs.
 """
 
 import hashlib
@@ -15,13 +14,13 @@ from test_acceptance import DIMENSION, purity_corpus
 from verdoc.indexer import index_corpus
 
 PINNED = {
-    "graph.json": "86c10a93381ebbcf03d06d1b281a65436d1bfacc3060aeed6a39bededa968740",
+    "graph.json": "dcfa6b08fbbfeaf29e23a8e7c58a3cb429cf7549dd4567c63ee49f8845d007be",
     # holds the sha256 of vectors.npy, so it pins the vectors too
-    "vectors.json": "6688ea84678c354ac7c99e11f1ae6b45c4e8a55728ce3c6617351e70469f95e9",
-    "attributes.json": "6a3be9d8dd1aa95ce807256776d8af541895ea6a419f1210373e2a5f406280ad",
-    "summary.json": "bcc7cc19077610665f8d7cf6ffb4b738c1c2ab1a2aa58c52c6543892801707ae",
+    "vectors.json": "914b1f47b23d18043f27448c7a7512297bca335902b1096a842b92d2e7c73313",
+    "attributes.json": "33f76c3edcc475a20c4c43e19036c1ba4f4aef88c5d687a0d04bc24f036ce265",
+    "summary.json": "9c0f423004cfc0f3e1efe2b8e02e9f4326f001d6a9ebdbb8b4049f135580710c",
     # holds the sha256 of the other files but summary.json, and of the clustered corpus
-    "manifest.json": "7d225160f7cfdfb75b2e9d6be81a90c0968cd14f18da61f382022a4cd7a93922",
+    "manifest.json": "2d28cb3fe0c936661d92c0060e97b61e720d4294032c803f397441b304b966dd",
 }
 
 

@@ -17,7 +17,7 @@ from verdoc.indexer import DocumentAttributes
 from verdoc.ingestion import RawDocument
 from verdoc.versions import parse_version
 
-from conftest import changelog_text, doc_text, make_gateway
+from conftest import changelog_text, doc_text, make_gateway, raw
 
 
 class TestLineDiff:
@@ -189,8 +189,8 @@ class TestImplicitExtraction:
         )
         records = extract_implicit_changes(
             "document:assert",
-            (parse_version("21.7.3"), prev_text),
-            (parse_version("22.14.0"), next_text),
+            (parse_version("21.7.3"), raw("21.md", prev_text)),
+            (parse_version("22.14.0"), raw("22.md", next_text)),
             gateway,
         )
         added = [r for r in records if r.kind is ChangeKind.ADDED]
@@ -202,8 +202,8 @@ class TestImplicitExtraction:
         text = doc_text("Guide", "1.0", [("topic", ["same content"])])
         records = extract_implicit_changes(
             "document:guide",
-            (parse_version("1.0.0"), text),
-            (parse_version("1.1.0"), text),
+            (parse_version("1.0.0"), raw("1.0.md", text)),
+            (parse_version("1.1.0"), raw("1.1.md", text)),
             gateway,
         )
         assert records == []
@@ -218,8 +218,8 @@ class TestImplicitExtraction:
         assert len(hunks) == 1
         records = extract_implicit_changes(
             "document:guide",
-            (parse_version("1.0"), prev_text),
-            (parse_version("1.1"), next_text),
+            (parse_version("1.0"), raw("1.0.md", prev_text)),
+            (parse_version("1.1"), raw("1.1.md", next_text)),
             gateway,
         )
         assert len(records) == 1
@@ -229,8 +229,8 @@ class TestImplicitExtraction:
         with pytest.raises(ValueError):
             extract_implicit_changes(
                 "document:d",
-                (parse_version("2.0"), "a"),
-                (parse_version("1.0"), "b"),
+                (parse_version("2.0"), raw("2.0.md", "a")),
+                (parse_version("1.0"), raw("1.0.md", "b")),
                 gateway,
             )
 
@@ -246,7 +246,10 @@ class TestImplicitExtraction:
         prev = "a\nb\nc\nd\ne"
         nxt = "a\nX\nc\nY\ne"
         records = extract_implicit_changes(
-            "document:d", (parse_version("1.0"), prev), (parse_version("2.0"), nxt), gateway
+            "document:d",
+            (parse_version("1.0"), raw("1.0.md", prev)),
+            (parse_version("2.0"), raw("2.0.md", nxt)),
+            gateway,
         )
         assert len(records) == 1
         assert records[0].description == "one merged change"
@@ -264,7 +267,10 @@ class TestImplicitExtraction:
         prev = "a\nb\nc\nd\ne"
         nxt = "a\nX\nc\nY\ne"
         records = extract_implicit_changes(
-            "document:d", (parse_version("1.0"), prev), (parse_version("2.0"), nxt), gateway
+            "document:d",
+            (parse_version("1.0"), raw("1.0.md", prev)),
+            (parse_version("2.0"), raw("2.0.md", nxt)),
+            gateway,
         )
         assert len(records) == 2  # partition violated -> one record per hunk
 

@@ -959,7 +959,7 @@ class TestManifest:
         corpus, out = self.indexed(tmp_path)
         cache = out / "attributes.json"
         entries = json.loads(cache.read_text())
-        (damaged,) = [key for key in entries if "/assert/21.md:" in key]
+        (damaged,) = [key for key in entries if key.startswith("assert/21.md:")]
         entries[damaged] = ["not", "attributes"] if damage == "a-list" else {**entries[damaged], "title": 5}
         cache.write_text(json.dumps(entries), encoding="utf-8")
         backend = RecordingBackend()
@@ -1048,6 +1048,67 @@ class TestManifest:
         assert "between version 21.7.3 and\nversion 22.14.0" in backend.prompts[3]
         assert "zorblax" in backend.prompts[3]
         assert json.loads((out / "manifest.json").read_text())["inputs"] != inputs
+
+    @pytest.mark.parametrize("lost", ["deleted", "page_tokens-100"])
+    def test_lost_attribute_cache_keeps_the_changes_of_unchanged_files(self, tmp_path, lost):
+        """Change records are reused by the sources their ids name, not by
+        the attribute cache: with the cache deleted, or dropped by another
+        page_tokens, and one version edited, every file's attributes are
+        extracted again, but only the edited version's pair is summarized."""
+        corpus, out = self.indexed(tmp_path)
+        params = {"dimension": DIMENSION}
+        if lost == "deleted":
+            (out / "attributes.json").unlink()
+        else:
+            params["page_tokens"] = 100
+        edited = corpus / "assert" / "22.md"
+        edited.write_text(edited.read_text().replace("truthy", "zorblax"), encoding="utf-8")
+        backend = RecordingBackend()
+        index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), **params)
+        files = len(list(corpus.rglob("*.md")))
+        # two attribute prompts per file, clustering, and one change summary
+        assert len(backend.prompts) == 2 * files + 2
+        assert "between version 21.7.3 and\nversion 22.14.0" in backend.prompts[-1]
+        assert "zorblax" in backend.prompts[-1]
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), **params)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_changelog_version_from_its_attributes_is_part_of_its_source(self, tmp_path):
+        """The extraction prompt names the version of a changelog's
+        attributes, and another page_tokens can change it: at 3 tokens this
+        changelog's first page has no version, so its bullets get none, and a
+        re-index must not keep the records extracted at 500."""
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"gadget/notes.md": "Gadget release notes 1.2.0\n\n- Added the gadget dial\n"})
+        out = tmp_path / "out"
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        assert Engine.load(out, make_gateway()).graph.change_records()
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION, page_tokens=3)
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION, page_tokens=3)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_root_given_another_way_is_the_same_corpus(self, tmp_path, monkeypatch):
+        """A corpus indexed through a relative root and re-indexed through its
+        absolute path is unchanged: only the clustering completion is sent,
+        and all six files keep their bytes, inode and mtime."""
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "corpus", {**spark_changelog_corpus(), **assert_doc_corpus()})
+        out = tmp_path / "out"
+        index_corpus("corpus", out, make_gateway(), dimension=DIMENSION)
+
+        def state():
+            paths = [out / name for name in (*INDEX_FILES, "summary.json", "manifest.json")]
+            return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in paths}
+
+        before = state()
+        backend = RecordingBackend()
+        index_corpus(tmp_path / "corpus", out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        assert len(backend.prompts) == 1 and backend.batches == []
+        assert state() == before
 
     @pytest.mark.parametrize(
         "files,edited,old,new,question,wanted",
