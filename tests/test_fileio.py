@@ -15,7 +15,7 @@ def test_tuples_are_written_as_lists():
     assert json_bytes(value) == b'{"empty":[],"pair":[1,["a",null]]}\n'
 
 
-@pytest.mark.parametrize("value", [[object()], {"a": {1, 2}}])
+@pytest.mark.parametrize("value", [{(1, 2): "a"}, {"a": {1: "b", "c": 2}}, [object()], {"a": {1, 2}}])
 def test_what_the_writer_cannot_write_is_a_type_error(value):
     with pytest.raises(TypeError):
         json_bytes(value)
