@@ -689,7 +689,7 @@ class VersionGraph:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise CorruptFileError(f"cannot read graph file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise CorruptFileError(f"graph file {path} does not hold an object")

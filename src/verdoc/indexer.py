@@ -21,10 +21,10 @@ clustered catalog (each category name, group title and member's cache key
 and attributes), the chunking, page and embedding parameters, and the
 sha256 of ``graph.json``, ``vectors.json``, ``vectors.npy`` and
 ``attributes.json``. The manifest is the one shortcut: a re-index whose
-catalog, parameters and files match it stops right after clustering, loads
-the graph on disk and writes nothing, and any other run rebuilds and
-rewrites every file. A run that stops early leaves a manifest that no
-longer matches, so the next run takes the full path.
+catalog, parameters and files match it stops right after clustering,
+parses neither the graph nor the vectors and writes nothing, and any other
+run rebuilds and rewrites every file. A run that stops early leaves a
+manifest that no longer matches, so the next run takes the full path.
 """
 
 from __future__ import annotations
@@ -141,13 +141,28 @@ class CorpusCatalog:
 
 @dataclass
 class IndexSummary:
-    graph: VersionGraph
+    """What an indexing run did, and the graph of the index it left.
+
+    ``_graph`` is the graph a full run built, or, for a run that stopped
+    after clustering, the path of the ``graph.json`` its manifest describes;
+    :attr:`graph` loads that file on first read and keeps the result.
+    """
+
+    _graph: object
     chunks: int
     changes: int
     usage: TokenUsage
     documents: int = 0
     groups: int = 0
     categories: int = 0
+
+    @property
+    def graph(self) -> VersionGraph:
+        """The index's graph; reading a ``graph.json`` that no longer parses
+        raises ``CorruptFileError``."""
+        if not isinstance(self._graph, VersionGraph):
+            self._graph = VersionGraph.load(self._graph)
+        return self._graph
 
     def to_dict(self) -> dict:
         return {
@@ -617,7 +632,7 @@ def index_documents(
 
 def _summary(graph, catalog, documents, usage, chunks=0, changes=0) -> IndexSummary:
     return IndexSummary(
-        graph=graph,
+        graph,
         chunks=chunks,
         changes=changes,
         usage=usage,
@@ -653,11 +668,15 @@ def _inputs_digest(catalog: CorpusCatalog) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("ascii")).hexdigest()
 
 
-def _file_sha256(path: Path) -> Optional[str]:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return None
+def _file_sha256(path: Path, digests: dict) -> Optional[str]:
+    """The sha256 of the file at ``path``, None when it cannot be read. A
+    path already in ``digests`` is not read again; the others are added."""
+    if path not in digests:
+        try:
+            digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError:
+            digests[path] = None
+    return digests[path]
 
 
 def _read_manifest(path: Path) -> Optional[dict]:
@@ -668,37 +687,33 @@ def _read_manifest(path: Path) -> Optional[dict]:
     return data if isinstance(data, dict) else None
 
 
-def _changed_files(index_dir: Path, files: dict) -> list:
+def _changed_files(index_dir: Path, files: dict, digests: dict) -> list:
     """The names in ``files`` whose file under ``index_dir`` is missing or
     does not hash to the sha256 recorded beside the name."""
-    return [name for name, digest in files.items() if _file_sha256(index_dir / name) != digest]
+    return [name for name, digest in files.items() if _file_sha256(index_dir / name, digests) != digest]
 
 
-def _unchanged_graph(out: Path, recorded: Optional[dict], expected: dict) -> Optional[VersionGraph]:
-    """The graph of the index in ``out`` when its manifest ``recorded``
-    records ``expected`` and every file it lists still has its recorded
-    sha256; None when the index has to be built again."""
+def _index_is_current(out: Path, recorded: Optional[dict], expected: dict, digests: dict) -> bool:
+    """Whether the index in ``out`` holds what this run would write: its
+    manifest ``recorded`` records ``expected`` and every file it lists still
+    has its recorded sha256. A file whose sha256 matches holds the bytes
+    that the manifest's run wrote, in the formats that ``inputs`` names."""
     if recorded is None:
-        return None
+        return False
     files = recorded.get("files")
     rest = {name: value for name, value in recorded.items() if name != "files"}
     if rest != expected or not isinstance(files, dict) or set(files) != set(HASHED_FILES):
-        return None
-    if _changed_files(out, files):
-        return None
-    try:
-        return VersionGraph.load(out / GRAPH_FILE)
-    except CorruptFileError:
-        return None
+        return False
+    return not _changed_files(out, files, digests)
 
 
-def _described_by(recorded: Optional[dict], path: Path) -> bool:
+def _described_by(recorded: Optional[dict], path: Path, digests: dict) -> bool:
     """Whether the manifest ``recorded`` records the sha256 that ``path``
     has now; an index without a manifest is taken as it is."""
     if recorded is None:
         return True
     files = recorded.get("files")
-    return isinstance(files, dict) and files.get(path.name) == _file_sha256(path)
+    return isinstance(files, dict) and files.get(path.name) == _file_sha256(path, digests)
 
 
 def manifest_problems(index_dir) -> list:
@@ -714,7 +729,7 @@ def manifest_problems(index_dir) -> list:
         return [f"{MANIFEST_FILE}: unreadable or lists no files"]
     return [
         f"{name}: sha256 differs from the one in {MANIFEST_FILE}"
-        for name in _changed_files(Path(index_dir), files)
+        for name in _changed_files(Path(index_dir), files, {})
     ]
 
 
@@ -735,11 +750,12 @@ def index_corpus(
     same ``page_tokens``. When the
     manifest of ``out_dir`` records this catalog and these parameters, and
     each file it lists still has its recorded sha256, the index already
-    holds what this run would write: the run returns the graph on disk with
-    0 chunks and 0 changes, and writes no file, so ``summary.json`` still
-    describes the run that built the index. An attribute-cache miss or a
-    cached file that is gone changes the catalog, and a damaged cache its
-    sha256, so neither passes this check.
+    holds what this run would write: the run returns 0 chunks, 0 changes
+    and a graph that is read from ``graph.json`` on first use, and writes
+    no file, so ``summary.json`` still describes the run that built the
+    index. An attribute-cache miss or a cached file that is gone changes
+    the catalog, and a damaged cache its sha256, so neither passes this
+    check. Each index file is hashed at most once per run.
 
     Otherwise the vector entries, cached attributes and change records of
     an index in ``out_dir`` are reused, so an unchanged corpus re-indexes
@@ -759,12 +775,15 @@ def index_corpus(
     documents = load_corpus(root_path)
     recorded = _read_manifest(out / MANIFEST_FILE)
 
+    digests: dict = {}  # path -> sha256, each index file hashed at most once
     cache_path = out / ATTRIBUTES_FILE
     attribute_cache: dict = {}
     # attributes cached at another page_tokens were extracted from other pages
     if cache_path.exists() and (recorded is None or recorded.get("page_tokens") == page_tokens):
         try:
-            attribute_cache = json.loads(cache_path.read_text(encoding="utf-8"))
+            cached = cache_path.read_bytes()
+            digests[cache_path] = hashlib.sha256(cached).hexdigest()
+            attribute_cache = json.loads(cached.decode("utf-8"))
         except (OSError, ValueError):
             attribute_cache = None
         if not isinstance(attribute_cache, dict):
@@ -780,9 +799,9 @@ def index_corpus(
         "page_tokens": page_tokens,
         "dimension": dimension,
     }
-    graph = _unchanged_graph(out, recorded, manifest)
-    if graph is not None:
-        return _summary(graph, catalog, documents, gateway.usage().minus(usage_before))
+    graph_path = out / GRAPH_FILE
+    if _index_is_current(out, recorded, manifest, digests):
+        return _summary(graph_path, catalog, documents, gateway.usage().minus(usage_before))
 
     index_path = out / INDEX_FILE
     vector_index = VectorIndex(dimension)
@@ -794,9 +813,8 @@ def index_corpus(
             vector_index = loaded
         except (CorruptFileError, DimensionMismatchError) as exc:
             logger.warning("re-embedding every entry; unreadable vector index: %s", exc)
-    graph_path = out / GRAPH_FILE
     change_records: list = []
-    if not _described_by(recorded, graph_path):
+    if not _described_by(recorded, graph_path, digests):
         # missing, or not the graph the manifest's run wrote
         logger.warning("re-extracting every change; %s does not match %s", GRAPH_FILE, MANIFEST_FILE)
     elif graph_path.exists():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -15,6 +16,7 @@ from verdoc.errors import (
     EmptyCorpusError,
     IndexingError,
 )
+from verdoc.fileio import json_bytes
 from verdoc.gateway import Gateway, MockBackend, ResponseSchema
 from verdoc.graph import (
     ChangeKind,
@@ -1197,6 +1199,102 @@ class TestManifest:
         assert (full / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
         assert skipped.to_dict() == rebuilt.to_dict()
         assert skipped.graph.to_dict() == rebuilt.graph.to_dict()
+
+    @staticmethod
+    def counted_loads(monkeypatch) -> list:
+        """The path of each ``VersionGraph.load`` call from now on."""
+        loads = []
+        real = VersionGraph.load.__func__
+
+        def load(cls, path):
+            loads.append(Path(path))
+            return real(cls, path)
+
+        monkeypatch.setattr(VersionGraph, "load", classmethod(load))
+        return loads
+
+    def test_skipped_run_parses_no_graph(self, tmp_path, monkeypatch):
+        """The run sends its one clustering completion, embeds nothing and
+        loads no graph."""
+        corpus, out = self.indexed(tmp_path)
+        loads = self.counted_loads(monkeypatch)
+        backend = RecordingBackend()
+        summary = index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        assert (summary.chunks, summary.changes) == (0, 0)
+        assert len(backend.prompts) == 1 and backend.batches == []
+        assert loads == []
+
+    def test_skipped_run_loads_its_graph_on_first_read(self, tmp_path, monkeypatch):
+        corpus, out = self.indexed(tmp_path)
+        loads = self.counted_loads(monkeypatch)
+        summary = index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        graph = summary.graph
+        assert loads == [out / "graph.json"]
+        summary.to_dict()
+        assert summary.graph is graph
+        assert loads == [out / "graph.json"]
+        assert graph.to_dict() == VersionGraph.load(out / "graph.json").to_dict()
+
+    @pytest.mark.parametrize("run", ["fresh", "edited"])
+    def test_full_run_returns_the_graph_it_saved(self, tmp_path, monkeypatch, run):
+        """Reading a full run's graph loads nothing; a re-index loads the old
+        graph once during the run, for its change records."""
+        if run == "fresh":
+            corpus, out = tmp_path / "corpus", tmp_path / "out"
+            write_corpus(corpus, {**spark_changelog_corpus(), **assert_doc_corpus()})
+        else:
+            corpus, out = self.indexed(tmp_path)
+            edited = corpus / "assert" / "22.md"
+            edited.write_text(edited.read_text().replace("truthy", "zorblax"), encoding="utf-8")
+        loads = self.counted_loads(monkeypatch)
+        summary = index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        expected = [] if run == "fresh" else [out / "graph.json"]
+        assert loads == expected
+        assert json_bytes(summary.graph.to_dict()) == (out / "graph.json").read_bytes()
+        assert loads == expected
+
+    @pytest.mark.parametrize("damage", ["none", "torn-npy"])
+    def test_run_reads_each_hashed_file_once(self, tmp_path, monkeypatch, damage):
+        """The attribute cache is parsed and hashed from one read, and a run
+        whose manifest check fails on another file hashes graph.json once,
+        both for that check and to decide whether to reuse its change
+        records."""
+        corpus, out = self.indexed(tmp_path)
+        if damage == "torn-npy":
+            npy = out / "vectors.npy"
+            npy.write_bytes(npy.read_bytes()[:-8])
+        reads = []
+        for method in ("read_bytes", "read_text"):
+            real = getattr(Path, method)
+
+            def counted(path, *args, real=real, **kwargs):
+                reads.append(path.name)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, method, counted)
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        once = INDEX_FILES if damage == "none" else ("graph.json", "attributes.json")
+        assert {name: reads.count(name) for name in once} == dict.fromkeys(once, 1)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-utf8"])
+    def test_manifest_edited_to_describe_a_damaged_graph(self, tmp_path, damage):
+        """A manifest rewritten by hand to record the sha256 of a damaged
+        graph.json describes that file, so the re-index stops after
+        clustering; its graph is reported as corrupt on first read."""
+        corpus, out = self.indexed(tmp_path)
+        graph = out / "graph.json"
+        data = graph.read_bytes()
+        graph.write_bytes(data[:-100] if damage == "truncated" else b"\xff" + data)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["graph.json"] = hashlib.sha256(graph.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        backend = RecordingBackend()
+        summary = index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        assert len(backend.prompts) == 1 and backend.batches == []
+        with pytest.raises(CorruptFileError, match="cannot read graph file"):
+            summary.graph
+        with pytest.raises(CorruptFileError):
+            summary.to_dict()
 
     def test_skipped_run_sends_only_the_clustering_completion_and_no_embed_call(self, tmp_path):
         corpus, out = self.indexed(tmp_path)
