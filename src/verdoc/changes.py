@@ -530,20 +530,23 @@ def _summarize_hunks(
     groups = []
     seen: set = set()
     for item in data["changes"]:
-        members = item.get("hunks")
-        if members is None:
-            return fallback
-        members = [m for m in members if 0 <= m < len(hunks)]
-        if not members or any(m in seen for m in members):
-            return fallback
+        members = [m for m in item.get("hunks") or () if 0 <= m < len(hunks)]
+        if not members or seen.intersection(members):
+            break
         seen.update(members)
         description = item["description"].strip()[:DESCRIPTION_LIMIT]
         if not description:
             description = deterministic_description(hunks[members[0]]) or hunks[members[0]].id
         groups.append((ChangeKind(item["kind"]), description, sorted(members)))
-    if seen != set(range(len(hunks))):
-        return fallback  # merge mapping must partition the hunks
-    return groups
+    else:
+        if seen == set(range(len(hunks))):
+            return groups  # the merge mapping partitions the hunks
+    logger.warning(
+        "hunk summarization failed, using per-hunk records: "
+        "the reply's hunk lists do not partition the %d hunks",
+        len(hunks),
+    )
+    return fallback
 
 
 def extract_explicit_changes(

@@ -14,9 +14,9 @@ import click
 
 from .config import build_gateway, load_config
 from .engine import Engine
-from .errors import VerdocError
+from .errors import CorruptFileError, VerdocError
 from .evaluation import load_dataset, run_eval
-from .fileio import json_bytes, write_atomic
+from .fileio import json_bytes, read_json, write_atomic
 from .indexer import SUMMARY_FILE, index_corpus, manifest_problems
 
 logger = logging.getLogger(__name__)
@@ -199,7 +199,7 @@ def usage(index_dir):
     summary_path = Path(index_dir) / SUMMARY_FILE
     if not summary_path.exists():
         raise VerdocError(f"no {SUMMARY_FILE} under {index_dir}")
-    data = json.loads(summary_path.read_text(encoding="utf-8"))
+    data = read_json(summary_path, "summary file", CorruptFileError)
     click.echo(json.dumps(data.get("usage", {}), indent=2, sort_keys=True))
 
 

@@ -8,13 +8,12 @@ but the ``VERDOC_API_KEY`` environment variable overrides it.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
+from .fileio import read_json
 from .gateway import DEFAULT_DIMENSION, Gateway, HttpBackend, MockBackend
 from .ingestion import CHUNK_OVERLAP, CHUNK_SIZE, PAGE_TOKENS
 
@@ -74,13 +73,7 @@ def load_config(path=None) -> Config:
     config = Config()
     problems: list = []
     if path is not None:
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+        data = read_json(path, "config file", ConfigError)
         for section_name, target in (
             ("gateway", config.gateway),
             ("ingestion", config.ingestion),
@@ -120,10 +113,9 @@ def build_gateway(config: Config) -> Gateway:
     if gw.backend == "mock":
         script = None
         if gw.script_path:
-            try:
-                script = json.loads(Path(gw.script_path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read mock script {gw.script_path}: {exc}") from exc
+            script = read_json(gw.script_path, "mock script", ConfigError, list)
+            if not all(isinstance(entry, dict) for entry in script):
+                raise ConfigError(f"mock script {gw.script_path}: every entry must be an object")
         backend = MockBackend(script=script)
     else:
         backend = HttpBackend(

@@ -95,15 +95,16 @@ def load_dataset(path) -> list:
         raise DatasetSchemaError(f"dataset file {path} does not exist")
     items = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetSchemaError(f"line {line_no}: invalid JSON ({exc})") from exc
-            items.append(_validate_item(data, line_no, seen_ids))
+    for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DatasetSchemaError(f"line {line_no}: invalid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise DatasetSchemaError(f"line {line_no}: expected a JSON object")
+        items.append(_validate_item(data, line_no, seen_ids))
     if not items:
         raise DatasetSchemaError(f"dataset file {path} holds no items")
     distribution = {category: 0 for category in CATEGORIES}

@@ -1,4 +1,5 @@
-"""Crash-safe replacement of the files an index run writes, and their JSON text."""
+"""Crash-safe replacement of the files an index run writes, their JSON text,
+and a reader for the JSON files that must parse to be of use."""
 
 from __future__ import annotations
 
@@ -32,3 +33,19 @@ def write_atomic(path, data: bytes) -> None:
 def json_bytes(value) -> bytes:
     """``json.dumps(value, sort_keys=True, separators=(",", ":")) + "\\n"``, encoded."""
     return (json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def read_json(path, what: str, error: type, kind: type = dict):
+    """The value of the UTF-8 JSON file at ``path``, which must be a ``kind``.
+
+    A file that cannot be read, is not UTF-8, is not JSON or holds another
+    top-level type raises ``error``, with a message naming ``what`` and the path.
+    """
+    try:
+        with open(path, "rb") as handle:
+            value = json.loads(handle.read().decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(value, kind):
+        raise error(f"{what} {path} does not hold a JSON {'object' if kind is dict else 'array'}")
+    return value

@@ -40,19 +40,10 @@ def build_prompt(query: ParsedQuery, context: RetrievedContext) -> str:
     )
 
 
-def answer(
-    query: ParsedQuery,
-    context: RetrievedContext,
-    gateway: Gateway,
-    max_output_tokens: int = 512,
-) -> Answer:
+def answer(query: ParsedQuery, context: RetrievedContext, gateway: Gateway) -> Answer:
     prompt = build_prompt(query, context)
     text = gateway.complete(
-        CompletionRequest(
-            prompt=prompt,
-            response_schema=ResponseSchema.FREE_TEXT,
-            max_output_tokens=max_output_tokens,
-        )
+        CompletionRequest(prompt=prompt, response_schema=ResponseSchema.FREE_TEXT)
     )
     citations = [
         {"document": item.document, "version": item.version, "origin": item.origin}

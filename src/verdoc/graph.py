@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
 import threading
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from .errors import (
     UnknownVersionError,
     VersionMismatchError,
 )
-from .fileio import json_bytes, write_atomic
+from .fileio import json_bytes, read_json, write_atomic
 from .versions import VersionLabel, compare_versions, parse_version
 
 FORMAT_VERSION = 1
@@ -686,11 +685,4 @@ class VersionGraph:
 
     @classmethod
     def load(cls, path) -> "VersionGraph":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            raise CorruptFileError(f"cannot read graph file {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CorruptFileError(f"graph file {path} does not hold an object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, "graph file", CorruptFileError))

@@ -14,9 +14,8 @@ import functools
 import hashlib
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .errors import EmptyCorpusError, InvalidChunkParamsError
 
@@ -151,19 +150,13 @@ def outline(doc: RawDocument, page_tokens: int = PAGE_TOKENS) -> str:
     return _head("\n".join(kept), page_tokens)
 
 
-@dataclass
-class CorpusReport:
-    documents: list = field(default_factory=list)
-    unreadable: list = field(default_factory=list)  # (path, reason)
-
-
-def load_corpus(root_path, *, report: Optional[CorpusReport] = None) -> list:
+def load_corpus(root_path) -> list:
     """Load every .md/.txt file under ``root_path``, path-sorted.
 
     A document's ``source_path`` is its path relative to the root, with
     POSIX separators, so it does not depend on how the root was given.
-    Unreadable files are reported (and logged) per file without aborting
-    the load; an empty result raises ``EmptyCorpusError``.
+    An unreadable or empty file is logged and skipped without aborting the
+    load; an empty result raises ``EmptyCorpusError``.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -179,17 +172,11 @@ def load_corpus(root_path, *, report: Optional[CorpusReport] = None) -> list:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
-            if report is not None:
-                report.unreadable.append((str(path), str(exc)))
             continue
         if not text.strip():
             logger.warning("skipping empty file %s", path)
-            if report is not None:
-                report.unreadable.append((str(path), "empty file"))
             continue
         documents.append(RawDocument(source_path=source_path, text=text))
     if not documents:
         raise EmptyCorpusError(f"no readable .md/.txt documents under {root}")
-    if report is not None:
-        report.documents = documents
     return documents

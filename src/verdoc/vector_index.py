@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import os
 import threading
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
-from .fileio import json_bytes, write_atomic
+from .fileio import json_bytes, read_json, write_atomic
 from .versions import parse_version
 
 FORMAT_VERSION = 3
@@ -360,12 +359,7 @@ class VectorIndex:
         """Read an index that ``save`` wrote; raises ``CorruptFileError`` when
         either file is unreadable, malformed or does not match the other."""
         path = Path(path)
-        try:
-            data = json.loads(path.read_bytes())
-        except (OSError, ValueError) as exc:
-            raise CorruptFileError(f"cannot read index file {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CorruptFileError(f"index file {path} does not hold an object")
+        data = read_json(path, "index file", CorruptFileError)
         version = data.get("format_version")
         if version != FORMAT_VERSION:
             raise VersionMismatchError(

@@ -1,3 +1,5 @@
+import json
+import logging
 import random
 
 import pytest
@@ -273,6 +275,34 @@ class TestImplicitExtraction:
             gateway,
         )
         assert len(records) == 2  # partition violated -> one record per hunk
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            pytest.param([[0, 1], [1]], id="overlapping"),
+            pytest.param([[0]], id="missing"),
+            pytest.param([[0], [5]], id="out-of-range"),
+        ],
+    )
+    def test_merge_mapping_that_is_not_a_partition_is_logged(self, caplog, groups):
+        changes = [{"kind": "modified", "description": "merged", "hunks": h} for h in groups]
+        script = [
+            {
+                "match": ["===BEGIN HUNK 0"],
+                "schema": "change_summary",
+                "reply": json.dumps({"changes": changes}),
+            }
+        ]
+        with caplog.at_level(logging.WARNING, logger="verdoc.changes"):
+            records = extract_implicit_changes(
+                "document:d",
+                (parse_version("1.0"), raw("1.0.md", "a\nb\nc\nd\ne")),
+                (parse_version("2.0"), raw("2.0.md", "a\nX\nc\nY\ne")),
+                make_gateway(script=script),
+            )
+        assert len(records) == 2
+        assert len(caplog.records) == 1
+        assert caplog.records[0].msg.startswith("hunk summarization failed, using per-hunk records")
 
 
 class TestExplicitExtraction:

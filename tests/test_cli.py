@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import verdoc
 from verdoc.cli import main
 from verdoc.engine import Engine
 from verdoc.errors import ConfigError, EmptyIndexError
 from verdoc.config import load_config, build_gateway
 from verdoc.evaluation import QAItem, save_dataset
+from verdoc.indexer import HASHED_FILES, MANIFEST_FILE, SUMMARY_FILE
 from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import assert_doc_corpus, spark_changelog_corpus, write_corpus
@@ -376,3 +382,134 @@ class TestConfigHandling:
         code = main(["--config", str(config_path), "index", str(corpus), "--out", str(out)])
         capsys.readouterr()
         assert code == 0
+
+
+def scripted_config(tmp_path, script_bytes):
+    script_path = tmp_path / "script.json"
+    script_path.write_bytes(script_bytes)
+    config_path = tmp_path / "scripted.json"
+    config_path.write_text(
+        json.dumps({"gateway": {"backend": "mock", "dimension": 64, "script_path": str(script_path)}})
+    )
+    return config_path
+
+
+class TestUnreadableInputFiles:
+    """A JSON or JSONL file that the CLI reads outside the index and cannot
+    use ends the run with a typed error and its exit code, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff{}", b"[1, 2]", b"{"], ids=["not-utf8", "not-an-object", "not-json"]
+    )
+    def test_bad_config_file_is_a_config_error(self, tmp_path, indexed_dir, content, capsys):
+        config_path = tmp_path / "bad.json"
+        config_path.write_bytes(content)
+        code = run_cli(config_path, "validate", "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("ConfigError: ") and "config file" in captured.err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff[]", b'{"match": [], "reply": "x"}', b'["reply"]'],
+        ids=["not-utf8", "an-object", "entry-not-an-object"],
+    )
+    def test_bad_mock_script_is_a_config_error(self, tmp_path, corpus, content, capsys):
+        config_path = scripted_config(tmp_path, content)
+        code = run_cli(config_path, "index", str(corpus), "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("ConfigError: ") and "mock script" in captured.err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [b"{", b"[]", b"\xff"], ids=["not-json", "not-an-object", "not-utf8"])
+    def test_bad_summary_is_a_data_error(self, indexed_dir, config_file, content, capsys):
+        (indexed_dir / "summary.json").write_bytes(content)
+        code = run_cli(config_file, "usage", "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("CorruptFileError: ") and "summary file" in captured.err
+
+    @pytest.mark.parametrize(
+        "content,problem",
+        [
+            (b"5\n", "line 1: expected a JSON object"),
+            (b'["q1"]\n', "line 1: expected a JSON object"),
+            (b"\n\xff\n", "line 2: invalid JSON"),
+        ],
+        ids=["number", "array", "not-utf8"],
+    )
+    def test_bad_dataset_line_is_a_data_error(
+        self, tmp_path, indexed_dir, config_file, content, problem, capsys
+    ):
+        dataset = tmp_path / "qa.jsonl"
+        dataset.write_bytes(content)
+        code = run_cli(config_file, "eval", str(dataset), "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("DatasetSchemaError: " + problem)
+
+
+WIDGET = "# Widget Guide\n\nVersion: {version}\n\n## Usage\n\nRun the widget with the {flag} flag.\n"
+
+
+def verdoc_cli(*args, cwd):
+    """Run ``python -m verdoc.cli`` in a fresh interpreter, as a user would."""
+    src = str(Path(verdoc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "verdoc.cli", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_entry_point_indexes_reindexes_answers_and_validates(tmp_path):
+    """The module entry point end to end on a two-version corpus: an
+    unchanged re-index prints the same counts and leaves all six index
+    files untouched; an in-place edit is re-indexed, validated and read
+    back; a damaged graph makes ``validate`` exit with 2."""
+    widget = tmp_path / "corpus" / "widget"
+    widget.mkdir(parents=True)
+    (widget / "1.0.0.md").write_text(WIDGET.format(version="1.0.0", flag="blue"), encoding="utf-8")
+    (widget / "2.0.0.md").write_text(WIDGET.format(version="2.0.0", flag="red"), encoding="utf-8")
+    index = tmp_path / "index"
+    files = [index / name for name in (*HASHED_FILES, SUMMARY_FILE, MANIFEST_FILE)]
+
+    def run(*args):
+        done = verdoc_cli(*args, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def counts(stdout):
+        printed = json.loads(stdout)
+        return {key: printed[key] for key in ("documents", "categories", "groups", "versions")}
+
+    def state():
+        return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in files}
+
+    first = counts(run("index", "corpus", "--out", "index"))
+    assert first == {"documents": 2, "categories": 1, "groups": 1, "versions": 2}
+    before = state()
+    assert counts(run("index", "corpus", "--out", "index")) == first
+    assert state() == before
+
+    assert run("validate", "--index", "index") == "graph valid\n"
+    reply = json.loads(run("query", "When was the red flag introduced?", "--index", "index", "--json"))
+    assert reply["intent"] == "change" and "red flag" in reply["answer"]
+
+    (widget / "2.0.0.md").write_text(WIDGET.format(version="2.0.0", flag="green"), encoding="utf-8")
+    run("index", "corpus", "--out", "index")
+    assert state()[MANIFEST_FILE] != before[MANIFEST_FILE]
+    run("validate", "--index", "index")
+    question = "Which flag does Widget Guide 2.0.0 use?"
+    assert "green" in json.loads(run("query", question, "--index", "index", "--json"))["answer"]
+
+    graph = index / "graph.json"
+    graph.write_bytes(graph.read_bytes()[:-100])
+    done = verdoc_cli("validate", "--index", "index", cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("CorruptFileError: cannot read graph file")

@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import re
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from verdoc.errors import EmptyCorpusError, InvalidChunkParamsError
 from verdoc.ingestion import (
     Chunk,
-    CorpusReport,
     RawDocument,
     _head,
     chunk_document,
@@ -292,14 +292,16 @@ class TestLoadCorpus:
         assert [d.text for d in first] == [d.text for d in second]
         assert [d.source_path for d in first] == ["sub/a.md", "z.md"]
 
-    def test_unreadable_file_reported_not_fatal(self, tmp_path):
+    def test_unreadable_file_reported_not_fatal(self, tmp_path, caplog):
         (tmp_path / "good.md").write_text("# fine\n\ncontent\n", encoding="utf-8")
         (tmp_path / "bad.md").write_bytes(b"\xff\xfe\x00bad utf8\xff")
-        report = CorpusReport()
-        docs = load_corpus(tmp_path, report=report)
-        assert len(docs) == 1
-        assert len(report.unreadable) == 1
-        assert report.unreadable[0][0].endswith("bad.md")
+        with caplog.at_level(logging.WARNING, logger="verdoc.ingestion"):
+            docs = load_corpus(tmp_path)
+        assert [d.source_path for d in docs] == ["good.md"]
+        skipped = [r.getMessage() for r in caplog.records]
+        assert len(skipped) == 1
+        assert skipped[0].startswith("skipping unreadable file ")
+        assert "bad.md" in skipped[0]
 
     def test_empty_file_skipped(self, tmp_path):
         (tmp_path / "good.md").write_text("content here\n", encoding="utf-8")
