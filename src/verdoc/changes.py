@@ -528,18 +528,20 @@ def _summarize_hunks(
         logger.warning("hunk summarization failed, using per-hunk records: %s", exc)
         return fallback
     groups = []
+    indices = set(range(len(hunks)))
     seen: set = set()
     for item in data["changes"]:
-        members = [m for m in item.get("hunks") or () if 0 <= m < len(hunks)]
-        if not members or seen.intersection(members):
+        members = item.get("hunks") or []
+        fresh = set(members) - seen  # an index repeated or claimed before is not fresh
+        if not members or len(fresh) < len(members) or not fresh <= indices:
             break
-        seen.update(members)
+        seen |= fresh
         description = item["description"].strip()[:DESCRIPTION_LIMIT]
         if not description:
             description = deterministic_description(hunks[members[0]]) or hunks[members[0]].id
         groups.append((ChangeKind(item["kind"]), description, sorted(members)))
     else:
-        if seen == set(range(len(hunks))):
+        if seen == indices:
             return groups  # the merge mapping partitions the hunks
     logger.warning(
         "hunk summarization failed, using per-hunk records: "

@@ -655,6 +655,10 @@ class Gateway:
         if not texts:
             raise ValueError("texts must be non-empty")
         vectors = self.backend.embed(list(texts), self.dimension)
+        if len(vectors) != len(texts):
+            raise BackendUnavailableError(
+                f"backend returned {len(vectors)} vectors for {len(texts)} texts"
+            )
         for vector in vectors:
             if vector.shape != (self.dimension,):
                 raise DimensionMismatchError(

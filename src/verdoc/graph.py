@@ -5,18 +5,16 @@ Structural invariants (checked by :meth:`VersionGraph.validate`):
 
 * every document has exactly one category parent, every version exactly
   one document parent, every content ref exactly one version parent,
-* per document, NEXT_VERSION edges form one acyclic chain visiting every
-  version node exactly once in comparator order (when a document's edges
-  break this by anything but their order, which is every chain problem
-  ``validate`` reports except a comparator contradiction, its versions
-  read in comparator order instead),
+* no two versions of a document have labels the comparator equates,
 * change nodes attach to an ordered version pair of their document
   (from-version may be absent for a document's first version),
 * edge endpoints respect the level hierarchy.
 
 Each edge is stored once, in ``_out`` (source id -> its outgoing edges);
 ``_in`` (target id -> its incoming edges) is the reverse index over the
-same edge objects, and ``edges`` lists them on demand. ``_by_kind`` holds
+same edge objects, and ``edges`` lists them on demand. A document's
+version order is not stored: :meth:`VersionGraph.versions_of` sorts its
+HAS_VERSION children by label under the comparator. ``_by_kind`` holds
 the nodes of each class in ``nodes`` order, so listing the documents,
 categories, change records or content refs never walks every node.
 
@@ -46,7 +44,7 @@ from .errors import (
 from .fileio import json_bytes, read_json, write_atomic
 from .versions import VersionLabel, compare_versions, parse_version
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _SLUG = re.compile(r"[^a-z0-9]+")
 
@@ -66,7 +64,6 @@ class NodeKind(str, Enum):
 class EdgeKind(str, Enum):
     HAS_DOCUMENT = "has_document"
     HAS_VERSION = "has_version"
-    NEXT_VERSION = "next_version"
     HAS_CONTENT = "has_content"
     CHANGED_TO = "changed_to"
 
@@ -158,10 +155,6 @@ def node_kind(node: Node) -> NodeKind:
     return _KIND_OF[type(node)]
 
 
-def _comparator_order(version: VersionNode) -> tuple:
-    return (version.label.sort_key(), version.id)
-
-
 def _find(versions: list, label: VersionLabel) -> Optional[VersionNode]:
     """The first of ``versions`` whose label the comparator equates with ``label``."""
     key = label.sort_key()
@@ -202,20 +195,6 @@ class VersionGraph:
         self._out.setdefault(source, []).append(edge)
         self._in.setdefault(target, []).append(edge)
 
-    def _remove_edges(self, drop: set) -> None:
-        if not drop:
-            return
-        for index, keys in (
-            (self._out, {e.source for e in drop}),
-            (self._in, {e.target for e in drop}),
-        ):
-            for key in keys:
-                kept = [e for e in index.get(key, ()) if e not in drop]
-                if kept:
-                    index[key] = kept
-                else:
-                    index.pop(key, None)
-
     def _unique_id(self, base: str) -> str:
         if base not in self.nodes:
             return base
@@ -251,13 +230,12 @@ class VersionGraph:
         label: Union[VersionLabel, str],
         synthetic: bool = False,
     ) -> str:
-        """Insert a version node and relink the NEXT_VERSION chain in order."""
+        """Insert a version node under ``document``."""
         if isinstance(label, str):
             label = parse_version(label)
         with self._lock:
             doc = self._require(document, NodeKind.DOCUMENT)
-            existing = self.versions_of(document)
-            if _find(existing, label) is not None:
+            if _find(self.versions_of(document), label) is not None:
                 raise DuplicateVersionError(
                     f"document {doc.title!r} already has version {label.raw!r}"
                 )
@@ -265,21 +243,7 @@ class VersionGraph:
             node = VersionNode(id=node_id, document=document, label=label, synthetic=synthetic)
             self._add_node(node)
             self._add_edge(document, EdgeKind.HAS_VERSION, node_id)
-            self._relink_chain([*existing, node])
             return node_id
-
-    def _relink_chain(self, versions: list) -> None:
-        """Replace the NEXT_VERSION edges among ``versions`` by one chain in comparator order."""
-        chain = sorted(versions, key=_comparator_order)
-        drop = {
-            e
-            for v in chain
-            for e in (*self._out.get(v.id, ()), *self._in.get(v.id, ()))
-            if e.kind is EdgeKind.NEXT_VERSION
-        }
-        self._remove_edges(drop)
-        for prev, nxt in zip(chain, chain[1:]):
-            self._add_edge(prev.id, EdgeKind.NEXT_VERSION, nxt.id)
 
     def add_content_ref(self, version_id: str, ordinal: int, key: str) -> str:
         with self._lock:
@@ -299,16 +263,11 @@ class VersionGraph:
             self._add_edge(version_id, EdgeKind.HAS_CONTENT, node_id)
             return node_id
 
-    def add_change(self, record: ChangeRecord, chain: Optional[list] = None) -> str:
-        """Attach a change record between its version pair via CHANGED_TO edges.
-
-        ``chain`` is the document's :meth:`versions_of` list when the caller
-        holds one read since the document's last ``add_version``; without
-        it the chain is walked here. Nothing is added when a version is unknown.
-        """
+    def add_change(self, record: ChangeRecord) -> str:
+        """Attach a change record between its version pair via CHANGED_TO edges;
+        nothing is added when a version is unknown."""
         with self._lock:
-            if chain is None:
-                chain = self.versions_of(record.document)
+            chain = self.versions_of(record.document)
             to_node = _find(chain, record.to_version)
             if to_node is None:
                 raise UnknownVersionError(
@@ -340,60 +299,17 @@ class VersionGraph:
         return list(self._by_kind[DocumentNode].values())
 
     def versions_of(self, document: str) -> list[VersionNode]:
-        """Version nodes of a document in NEXT_VERSION chain order.
-
-        When the document's NEXT_VERSION edges do not form one chain over all
-        its versions (the chain problems :meth:`validate` reports, other than
-        an order that contradicts the comparator), the nodes come back in
-        comparator order instead, so reads stay usable.
-        """
+        """Version nodes of a document in comparator order, ties broken by id."""
         self._require(document, NodeKind.DOCUMENT)
-        return self._walk(document)[0]
-
-    def _walk(self, document: str) -> tuple:
-        """The one NEXT_VERSION walker: ``(nodes, problem)`` for a document.
-
-        ``problem`` is None when the edges form a chain, and the nodes are
-        then in chain order; otherwise it names the first broken condition
-        and the nodes are in comparator order.
-        """
-        # enum members are bound once: the scans below touch every edge of
-        # every version, content refs and change records included
-        has_version, next_version, out = EdgeKind.HAS_VERSION, EdgeKind.NEXT_VERSION, self._out
-        # a target missing from the graph is left to validate(), which reports the edge
+        # a target missing from the graph, or of another level, is left to
+        # validate(), which reports the edge
         get = self.nodes.get
         nodes = [
             n
-            for e in out.get(document, ())
-            if e.kind is has_version and (n := get(e.target)) is not None
+            for e in self._out.get(document, ())
+            if e.kind is EdgeKind.HAS_VERSION and isinstance(n := get(e.target), VersionNode)
         ]
-        if not nodes:
-            return nodes, None
-        ids = {n.id for n in nodes}
-        chain_edges = [
-            e for node_id in ids for e in out.get(node_id, ()) if e.kind is next_version
-        ]
-        successors = {e.source: e.target for e in chain_edges}
-        targets = set(successors.values())
-        heads = ids - targets
-        if len(chain_edges) != len(nodes) - 1:
-            problem = f"{len(chain_edges)} NEXT_VERSION edges for {len(nodes)} versions"
-        elif not len(successors) == len(targets) == len(chain_edges) or not targets <= ids:
-            # a version with two successors or two predecessors, or an edge
-            # leaving the document's versions
-            problem = "NEXT_VERSION edges do not form a chain"
-        elif len(heads) != 1:
-            problem = f"NEXT_VERSION chain has {len(heads)} heads"
-        else:
-            # sources and targets are unique and the head has no predecessor,
-            # so the walk cannot revisit a node
-            chain = [self.nodes[heads.pop()]]
-            while chain[-1].id in successors:
-                chain.append(self.nodes[successors[chain[-1].id]])
-            if len(chain) == len(nodes):
-                return chain, None
-            problem = "NEXT_VERSION chain misses versions"
-        return sorted(nodes, key=_comparator_order), problem
+        return sorted(nodes, key=lambda v: (v.label.sort_key(), v.id))
 
     def list_versions(self, document: str) -> list[VersionLabel]:
         return [v.label for v in self.versions_of(document)]
@@ -468,7 +384,6 @@ class VersionGraph:
     _EDGE_LEVELS = {
         EdgeKind.HAS_DOCUMENT: (NodeKind.CATEGORY, NodeKind.DOCUMENT),
         EdgeKind.HAS_VERSION: (NodeKind.DOCUMENT, NodeKind.VERSION),
-        EdgeKind.NEXT_VERSION: (NodeKind.VERSION, NodeKind.VERSION),
         EdgeKind.HAS_CONTENT: (NodeKind.VERSION, NodeKind.CONTENT_REF),
     }
 
@@ -521,26 +436,21 @@ class VersionGraph:
         # per document: the sort keys of its versions and of its adjacent pairs
         keys: dict = {}
         for doc in documents:
-            chain, problem = self._walk(doc.id)
-            problems.extend(self._validate_chain(doc, chain, problem))
+            chain = self.versions_of(doc.id)
             labels = [v.label.sort_key() for v in chain]
+            # equivalent labels, such as "1.2" and "1.2.0" in a loaded graph, sort side by side
+            problems.extend(
+                f"document {doc.id}: versions {prev.label.raw!r} and {nxt.label.raw!r} "
+                "have equivalent labels"
+                for prev, nxt, a, b in zip(chain, chain[1:], labels, labels[1:])
+                if a == b
+            )
             keys[doc.id] = (set(labels), set(zip(labels, labels[1:])))
 
         for record in self.change_records():
             problems.extend(self._validate_change(record, keys.get(record.document)))
 
         return problems
-
-    @staticmethod
-    def _validate_chain(doc: DocumentNode, chain: list, problem: Optional[str]) -> list[str]:
-        if problem is not None:
-            return [f"document {doc.id}: {problem}"]
-        return [
-            f"document {doc.id}: chain order {prev.label.raw!r} -> {nxt.label.raw!r} "
-            "contradicts the comparator"
-            for prev, nxt in zip(chain, chain[1:])
-            if compare_versions(prev.label, nxt.label) >= 0
-        ]
 
     @staticmethod
     def _validate_change(record: ChangeRecord, keys: Optional[tuple]) -> list[str]:
@@ -654,7 +564,7 @@ class VersionGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "VersionGraph":
         """The graph ``to_dict`` wrote, filled in bulk and not validated, so that
-        :meth:`validate` can report dangling edges and broken chains. A
+        :meth:`validate` can report dangling edges and equivalent labels. A
         malformed payload raises ``CorruptFileError``.
 
         Each distinct version label is parsed once. An id given twice keeps

@@ -500,12 +500,9 @@ def _attach_records(
     has an entry, because a record keeps its id when its description
     changes; a reused record is embedded only when its entry is missing.
     """
-    chains: dict = {}  # document id -> versions_of, read again only after add_version
     pending = []
     for record in records:
-        chain = chains.get(record.document)
-        if chain is None:
-            chain = chains[record.document] = graph.versions_of(record.document)
+        chain = graph.versions_of(record.document)
         if not any(v.label == record.to_version for v in chain):
             # changelog mentions a version with no retained documentation
             graph.add_version(record.document, record.to_version, synthetic=True)
@@ -514,7 +511,7 @@ def _attach_records(
                 record.to_version.raw,
                 record.document,
             )
-            chain = chains[record.document] = graph.versions_of(record.document)
+            chain = graph.versions_of(record.document)
         if record.origin.value == "explicit" and record.from_version is None:
             for prev, nxt in zip(chain, chain[1:]):
                 if nxt.label.sort_key() == record.to_version.sort_key():
@@ -522,7 +519,7 @@ def _attach_records(
                     break
         if record.id in graph.nodes:
             continue
-        graph.add_change(record, chain)
+        graph.add_change(record)
         if fresh or record.id not in vector_index:
             pending.append(record)
     if pending:

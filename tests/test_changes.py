@@ -282,6 +282,8 @@ class TestImplicitExtraction:
             pytest.param([[0, 1], [1]], id="overlapping"),
             pytest.param([[0]], id="missing"),
             pytest.param([[0], [5]], id="out-of-range"),
+            pytest.param([[0, 0, 1]], id="repeated"),
+            pytest.param([[0, 5], [1]], id="out-of-range-inside"),
         ],
     )
     def test_merge_mapping_that_is_not_a_partition_is_logged(self, caplog, groups):

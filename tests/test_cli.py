@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import verdoc
+from verdoc import indexer
 from verdoc.cli import main
 from verdoc.engine import Engine
-from verdoc.errors import ConfigError, EmptyIndexError
+from verdoc.errors import ConfigError, EmptyIndexError, VersionMismatchError
 from verdoc.config import load_config, build_gateway
 from verdoc.evaluation import QAItem, save_dataset
-from verdoc.indexer import HASHED_FILES, MANIFEST_FILE, SUMMARY_FILE
+from verdoc.fileio import json_bytes
+from verdoc.graph import VersionGraph
+from verdoc.indexer import GRAPH_FILE, HASHED_FILES, MANIFEST_FILE, SUMMARY_FILE
 from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import assert_doc_corpus, spark_changelog_corpus, write_corpus
@@ -309,6 +313,62 @@ class TestValidateAndUsage:
         empty.mkdir()
         code = run_cli(config_file, "usage", "--index", str(empty))
         assert code == 2
+
+
+class TestGraphFormatUpgrade:
+    """An index written when graph.json was format 1, which stored each
+    document's version order a second time as next_version edges."""
+
+    @pytest.fixture
+    def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
+        out = tmp_path / "old"
+        with monkeypatch.context() as patch:
+            # the manifest's inputs hash the graph format of the run that wrote it
+            patch.setattr(indexer, "GRAPH_FORMAT_VERSION", 1)
+            assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+        capsys.readouterr()
+        graph_path = out / GRAPH_FILE
+        data = json.loads(graph_path.read_bytes())
+        graph = VersionGraph.from_dict(data)
+        for doc in graph.documents():
+            chain = graph.versions_of(doc.id)
+            data["edges"] += [
+                {"from": prev.id, "kind": "next_version", "to": nxt.id}
+                for prev, nxt in zip(chain, chain[1:])
+            ]
+        data["edges"].sort(key=lambda e: (e["from"], e["kind"], e["to"]))
+        data["format_version"] = 1
+        graph_bytes = json_bytes(data)
+        graph_path.write_bytes(graph_bytes)
+        manifest = json.loads((out / MANIFEST_FILE).read_bytes())
+        manifest["files"][GRAPH_FILE] = hashlib.sha256(graph_bytes).hexdigest()
+        (out / MANIFEST_FILE).write_bytes(json_bytes(manifest))
+        return out
+
+    def test_old_graph_is_a_version_mismatch(self, old_index, config_file, capsys):
+        with pytest.raises(VersionMismatchError):
+            Engine.load(old_index, build_gateway(load_config(config_file)))
+        code = run_cli(config_file, "query", "What changed?", "--index", str(old_index))
+        assert code == 2
+        assert "VersionMismatch" in capsys.readouterr().err
+
+    def test_reindex_writes_what_a_fresh_index_writes(
+        self, tmp_path, old_index, corpus, config_file, capsys
+    ):
+        assert run_cli(config_file, "index", str(corpus), "--out", str(old_index)) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli(config_file, "index", str(corpus), "--out", str(fresh)) == 0
+        capsys.readouterr()
+        for name in (*HASHED_FILES, MANIFEST_FILE):
+            assert (old_index / name).read_bytes() == (fresh / name).read_bytes(), name
+        upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
+        # the vectors are reused and the change records extracted again
+        assert upgraded["chunks"] == 0 < built["chunks"]
+        assert upgraded["changes"] == built["changes"] > 0
+        ignored = {"chunks", "usage"}
+        assert {k: v for k, v in upgraded.items() if k not in ignored} == {
+            k: v for k, v in built.items() if k not in ignored
+        }
 
 
 class TestConfigHandling:

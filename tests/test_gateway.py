@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from verdoc.errors import (
     BackendUnavailableError,
     DimensionMismatchError,
+    IndexingError,
     RateLimitedError,
     SchemaViolationError,
 )
@@ -25,11 +26,17 @@ from verdoc.gateway import (
     parse_json_reply,
     validate_reply,
 )
-from verdoc.indexer import DocumentAttributes, build_graph, cluster_documents, index_content
+from verdoc.indexer import (
+    DocumentAttributes,
+    build_graph,
+    cluster_documents,
+    index_content,
+    index_corpus,
+)
 from verdoc.vector_index import VectorIndex
 from verdoc.versions import parse_version
 
-from conftest import DIMENSION, doc_text, make_gateway, raw
+from conftest import DIMENSION, assert_doc_corpus, doc_text, make_gateway, raw, write_corpus
 
 
 class TestMockScripting:
@@ -169,6 +176,22 @@ class TestEmbeddings:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             make_gateway().embed([])
+
+    def test_short_reply_is_backend_unavailable(self, tmp_path):
+        class ShortBackend(MockBackend):
+            def embed(self, texts, dimension):
+                return super().embed(texts, dimension)[:-1]
+
+        gateway = Gateway(ShortBackend(), dimension=DIMENSION)
+        for texts in (["one"], ["one", "two", "three"]):
+            with pytest.raises(BackendUnavailableError, match=f"{len(texts) - 1} vectors"):
+                gateway.embed(texts)
+        write_corpus(tmp_path / "corpus", assert_doc_corpus())
+        with pytest.raises(IndexingError, match="vectors for") as excinfo:
+            index_corpus(tmp_path / "corpus", tmp_path / "out", gateway, dimension=DIMENSION)
+        assert isinstance(excinfo.value.cause, BackendUnavailableError)
+        assert excinfo.value.exit_code == 3
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def reference_embedding(text: str, dimension: int) -> np.ndarray:

@@ -50,12 +50,6 @@ class TestAddVersion:
         graph.add_version(doc, "3.3.4")
         assert chain_labels(graph, doc) == ["2.4.7", "3.3.4", "3.5.3"]
 
-    def test_singleton_has_no_next_version_edges(self):
-        graph, doc = graph_with_document()
-        graph.add_version(doc, "1.0.0")
-        assert chain_labels(graph, doc) == ["1.0.0"]
-        assert not [e for e in graph.edges if e.kind is EdgeKind.NEXT_VERSION]
-
     def test_duplicate_version_rejected(self):
         graph, doc = graph_with_document()
         graph.add_version(doc, "2.4.7")
@@ -72,13 +66,6 @@ class TestAddVersion:
         graph, _ = graph_with_document()
         with pytest.raises(UnknownNodeError):
             graph.add_version("document:nope", "1.0.0")
-
-    def test_chain_edge_count_is_n_minus_one(self):
-        graph, doc = graph_with_document()
-        for raw in SPARK_VERSIONS:
-            graph.add_version(doc, raw)
-        next_edges = [e for e in graph.edges if e.kind is EdgeKind.NEXT_VERSION]
-        assert len(next_edges) == len(SPARK_VERSIONS) - 1
 
 
 class TestListVersions:
@@ -237,19 +224,25 @@ class TestValidate:
 
     def test_orphan_document_detected(self):
         graph, doc = graph_with_document()
-        graph._remove_edges({e for e in graph.edges if e.kind is EdgeKind.HAS_DOCUMENT})
-        problems = graph.validate()
+        data = graph.to_dict()
+        data["edges"] = [e for e in data["edges"] if e["kind"] != "has_document"]
+        problems = VersionGraph.from_dict(data).validate()
         assert any("category parents" in p for p in problems)
 
-    def test_chain_order_violation_detected(self):
+    def test_loaded_equivalent_labels_detected(self):
         graph, doc = graph_with_document()
-        a = graph.add_version(doc, "1.0")
-        b = graph.add_version(doc, "2.0")
-        drop = {e for e in graph.edges if e.kind is EdgeKind.NEXT_VERSION}
-        graph._remove_edges(drop)
-        graph._add_edge(b, EdgeKind.NEXT_VERSION, a)  # backwards on purpose
-        problems = graph.validate()
-        assert any("contradicts the comparator" in p for p in problems)
+        for raw in ["1.0", "1.2", "2.0"]:
+            graph.add_version(doc, raw)
+        data = graph.to_dict()
+        # add_version refuses "1.2.0" beside "1.2"; a hand-edited file holds both
+        twin = next(n for n in data["nodes"] if n.get("label") == "1.2")
+        data["nodes"].append({**twin, "id": "version:twin", "label": "1.2.0"})
+        data["edges"].append({"from": doc, "kind": "has_version", "to": "version:twin"})
+        loaded = VersionGraph.from_dict(data)
+        assert chain_labels(loaded, doc) == ["1.0", "1.2", "1.2.0", "2.0"]
+        assert loaded.validate() == [
+            f"document {doc}: versions '1.2' and '1.2.0' have equivalent labels"
+        ]
 
     def test_implicit_record_without_evidence_detected(self):
         graph, doc = graph_with_document()
@@ -276,35 +269,23 @@ class TestValidate:
         graph._add_edge(doc, EdgeKind.HAS_DOCUMENT, category)
         assert any("level hierarchy" in p for p in graph.validate())
 
-    def test_looped_chain_reads_in_comparator_order(self):
+    def test_loaded_edge_order_does_not_set_version_order(self, tmp_path):
         graph, doc = graph_with_document()
-        graph.add_version(doc, "1.0")
-        v2 = graph.add_version(doc, "2.0")
-        v3 = graph.add_version(doc, "3.0")
-        graph._add_edge(v3, EdgeKind.NEXT_VERSION, v2)  # 1.0 -> 2.0 -> 3.0 -> 2.0 ...
-        assert chain_labels(graph, doc) == ["1.0", "2.0", "3.0"]
-        assert graph.find_version(doc, "3.0").id == v3
-        assert any("NEXT_VERSION edges for 3 versions" in p for p in graph.validate())
-
-    def test_loaded_looped_chain_with_change_records_validates(self, tmp_path):
-        graph, doc = graph_with_document()
-        for raw in ["1.0", "2.0", "3.0"]:
+        for raw in ["10.0", "9.0", "9.1"]:
             graph.add_version(doc, raw)
-        graph.add_change(make_record(doc, "2.0", "3.0"))
-        v1, v2, v3 = (graph.find_version(doc, raw).id for raw in ("1.0", "2.0", "3.0"))
+        graph.add_change(make_record(doc, "9.1", "10.0"))
         path = tmp_path / "graph.json"
         graph.save(path)
         data = json.loads(path.read_text())
-        # hand edit: 1.0 -> 3.0 -> 2.0 -> 3.0 ..., a walk order unlike the comparator's
-        data["edges"].remove({"from": v1, "kind": "next_version", "to": v2})
-        data["edges"] += [
-            {"from": v1, "kind": "next_version", "to": v3},
-            {"from": v3, "kind": "next_version", "to": v2},
-        ]
+        # saved edges sort by target id, which puts 10.0 first; reverse them too
+        data["edges"].reverse()
         path.write_text(json.dumps(data))
         loaded = VersionGraph.load(path)
-        assert chain_labels(loaded, doc) == ["1.0", "2.0", "3.0"]
-        assert any("NEXT_VERSION edges for 3 versions" in p for p in loaded.validate())
+        assert chain_labels(loaded, doc) == ["9.0", "9.1", "10.0"]
+        assert [r.id for r in loaded.changes_between(doc, "9.0", "10.0")] == [
+            r.id for r in graph.change_records()
+        ]
+        assert loaded.validate() == []
 
     def test_loaded_chain_into_missing_node_validates(self, tmp_path):
         graph, doc = graph_with_document()
@@ -315,33 +296,14 @@ class TestValidate:
         path = tmp_path / "graph.json"
         graph.save(path)
         data = json.loads(path.read_text())
-        data["edges"].append({"from": v2, "kind": "next_version", "to": "version:ghost"})
+        data["edges"].append({"from": v2, "kind": "has_content", "to": "content:ghost"})
         path.write_text(json.dumps(data))
         loaded = VersionGraph.load(path)
         assert chain_labels(loaded, doc) == ["1.0", "2.0"]
         assert loaded.find_version(doc, "2.0").id == v2
-        problems = loaded.validate()
-        assert any("references a missing node" in p for p in problems)
-
-    def test_two_heads_read_in_comparator_order(self):
-        graph, doc = graph_with_document()
-        for raw in ["3.0", "1.0", "2.0"]:
-            graph.add_version(doc, raw)
-        v1, v2 = (graph.find_version(doc, raw).id for raw in ("1.0", "2.0"))
-        graph._remove_edges({Edge(v1, EdgeKind.NEXT_VERSION, v2)})  # heads: 1.0 and 2.0
-        assert chain_labels(graph, doc) == ["1.0", "2.0", "3.0"]
-        assert any("NEXT_VERSION edges for 3 versions" in p for p in graph.validate())
-
-    def test_detached_loop_reads_all_versions_in_comparator_order(self):
-        graph, doc = graph_with_document()
-        for raw in ["4.0", "2.0", "1.0", "3.0"]:
-            graph.add_version(doc, raw)
-        v2, v3, v4 = (graph.find_version(doc, raw).id for raw in ("2.0", "3.0", "4.0"))
-        # 1.0 -> 2.0, then a loop 3.0 -> 4.0 -> 3.0 that the head never reaches
-        graph._remove_edges({Edge(v2, EdgeKind.NEXT_VERSION, v3)})
-        graph._add_edge(v4, EdgeKind.NEXT_VERSION, v3)
-        assert chain_labels(graph, doc) == ["1.0", "2.0", "3.0", "4.0"]
-        assert f"document {doc}: NEXT_VERSION chain misses versions" in graph.validate()
+        assert len(loaded.changes_between(doc, "1.0", "2.0")) == 1
+        dangling = Edge(v2, EdgeKind.HAS_CONTENT, "content:ghost")
+        assert loaded.validate() == [f"edge {dangling} references a missing node"]
 
     def test_change_record_of_missing_document_is_reported(self, tmp_path):
         graph, doc = graph_with_document()
@@ -373,6 +335,17 @@ class TestValidate:
         assert chain_labels(loaded, doc) == ["1.0", "2.0"]
         dangling = Edge(doc, EdgeKind.HAS_VERSION, "version:ghost")
         assert f"edge {dangling} references a missing node" in loaded.validate()
+
+    def test_loaded_version_edge_into_another_level_validates(self):
+        graph, doc = graph_with_document()
+        graph.add_version(doc, "1.0")
+        data = graph.to_dict()
+        category = graph.documents()[0].category
+        data["edges"].append({"from": doc, "kind": "has_version", "to": category})
+        loaded = VersionGraph.from_dict(data)
+        assert chain_labels(loaded, doc) == ["1.0"]
+        wrong = Edge(doc, EdgeKind.HAS_VERSION, category)
+        assert loaded.validate() == [f"edge {wrong} violates the level hierarchy"]
 
     def test_unknown_from_version_leaves_graph_unchanged(self):
         graph, doc = graph_with_document()
@@ -500,7 +473,7 @@ class TestPersistence:
                 graph.add_change(
                     make_record(doc, frm, to, ordinal, ChangeOrigin.IMPLICIT, [f"h{ordinal}"])
                 )
-            # a late synthetic version relinks a chain that already has records
+            # a late synthetic version joins a chain that already has records
             graph.add_version(doc, "0.0.1", synthetic=True)
         edges = graph.edges
         assert sorted(e for target in graph._in.values() for e in target) == sorted(edges)
@@ -572,7 +545,8 @@ class TestPersistence:
         with pytest.raises(CorruptFileError):
             VersionGraph.from_dict(data)
 
-    @pytest.mark.parametrize("kind", ["next", ["next_version"], None])
+    # "next_version" is format 1's edge kind, which a format 2 file cannot hold
+    @pytest.mark.parametrize("kind", ["next", "next_version", ["next_version"], None])
     def test_bad_edge_kind_is_corrupt_to_both_loaders(self, tmp_path, kind):
         """The file reader ``load`` and the payload decoder ``from_dict``."""
         path = tmp_path / "graph.json"
@@ -623,10 +597,12 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         graph.save(path)
         data = json.loads(path.read_text())
-        assert data["format_version"] == 1
+        assert data["format_version"] == 2
         assert set(data) == {"format_version", "nodes", "edges"}
         for edge in data["edges"]:
             assert set(edge) == {"from", "kind", "to"}
+        edge_kinds = {edge["kind"] for edge in data["edges"]}
+        assert edge_kinds == {"has_document", "has_version", "has_content", "changed_to"}
         kinds = {node["node_kind"] for node in data["nodes"]}
         assert kinds == {"category", "document", "version", "content_ref", "change"}
         change = next(n for n in data["nodes"] if n["node_kind"] == "change")
@@ -710,4 +686,4 @@ def test_edges_read_while_writer_adds_documents():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(graph.edges) == 300 * 4
+    assert len(graph.edges) == 300 * 3
