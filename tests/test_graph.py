@@ -546,7 +546,7 @@ class TestPersistence:
             VersionGraph.from_dict(data)
 
     # "next_version" is format 1's edge kind, which a format 2 file cannot hold
-    @pytest.mark.parametrize("kind", ["next", "next_version", ["next_version"], None])
+    @pytest.mark.parametrize("kind", ["next", ["next_version"], None, "next_version"])
     def test_bad_edge_kind_is_corrupt_to_both_loaders(self, tmp_path, kind):
         """The file reader ``load`` and the payload decoder ``from_dict``."""
         path = tmp_path / "graph.json"
