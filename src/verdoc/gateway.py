@@ -3,9 +3,11 @@
 Two backends implement the same small protocol: ``MockBackend`` is fully
 deterministic and offline (scripted replies plus rule-based handlers that
 recover the task payload from the prompt markers), ``HttpBackend`` talks
-to a chat-completions style HTTP service. Structured replies are
-validated against their schema tag; one reprompt with an error-explaining
-suffix is attempted before ``SchemaViolationError`` is raised.
+to a chat-completions style HTTP service. Each names its completion
+``model`` and its ``embedding_model``, which an index's manifest records.
+Structured replies are validated against their schema tag; one reprompt
+with an error-explaining suffix is attempted before
+``SchemaViolationError`` is raised.
 
 Usage counters cover completion traffic (embedding calls are local math
 for the mock backend and are not part of the indexing token budget).
@@ -249,6 +251,9 @@ class MockBackend:
     structured reply from the prompt payload. Replies are pure functions
     of the prompt, so whole-pipeline runs are reproducible byte for byte.
     """
+
+    model = "mock"
+    embedding_model = "mock-hashed-grams"
 
     def __init__(self, script: Optional[list] = None):
         self.script = list(script or [])

@@ -1,22 +1,25 @@
 """Five-level version graph: categories, documents, versions, content refs,
-and change records, with typed edges and a JSON persistence format.
+and change records, with a JSON persistence format.
+
+The hierarchy is stored once, in each node's parent fields: a document's
+``category``, the ``document`` of a version, content ref or change record,
+a content ref's ``version`` label and a change record's ``from_version`` and
+``to_version`` labels. Two in-memory indexes are derived from those fields,
+filled as each node is added and in one pass on load: ``_versions`` holds
+each document's version nodes in comparator order of their labels, ties
+broken by id, and ``_changes`` each document's change records bucketed by
+the sort key of their to-version. ``_by_kind`` holds the nodes of each class
+in ``nodes`` order, so listing the documents, categories, change records or
+content refs never walks every node.
 
 Structural invariants (checked by :meth:`VersionGraph.validate`):
 
-* every document has exactly one category parent, every version exactly
-  one document parent, every content ref exactly one version parent,
+* each parent field names a node of the level above: a document's a
+  category, and the document of a version, content ref or change record a
+  document; a content ref's version label is a version of that document,
 * no two versions of a document have labels the comparator equates,
-* change nodes attach to an ordered version pair of their document
-  (from-version may be absent for a document's first version),
-* edge endpoints respect the level hierarchy.
-
-Each edge is stored once, in ``_out`` (source id -> its outgoing edges);
-``_in`` (target id -> its incoming edges) is the reverse index over the
-same edge objects, and ``edges`` lists them on demand. A document's
-version order is not stored: :meth:`VersionGraph.versions_of` sorts its
-HAS_VERSION children by label under the comparator. ``_by_kind`` holds
-the nodes of each class in ``nodes`` order, so listing the documents,
-categories, change records or content refs never walks every node.
+* change records name versions of their document (from-version may be
+  absent for a document's first version), an implicit one an adjacent pair.
 
 Mutations take an internal lock (single writer); reads are lock-free and
 may run from any thread.
@@ -24,13 +27,14 @@ may run from any thread.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     CorruptFileError,
@@ -44,7 +48,7 @@ from .errors import (
 from .fileio import json_bytes, read_json, write_atomic
 from .versions import VersionLabel, compare_versions, parse_version
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _SLUG = re.compile(r"[^a-z0-9]+")
 
@@ -59,13 +63,6 @@ class NodeKind(str, Enum):
     VERSION = "version"
     CONTENT_REF = "content_ref"
     CHANGE = "change"
-
-
-class EdgeKind(str, Enum):
-    HAS_DOCUMENT = "has_document"
-    HAS_VERSION = "has_version"
-    HAS_CONTENT = "has_content"
-    CHANGED_TO = "changed_to"
 
 
 class ChangeKind(str, Enum):
@@ -87,15 +84,8 @@ def _by_value(enum: type) -> dict:
 
 
 _NODE_KINDS = _by_value(NodeKind)
-_EDGE_KINDS = _by_value(EdgeKind)
 _CHANGE_KINDS = _by_value(ChangeKind)
 _ORIGINS = _by_value(ChangeOrigin)
-
-
-class Edge(NamedTuple):
-    source: str
-    kind: EdgeKind
-    target: str
 
 
 @dataclass
@@ -155,6 +145,23 @@ def node_kind(node: Node) -> NodeKind:
     return _KIND_OF[type(node)]
 
 
+# the parent field of each level below the categories, and the class it names
+_PARENT = {
+    DocumentNode: ("category", CategoryNode),
+    VersionNode: ("document", DocumentNode),
+    ContentRefNode: ("document", DocumentNode),
+    ChangeRecord: ("document", DocumentNode),
+}
+
+
+def _level(node: Node) -> str:
+    return node_kind(node).value.replace("_", " ")
+
+
+def _version_order(node: VersionNode) -> tuple:
+    return node.label.sort_key(), node.id
+
+
 def _find(versions: list, label: VersionLabel) -> Optional[VersionNode]:
     """The first of ``versions`` whose label the comparator equates with ``label``."""
     key = label.sort_key()
@@ -170,30 +177,28 @@ class VersionGraph:
     def __init__(self):
         self.nodes: dict[str, Node] = {}
         self._by_kind: dict[type, dict[str, Node]] = {cls: {} for cls in _KIND_OF}
-        self._out: dict[str, list[Edge]] = {}
-        self._in: dict[str, list[Edge]] = {}
+        # document id -> its versions in versions_of order
+        self._versions: dict[str, list[VersionNode]] = {}
+        # document id -> to-version sort key -> change records
+        self._changes: dict[str, dict[tuple, list[ChangeRecord]]] = {}
         self._lock = threading.RLock()
-
-    @property
-    def edges(self) -> list[Edge]:
-        """Every edge, grouped by source; a fresh list on each read.
-
-        ``list()`` copies the values in one step, so a writer adding a node
-        cannot break a lock-free read mid-iteration.
-        """
-        return [e for out in list(self._out.values()) for e in out]
 
     # --- low-level helpers -------------------------------------------------
 
     def _add_node(self, node: Node) -> str:
         self.nodes[node.id] = node
-        self._by_kind[type(node)][node.id] = node
+        self._index(node)
         return node.id
 
-    def _add_edge(self, source: str, kind: EdgeKind, target: str) -> None:
-        edge = Edge(source, kind, target)
-        self._out.setdefault(source, []).append(edge)
-        self._in.setdefault(target, []).append(edge)
+    def _index(self, node: Node) -> None:
+        """File ``node`` under its class and, by its parent fields, in the
+        derived indexes."""
+        self._by_kind[type(node)][node.id] = node
+        if isinstance(node, VersionNode):
+            bisect.insort(self._versions.setdefault(node.document, []), node, key=_version_order)
+        elif isinstance(node, ChangeRecord):
+            by_key = self._changes.setdefault(node.document, {})
+            by_key.setdefault(node.to_version.sort_key(), []).append(node)
 
     def _unique_id(self, base: str) -> str:
         if base not in self.nodes:
@@ -220,9 +225,7 @@ class VersionGraph:
         with self._lock:
             self._require(category, NodeKind.CATEGORY)
             node_id = self._unique_id(f"document:{_slugify(title)}")
-            self._add_node(DocumentNode(id=node_id, title=title, category=category))
-            self._add_edge(category, EdgeKind.HAS_DOCUMENT, node_id)
-            return node_id
+            return self._add_node(DocumentNode(id=node_id, title=title, category=category))
 
     def add_version(
         self,
@@ -241,9 +244,7 @@ class VersionGraph:
                 )
             node_id = self._unique_id(f"version:{_slugify(doc.title)}@{_slugify(label.raw)}")
             node = VersionNode(id=node_id, document=document, label=label, synthetic=synthetic)
-            self._add_node(node)
-            self._add_edge(document, EdgeKind.HAS_VERSION, node_id)
-            return node_id
+            return self._add_node(node)
 
     def add_content_ref(self, version_id: str, ordinal: int, key: str) -> str:
         with self._lock:
@@ -251,7 +252,7 @@ class VersionGraph:
             node_id = f"content:{key}"
             if node_id in self.nodes:
                 return node_id
-            self._add_node(
+            return self._add_node(
                 ContentRefNode(
                     id=node_id,
                     document=version.document,
@@ -260,35 +261,25 @@ class VersionGraph:
                     key=key,
                 )
             )
-            self._add_edge(version_id, EdgeKind.HAS_CONTENT, node_id)
-            return node_id
 
     def add_change(self, record: ChangeRecord) -> str:
-        """Attach a change record between its version pair via CHANGED_TO edges;
-        nothing is added when a version is unknown."""
+        """Add a change record under its document; nothing is added when a
+        version it names is not one of the document's."""
         with self._lock:
             chain = self.versions_of(record.document)
-            to_node = _find(chain, record.to_version)
-            if to_node is None:
+            if _find(chain, record.to_version) is None:
                 raise UnknownVersionError(
                     f"version {record.to_version.raw!r} not in document {record.document!r}",
                     available=[v.label.raw for v in chain],
                 )
             if record.id in self.nodes:
                 return record.id
-            from_node = None
-            if record.from_version is not None:
-                from_node = _find(chain, record.from_version)
-                if from_node is None:
-                    raise UnknownVersionError(
-                        f"version {record.from_version.raw!r} not in document {record.document!r}",
-                        available=[v.label.raw for v in chain],
-                    )
-            self._add_node(record)
-            if from_node is not None:
-                self._add_edge(from_node.id, EdgeKind.CHANGED_TO, record.id)
-            self._add_edge(record.id, EdgeKind.CHANGED_TO, to_node.id)
-            return record.id
+            if record.from_version is not None and _find(chain, record.from_version) is None:
+                raise UnknownVersionError(
+                    f"version {record.from_version.raw!r} not in document {record.document!r}",
+                    available=[v.label.raw for v in chain],
+                )
+            return self._add_node(record)
 
     # --- traversal ----------------------------------------------------------
 
@@ -301,15 +292,7 @@ class VersionGraph:
     def versions_of(self, document: str) -> list[VersionNode]:
         """Version nodes of a document in comparator order, ties broken by id."""
         self._require(document, NodeKind.DOCUMENT)
-        # a target missing from the graph, or of another level, is left to
-        # validate(), which reports the edge
-        get = self.nodes.get
-        nodes = [
-            n
-            for e in self._out.get(document, ())
-            if e.kind is EdgeKind.HAS_VERSION and isinstance(n := get(e.target), VersionNode)
-        ]
-        return sorted(nodes, key=lambda v: (v.label.sort_key(), v.id))
+        return list(self._versions.get(document, ()))
 
     def list_versions(self, document: str) -> list[VersionLabel]:
         return [v.label for v in self.versions_of(document)]
@@ -324,20 +307,14 @@ class VersionGraph:
         return list(zip(chain, chain[1:]))
 
     def changes_for_pair(self, prev: VersionNode, nxt: VersionNode) -> list[ChangeRecord]:
-        """Change records attached to one adjacent version pair, id-ordered."""
-        explicit_from = {
-            e.target for e in self._out.get(prev.id, []) if e.kind is EdgeKind.CHANGED_TO
-        }
-        records = []
-        for edge in self._in.get(nxt.id, []):
-            if edge.kind is not EdgeKind.CHANGED_TO:
-                continue
-            record = self.nodes[edge.source]
-            if not isinstance(record, ChangeRecord):
-                continue
-            if record.from_version is None or record.id in explicit_from:
-                records.append(record)
-        return sorted(records, key=lambda r: r.id)
+        """Change records of one adjacent version pair, id-ordered: those whose
+        to-version is ``nxt`` and whose from-version is absent or ``prev``."""
+        records = self._changes.get(nxt.document, {}).get(nxt.label.sort_key(), ())
+        key = prev.label.sort_key()
+        return sorted(
+            (r for r in records if r.from_version is None or r.from_version.sort_key() == key),
+            key=lambda r: r.id,
+        )
 
     def changes_between(
         self,
@@ -381,61 +358,14 @@ class VersionGraph:
 
     # --- validation ---------------------------------------------------------
 
-    _EDGE_LEVELS = {
-        EdgeKind.HAS_DOCUMENT: (NodeKind.CATEGORY, NodeKind.DOCUMENT),
-        EdgeKind.HAS_VERSION: (NodeKind.DOCUMENT, NodeKind.VERSION),
-        EdgeKind.HAS_CONTENT: (NodeKind.VERSION, NodeKind.CONTENT_REF),
-    }
-
     def validate(self) -> list[str]:
         """Return a list of invariant violations (empty when the graph is valid)."""
         problems: list[str] = []
 
-        for edge in self.edges:
-            src = self.nodes.get(edge.source)
-            dst = self.nodes.get(edge.target)
-            if src is None or dst is None:
-                problems.append(f"edge {edge} references a missing node")
-                continue
-            if edge.kind is EdgeKind.CHANGED_TO:
-                ok = (
-                    isinstance(src, VersionNode)
-                    and isinstance(dst, ChangeRecord)
-                    or isinstance(src, ChangeRecord)
-                    and isinstance(dst, VersionNode)
-                )
-                if not ok:
-                    problems.append(f"edge {edge} violates the level hierarchy")
-                continue
-            want = self._EDGE_LEVELS[edge.kind]
-            if (node_kind(src), node_kind(dst)) != want:
-                problems.append(f"edge {edge} violates the level hierarchy")
-
-        documents = self.documents()
-        for doc in documents:
-            parents = [
-                e.source for e in self._in.get(doc.id, []) if e.kind is EdgeKind.HAS_DOCUMENT
-            ]
-            if len(parents) != 1:
-                problems.append(f"document {doc.id} has {len(parents)} category parents")
-
-        for node in self.nodes.values():
-            if isinstance(node, VersionNode):
-                parents = [
-                    e.source for e in self._in.get(node.id, []) if e.kind is EdgeKind.HAS_VERSION
-                ]
-                if len(parents) != 1:
-                    problems.append(f"version {node.id} has {len(parents)} document parents")
-            elif isinstance(node, ContentRefNode):
-                parents = [
-                    e.source for e in self._in.get(node.id, []) if e.kind is EdgeKind.HAS_CONTENT
-                ]
-                if len(parents) != 1:
-                    problems.append(f"content ref {node.id} has {len(parents)} version parents")
-
-        # per document: the sort keys of its versions and of its adjacent pairs
-        keys: dict = {}
-        for doc in documents:
+        # per document: the raw labels and sort keys of its versions, and
+        # the sort keys of its adjacent pairs
+        versions: dict = {}
+        for doc in self.documents():
             chain = self.versions_of(doc.id)
             labels = [v.label.sort_key() for v in chain]
             # equivalent labels, such as "1.2" and "1.2.0" in a loaded graph, sort side by side
@@ -445,19 +375,33 @@ class VersionGraph:
                 for prev, nxt, a, b in zip(chain, chain[1:], labels, labels[1:])
                 if a == b
             )
-            keys[doc.id] = (set(labels), set(zip(labels, labels[1:])))
+            raws = {v.label.raw for v in chain}
+            versions[doc.id] = (raws, set(labels), set(zip(labels, labels[1:])))
 
-        for record in self.change_records():
-            problems.extend(self._validate_change(record, keys.get(record.document)))
-
+        for node in self.nodes.values():
+            if isinstance(node, CategoryNode):
+                continue
+            name, level = _PARENT[type(node)]
+            # a loaded field may hold any JSON value, and one that is not a string names no node
+            ref = getattr(node, name)
+            parent = self.nodes.get(ref) if isinstance(ref, str) else None
+            where = f"{_level(node)} {node.id}"
+            if parent is None:
+                problems.append(f"{where}: {name} missing from graph")
+            elif not isinstance(parent, level):
+                problems.append(f"{where}: {name} names a {_level(parent)} node")
+            elif isinstance(node, ContentRefNode) and not (
+                isinstance(node.version, str) and node.version in versions[parent.id][0]
+            ):
+                problems.append(f"{where}: version missing from graph")
+            elif isinstance(node, ChangeRecord):
+                problems.extend(self._validate_change(node, *versions[parent.id][1:]))
         return problems
 
     @staticmethod
-    def _validate_change(record: ChangeRecord, keys: Optional[tuple]) -> list[str]:
-        """``keys`` holds the record's document's version keys and adjacent-pair keys."""
-        if keys is None:
-            return [f"change {record.id}: document missing from graph"]
-        versions, pairs = keys
+    def _validate_change(record: ChangeRecord, versions: set, pairs: set) -> list[str]:
+        """``versions`` and ``pairs`` hold the sort keys of the record's
+        document's versions and adjacent pairs."""
         problems = []
         if record.to_version.sort_key() not in versions:
             problems.append(f"change {record.id}: to_version missing from graph")
@@ -549,10 +493,6 @@ class VersionGraph:
         return {
             "format_version": FORMAT_VERSION,
             "nodes": [self._node_to_dict(n) for n in sorted(self.nodes.values(), key=lambda n: n.id)],
-            "edges": [
-                {"from": e.source, "kind": e.kind.value, "to": e.target}
-                for e in sorted(self.edges)
-            ],
         }
 
     def save(self, path) -> str:
@@ -564,31 +504,25 @@ class VersionGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "VersionGraph":
         """The graph ``to_dict`` wrote, filled in bulk and not validated, so that
-        :meth:`validate` can report dangling edges and equivalent labels. A
-        malformed payload raises ``CorruptFileError``.
+        :meth:`validate` can report a parent field that names no node of the
+        level above, and equivalent labels. A malformed payload raises
+        ``CorruptFileError``.
 
         Each distinct version label is parsed once. An id given twice keeps
         its first place in ``nodes`` and its last node.
         """
         graph = cls()
         label = functools.cache(parse_version)
-        decode, edge_kinds = cls._node_from_dict, _EDGE_KINDS
+        decode = cls._node_from_dict
         try:
             version = data["format_version"]
             if version != FORMAT_VERSION:
                 raise VersionMismatchError(
                     f"unsupported graph format_version {version!r} (expected {FORMAT_VERSION})"
                 )
-            nodes = (decode(payload, label) for payload in data["nodes"])
-            graph.nodes = {node.id: node for node in nodes}
-            by_kind = graph._by_kind
-            for node_id, node in graph.nodes.items():
-                by_kind[type(node)][node_id] = node
-            out, into = graph._out, graph._in
-            for e in data["edges"]:
-                edge = Edge(e["from"], edge_kinds[e["kind"]], e["to"])
-                out.setdefault(edge.source, []).append(edge)
-                into.setdefault(edge.target, []).append(edge)
+            graph.nodes = {node.id: node for node in (decode(d, label) for d in data["nodes"])}
+            for node in graph.nodes.values():
+                graph._index(node)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptFileError(f"malformed graph payload: {exc}") from exc
         return graph

@@ -18,13 +18,14 @@ and the cached attributes of files no longer in the corpus are dropped.
 
 Every full run writes ``manifest.json`` last. It records a digest of the
 clustered catalog (each category name, group title and member's cache key
-and attributes), the chunking, page and embedding parameters, and the
-sha256 of ``graph.json``, ``vectors.json``, ``vectors.npy`` and
-``attributes.json``. The manifest is the one shortcut: a re-index whose
-catalog, parameters and files match it stops right after clustering,
-parses neither the graph nor the vectors and writes nothing, and any other
-run rebuilds and rewrites every file. A run that stops early leaves a
-manifest that no longer matches, so the next run takes the full path.
+and attributes), the chunking, page and embedding parameters, the ids of
+the completion and embedding models, and the sha256 of ``graph.json``,
+``vectors.json``, ``vectors.npy`` and ``attributes.json``. The manifest is
+the one shortcut: a re-index whose catalog, parameters and files match it
+stops right after clustering, parses neither the graph nor the vectors and
+writes nothing, and any other run rebuilds and rewrites every file. A run
+that stops early leaves a manifest that no longer matches, so the next run
+takes the full path.
 """
 
 from __future__ import annotations
@@ -713,6 +714,12 @@ def _described_by(recorded: Optional[dict], path: Path, digests: dict) -> bool:
     return isinstance(files, dict) and files.get(path.name) == _file_sha256(path, digests)
 
 
+def _unchanged(recorded: Optional[dict], parameters: dict, *names: str) -> bool:
+    """Whether the manifest ``recorded`` records each of ``names`` with its
+    value in ``parameters``; an index without a manifest is taken as it is."""
+    return recorded is None or all(recorded.get(name) == parameters[name] for name in names)
+
+
 def manifest_problems(index_dir) -> list:
     """Each file that the manifest of the index in ``index_dir`` lists and
     that is missing or no longer has its recorded sha256. An index without a
@@ -744,15 +751,16 @@ def index_corpus(
     The corpus is loaded and clustered first; its files are named by their
     paths under ``root_path``, so the root may be given relative or
     absolute. Cached attributes are used only when the manifest records the
-    same ``page_tokens``. When the
-    manifest of ``out_dir`` records this catalog and these parameters, and
-    each file it lists still has its recorded sha256, the index already
-    holds what this run would write: the run returns 0 chunks, 0 changes
-    and a graph that is read from ``graph.json`` on first use, and writes
-    no file, so ``summary.json`` still describes the run that built the
-    index. An attribute-cache miss or a cached file that is gone changes
-    the catalog, and a damaged cache its sha256, so neither passes this
-    check. Each index file is hashed at most once per run.
+    same ``page_tokens`` and completion ``model``, change records only under
+    the same ``model``, and vectors only under the same ``embedding_model``.
+    When the manifest of ``out_dir`` records this catalog and these
+    parameters, and each file it lists still has its recorded sha256, the
+    index already holds what this run would write: the run returns 0
+    chunks, 0 changes and a graph that is read from ``graph.json`` on first
+    use, and writes no file, so ``summary.json`` still describes the run
+    that built the index. An attribute-cache miss or a cached file that is
+    gone changes the catalog, and a damaged cache its sha256, so neither
+    passes this check. Each index file is hashed at most once per run.
 
     Otherwise the vector entries, cached attributes and change records of
     an index in ``out_dir`` are reused, so an unchanged corpus re-indexes
@@ -771,12 +779,21 @@ def index_corpus(
     out.mkdir(parents=True, exist_ok=True)
     documents = load_corpus(root_path)
     recorded = _read_manifest(out / MANIFEST_FILE)
+    parameters = {
+        "chunk_size": chunk_size,
+        "overlap": overlap,
+        "page_tokens": page_tokens,
+        "dimension": dimension,
+        "model": gateway.backend.model,
+        "embedding_model": gateway.backend.embedding_model,
+    }
 
     digests: dict = {}  # path -> sha256, each index file hashed at most once
     cache_path = out / ATTRIBUTES_FILE
     attribute_cache: dict = {}
-    # attributes cached at another page_tokens were extracted from other pages
-    if cache_path.exists() and (recorded is None or recorded.get("page_tokens") == page_tokens):
+    # attributes cached at another page_tokens were extracted from other pages,
+    # and those of another model by another model
+    if cache_path.exists() and _unchanged(recorded, parameters, "page_tokens", "model"):
         try:
             cached = cache_path.read_bytes()
             digests[cache_path] = hashlib.sha256(cached).hexdigest()
@@ -791,10 +808,7 @@ def index_corpus(
     manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "inputs": _inputs_digest(catalog),
-        "chunk_size": chunk_size,
-        "overlap": overlap,
-        "page_tokens": page_tokens,
-        "dimension": dimension,
+        **parameters,
     }
     graph_path = out / GRAPH_FILE
     if _index_is_current(out, recorded, manifest, digests):
@@ -802,7 +816,8 @@ def index_corpus(
 
     index_path = out / INDEX_FILE
     vector_index = VectorIndex(dimension)
-    if index_path.exists():
+    # vectors of another embedding model are not reused, as those of another dimension are not
+    if index_path.exists() and _unchanged(recorded, parameters, "embedding_model"):
         try:
             loaded = VectorIndex.load(index_path)
             if loaded.dimension != dimension:
@@ -814,7 +829,7 @@ def index_corpus(
     if not _described_by(recorded, graph_path, digests):
         # missing, or not the graph the manifest's run wrote
         logger.warning("re-extracting every change; %s does not match %s", GRAPH_FILE, MANIFEST_FILE)
-    elif graph_path.exists():
+    elif graph_path.exists() and _unchanged(recorded, parameters, "model"):
         try:
             change_records = VersionGraph.load(graph_path).change_records()
         except CorruptFileError as exc:

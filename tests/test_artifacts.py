@@ -14,13 +14,14 @@ from test_acceptance import DIMENSION, purity_corpus
 from verdoc.indexer import index_corpus
 
 PINNED = {
-    "graph.json": "4429d986c4efc1bc68de2cc47f86916f1a6ce90601ebdff12592a418c05196e9",
+    "graph.json": "b36d601ee9be449988e5d872d5feb152fa9e4f11dfe0929657b060f3529653ca",
     # holds the sha256 of vectors.npy, so it pins the vectors too
     "vectors.json": "914b1f47b23d18043f27448c7a7512297bca335902b1096a842b92d2e7c73313",
     "attributes.json": "33f76c3edcc475a20c4c43e19036c1ba4f4aef88c5d687a0d04bc24f036ce265",
     "summary.json": "9c0f423004cfc0f3e1efe2b8e02e9f4326f001d6a9ebdbb8b4049f135580710c",
-    # holds the sha256 of the other files but summary.json, and of the clustered corpus
-    "manifest.json": "7b2ff261f3f8e82aa9540d8a1fc3cede45ffc54294d2b0daf0b00d5d288f20f4",
+    # holds the sha256 of the other files but summary.json and of the clustered corpus,
+    # and the ids of the mock's models
+    "manifest.json": "a5d836633503911ca6b61f12ee30029523e98b8c5bcbfe449f1aae029fe07b04",
 }
 
 

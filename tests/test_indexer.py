@@ -507,6 +507,8 @@ class RecordingBackend:
     """Wraps the offline backend and captures every completion prompt and
     every embed batch."""
 
+    model, embedding_model = MockBackend.model, MockBackend.embedding_model
+
     def __init__(self):
         self.inner = MockBackend()
         self.prompts = []
@@ -914,6 +916,55 @@ class TestManifest:
         for name in (*INDEX_FILES, "manifest.json"):
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
         Engine.load(out, make_gateway(dimension=params["dimension"])).ask("What does assert.ok test?")
+
+    class RewordingBackend(MockBackend):
+        """Another completion model: the mock's summaries and change
+        descriptions, reworded."""
+
+        model = "rewording"
+
+        def complete(self, prompt, schema, max_output_tokens):
+            reply = super().complete(prompt, schema, max_output_tokens)
+            data = json.loads(reply) if schema is not None else None
+            if schema is ResponseSchema.CHANGE_SUMMARY:
+                for change in data["changes"]:
+                    change["description"] = "Reworded: " + change["description"]
+            elif schema is ResponseSchema.ATTRIBUTES and "summary" in data:
+                data["summary"] = "Reworded: " + data["summary"]
+            else:
+                return reply
+            return json.dumps(data)
+
+    class NegatingBackend(MockBackend):
+        """Another embedding model of the same dimension: the mock's vectors, negated."""
+
+        embedding_model = "negating"
+
+        def embed(self, texts, dimension):
+            return [-vector for vector in super().embed(texts, dimension)]
+
+    @pytest.mark.parametrize(
+        "backend,differs",
+        [(RewordingBackend, "graph.json"), (NegatingBackend, "vectors.npy")],
+        ids=["model", "embedding_model"],
+    )
+    def test_changed_model_takes_the_full_path(self, tmp_path, backend, differs):
+        """A re-index by another model writes what a fresh index by it
+        writes: attributes and change records of another completion model
+        are extracted again, and vectors of another embedding model are
+        embedded again."""
+        corpus, out = self.indexed(tmp_path)
+        index_corpus(corpus, out, Gateway(backend(), dimension=DIMENSION), dimension=DIMENSION)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["model"], manifest["embedding_model"]) == (backend.model, backend.embedding_model)
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, Gateway(backend(), dimension=DIMENSION), dimension=DIMENSION)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        # the other model made other files than the mock does
+        plain = tmp_path / "plain"
+        index_corpus(corpus, plain, make_gateway(), dimension=DIMENSION)
+        assert (out / differs).read_bytes() != (plain / differs).read_bytes()
 
     @pytest.mark.parametrize("damage", ["deleted", "invalid-json", "not-an-object"])
     def test_damaged_attribute_cache_takes_the_full_path(self, tmp_path, damage):
