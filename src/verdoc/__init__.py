@@ -1,8 +1,8 @@
 """Version-aware retrieval and question answering over versioned corpora.
 
-Indexing builds a five-level version graph (categories, documents,
-versions, content refs, change records) plus a metadata-filtered vector
-index; queries are classified by intent and routed to graph traversal,
+Indexing builds a four-level version graph (categories, documents,
+versions, change records) plus a metadata-filtered vector index, which
+holds each content chunk once; queries are classified by intent and routed to graph traversal,
 version-filtered vector search or semantic change search; answers are
 generated from version-pure context with provenance citations.
 """

@@ -85,17 +85,15 @@ class Engine:
 
     def validate(self) -> list:
         """The graph's invariant violations, then every mismatch between the
-        graph and the vector index: a content ref or change record without
-        an entry, and an entry that nothing in the graph references."""
+        graph and the vector index: each key the graph accounts for (a
+        version's chunks, a change record) without an entry, and each entry
+        that the graph does not account for."""
         problems = self.graph.validate()
-        for ref in self.graph.content_refs():
-            if ref.key not in self.index:
-                problems.append(f"content ref {ref.id}: no vector entry {ref.key!r}")
-        for record in self.graph.change_records():
-            if record.id not in self.index:
-                problems.append(f"change {record.id}: no vector entry")
         referenced = self.graph.index_keys()
-        for key in self.index.keys():
-            if key not in referenced:
-                problems.append(f"vector entry {key!r}: referenced by no content ref or change")
+        held = set(self.index.keys())
+        problems += [f"vector entry {key!r}: missing" for key in sorted(referenced - held)]
+        problems += [
+            f"vector entry {key!r}: referenced by no version or change"
+            for key in sorted(held - referenced)
+        ]
         return problems

@@ -1,22 +1,25 @@
-"""Five-level version graph: categories, documents, versions, content refs,
-and change records, with a JSON persistence format.
+"""Four-level version graph: categories, documents, versions and change
+records, with a JSON persistence format.
 
 The hierarchy is stored once, in each node's parent fields: a document's
-``category``, the ``document`` of a version, content ref or change record,
-a content ref's ``version`` label and a change record's ``from_version`` and
-``to_version`` labels. Two in-memory indexes are derived from those fields,
-filled as each node is added and in one pass on load: ``_versions`` holds
-each document's version nodes in comparator order of their labels, ties
-broken by id, and ``_changes`` each document's change records bucketed by
-the sort key of their to-version. ``_by_kind`` holds the nodes of each class
-in ``nodes`` order, so listing the documents, categories, change records or
-content refs never walks every node.
+``category``, the ``document`` of a version or change record, and a change
+record's ``from_version`` and ``to_version`` labels. Two in-memory indexes
+are derived from those fields, filled as each node is added and in one pass
+on load: ``_versions`` holds each document's version nodes in comparator
+order of their labels, ties broken by id, and ``_changes`` each document's
+change records bucketed by the sort key of their to-version. ``_by_kind``
+holds the nodes of each class in ``nodes`` order, so listing the documents,
+categories or change records never walks every node.
+
+A version's content lives in the vector index alone. Its node records how
+many chunks it has, so :meth:`VersionGraph.index_keys` names every entry
+the graph accounts for: the key of each chunk of each version
+(``ingestion.chunk_key``) and the id of each change record.
 
 Structural invariants (checked by :meth:`VersionGraph.validate`):
 
 * each parent field names a node of the level above: a document's a
-  category, and the document of a version, content ref or change record a
-  document; a content ref's version label is a version of that document,
+  category, and the document of a version or change record a document,
 * no two versions of a document have labels the comparator equates,
 * change records name versions of their document (from-version may be
   absent for a document's first version), an implicit one an adjacent pair.
@@ -46,9 +49,10 @@ from .errors import (
     VersionMismatchError,
 )
 from .fileio import json_bytes, read_json, write_atomic
+from .ingestion import chunk_key
 from .versions import VersionLabel, compare_versions, parse_version
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _SLUG = re.compile(r"[^a-z0-9]+")
 
@@ -61,7 +65,6 @@ class NodeKind(str, Enum):
     CATEGORY = "category"
     DOCUMENT = "document"
     VERSION = "version"
-    CONTENT_REF = "content_ref"
     CHANGE = "change"
 
 
@@ -107,15 +110,7 @@ class VersionNode:
     document: str
     label: VersionLabel
     synthetic: bool = False  # True when the label was not extracted but invented
-
-
-@dataclass
-class ContentRefNode:
-    id: str
-    document: str
-    version: str  # raw label of the owning version
-    ordinal: int
-    key: str  # vector-index entry key
+    chunks: int = 0  # how many chunks of its text the vector index holds
 
 
 @dataclass
@@ -130,13 +125,12 @@ class ChangeRecord:
     evidence: list = field(default_factory=list)  # diff hunk ids, empty for explicit
 
 
-Node = Union[CategoryNode, DocumentNode, VersionNode, ContentRefNode, ChangeRecord]
+Node = Union[CategoryNode, DocumentNode, VersionNode, ChangeRecord]
 
 _KIND_OF = {
     CategoryNode: NodeKind.CATEGORY,
     DocumentNode: NodeKind.DOCUMENT,
     VersionNode: NodeKind.VERSION,
-    ContentRefNode: NodeKind.CONTENT_REF,
     ChangeRecord: NodeKind.CHANGE,
 }
 
@@ -149,13 +143,15 @@ def node_kind(node: Node) -> NodeKind:
 _PARENT = {
     DocumentNode: ("category", CategoryNode),
     VersionNode: ("document", DocumentNode),
-    ContentRefNode: ("document", DocumentNode),
     ChangeRecord: ("document", DocumentNode),
 }
 
 
-def _level(node: Node) -> str:
-    return node_kind(node).value.replace("_", " ")
+def _chunk_count(value) -> int:
+    """``value`` when it is a non-negative integer; ValueError otherwise."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"chunks {value!r} is not a non-negative integer")
+    return value
 
 
 def _version_order(node: VersionNode) -> tuple:
@@ -246,22 +242,6 @@ class VersionGraph:
             node = VersionNode(id=node_id, document=document, label=label, synthetic=synthetic)
             return self._add_node(node)
 
-    def add_content_ref(self, version_id: str, ordinal: int, key: str) -> str:
-        with self._lock:
-            version = self._require(version_id, NodeKind.VERSION)
-            node_id = f"content:{key}"
-            if node_id in self.nodes:
-                return node_id
-            return self._add_node(
-                ContentRefNode(
-                    id=node_id,
-                    document=version.document,
-                    version=version.label.raw,
-                    ordinal=ordinal,
-                    key=key,
-                )
-            )
-
     def add_change(self, record: ChangeRecord) -> str:
         """Add a change record under its document; nothing is added when a
         version it names is not one of the document's."""
@@ -348,13 +328,15 @@ class VersionGraph:
     def change_records(self) -> list[ChangeRecord]:
         return list(self._by_kind[ChangeRecord].values())
 
-    def content_refs(self) -> list[ContentRefNode]:
-        return list(self._by_kind[ContentRefNode].values())
-
     def index_keys(self) -> set:
-        """The vector-index keys the graph references: each content ref's key
-        and each change record's id."""
-        return {ref.key for ref in self.content_refs()} | set(self._by_kind[ChangeRecord])
+        """The vector-index keys the graph references: the key of each of a
+        version's ``chunks``, for every version, and each change record's id."""
+        keys = {
+            chunk_key(v.document, v.label.raw, ordinal)
+            for v in self._by_kind[VersionNode].values()
+            for ordinal in range(v.chunks)
+        }
+        return keys | set(self._by_kind[ChangeRecord])
 
     # --- validation ---------------------------------------------------------
 
@@ -362,8 +344,7 @@ class VersionGraph:
         """Return a list of invariant violations (empty when the graph is valid)."""
         problems: list[str] = []
 
-        # per document: the raw labels and sort keys of its versions, and
-        # the sort keys of its adjacent pairs
+        # per document: the sort keys of its versions and of its adjacent pairs
         versions: dict = {}
         for doc in self.documents():
             chain = self.versions_of(doc.id)
@@ -375,8 +356,7 @@ class VersionGraph:
                 for prev, nxt, a, b in zip(chain, chain[1:], labels, labels[1:])
                 if a == b
             )
-            raws = {v.label.raw for v in chain}
-            versions[doc.id] = (raws, set(labels), set(zip(labels, labels[1:])))
+            versions[doc.id] = (set(labels), set(zip(labels, labels[1:])))
 
         for node in self.nodes.values():
             if isinstance(node, CategoryNode):
@@ -385,17 +365,13 @@ class VersionGraph:
             # a loaded field may hold any JSON value, and one that is not a string names no node
             ref = getattr(node, name)
             parent = self.nodes.get(ref) if isinstance(ref, str) else None
-            where = f"{_level(node)} {node.id}"
+            where = f"{node_kind(node).value} {node.id}"
             if parent is None:
                 problems.append(f"{where}: {name} missing from graph")
             elif not isinstance(parent, level):
-                problems.append(f"{where}: {name} names a {_level(parent)} node")
-            elif isinstance(node, ContentRefNode) and not (
-                isinstance(node.version, str) and node.version in versions[parent.id][0]
-            ):
-                problems.append(f"{where}: version missing from graph")
+                problems.append(f"{where}: {name} names a {node_kind(parent).value} node")
             elif isinstance(node, ChangeRecord):
-                problems.extend(self._validate_change(node, *versions[parent.id][1:]))
+                problems.extend(self._validate_change(node, *versions[parent.id]))
         return problems
 
     @staticmethod
@@ -436,10 +412,11 @@ class VersionGraph:
         elif isinstance(node, DocumentNode):
             data.update(title=node.title, category=node.category)
         elif isinstance(node, VersionNode):
-            data.update(document=node.document, label=node.label.raw, synthetic=node.synthetic)
-        elif isinstance(node, ContentRefNode):
             data.update(
-                document=node.document, version=node.version, ordinal=node.ordinal, key=node.key
+                document=node.document,
+                label=node.label.raw,
+                synthetic=node.synthetic,
+                chunks=node.chunks,
             )
         else:
             data.update(
@@ -467,14 +444,7 @@ class VersionGraph:
                 document=data["document"],
                 label=label(data["label"]),
                 synthetic=bool(data.get("synthetic", False)),
-            )
-        if kind is NodeKind.CONTENT_REF:
-            return ContentRefNode(
-                id=data["id"],
-                document=data["document"],
-                version=data["version"],
-                ordinal=int(data["ordinal"]),
-                key=data["key"],
+                chunks=_chunk_count(data.get("chunks", 0)),
             )
         return ChangeRecord(
             id=data["id"],

@@ -9,12 +9,14 @@ twice.
 
 Re-running the pipeline over the same corpus is idempotent: node ids,
 chunk keys and change ids are deterministic, extracted attributes are
-cached next to the index, a chunk whose entry already holds its text and
-metadata is not embedded again, and the change records of the previous
-graph are reused per changelog file and per version pair whose current
-texts their ids name (``changes.source_tag``). A run ends with the graph
-as the one record of what the index holds: the vector entries it does not reference
-and the cached attributes of files no longer in the corpus are dropped.
+cached next to the index, a chunk whose entry already holds its text is
+not embedded again, and the change records of the previous graph are
+reused per changelog file and per version pair whose current texts their
+ids name (``changes.source_tag``). A chunk is stored once, in its vector
+entry; its version node records only how many chunks the version has. A
+run ends with the graph as the one record of what the index holds: the
+vector entries it does not account for and the cached attributes of files
+no longer in the corpus are dropped.
 
 Every full run writes ``manifest.json`` last. It records a digest of the
 clustered catalog (each category name, group title and member's cache key
@@ -25,7 +27,8 @@ the one shortcut: a re-index whose catalog, parameters and files match it
 stops right after clustering, parses neither the graph nor the vectors and
 writes nothing, and any other run rebuilds and rewrites every file. A run
 that stops early leaves a manifest that no longer matches, so the next run
-takes the full path.
+takes the full path. An index without a manifest vouches for nothing, so
+none of its files is reused.
 """
 
 from __future__ import annotations
@@ -372,29 +375,26 @@ def index_content(
     chunk_size: int = CHUNK_SIZE,
     overlap: int = CHUNK_OVERLAP,
 ) -> int:
-    """Chunk, embed and upsert every version's text; returns the count of
-    chunks embedded.
+    """Chunk, embed and upsert every version's text, and record each
+    version's chunk count on its node; returns the count of chunks embedded.
 
     The pending chunks of all versions of a document group go to the
     gateway in one embed call, and are upserted in (version, ordinal)
     order. A chunk whose (document, version, ordinal) key already holds its
-    text and metadata is not embedded again, which makes interrupted runs
-    resumable and re-runs no-ops; a version edited in place, another
-    chunking or a renamed category replaces the entries it changes.
+    text is not embedded again, which makes interrupted runs resumable and
+    re-runs no-ops: the entry keeps its vector and takes this run's
+    metadata. A version edited in place or another chunking re-embeds the
+    chunks whose text changed.
     """
     new_chunks = 0
-    for category, group in catalog.all_groups():
+    for _, group in catalog.all_groups():
         if group.document_id not in graph.nodes:
             raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
         pending = []  # (key, metadata, text) of the entries to embed
         for (doc, _), version_id in zip(group.members, group.version_ids):
-            version = graph.nodes[version_id].label.raw
-            metadata = {
-                "category": category.name,
-                "document": group.document_id,
-                "version": version,
-                "origin": "content",
-            }
+            node = graph.nodes[version_id]
+            version = node.label.raw
+            metadata = {"document": group.document_id, "version": version, "origin": "content"}
             chunks = chunk_document(
                 doc,
                 chunk_size=chunk_size,
@@ -402,12 +402,14 @@ def index_content(
                 document=group.document_id,
                 version=version,
             )
+            node.chunks = len(chunks)
             for chunk in chunks:
                 key = chunk.key
-                graph.add_content_ref(version_id, chunk.ordinal, key)
                 held = vector_index.get(key)
-                if held is None or held.text != chunk.text or held.metadata != metadata:
+                if held is None or held.text != chunk.text:
                     pending.append((key, metadata, chunk.text))
+                elif held.metadata != metadata:
+                    vector_index.insert(IndexEntry(key, held.vector, metadata, chunk.text))
         if not pending:
             continue
         vectors = gateway.embed([text for _, _, text in pending])
@@ -677,12 +679,14 @@ def _file_sha256(path: Path, digests: dict) -> Optional[str]:
     return digests[path]
 
 
-def _read_manifest(path: Path) -> Optional[dict]:
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``; empty, and so matching nothing, when it is
+    missing or is not a JSON object."""
     try:
         data = json.loads(path.read_bytes())
     except (OSError, ValueError):
-        return None
-    return data if isinstance(data, dict) else None
+        return {}
+    return data if isinstance(data, dict) else {}
 
 
 def _changed_files(index_dir: Path, files: dict, digests: dict) -> list:
@@ -691,13 +695,11 @@ def _changed_files(index_dir: Path, files: dict, digests: dict) -> list:
     return [name for name, digest in files.items() if _file_sha256(index_dir / name, digests) != digest]
 
 
-def _index_is_current(out: Path, recorded: Optional[dict], expected: dict, digests: dict) -> bool:
+def _index_is_current(out: Path, recorded: dict, expected: dict, digests: dict) -> bool:
     """Whether the index in ``out`` holds what this run would write: its
     manifest ``recorded`` records ``expected`` and every file it lists still
     has its recorded sha256. A file whose sha256 matches holds the bytes
     that the manifest's run wrote, in the formats that ``inputs`` names."""
-    if recorded is None:
-        return False
     files = recorded.get("files")
     rest = {name: value for name, value in recorded.items() if name != "files"}
     if rest != expected or not isinstance(files, dict) or set(files) != set(HASHED_FILES):
@@ -705,19 +707,17 @@ def _index_is_current(out: Path, recorded: Optional[dict], expected: dict, diges
     return not _changed_files(out, files, digests)
 
 
-def _described_by(recorded: Optional[dict], path: Path, digests: dict) -> bool:
+def _described_by(recorded: dict, path: Path, digests: dict) -> bool:
     """Whether the manifest ``recorded`` records the sha256 that ``path``
-    has now; an index without a manifest is taken as it is."""
-    if recorded is None:
-        return True
+    has now."""
     files = recorded.get("files")
     return isinstance(files, dict) and files.get(path.name) == _file_sha256(path, digests)
 
 
-def _unchanged(recorded: Optional[dict], parameters: dict, *names: str) -> bool:
+def _unchanged(recorded: dict, parameters: dict, *names: str) -> bool:
     """Whether the manifest ``recorded`` records each of ``names`` with its
-    value in ``parameters``; an index without a manifest is taken as it is."""
-    return recorded is None or all(recorded.get(name) == parameters[name] for name in names)
+    value in ``parameters``."""
+    return all(recorded.get(name) == parameters[name] for name in names)
 
 
 def manifest_problems(index_dir) -> list:
@@ -727,8 +727,7 @@ def manifest_problems(index_dir) -> list:
     path = Path(index_dir) / MANIFEST_FILE
     if not path.exists():
         return []
-    manifest = _read_manifest(path)
-    files = None if manifest is None else manifest.get("files")
+    files = _read_manifest(path).get("files")
     if not isinstance(files, dict):
         return [f"{MANIFEST_FILE}: unreadable or lists no files"]
     return [
@@ -767,7 +766,8 @@ def index_corpus(
     to an identical state without re-spending completion tokens. A change
     record is reused when its id names the current texts it was extracted
     from, whatever the attribute cache holds, and only from a
-    ``graph.json`` that the manifest describes. An unreadable vector index
+    ``graph.json`` that the manifest describes. An index without a
+    readable manifest reuses none of the three. An unreadable vector index
     (an older format, one torn by a crash, or one of another dimension) is
     re-embedded in full, and an unreadable graph has its changes
     re-extracted. Every file is replaced atomically, and
@@ -826,14 +826,17 @@ def index_corpus(
         except (CorruptFileError, DimensionMismatchError) as exc:
             logger.warning("re-embedding every entry; unreadable vector index: %s", exc)
     change_records: list = []
-    if not _described_by(recorded, graph_path, digests):
-        # missing, or not the graph the manifest's run wrote
-        logger.warning("re-extracting every change; %s does not match %s", GRAPH_FILE, MANIFEST_FILE)
-    elif graph_path.exists() and _unchanged(recorded, parameters, "model"):
-        try:
-            change_records = VersionGraph.load(graph_path).change_records()
-        except CorruptFileError as exc:
-            logger.warning("re-extracting every change; unreadable graph: %s", exc)
+    if graph_path.exists():
+        if not _described_by(recorded, graph_path, digests):
+            # not the graph the manifest's run wrote, or no manifest vouches for it
+            logger.warning(
+                "re-extracting every change; %s does not match %s", GRAPH_FILE, MANIFEST_FILE
+            )
+        elif _unchanged(recorded, parameters, "model"):
+            try:
+                change_records = VersionGraph.load(graph_path).change_records()
+            except CorruptFileError as exc:
+                logger.warning("re-extracting every change; unreadable graph: %s", exc)
 
     summary = index_documents(
         documents,

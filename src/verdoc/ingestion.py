@@ -65,7 +65,12 @@ class Chunk:
 
     @property
     def key(self) -> str:
-        return f"{self.document}@{self.version}#c{self.ordinal:04d}"
+        return chunk_key(self.document, self.version, self.ordinal)
+
+
+def chunk_key(document: str, version: str, ordinal: int) -> str:
+    """The vector-index key of chunk ``ordinal`` of a document version."""
+    return f"{document}@{version}#c{ordinal:04d}"
 
 
 def chunk_document(

@@ -300,9 +300,10 @@ def _search_content(
         if parsed.document is not None:
             equality["document"] = parsed.document
         elif parsed.category is not None:
-            category = graph.nodes.get(parsed.category)
-            if category is not None:
-                equality["category"] = category.name
+            # a chunk's category is its document's
+            equality["document"] = {
+                d.id for d in graph.documents() if d.category == parsed.category
+            }
         if parsed.version is not None:
             equality["version"] = _resolve_version_raw(parsed, graph)
     query_vector = _embed_query(gateway, parsed.text)

@@ -14,14 +14,14 @@ from test_acceptance import DIMENSION, purity_corpus
 from verdoc.indexer import index_corpus
 
 PINNED = {
-    "graph.json": "b36d601ee9be449988e5d872d5feb152fa9e4f11dfe0929657b060f3529653ca",
+    "graph.json": "47c17ad2788f63f5d8a10670e74d0593d8c7c64d6ec5ad75373f7d275551aced",
     # holds the sha256 of vectors.npy, so it pins the vectors too
-    "vectors.json": "914b1f47b23d18043f27448c7a7512297bca335902b1096a842b92d2e7c73313",
+    "vectors.json": "ef87af0fa0a8f85959d7ee5a806d28a8c0fa8d57478d47627082d493815b7c8e",
     "attributes.json": "33f76c3edcc475a20c4c43e19036c1ba4f4aef88c5d687a0d04bc24f036ce265",
     "summary.json": "9c0f423004cfc0f3e1efe2b8e02e9f4326f001d6a9ebdbb8b4049f135580710c",
     # holds the sha256 of the other files but summary.json and of the clustered corpus,
     # and the ids of the mock's models
-    "manifest.json": "a5d836633503911ca6b61f12ee30029523e98b8c5bcbfe449f1aae029fe07b04",
+    "manifest.json": "48a6416b7271ee218c583b652a7d021df55f4106b51ad2c2900330a35b62881d",
 }
 
 

@@ -16,7 +16,8 @@ from verdoc.config import load_config, build_gateway
 from verdoc.evaluation import QAItem, save_dataset
 from verdoc.fileio import json_bytes
 from verdoc.graph import VersionGraph
-from verdoc.indexer import GRAPH_FILE, HASHED_FILES, MANIFEST_FILE, SUMMARY_FILE
+from verdoc.indexer import GRAPH_FILE, HASHED_FILES, INDEX_FILE, MANIFEST_FILE, SUMMARY_FILE
+from verdoc.ingestion import chunk_key
 from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import assert_doc_corpus, spark_changelog_corpus, write_corpus
@@ -316,39 +317,48 @@ class TestValidateAndUsage:
 
 
 class TestGraphFormatUpgrade:
-    """An index written when graph.json was format 2, which stored the
-    graph's hierarchy a second time as edges, and the manifest named no
-    model."""
+    """An index written when graph.json was format 3, which stored each chunk
+    a second time as a content-ref node, and each content entry of
+    vectors.json copied its document's category."""
 
     @pytest.fixture
     def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
         out = tmp_path / "old"
         with monkeypatch.context() as patch:
             # the manifest's inputs hash the graph format of the run that wrote it
-            patch.setattr(indexer, "GRAPH_FORMAT_VERSION", 2)
+            patch.setattr(indexer, "GRAPH_FORMAT_VERSION", 3)
             assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
         capsys.readouterr()
-        graph_path = out / GRAPH_FILE
+        graph_path, vectors_path = out / GRAPH_FILE, out / INDEX_FILE
         data = json.loads(graph_path.read_bytes())
         graph = VersionGraph.from_dict(data)
-        version = graph.find_version
-        edges = []
-        for doc in graph.documents():
-            edges.append((doc.category, "has_document", doc.id))
-            edges += [(doc.id, "has_version", v.id) for v in graph.versions_of(doc.id)]
-        for ref in graph.content_refs():
-            edges.append((version(ref.document, ref.version).id, "has_content", ref.id))
-        for record in graph.change_records():
-            if record.from_version is not None:
-                edges.append((version(record.document, record.from_version).id, "changed_to", record.id))
-            edges.append((record.id, "changed_to", version(record.document, record.to_version).id))
-        data["edges"] = [{"from": a, "kind": kind, "to": b} for a, kind, b in sorted(edges)]
-        data["format_version"] = 2
-        graph_bytes = json_bytes(data)
-        graph_path.write_bytes(graph_bytes)
+        nodes = data["nodes"]
+        for node in list(nodes):
+            chunks = node.pop("chunks", 0)
+            for ordinal in range(chunks):
+                key = chunk_key(node["document"], node["label"], ordinal)
+                nodes.append(
+                    {
+                        "id": f"content:{key}",
+                        "node_kind": "content_ref",
+                        "document": node["document"],
+                        "version": node["label"],
+                        "ordinal": ordinal,
+                        "key": key,
+                    }
+                )
+        nodes.sort(key=lambda node: node["id"])
+        data["format_version"] = 3
+        vectors = json.loads(vectors_path.read_bytes())
+        for entry in vectors["entries"]:
+            metadata = entry["metadata"]
+            if metadata["origin"] == "content":
+                category = graph.nodes[graph.nodes[metadata["document"]].category]
+                metadata["category"] = category.name
         manifest = json.loads((out / MANIFEST_FILE).read_bytes())
-        del manifest["model"], manifest["embedding_model"]
-        manifest["files"][GRAPH_FILE] = hashlib.sha256(graph_bytes).hexdigest()
+        for path, payload in ((graph_path, data), (vectors_path, vectors)):
+            path.write_bytes(json_bytes(payload))
+            manifest["files"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         (out / MANIFEST_FILE).write_bytes(json_bytes(manifest))
         return out
 
@@ -366,11 +376,15 @@ class TestGraphFormatUpgrade:
         fresh = tmp_path / "fresh"
         assert run_cli(config_file, "index", str(corpus), "--out", str(fresh)) == 0
         capsys.readouterr()
-        for name in (*HASHED_FILES, MANIFEST_FILE, SUMMARY_FILE):
+        # summary.json holds what each run did, so it is compared below
+        for name in (*HASHED_FILES, MANIFEST_FILE):
             assert (old_index / name).read_bytes() == (fresh / name).read_bytes(), name
-        # a manifest that names no model vouches for no vector, attribute or record
-        upgraded = json.loads((old_index / SUMMARY_FILE).read_bytes())
-        assert upgraded["chunks"] > 0 and upgraded["changes"] > 0
+        # every chunk's entry holds its text and vector; the records come from
+        # graph.json, which no longer loads, so they are extracted again
+        upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
+        assert upgraded.pop("chunks") == 0 < built.pop("chunks")
+        del upgraded["usage"], built["usage"]
+        assert upgraded == built and upgraded["changes"] > 0
 
 
 class TestConfigHandling:

@@ -3,7 +3,8 @@ import pytest
 from verdoc.engine import Engine
 from verdoc.errors import DocumentNotFoundError, InvertedRangeError
 from verdoc.indexer import index_corpus
-from verdoc.retrieval import QueryIntent, RetrievalMode
+from verdoc.ingestion import chunk_key
+from verdoc.retrieval import ParsedQuery, QueryIntent, RetrievalMode
 from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import DIMENSION, assert_doc_corpus, make_gateway, spark_changelog_corpus, write_corpus
@@ -64,19 +65,56 @@ def test_validate_clean(engine):
     assert engine.validate() == []
 
 
-def test_validate_checks_the_graph_against_the_index_both_ways(engine):
-    graph, index = engine.graph, VectorIndex(dimension=DIMENSION)
-    ref, record = graph.content_refs()[0], graph.change_records()[0]
-    for key in engine.index.keys():
-        if key not in (ref.key, record.id):
-            index.insert(engine.index.get(key))
-    index.insert(IndexEntry("orphan", [1.0] * DIMENSION, {"origin": "content"}, "stale"))
-    problems = Engine(graph, index, engine.gateway).validate()
-    assert problems == [
-        f"content ref {ref.id}: no vector entry {ref.key!r}",
-        f"change {record.id}: no vector entry",
-        "vector entry 'orphan': referenced by no content ref or change",
-    ]
+@pytest.fixture(scope="module")
+def fine_chunks(tmp_path_factory):
+    """An index of the Node.js Assert corpus in 16-token chunks, so that each
+    version has several."""
+    root = tmp_path_factory.mktemp("fine")
+    write_corpus(root / "corpus", assert_doc_corpus())
+    out = root / "index"
+    index_corpus(root / "corpus", out, make_gateway(), DIMENSION, chunk_size=16, overlap=2)
+    return Engine.load(out, make_gateway())
+
+
+def test_validate_checks_the_graph_against_the_index_both_ways(fine_chunks):
+    """Each damage to a copy of a valid index is reported in one line."""
+    graph = fine_chunks.graph
+    version = graph.versions_of(graph.documents()[0].id)[0]
+    assert version.chunks > 2
+    doc, label, last = version.document, version.label.raw, version.chunks - 1
+    record = graph.change_records()[0].id
+    orphan = "referenced by no version or change"
+    missing = {
+        "first chunk": chunk_key(doc, label, 0),
+        "last chunk": chunk_key(doc, label, last),
+        "change record": record,
+    }
+    stale = {
+        "chunk past the version's count": chunk_key(doc, label, last + 1),
+        "chunk of a version the graph lacks": chunk_key(doc, "9.9.9", 0),
+        "entry of nothing": "orphan",
+    }
+    damages = [(name, [key], [], f"{key!r}: missing") for name, key in missing.items()]
+    damages += [(name, [], [key], f"{key!r}: {orphan}") for name, key in stale.items()]
+    for name, dropped, added, problem in damages:
+        index = VectorIndex(dimension=DIMENSION)
+        for key in fine_chunks.index.keys():
+            if key not in dropped:
+                index.insert(fine_chunks.index.get(key))
+        for key in added:
+            index.insert(IndexEntry(key, [1.0] * DIMENSION, {"origin": "content"}, "stale"))
+        problems = Engine(graph, index, fine_chunks.gateway).validate()
+        assert problems == [f"vector entry {problem}"], name
+    assert fine_chunks.validate() == []
+
+
+def test_category_query_searches_the_documents_of_that_category(engine):
+    documents = engine.graph.documents()
+    assert len({d.category for d in documents}) == len(documents) > 1
+    for doc in documents:
+        parsed = ParsedQuery("What changed?", QueryIntent.CONTENT, category=doc.category)
+        context = engine.retrieve(parsed, k=20)
+        assert context.items and {item.document for item in context.items} == {doc.title}
 
 
 def test_baseline_toggle_passes_through(engine):

@@ -18,7 +18,6 @@ from verdoc.graph import (
     ChangeKind,
     ChangeOrigin,
     ChangeRecord,
-    ContentRefNode,
     DocumentNode,
     VersionGraph,
     VersionNode,
@@ -230,8 +229,7 @@ class TestValidate:
         graph, doc = graph_with_document()
         for raw in SPARK_VERSIONS:
             graph.add_version(doc, raw)
-        version = graph.versions_of(doc)[0]
-        graph.add_content_ref(version.id, 0, f"{doc}@2.4.7#c0000")
+        graph.versions_of(doc)[0].chunks = 2
         graph.add_change(
             make_record(doc, "2.4.7", "3.3.4", origin=ChangeOrigin.IMPLICIT, evidence=["h1"])
         )
@@ -300,25 +298,20 @@ class TestValidate:
         assert loaded.validate() == []
 
     def test_loaded_chain_into_missing_node_validates(self, tmp_path):
-        """A content ref whose version label is not a version of its document."""
+        """A change record whose to-version label is not a version of its document."""
         graph, doc = graph_with_document()
         for raw in ["1.0", "2.0"]:
             graph.add_version(doc, raw)
-        graph.add_change(make_record(doc, "1.0", "2.0"))
+        record = make_record(doc, "1.0", "2.0")
+        graph.add_change(record)
         v2 = graph.find_version(doc, "2.0").id
-        ghost = {
-            "id": "content:ghost",
-            "node_kind": "content_ref",
-            "document": doc,
-            "version": "3.0",
-            "ordinal": 0,
-            "key": "ghost",
-        }
+        ghost = payload_of(graph.to_dict(), record.id)
+        ghost.update(id="change:ghost", to_version="3.0")
         loaded = hand_edited(graph, tmp_path, lambda data: data["nodes"].append(ghost))
         assert chain_labels(loaded, doc) == ["1.0", "2.0"]
         assert loaded.find_version(doc, "2.0").id == v2
         assert len(loaded.changes_between(doc, "1.0", "2.0")) == 1
-        assert loaded.validate() == ["content ref content:ghost: version missing from graph"]
+        assert loaded.validate() == ["change change:ghost: to_version missing from graph"]
 
     def test_change_record_of_missing_document_is_reported(self, tmp_path):
         graph, doc = graph_with_document()
@@ -376,16 +369,18 @@ class TestValidate:
     def test_loaded_parent_field_that_is_not_a_string_is_missing(self):
         graph, doc = graph_with_document()
         version = graph.add_version(doc, "1.0")
-        graph.add_content_ref(version, 0, "k0")
-        graph.add_content_ref(version, 1, "k1")
+        graph.add_version(doc, "2.0")
+        record = make_record(doc, "1.0", "2.0")
+        graph.add_change(record)
         data = graph.to_dict()
         payload_of(data, doc)["category"] = ["category:data-processing"]
-        payload_of(data, "content:k0")["document"] = {"id": doc}
-        payload_of(data, "content:k1")["version"] = ["1.0"]
+        # the loader files versions and records under their document, so those stay hashable
+        payload_of(data, version)["document"] = 7
+        payload_of(data, record.id)["document"] = None
         assert VersionGraph.from_dict(data).validate() == [
-            "content ref content:k0: document missing from graph",
-            "content ref content:k1: version missing from graph",
+            f"change {record.id}: document missing from graph",
             f"document {doc}: category missing from graph",
+            f"version {version}: document missing from graph",
         ]
 
     def test_unknown_from_version_leaves_graph_unchanged(self):
@@ -411,7 +406,6 @@ class TestKindListings:
         "categories": CategoryNode,
         "documents": DocumentNode,
         "change_records": ChangeRecord,
-        "content_refs": ContentRefNode,
     }
 
     def assert_listings_match_scan(self, graph):
@@ -428,7 +422,6 @@ class TestKindListings:
             labels = rng.sample(["1.0", "2.0", "3.0", "4.0"], rng.randint(1, 4))
             for label in labels:
                 graph.add_version(doc, label)
-                graph.add_content_ref(graph.find_version(doc, label).id, 0, f"k{n}-{label}")
             ordered = sorted(labels, key=parse_version)
             for ordinal, (frm, to) in enumerate(zip(ordered, ordered[1:])):
                 graph.add_change(make_record(doc, frm, to, ordinal))
@@ -470,8 +463,7 @@ def build_corpus_scale_graph():
             for raw in versions:
                 graph.add_version(doc, raw)
     chains = graph.documents()
-    first = graph.versions_of(chains[0].id)[0]
-    graph.add_content_ref(first.id, 0, "k0")
+    graph.versions_of(chains[0].id)[0].chunks = 3
     graph.add_change(
         make_record(chains[0].id, "2.4.7", "3.3.4", origin=ChangeOrigin.IMPLICIT, evidence=["h0"])
     )
@@ -512,8 +504,7 @@ class TestPersistence:
             documents.append(doc)
             versions = rng.sample(versions, len(versions))
             for raw in versions:
-                version = graph.add_version(doc, raw)
-                graph.add_content_ref(version, 0, f"{version}#c0")
+                graph.nodes[graph.add_version(doc, raw)].chunks = 1
             ordered = sorted(versions, key=parse_version)
             records = [make_record(doc, None, ordered[0]), make_record(doc, None, ordered[3], 9)]
             records += [
@@ -584,6 +575,11 @@ class TestPersistence:
             ("change", "kind", ["added"]),
             ("change", "from_version", 3.0),
             ("change", "to_version", ["3.3.4"]),
+            ("version", "chunks", -1),
+            ("version", "chunks", 1.5),
+            ("version", "chunks", "2"),
+            ("version", "chunks", None),
+            ("version", "chunks", True),
         ],
         ids=[
             "unknown-node-kind",
@@ -593,6 +589,11 @@ class TestPersistence:
             "list-change-kind",
             "number-label",
             "list-label",
+            "negative-chunks",
+            "fractional-chunks",
+            "text-chunks",
+            "null-chunks",
+            "boolean-chunks",
         ],
     )
     def test_bad_node_field_is_corrupt_to_both_loaders(self, tmp_path, node_kind, field, value):
@@ -646,7 +647,7 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         graph.save(path)
         data = json.loads(path.read_text())
-        assert data["format_version"] == 3
+        assert data["format_version"] == 4
         assert set(data) == {"format_version", "nodes"}
         fields = {}
         for node in data["nodes"]:
@@ -654,8 +655,7 @@ class TestPersistence:
         assert fields == {
             "category": {"id", "node_kind", "name"},
             "document": {"id", "node_kind", "title", "category"},
-            "version": {"id", "node_kind", "document", "label", "synthetic"},
-            "content_ref": {"id", "node_kind", "document", "version", "ordinal", "key"},
+            "version": {"id", "node_kind", "document", "label", "synthetic", "chunks"},
             "change": {
                 "id",
                 "node_kind",

@@ -29,9 +29,9 @@ from verdoc.indexer import (
     index_corpus,
     index_documents,
 )
-from verdoc.ingestion import RawDocument, count_tokens, first_pages
+from verdoc.ingestion import RawDocument, chunk_key, count_tokens, first_pages
 from verdoc.retrieval import ParsedQuery, QueryIntent, RetrievalMode
-from verdoc.vector_index import VectorIndex
+from verdoc.vector_index import IndexEntry, VectorIndex
 from verdoc.versions import parse_version
 
 from conftest import (
@@ -257,8 +257,7 @@ class TestIndexContent:
         total = count_tokens(doc.text)
         expected = math.ceil((total - 50) / (512 - 50)) if total > 512 else 1
         assert count == expected  # oracle: chunk-count formula
-        refs = graph.content_refs()
-        assert len(refs) == expected
+        assert [v.chunks for v in graph.versions_of(graph.documents()[0].id)] == [expected]
         assert len(index) == expected
 
     def test_rerun_is_idempotent(self):
@@ -269,13 +268,34 @@ class TestIndexContent:
         assert again == 0
         assert len(index) == first
 
-    def test_content_ref_count_equals_index_size(self):
+    def test_chunk_counts_name_the_index_keys(self):
         graph, catalog, gateway, index, _ = self.build(2500)
         index_content(graph, catalog, gateway, index)
         content_entries = [
             key for key in index.keys() if index.get(key).metadata["origin"] == "content"
         ]
-        assert len(graph.content_refs()) == len(content_entries)
+        assert graph.versions_of(graph.documents()[0].id)[0].chunks == len(content_entries) > 1
+        assert graph.index_keys() == set(content_entries)
+
+    def test_entry_holding_the_text_keeps_its_vector_and_takes_new_metadata(self):
+        """As an index whose content entries still carry a ``category`` is
+        re-indexed: nothing is embedded, and only the metadata changes."""
+        graph, catalog, gateway, index, _ = self.build(1000)
+        index_content(graph, catalog, gateway, index)
+        fresh = {key: index.get(key) for key in index.keys()}
+        for entry in fresh.values():
+            metadata = {**entry.metadata, "category": "x"}
+            index.insert(IndexEntry(entry.key, -entry.vector, metadata, entry.text))
+        assert index_content(graph, catalog, gateway, index) == 0
+        for key, entry in fresh.items():
+            held = index.get(key)
+            assert held.metadata == entry.metadata == {
+                "document": graph.documents()[0].id,
+                "version": "1.0.0",
+                "origin": "content",
+            }
+            assert held.text == entry.text
+            assert (held.vector == -entry.vector).all()
 
 
 class TestIndexDocuments:
@@ -560,16 +580,11 @@ class TestContentBatching:
         index = VectorIndex(dimension=DIMENSION)
         summary = index_documents(self.documents(), make_gateway(), index, chunk_size=64, overlap=8)
         graph = summary.graph
-        by_version = {}
-        for ref in graph.content_refs():
-            by_version.setdefault((ref.document, ref.version), []).append(ref)
         expected = [
-            ref.key
+            chunk_key(document.id, version.label.raw, ordinal)
             for document in graph.documents()
             for version in graph.versions_of(document.id)
-            for ref in sorted(
-                by_version.get((document.id, version.label.raw), []), key=lambda r: r.ordinal
-            )
+            for ordinal in range(version.chunks)
         ]
         keys = [key for key in index.keys() if index.get(key).metadata["origin"] == "content"]
         assert len(set(keys)) > len(graph.documents()) * 2
@@ -752,8 +767,8 @@ class TestCrashSafety:
 
     def test_v1_index_is_rebuilt_with_a_warning(self, tmp_path, caplog):
         corpus = self.corpus(tmp_path)
-        out = tmp_path / "out"
-        out.mkdir()
+        # the manifest vouches for the embedding model, so the old file is read
+        out = self.clean_index(tmp_path / "old", corpus)
         v1 = {
             "format_version": 1,
             "dimension": DIMENSION,
@@ -965,6 +980,25 @@ class TestManifest:
         plain = tmp_path / "plain"
         index_corpus(corpus, plain, make_gateway(), dimension=DIMENSION)
         assert (out / differs).read_bytes() != (plain / differs).read_bytes()
+
+    @pytest.mark.parametrize(
+        "backend",
+        [MockBackend, RewordingBackend, NegatingBackend],
+        ids=["same", "model", "embedding_model"],
+    )
+    def test_index_without_a_manifest_reuses_nothing(self, tmp_path, backend):
+        """No manifest names the models that made the index's files, so a
+        re-index embeds and extracts everything again, as a fresh index does."""
+        corpus, out = self.indexed(tmp_path)
+        (out / "manifest.json").unlink()
+        clean = tmp_path / "clean"
+        summary, fresh = (
+            index_corpus(corpus, d, Gateway(backend(), dimension=DIMENSION), dimension=DIMENSION)
+            for d in (out, clean)
+        )
+        assert summary.to_dict() == fresh.to_dict()
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
 
     @pytest.mark.parametrize("damage", ["deleted", "invalid-json", "not-an-object"])
     def test_damaged_attribute_cache_takes_the_full_path(self, tmp_path, damage):
@@ -1220,9 +1254,12 @@ class TestManifest:
         for name in (*INDEX_FILES, "summary.json"):
             (full / name).write_bytes((out / name).read_bytes())
         manifest = (out / "manifest.json").stat()
+        # a manifest whose inputs differ sends the run down the full path over the same index
+        copied = json.loads((out / "manifest.json").read_bytes())
+        copied["inputs"] = "0" * 64
+        (full / "manifest.json").write_bytes(json_bytes(copied))
 
         skipped = index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
-        # without a manifest the run takes the full path over the same index
         rebuilt = index_corpus(corpus, full, make_gateway(), dimension=DIMENSION)
         assert (out / "manifest.json").stat().st_mtime_ns == manifest.st_mtime_ns
         assert (full / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
