@@ -49,6 +49,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 256
 DEFAULT_MAX_OUTPUT_TOKENS = 512
+# the largest magnitude a vector component may have: the index stores float32 rows
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class ResponseSchema(str, Enum):
@@ -609,7 +611,7 @@ class HttpBackend:
         data = self._post("/embeddings", {"model": self.embedding_model, "input": list(texts)})
         try:
             return [np.asarray(item["embedding"], dtype=np.float64) for item in data["data"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise BackendUnavailableError(f"unexpected embeddings payload: {exc}") from exc
 
 
@@ -657,6 +659,9 @@ class Gateway:
         )
 
     def embed(self, texts: list) -> list:
+        """One vector per text. A reply of another length or dimension, or
+        with a component that is nan, infinite or beyond float32's finite
+        range (a JSON null reads as nan), raises before anything is stored."""
         if not texts:
             raise ValueError("texts must be non-empty")
         vectors = self.backend.embed(list(texts), self.dimension)
@@ -664,10 +669,15 @@ class Gateway:
             raise BackendUnavailableError(
                 f"backend returned {len(vectors)} vectors for {len(texts)} texts"
             )
-        for vector in vectors:
+        for position, vector in enumerate(vectors):
             if vector.shape != (self.dimension,):
                 raise DimensionMismatchError(
                     f"backend returned dimension {vector.shape}, expected ({self.dimension},)"
+                )
+            if not np.abs(vector).max() <= _FLOAT32_MAX:  # a nan fails too
+                raise BackendUnavailableError(
+                    f"backend returned a vector for text {position} with a"
+                    " component that is nan, infinite or beyond float32's range"
                 )
         return vectors
 

@@ -1,11 +1,13 @@
 """Exact top-k cosine search over embedded entries with metadata filters.
 
 Search is an exact scan (desk-scale corpora; determinism matters more than
-speed here): the filter picks the candidate rows, and one numpy matvec
-scores them. Results are ordered by descending score with ties broken by
-ascending key, which makes search results reproducible and directly
-comparable against a brute-force oracle. Only the rows scoring at least
-the k-th score, found by one partition, are sorted by (score, key).
+speed here): the filter picks the candidate rows, and each is scored by its
+own float32 dot product with the query, so a row's score does not depend
+on which other rows the filter kept. Results are ordered by descending
+score with ties broken by ascending key, which makes search results
+reproducible and directly comparable against a brute-force oracle. Only
+the rows scoring at least the k-th score, found by one partition, are
+sorted by (score, key).
 
 Filters run on interned code columns of the index: one integer code per
 row for each metadata key a filter names, plus one column of version
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -31,7 +34,7 @@ from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchErr
 from .fileio import json_bytes, read_json, write_atomic
 from .versions import parse_version
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -138,15 +141,29 @@ def _intern(values) -> _Column:
     return _Column(np.asarray(codes, dtype=np.intp), distinct)
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """Each row's norm, bit for bit as ``insert`` computes it.
+def _dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Each float32 row's dot product with the float32 ``vector``.
 
-    ``np.linalg.norm(row)`` is ``sqrt(row.dot(row))``, one BLAS dot per row.
-    A stack of (1, n) @ (n, 1) products makes that same dot call for every
-    row in one numpy loop; ``einsum`` or ``(matrix * matrix).sum(1)`` sum
-    in another order and differ in the last bit for some rows.
+    A stack of (1, n) @ (n, 1) products makes one BLAS dot call per row in
+    one numpy loop, so a row's result does not depend on the rows beside
+    it. A matvec rounds the rows at a block's tail differently, and
+    ``einsum`` or ``(rows * vector).sum(1)`` sum in another order.
     """
-    return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])[:, 0, 0])
+    return np.matmul(rows[:, None, :], vector[:, None])[:, 0, 0]
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Each float32 row's norm in float64: the root of the row's float32
+    dot with itself, the same dot call ``_dots`` makes."""
+    return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])[:, 0, 0].astype(np.float64))
+
+
+def _norm(vector: np.ndarray) -> float:
+    """``_row_norms`` of one float32 vector: ``dot`` of two 1-d arrays makes
+    the same BLAS call, without the stacking. ``insert`` and the query of
+    ``search`` take their norm here and ``load`` from ``_row_norms``, so a
+    stored vector scores 1 against itself up to the last bits."""
+    return math.sqrt(float(vector.dot(vector)))
 
 
 _SORT_KEYS = object()  # column key of the version sort-key classes
@@ -155,13 +172,14 @@ _SORT_KEYS = object()  # column key of the version sort-key classes
 class VectorIndex:
     """In-memory vector store with upsert semantics, saved as ``.npy`` plus a JSON sidecar.
 
-    Each row is stored once: its vector in one float64 matrix whose capacity
-    doubles as rows arrive, its norm in an array beside it, and its key,
-    metadata and text in lists. The filter columns are caches that the
-    next insert or drop clears. Every read and write of the rows runs
-    under one lock. ``insert`` copies the caller's vector in, and
-    ``get`` and search hits hand out copies, so no caller can change a
-    stored row.
+    Each row is stored once: its vector, rounded to float32, in one matrix
+    whose capacity doubles as rows arrive, its float64 norm in an array
+    beside it, and its key, metadata and text in lists. Rows are stored as
+    given, not normalized, so re-inserting a vector that ``get`` handed out
+    stores the same bits. The filter columns are caches that the next
+    insert or drop clears. Every read and write of the rows runs under one
+    lock. ``insert`` copies the caller's vector in, and ``get`` and search
+    hits hand out float32 copies, so no caller can change a stored row.
     """
 
     def __init__(self, dimension: int):
@@ -170,7 +188,7 @@ class VectorIndex:
         self.dimension = dimension
         self._keys: list = []
         self._row_of: dict = {}
-        self._matrix = np.zeros((0, dimension), dtype=np.float64)
+        self._matrix = np.zeros((0, dimension), dtype=np.float32)
         self._norms = np.zeros(0, dtype=np.float64)
         self._metadata: list = []
         self._texts: list = []
@@ -188,7 +206,7 @@ class VectorIndex:
             return list(self._keys)
 
     def insert(self, entry: IndexEntry) -> None:
-        vector = np.asarray(entry.vector, dtype=np.float64)
+        vector = np.asarray(entry.vector, dtype=np.float32)
         if vector.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"entry {entry.key!r} has shape {vector.shape}, index dimension is {self.dimension}"
@@ -210,7 +228,7 @@ class VectorIndex:
                 self._metadata[row] = dict(entry.metadata)
                 self._texts[row] = entry.text
             self._matrix[row] = vector
-            self._norms[row] = float(np.linalg.norm(vector))
+            self._norms[row] = _norm(vector)
             self._columns = {}
 
     def get(self, key: str) -> Optional[IndexEntry]:
@@ -289,12 +307,15 @@ class VectorIndex:
     ) -> list:
         """The k best-scoring entries matching the filter.
 
-        Ordered by descending cosine score, ties by ascending key; fewer
-        than k hits are returned when fewer entries match.
+        A row scores its cosine with the query rounded to float32: the
+        float32 dot of the two over their float64 norms (``_norm``).
+        A zero-norm row or query scores 0. Hits are ordered by descending
+        score, ties by ascending key, and a nan score last; fewer than k
+        hits are returned when fewer entries match.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        query = np.asarray(query, dtype=np.float64)
+        query = np.asarray(query, dtype=np.float32)
         if query.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"query has shape {query.shape}, index dimension is {self.dimension}"
@@ -303,19 +324,25 @@ class VectorIndex:
             candidates = self._candidates(metadata_filter or MetadataFilter())
             if candidates.size == 0:
                 return []
-            # cosine of the candidate rows; a zero-norm row or query scores 0
-            dots = self._matrix[candidates] @ query
-            denom = self._norms[candidates] * float(np.linalg.norm(query))
+            if len(candidates) == len(self._keys):  # every row passed: score them in place
+                rows, norms = self._matrix[: len(candidates)], self._norms[: len(candidates)]
+            else:
+                rows, norms = self._matrix[candidates], self._norms[candidates]
+            dots = _dots(rows, query).astype(np.float64)
+            denom = norms * _norm(query)
             scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
             if len(scores) > k:
                 # the rows not below the k-th score: ties across it and nan stay in
                 pool = np.flatnonzero(~(-scores > np.partition(-scores, k - 1)[k - 1]))
                 candidates, scores = candidates[pool], scores[pool]
-            keys = np.array([self._keys[row] for row in candidates.tolist()], dtype=object)
-            top = np.lexsort((keys, -scores))[:k]
+            ranked = sorted(
+                # nan last, then descending score, then ascending key (keys are unique)
+                (score != score, 0.0 if score != score else -score, self._keys[row], row, score)
+                for row, score in zip(candidates.tolist(), scores.tolist())
+            )
             return [
-                SearchHit(key=self._keys[row], score=score, entry=self._entry(row))
-                for row, score in zip(candidates[top].tolist(), scores[top].tolist())
+                SearchHit(key=key, score=score, entry=self._entry(row))
+                for _, _, key, row, score in ranked[:k]
             ]
 
     # --- persistence -------------------------------------------------------
@@ -323,16 +350,17 @@ class VectorIndex:
     def save(self, path) -> dict:
         """Write the vectors to ``vectors_path(path)`` and then the sidecar ``path``.
 
-        The ``.npy`` holds a little-endian float64 matrix whose row i is
-        entry i of the sidecar; entries are sorted by key, and the sidecar
-        records the ``.npy``'s sha256. Each file is replaced atomically, the
-        ``.npy`` first, so a crash between the two leaves a sidecar whose
-        hash no longer matches and ``load`` reports the index as corrupt.
+        The ``.npy`` holds the stored rows as a little-endian float32
+        matrix whose row i is entry i of the sidecar; entries are sorted by
+        key, and the sidecar records the ``.npy``'s sha256. Each file is
+        replaced atomically, the ``.npy`` first, so a crash between the two
+        leaves a sidecar whose hash no longer matches and ``load`` reports
+        the index as corrupt.
         Returns the sha256 of each file written, by file name.
         """
         with self._lock:
             rows = sorted(range(len(self._keys)), key=self._keys.__getitem__)
-            matrix = np.asarray(self._matrix[rows], dtype="<f8")
+            matrix = np.asarray(self._matrix[rows], dtype="<f4")
             entries = [
                 {"key": self._keys[i], "metadata": self._metadata[i], "text": self._texts[i]}
                 for i in rows
@@ -399,7 +427,7 @@ _NPY_HEADERS = {
 
 
 def _read_matrix(npy: Path, digest: str, shape: tuple) -> np.ndarray:
-    """The ``<f8`` matrix of ``shape`` that ``npy`` holds, raising
+    """The float32 (``<f4``) matrix of ``shape`` that ``npy`` holds, raising
     ``CorruptFileError`` unless the file's sha256 is ``digest`` and its
     header describes that matrix and nothing more.
 
@@ -421,12 +449,12 @@ def _read_matrix(npy: Path, digest: str, shape: tuple) -> np.ndarray:
     if size != len(raw) or hashlib.sha256(raw).hexdigest() != digest:
         raise CorruptFileError(f"vector file {npy} does not match the sha256 of its sidecar")
     count = shape[0] * shape[1]
-    if dtype != np.dtype("<f8") or fortran_order or stored != shape or len(raw) - offset != 8 * count:
+    if dtype != np.dtype("<f4") or fortran_order or stored != shape or len(raw) - offset != 4 * count:
         raise CorruptFileError(
             f"vector file {npy} holds {dtype} {stored} in {len(raw) - offset} bytes,"
-            f" expected C-order <f8 {shape}"
+            f" expected C-order <f4 {shape}"
         )
-    return np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+    return np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
 
 
 def vectors_path(path) -> Path:

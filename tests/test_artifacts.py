@@ -16,12 +16,12 @@ from verdoc.indexer import index_corpus
 PINNED = {
     "graph.json": "47c17ad2788f63f5d8a10670e74d0593d8c7c64d6ec5ad75373f7d275551aced",
     # holds the sha256 of vectors.npy, so it pins the vectors too
-    "vectors.json": "ef87af0fa0a8f85959d7ee5a806d28a8c0fa8d57478d47627082d493815b7c8e",
+    "vectors.json": "6bd54ed208e62a47ec421a42613d7d5cb89e4d267085c1b086a6f3e3509fdb2d",
     "attributes.json": "33f76c3edcc475a20c4c43e19036c1ba4f4aef88c5d687a0d04bc24f036ce265",
     "summary.json": "9c0f423004cfc0f3e1efe2b8e02e9f4326f001d6a9ebdbb8b4049f135580710c",
     # holds the sha256 of the other files but summary.json and of the clustered corpus,
     # and the ids of the mock's models
-    "manifest.json": "48a6416b7271ee218c583b652a7d021df55f4106b51ad2c2900330a35b62881d",
+    "manifest.json": "363fcaa08c2c789c7323cdf381156c3465d849584e59c0359bb888ec06a8658f",
 }
 
 

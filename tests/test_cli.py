@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import verdoc
@@ -385,6 +387,60 @@ class TestGraphFormatUpgrade:
         assert upgraded.pop("chunks") == 0 < built.pop("chunks")
         del upgraded["usage"], built["usage"]
         assert upgraded == built and upgraded["changes"] > 0
+
+
+class TestVectorFormatUpgrade:
+    """An index written when vectors.npy held float64 rows (vector format 3)."""
+
+    @pytest.fixture
+    def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
+        out = tmp_path / "old"
+        with monkeypatch.context() as patch:
+            # the manifest's inputs hash the vector format of the run that wrote it
+            patch.setattr(indexer, "VECTOR_FORMAT_VERSION", 3)
+            assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+        capsys.readouterr()
+        sidecar_path, npy_path = out / INDEX_FILE, out / "vectors.npy"
+        sidecar = json.loads(sidecar_path.read_bytes())
+        # format 3 stored each vector as the backend returned it, in float64
+        records = VersionGraph.load(out / GRAPH_FILE).change_records()
+        descriptions = {record.id: record.description for record in records}
+        texts = [
+            item["text"] if item["metadata"]["origin"] == "content" else descriptions[item["key"]]
+            for item in sidecar["entries"]
+        ]
+        buffer = io.BytesIO()
+        rows = np.stack(build_gateway(load_config(config_file)).embed(texts))
+        np.save(buffer, rows.astype("<f8"), allow_pickle=False)
+        npy_path.write_bytes(buffer.getvalue())
+        sidecar["format_version"] = 3
+        sidecar["vectors_sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+        sidecar_path.write_bytes(json_bytes(sidecar))
+        manifest = json.loads((out / MANIFEST_FILE).read_bytes())
+        for path in (npy_path, sidecar_path):
+            manifest["files"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (out / MANIFEST_FILE).write_bytes(json_bytes(manifest))
+        return out
+
+    def test_old_vectors_are_a_version_mismatch(self, old_index, config_file):
+        with pytest.raises(VersionMismatchError, match="format_version 3"):
+            Engine.load(old_index, build_gateway(load_config(config_file)))
+
+    def test_reindex_reembeds_and_reuses_the_change_records(
+        self, tmp_path, old_index, corpus, config_file, capsys
+    ):
+        assert run_cli(config_file, "index", str(corpus), "--out", str(old_index)) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli(config_file, "index", str(corpus), "--out", str(fresh)) == 0
+        capsys.readouterr()
+        for name in (*HASHED_FILES, MANIFEST_FILE):
+            assert (old_index / name).read_bytes() == (fresh / name).read_bytes(), name
+        # every chunk is embedded again; graph.json still loads, so its records
+        # are reused, not extracted, and the one completion is the clustering prompt
+        upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
+        assert upgraded.pop("usage")["calls"] == 1 < built.pop("usage")["calls"]
+        assert upgraded.pop("changes") == 0 < built.pop("changes")
+        assert upgraded == built and upgraded["chunks"] > 0
 
 
 class TestConfigHandling:

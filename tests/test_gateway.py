@@ -194,6 +194,66 @@ class TestEmbeddings:
         assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+class _ReplyBackend(HttpBackend):
+    """An HTTP backend whose embeddings reply is the fixed JSON ``reply``."""
+
+    def __init__(self, reply: str):
+        super().__init__("http://stub.invalid", model="m")
+        self.reply = reply
+
+    def _post(self, path: str, payload: dict) -> dict:
+        assert path == "/embeddings"
+        return json.loads(self.reply)
+
+
+def embeddings_reply(second: str) -> str:
+    """The JSON reply for two texts: a good vector, then the JSON ``second``."""
+    return '{"data": [{"embedding": [0.5, 0.5, 0.5, 0.5]}, {"embedding": %s}]}' % second
+
+
+class TestEmbeddingRange:
+    """The index stores float32 rows, so an embedding component that is nan,
+    infinite or beyond float32's finite range is refused as a backend fault
+    (exit code 3) before it reaches the index."""
+
+    @pytest.mark.parametrize(
+        "bad", ["NaN", "Infinity", "-Infinity", "null", "1e39", "-1e39"],
+        ids=["nan", "inf", "-inf", "null", "1e39", "-1e39"],
+    )
+    def test_component_outside_float32_is_backend_unavailable(self, bad):
+        gateway = Gateway(_ReplyBackend(embeddings_reply(f"[0.5, {bad}, 0.5, 0.5]")), dimension=4)
+        with pytest.raises(BackendUnavailableError, match="text 1 with a component") as excinfo:
+            gateway.embed(["good", "bad"])
+        assert excinfo.value.exit_code == 3
+
+    def test_largest_float32_components_are_kept(self):
+        top = float(np.finfo(np.float32).max)
+        reply = embeddings_reply(json.dumps([top, -top, 0.0, 1e-45]))
+        gateway = Gateway(_ReplyBackend(reply), dimension=4)
+        good, extreme = gateway.embed(["good", "extreme"])
+        assert extreme.tolist() == [top, -top, 0.0, 1e-45] and good.tolist() == [0.5] * 4
+
+    def test_non_number_component_is_backend_unavailable(self):
+        gateway = Gateway(_ReplyBackend(embeddings_reply('[0.5, "x", 0.5, 0.5]')), dimension=4)
+        with pytest.raises(BackendUnavailableError, match="unexpected embeddings payload"):
+            gateway.embed(["good", "bad"])
+
+    def test_nan_vector_stops_an_index_run_with_exit_code_3(self, tmp_path):
+        class NanBackend(MockBackend):
+            def embed(self, texts, dimension):
+                vectors = super().embed(texts, dimension)
+                vectors[-1][0] = float("nan")
+                return vectors
+
+        gateway = Gateway(NanBackend(), dimension=DIMENSION)
+        write_corpus(tmp_path / "corpus", assert_doc_corpus())
+        with pytest.raises(IndexingError) as excinfo:
+            index_corpus(tmp_path / "corpus", tmp_path / "out", gateway, dimension=DIMENSION)
+        assert isinstance(excinfo.value.cause, BackendUnavailableError)
+        assert excinfo.value.exit_code == 3
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def reference_embedding(text: str, dimension: int) -> np.ndarray:
     """The per-gram loop that the batch kernel replaced, kept as its oracle."""
     vec = np.zeros(dimension, dtype=np.float64)

@@ -227,6 +227,14 @@ def search_all(entries, query, metadata_filter=None):
     return index.search(query, k=len(entries), metadata_filter=metadata_filter)
 
 
+def stored_cosine(vector, query):
+    """Independent oracle of a search score: the float32 dot of the row and
+    query rounded to float32, over the roots of their float32 self-dots."""
+    row, query = np.asarray(vector, dtype=np.float32), np.asarray(query, dtype=np.float32)
+    denom = math.sqrt(float(np.dot(row, row))) * math.sqrt(float(np.dot(query, query)))
+    return float(np.dot(row, query)) / denom if denom > 0.0 else 0.0
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_search_scores_match_cosine(seed):
     rng = np.random.default_rng(seed + 100)
@@ -235,7 +243,9 @@ def test_search_scores_match_cosine(seed):
     flt = list(FILTERS.values())[seed % len(FILTERS)]
     vectors = {e.key: e.vector for e in entries}
     for hit in search_all(entries, query, flt):
-        assert abs(hit.score - cosine(vectors[hit.key], query)) <= 1e-12
+        assert hit.entry.vector.tobytes() == vectors[hit.key].astype(np.float32).tobytes()
+        assert repr(hit.score) == repr(stored_cosine(hit.entry.vector, query))
+        assert abs(hit.score - cosine(vectors[hit.key], query)) <= 1e-5
         if not vectors[hit.key].any():
             assert hit.score == 0.0
 
@@ -510,14 +520,14 @@ class TestPersistence:
         index.save(path)
         sidecar = json.loads(path.read_text())
         raw = (tmp_path / "vectors.npy").read_bytes()
-        assert sidecar["format_version"] == 3
+        assert sidecar["format_version"] == 4
         assert sidecar["dimension"] == 8
         assert sidecar["vectors_sha256"] == hashlib.sha256(raw).hexdigest()
         keys = [item["key"] for item in sidecar["entries"]]
         assert keys == sorted(index.keys())
         assert set(sidecar["entries"][0]) == {"key", "metadata", "text"}
         matrix = np.load(io.BytesIO(raw), allow_pickle=False)
-        assert matrix.dtype == np.dtype("<f8") and matrix.flags.c_contiguous
+        assert matrix.dtype == np.dtype("<f4") and matrix.flags.c_contiguous
         assert [row.tobytes() for row in matrix] == [index.get(k).vector.tobytes() for k in keys]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.json", "vectors.npy"]
 
@@ -556,7 +566,7 @@ class TestPersistence:
         [("flipped-byte", False)]
         + [
             (tamper, rehash)
-            for tamper in ("truncated", "float32", "big-endian", "short", "wide", "object", "zip")
+            for tamper in ("truncated", "float64", "big-endian", "short", "wide", "object", "zip")
             for rehash in (False, True)
         ],
     )
@@ -568,8 +578,8 @@ class TestPersistence:
         damaged = {
             "truncated": lambda: raw[: len(raw) - 8],
             "flipped-byte": lambda: raw[:-1] + bytes([raw[-1] ^ 1]),
-            "float32": lambda: self.npy_bytes(matrix.astype(np.float32)),
-            "big-endian": lambda: self.npy_bytes(matrix.astype(">f8")),
+            "float64": lambda: self.npy_bytes(matrix.astype(np.float64)),
+            "big-endian": lambda: self.npy_bytes(matrix.astype(">f4")),
             "short": lambda: self.npy_bytes(matrix[:-1]),
             "wide": lambda: self.npy_bytes(np.hstack([matrix, matrix])),
             "object": lambda: self.npy_bytes(matrix.astype(object), allow_pickle=True),
@@ -670,14 +680,14 @@ def test_loaded_index_matches_the_inserted_one_bit_for_bit(tmp_path):
     rng = np.random.default_rng(14)
     matrix = rng.normal(size=(400, 64)) * rng.uniform(1e-3, 1e3, size=(400, 1))
     matrix[::37] = 0.0
-    # rows where a norm summed in another order differs in the last bit
-    # from the per-row dot, so the comparison below can tell them apart
-    per_row = np.array([np.linalg.norm(row) for row in matrix])
-    assert np.any(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) != per_row)
+    # rows where a float32 self-dot summed in another order differs in the
+    # last bit from the per-row dot, so the comparison below can tell them apart
+    stored = matrix.astype(np.float32)
+    per_row = np.array([math.sqrt(float(np.dot(row, row))) for row in stored])
+    assert np.any(np.sqrt(np.einsum("ij,ij->i", stored, stored).astype(np.float64)) != per_row)
     documents, labels = ["alpha", "beta", "gamma"], ["1.0", "1.2", "1.2.0", "2.0", "v2.1"]
     index = VectorIndex(dimension=64)
-    # rows go in by key, the order ``save`` writes: the matvec that scores the
-    # candidates may round a row differently at another position in the block
+    # rows go in by key, the order ``save`` writes
     for i in range(len(matrix)):
         metadata = {"document": documents[i % 3], "version": labels[i % 5]}
         index.insert(entry(f"k{i:03d}", matrix[i], metadata, text=f"t{i}"))
@@ -693,6 +703,59 @@ def test_loaded_index_matches_the_inserted_one_bit_for_bit(tmp_path):
         for flt in filters:
             want = [(h.key, repr(h.score)) for h in index.search(query, k, flt)]
             assert [(h.key, repr(h.score)) for h in loaded.search(query, k, flt)] == want
+
+
+def test_a_rows_score_does_not_depend_on_its_neighbours(tmp_path):
+    """Rows inserted in random key order score the same, to the last bit, in
+    an unfiltered search, in searches whose filters keep other rows beside
+    them, and in the saved and loaded copy, whose rows are in key order."""
+    rng = np.random.default_rng(21)
+    matrix = rng.normal(size=(400, 64))
+    index = VectorIndex(dimension=64)
+    for i in rng.permutation(len(matrix)).tolist():
+        metadata = {"shard": str(i % 3), "parity": str(i % 2)}
+        index.insert(entry(f"k{i:03d}", matrix[i], metadata))
+    path = tmp_path / "vectors.json"
+    index.save(path)
+    loaded = VectorIndex.load(path)
+    filters = [None, MetadataFilter({"shard": {"0", "1"}})]
+    filters += [MetadataFilter({"shard": shard}) for shard in "012"]
+    filters += [MetadataFilter({"parity": parity}) for parity in "01"]
+    for _ in range(5):
+        query = rng.normal(size=64)
+        scores = {}
+        for searched in (index, loaded):
+            for flt in filters:
+                for hit in searched.search(query, k=len(matrix), metadata_filter=flt):
+                    scores.setdefault(hit.key, set()).add(repr(hit.score))
+        assert len(scores) == len(matrix)
+        assert {key: held for key, held in scores.items() if len(held) > 1} == {}
+
+
+def test_nan_scores_come_last_in_key_order():
+    """A row with an infinite component scores nan (an infinite dot over an
+    infinite norm); nan hits follow every other hit in ascending key order,
+    the order ``np.lexsort`` gives by descending score and then key, in an
+    unfiltered and in a filtered search."""
+    inf = np.inf
+    rows = {"g": [inf, 0], "e": [1, 0], "a": [inf, 1], "d": [0, 1]}
+    rows.update({"c": [-inf, 0], "b": [1, 1], "f": [1, 0]})
+    index = VectorIndex(dimension=2)
+    for key, vector in rows.items():
+        index.insert(entry(key, vector, {"shard": "b" if key in "bg" else "a"}))
+    query = np.array([1.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        hits = index.search(query, k=len(rows))
+        assert [h.key for h in hits] == ["e", "f", "b", "d", "a", "c", "g"]
+        assert [math.isnan(h.score) for h in hits] == [False] * 4 + [True] * 3
+        keys = np.array([h.key for h in hits], dtype=object)
+        order = np.lexsort((keys, -np.array([h.score for h in hits])))
+        assert order.tolist() == list(range(len(rows)))
+        for k, want in [(1, ["e"]), (2, ["e", "f"]), (5, ["e", "f", "b", "d", "a"])]:
+            assert [h.key for h in index.search(query, k=k)] == want
+        for k in (2, 5):
+            hits = index.search(query, k=k, metadata_filter=MetadataFilter({"shard": "a"}))
+            assert [h.key for h in hits] == ["e", "f", "d", "a", "c"][:k]
 
 
 def zip_bytes(matrix):
