@@ -9,8 +9,8 @@ from typing import Optional
 from .errors import DocumentNotFoundError, EmptyIndexError
 from .gateway import Gateway
 from .generation import Answer, answer as generate_answer
-from .graph import VersionGraph
-from .indexer import GRAPH_FILE, INDEX_FILE
+from .graph import DocumentNode, VersionGraph
+from .indexer import CONTENT, GRAPH_FILE, INDEX_FILE
 from .retrieval import (
     DEFAULT_K,
     ParsedQuery,
@@ -20,6 +20,7 @@ from .retrieval import (
     retrieve,
 )
 from .vector_index import VectorIndex
+from .versions import parse_version
 
 
 @dataclass
@@ -85,15 +86,52 @@ class Engine:
 
     def validate(self) -> list:
         """The graph's invariant violations, then every mismatch between the
-        graph and the vector index: each key the graph accounts for (a
-        version's chunks, a change record) without an entry, and each entry
-        that the graph does not account for."""
-        problems = self.graph.validate()
-        referenced = self.graph.index_keys()
-        held = set(self.index.keys())
-        problems += [f"vector entry {key!r}: missing" for key in sorted(referenced - held)]
+        graph and the vector index: a content entry whose run does not name
+        versions of its document, first to last in chain order; a version
+        with a text that no content entry covers, or one without a text
+        that an entry covers; a change record without an entry; and an entry
+        that is neither content nor a change record."""
+        graph = self.graph
+        problems = graph.validate()
+        covered: set = set()  # ids of the versions that content entries cover
+        content = self.index.keys(CONTENT)
+        for key in content:
+            metadata = self.index.get(key).metadata
+            run = _run_of(graph, metadata)
+            if run is None:
+                problems.append(
+                    f"vector entry {key!r}: run {metadata.get('first')!r}.."
+                    f"{metadata.get('last')!r} names no versions of {metadata.get('document')!r}"
+                )
+            covered.update(version.id for version in run or ())
+        for doc in graph.documents():
+            for version in graph.versions_of(doc.id):
+                if version.has_text and version.id not in covered:
+                    problems.append(f"version {version.id}: no content entry covers it")
+                elif not version.has_text and version.id in covered:
+                    problems.append(f"version {version.id}: has no text, but content covers it")
+        records = {record.id for record in graph.change_records()}
+        held = set(self.index.keys()).difference(content)
+        problems += [f"vector entry {key!r}: missing" for key in sorted(records - held)]
         problems += [
-            f"vector entry {key!r}: referenced by no version or change"
-            for key in sorted(held - referenced)
+            f"vector entry {key!r}: neither content nor a change record"
+            for key in sorted(held - records)
         ]
         return problems
+
+
+def _run_of(graph: VersionGraph, metadata: dict) -> Optional[list]:
+    """The versions of a content entry's run, from its ``first`` to its
+    ``last`` version in its document's chain; None unless both name
+    versions of the document, in that order."""
+    document, first, last = (metadata.get(name) for name in ("document", "first", "last"))
+    if not isinstance(document, str) or not isinstance(graph.nodes.get(document), DocumentNode):
+        return None
+    if not (isinstance(first, str) and isinstance(last, str)):
+        return None
+    chain = graph.versions_of(document)
+    keys = [version.label.sort_key() for version in chain]
+    first_key, last_key = parse_version(first).sort_key(), parse_version(last).sort_key()
+    if first_key not in keys or last_key not in keys or first_key > last_key:
+        return None
+    return chain[keys.index(first_key) : keys.index(last_key) + 1]

@@ -11,10 +11,10 @@ change records bucketed by the sort key of their to-version. ``_by_kind``
 holds the nodes of each class in ``nodes`` order, so listing the documents,
 categories or change records never walks every node.
 
-A version's content lives in the vector index alone. Its node records how
-many chunks it has, so :meth:`VersionGraph.index_keys` names every entry
-the graph accounts for: the key of each chunk of each version
-(``ingestion.chunk_key``) and the id of each change record.
+A version's content lives in the vector index alone, where each content
+entry names the first and last version of its document that hold it. A
+version node records only whether it has a text: one that only a change
+record names has none.
 
 Structural invariants (checked by :meth:`VersionGraph.validate`):
 
@@ -49,10 +49,12 @@ from .errors import (
     VersionMismatchError,
 )
 from .fileio import json_bytes, read_json, write_atomic
-from .ingestion import chunk_key
 from .versions import VersionLabel, compare_versions, parse_version
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+# the formats whose change records read as this format's: format 5 changed
+# only the version nodes
+RECORD_FORMATS = (4, FORMAT_VERSION)
 
 _SLUG = re.compile(r"[^a-z0-9]+")
 
@@ -110,7 +112,7 @@ class VersionNode:
     document: str
     label: VersionLabel
     synthetic: bool = False  # True when the label was not extracted but invented
-    chunks: int = 0  # how many chunks of its text the vector index holds
+    has_text: bool = True  # False for a version that only a change record names
 
 
 @dataclass
@@ -147,10 +149,10 @@ _PARENT = {
 }
 
 
-def _chunk_count(value) -> int:
-    """``value`` when it is a non-negative integer; ValueError otherwise."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"chunks {value!r} is not a non-negative integer")
+def _flag(value) -> bool:
+    """``value`` when it is a boolean; ValueError otherwise."""
+    if type(value) is not bool:
+        raise ValueError(f"has_text {value!r} is not a boolean")
     return value
 
 
@@ -228,6 +230,7 @@ class VersionGraph:
         document: str,
         label: Union[VersionLabel, str],
         synthetic: bool = False,
+        has_text: bool = True,
     ) -> str:
         """Insert a version node under ``document``."""
         if isinstance(label, str):
@@ -239,7 +242,9 @@ class VersionGraph:
                     f"document {doc.title!r} already has version {label.raw!r}"
                 )
             node_id = self._unique_id(f"version:{_slugify(doc.title)}@{_slugify(label.raw)}")
-            node = VersionNode(id=node_id, document=document, label=label, synthetic=synthetic)
+            node = VersionNode(
+                id=node_id, document=document, label=label, synthetic=synthetic, has_text=has_text
+            )
             return self._add_node(node)
 
     def add_change(self, record: ChangeRecord) -> str:
@@ -328,16 +333,6 @@ class VersionGraph:
     def change_records(self) -> list[ChangeRecord]:
         return list(self._by_kind[ChangeRecord].values())
 
-    def index_keys(self) -> set:
-        """The vector-index keys the graph references: the key of each of a
-        version's ``chunks``, for every version, and each change record's id."""
-        keys = {
-            chunk_key(v.document, v.label.raw, ordinal)
-            for v in self._by_kind[VersionNode].values()
-            for ordinal in range(v.chunks)
-        }
-        return keys | set(self._by_kind[ChangeRecord])
-
     # --- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -416,7 +411,7 @@ class VersionGraph:
                 document=node.document,
                 label=node.label.raw,
                 synthetic=node.synthetic,
-                chunks=node.chunks,
+                has_text=node.has_text,
             )
         else:
             data.update(
@@ -444,7 +439,7 @@ class VersionGraph:
                 document=data["document"],
                 label=label(data["label"]),
                 synthetic=bool(data.get("synthetic", False)),
-                chunks=_chunk_count(data.get("chunks", 0)),
+                has_text=_flag(data.get("has_text", True)),
             )
         return ChangeRecord(
             id=data["id"],
@@ -500,3 +495,24 @@ class VersionGraph:
     @classmethod
     def load(cls, path) -> "VersionGraph":
         return cls.from_dict(read_json(path, "graph file", CorruptFileError))
+
+    @classmethod
+    def load_change_records(cls, path) -> list[ChangeRecord]:
+        """The change records of the graph file at ``path``, which may also
+        be of an older format in ``RECORD_FORMATS``; no other node is
+        decoded. Raises as :meth:`load` does."""
+        data = read_json(path, "graph file", CorruptFileError)
+        label = functools.cache(parse_version)
+        try:
+            version = data["format_version"]
+            if version not in RECORD_FORMATS:
+                raise VersionMismatchError(
+                    f"unsupported graph format_version {version!r} (expected one of {RECORD_FORMATS})"
+                )
+            return [
+                cls._node_from_dict(item, label)
+                for item in data["nodes"]
+                if item["node_kind"] == NodeKind.CHANGE.value
+            ]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CorruptFileError(f"malformed graph payload: {exc}") from exc

@@ -1,5 +1,8 @@
 """Indexing pipeline: attribute extraction, document clustering, graph
-construction, content indexing and change extraction, in that order.
+construction, change extraction and content indexing, in that order.
+Content comes last because a change record can add a version that has no
+text, and such a version ends the runs of versions that content entries
+name.
 
 Completions see first pages, diff hunks and changelog bodies; bodies are
 chunked and embedded. The metadata prompt takes page one; the doc-type
@@ -7,16 +10,22 @@ prompt takes an outline of at most one page (the first line and the
 headings of the first ten pages), so no documentation body is prompted
 twice.
 
+A distinct chunk text of a document is stored once per run of consecutive
+versions that hold it, in one vector entry that names the run's first and
+last version (see :func:`index_content`); a version node records only
+whether it has a text.
+
 Re-running the pipeline over the same corpus is idempotent: node ids,
-chunk keys and change ids are deterministic, extracted attributes are
-cached next to the index, a chunk whose entry already holds its text is
-not embedded again, and the change records of the previous graph are
-reused per changelog file and per version pair whose current texts their
-ids name (``changes.source_tag``). A chunk is stored once, in its vector
-entry; its version node records only how many chunks the version has. A
-run ends with the graph as the one record of what the index holds: the
-vector entries it does not account for and the cached attributes of files
-no longer in the corpus are dropped.
+content keys and change ids are deterministic, extracted attributes are
+cached next to the index, a text that an entry already holds is not
+embedded again, and the change records of the previous graph are reused
+per changelog file and per version pair whose current texts their ids
+name (``changes.source_tag``). A changelog that yielded no record is
+marked ``no_changes`` in its attribute-cache entry, and is not prompted
+again while that entry stands. A run ends with the graph and the content
+entries it wrote as the one record of what the index holds: the vector
+entries of anything else and the cached attributes of files no longer in
+the corpus are dropped.
 
 Every full run writes ``manifest.json`` last. It records a digest of the
 clustered catalog (each category name, group title and member's cache key
@@ -73,7 +82,7 @@ from .ingestion import (
 )
 from .textmatch import content_tokens
 from .vector_index import FORMAT_VERSION as VECTOR_FORMAT_VERSION
-from .vector_index import IndexEntry, VectorIndex, vectors_path
+from .vector_index import IndexEntry, MetadataFilter, VectorIndex, vectors_path
 from .versions import VersionLabel, parse_version
 
 logger = logging.getLogger(__name__)
@@ -84,6 +93,8 @@ SUMMARY_FILE = "summary.json"
 ATTRIBUTES_FILE = "attributes.json"
 MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT_VERSION = 1
+# the vector entries that hold content
+CONTENT = MetadataFilter({"origin": "content"})
 # the files whose sha256 the manifest records
 HASHED_FILES = (GRAPH_FILE, INDEX_FILE, vectors_path(INDEX_FILE).name, ATTRIBUTES_FILE)
 
@@ -364,62 +375,7 @@ def _member_labels(group: DocumentGroup) -> list:
     return labels
 
 
-# --- step 4: content indexing --------------------------------------------------------
-
-
-def index_content(
-    graph: VersionGraph,
-    catalog: CorpusCatalog,
-    gateway: Gateway,
-    vector_index: VectorIndex,
-    chunk_size: int = CHUNK_SIZE,
-    overlap: int = CHUNK_OVERLAP,
-) -> int:
-    """Chunk, embed and upsert every version's text, and record each
-    version's chunk count on its node; returns the count of chunks embedded.
-
-    The pending chunks of all versions of a document group go to the
-    gateway in one embed call, and are upserted in (version, ordinal)
-    order. A chunk whose (document, version, ordinal) key already holds its
-    text is not embedded again, which makes interrupted runs resumable and
-    re-runs no-ops: the entry keeps its vector and takes this run's
-    metadata. A version edited in place or another chunking re-embeds the
-    chunks whose text changed.
-    """
-    new_chunks = 0
-    for _, group in catalog.all_groups():
-        if group.document_id not in graph.nodes:
-            raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
-        pending = []  # (key, metadata, text) of the entries to embed
-        for (doc, _), version_id in zip(group.members, group.version_ids):
-            node = graph.nodes[version_id]
-            version = node.label.raw
-            metadata = {"document": group.document_id, "version": version, "origin": "content"}
-            chunks = chunk_document(
-                doc,
-                chunk_size=chunk_size,
-                overlap=overlap,
-                document=group.document_id,
-                version=version,
-            )
-            node.chunks = len(chunks)
-            for chunk in chunks:
-                key = chunk.key
-                held = vector_index.get(key)
-                if held is None or held.text != chunk.text:
-                    pending.append((key, metadata, chunk.text))
-                elif held.metadata != metadata:
-                    vector_index.insert(IndexEntry(key, held.vector, metadata, chunk.text))
-        if not pending:
-            continue
-        vectors = gateway.embed([text for _, _, text in pending])
-        for (key, metadata, text), vector in zip(pending, vectors):
-            vector_index.insert(IndexEntry(key=key, vector=vector, metadata=metadata, text=text))
-        new_chunks += len(pending)
-    return new_chunks
-
-
-# --- step 5: change extraction ---------------------------------------------------------
+# --- step 4: change extraction ---------------------------------------------------------
 
 
 def extract_changes(
@@ -428,6 +384,7 @@ def extract_changes(
     gateway: Gateway,
     vector_index: VectorIndex,
     previous: Iterable = (),
+    attribute_cache: Optional[dict] = None,
 ) -> int:
     """Explicit records for changelog documents, implicit diffs elsewhere.
 
@@ -439,6 +396,11 @@ def extract_changes(
     changed since has no records under its new source, and is extracted
     again. An explicit record's from-version is derived again from the new
     chain, so a changelog file that is gone leaves no stale pair behind.
+
+    ``attribute_cache`` maps a file's path:hash to its cached attributes. A
+    changelog that yields no record is marked ``no_changes`` there, and a
+    changelog so marked is not prompted: an entry of the cache holds the
+    attributes, and so the version, that the extraction prompt names.
     """
     reusable: dict = {}
     for record in previous:
@@ -460,7 +422,12 @@ def extract_changes(
                         record.from_version = None
                     _attach_records(graph, vector_index, gateway, existing, fresh=False)
                     continue
+                entry = (attribute_cache or {}).get(_cache_key(doc))
+                if isinstance(entry, dict) and entry.get("no_changes") is True:
+                    continue
                 records = extract_explicit_changes(doc, attrs, document_id, gateway)
+                if not records and isinstance(entry, dict):
+                    entry["no_changes"] = True
                 total += _attach_records(graph, vector_index, gateway, records)
         else:
             for prev_node, next_node in graph.version_pairs(document_id):
@@ -508,7 +475,7 @@ def _attach_records(
         chain = graph.versions_of(record.document)
         if not any(v.label == record.to_version for v in chain):
             # changelog mentions a version with no retained documentation
-            graph.add_version(record.document, record.to_version, synthetic=True)
+            graph.add_version(record.document, record.to_version, synthetic=True, has_text=False)
             logger.warning(
                 "auto-created version %s for %s (mentioned by a change record)",
                 record.to_version.raw,
@@ -532,6 +499,86 @@ def _attach_records(
             metadata = {"document": record.document, "origin": record.origin.value}
             vector_index.insert(IndexEntry(record.id, vector, metadata, text=""))
     return len(pending)
+
+
+# --- step 5: content indexing --------------------------------------------------------
+
+
+def content_key(document: str, first: str, text: str) -> str:
+    """The vector-index key of the content entry of ``text`` in a run of
+    versions of ``document`` that opens at version ``first``."""
+    return f"{document}@{first}#{hashlib.sha256(text.encode('utf-8')).hexdigest()[:16]}"
+
+
+def index_content(
+    graph: VersionGraph,
+    catalog: CorpusCatalog,
+    gateway: Gateway,
+    vector_index: VectorIndex,
+    chunk_size: int = CHUNK_SIZE,
+    overlap: int = CHUNK_OVERLAP,
+) -> int:
+    """Chunk every version's text and store each distinct chunk text of a
+    document once per run of consecutive versions that hold it; returns the
+    count of texts embedded.
+
+    A run's entry is keyed by :func:`content_key`, and its metadata names
+    the document and the run's ``first`` and ``last`` version. The runs
+    follow the document's version chain, where a version without a text
+    holds no chunk, and a text that leaves and comes back opens a new run.
+
+    A text that a content entry already held is not embedded again: its
+    entries take that vector, which makes re-runs and interrupted runs
+    cheap, and an entry that already holds its key, text and metadata is
+    left as it is. The other texts of a document group go to the gateway
+    in one embed call, each distinct text once. The content entries this
+    run does not write are dropped.
+    """
+    held = {}  # text -> vector, of the content entries the index held
+    stale = {}  # key -> (metadata, text) of the content entries not yet written
+    for key in vector_index.keys(CONTENT):
+        entry = vector_index.get(key)
+        held.setdefault(entry.text, entry.vector)
+        stale[key] = (entry.metadata, entry.text)
+    embedded = 0
+    for _, group in catalog.all_groups():
+        document = group.document_id
+        if document not in graph.nodes:
+            raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
+        text_of = {vid: doc for (doc, _), vid in zip(group.members, group.version_ids)}
+        runs = _runs(graph.versions_of(document), text_of, chunk_size, overlap)
+        missing = list(dict.fromkeys(text for text, _, _ in runs if text not in held))
+        if missing:
+            held.update(zip(missing, gateway.embed(missing)))
+            embedded += len(missing)
+        for text, first, last in runs:
+            key = content_key(document, first, text)
+            metadata = {"document": document, "origin": "content", "first": first, "last": last}
+            if stale.pop(key, None) != (metadata, text):
+                vector_index.insert(IndexEntry(key, held[text], metadata, text))
+    vector_index.drop(stale)
+    return embedded
+
+
+def _runs(chain: list, text_of: dict, chunk_size: int, overlap: int) -> list:
+    """(text, first, last) for each run of consecutive versions of ``chain``
+    that hold a chunk text, in the order the runs open; ``first`` and
+    ``last`` are raw labels. ``text_of`` maps a version id to its document."""
+    runs = []
+    open_runs: dict = {}  # text -> its run, for the texts of the version before
+    for node in chain:
+        doc = text_of.get(node.id)
+        chunks = () if doc is None else chunk_document(doc, chunk_size=chunk_size, overlap=overlap)
+        current: dict = {}
+        for chunk in chunks:
+            run = current.get(chunk.text) or open_runs.get(chunk.text)
+            if run is None:
+                run = [chunk.text, node.label.raw, None]
+                runs.append(run)
+            run[2] = node.label.raw
+            current[chunk.text] = run
+        open_runs = current
+    return runs
 
 
 # --- whole pipeline ----------------------------------------------------------------------
@@ -610,23 +657,27 @@ def index_documents(
     Steps 1 and 2 are :func:`catalog_documents`, with ``page_tokens`` and
     ``attribute_cache``; a caller that already has the ``catalog`` of
     ``documents`` passes it, and only steps 3 to 5 run. ``change_records``
-    are an earlier run's records, reused where their source is unchanged.
-    The vector entries the new graph does not reference are dropped.
+    are an earlier run's records, reused where their source is unchanged,
+    and ``attribute_cache`` also marks the changelogs that yield no record.
+    The vector entries that are neither content nor a change record of the
+    new graph are dropped.
     """
     usage_before = gateway.usage()
     if catalog is None:
         catalog = catalog_documents(documents, gateway, page_tokens, attribute_cache)
     with _stage("graph"):
         graph = build_graph(catalog)
+    with _stage("changes"):
+        changes = extract_changes(
+            graph, catalog, gateway, vector_index, change_records, attribute_cache
+        )
+        graph.validate_strict()
     with _stage("content"):
         chunks = index_content(
             graph, catalog, gateway, vector_index, chunk_size=chunk_size, overlap=overlap
         )
-    with _stage("changes"):
-        changes = extract_changes(graph, catalog, gateway, vector_index, change_records)
-        graph.validate_strict()
-    referenced = graph.index_keys()
-    vector_index.drop([key for key in vector_index.keys() if key not in referenced])
+    kept = {record.id for record in graph.change_records()}.union(vector_index.keys(CONTENT))
+    vector_index.drop([key for key in vector_index.keys() if key not in kept])
     return _summary(graph, catalog, documents, gateway.usage().minus(usage_before), chunks, changes)
 
 
@@ -834,7 +885,7 @@ def index_corpus(
             )
         elif _unchanged(recorded, parameters, "model"):
             try:
-                change_records = VersionGraph.load(graph_path).change_records()
+                change_records = VersionGraph.load_change_records(graph_path)
             except CorruptFileError as exc:
                 logger.warning("re-extracting every change; unreadable graph: %s", exc)
 
@@ -844,6 +895,7 @@ def index_corpus(
         vector_index,
         chunk_size=chunk_size,
         overlap=overlap,
+        attribute_cache=attribute_cache,
         change_records=change_records,
         catalog=catalog,
     )

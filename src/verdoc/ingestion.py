@@ -1,8 +1,12 @@
 """Corpus loading, token counting, first-page and outline extraction, chunking.
 
-A token is a whitespace-delimited word. Chunk windows are defined over the
-token sequence, so rejoining chunk tokens (dropping each chunk's leading
-overlap) reproduces the document's token sequence exactly.
+A token is a whitespace-delimited word. Chunks are cut at line ends that
+the text's content picks (content-defined chunking, as in LBFS and
+FastCDC), so an edit changes the chunks around it and no others, and the
+unchanged chunks of two versions have equal texts. Chunk spans are
+defined over the token sequence, so rejoining chunk tokens (dropping each
+chunk's leading overlap) reproduces the document's token sequence
+exactly.
 
 Loading a corpus reads the files and nothing more: a document's token count
 and hash are computed when first read.
@@ -14,8 +18,11 @@ import functools
 import hashlib
 import logging
 import re
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import EmptyCorpusError, InvalidChunkParamsError
 
@@ -49,69 +56,76 @@ class RawDocument:
 
 @dataclass
 class Chunk:
-    """One token window of a document version.
+    """One chunk of a document's token sequence.
 
-    ``token_span`` is half-open over the document's token sequence, and
-    ``text`` joins the span's tokens with single spaces; consecutive chunks
-    overlap by exactly the configured overlap except that the final chunk
-    may be shorter.
+    ``token_span`` is half-open over the document's tokens, and ``text``
+    joins the span's tokens with single spaces. The span opens with the
+    chunk's leading overlap, the last ``overlap`` tokens before it (fewer
+    when fewer precede it); the first chunk has none.
     """
 
-    document: str
-    version: str
     ordinal: int
     token_span: tuple
     text: str
-
-    @property
-    def key(self) -> str:
-        return chunk_key(self.document, self.version, self.ordinal)
-
-
-def chunk_key(document: str, version: str, ordinal: int) -> str:
-    """The vector-index key of chunk ``ordinal`` of a document version."""
-    return f"{document}@{version}#c{ordinal:04d}"
 
 
 def chunk_document(
     doc: RawDocument,
     chunk_size: int = CHUNK_SIZE,
     overlap: int = CHUNK_OVERLAP,
-    *,
-    document: str = "",
-    version: str = "",
 ) -> list:
-    """Split a document into overlapping token windows.
+    """Split a document into chunks at line ends that its content picks.
 
-    Windows start at multiples of ``chunk_size - overlap``; a window is
-    emitted while it contributes tokens beyond the previous window's
-    overlap, so every token lands in at least one chunk and ordinals are
-    dense from zero.
+    A non-blank line of ``t`` tokens is a candidate when its ``zlib.crc32``
+    falls under ``t / spacing`` of the hash range, ``spacing`` being
+    ``chunk_size // 4`` tokens. A candidate is a cut when at least
+    ``chunk_size // 8`` tokens lie between it and the candidate before it.
+    Whether a line is a cut so depends on the lines back to the previous
+    candidate alone, and an edit moves the cuts at the edited line and at
+    the next candidate, nowhere else.
+
+    A chunk holds at most ``chunk_size`` tokens, its leading overlap
+    included. A span between two cuts that holds more is cut greedily from
+    its start: at the last line end that keeps the chunk at least the
+    minimum long, or else after as many tokens as fit. A text without line
+    ends is so cut into fixed windows that start ``chunk_size - overlap``
+    tokens apart. These cap cuts are counted from the span's start, so an
+    edit in such a span can move its later cap cuts too. Every token lands
+    in a chunk, and ordinals are dense from zero; a text without tokens is
+    one empty chunk.
     """
     if chunk_size <= 0 or overlap < 0 or overlap >= chunk_size:
         raise InvalidChunkParamsError(
             f"need 0 <= overlap < chunk_size, got chunk_size={chunk_size} overlap={overlap}"
         )
+    spacing, minimum = max(1, chunk_size // 4), chunk_size // 8
+    lines = doc.text.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    hashes = np.fromiter(map(zlib.crc32, map(str.encode, lines)), np.int64, len(lines))
+    ends = np.cumsum(counts)  # the token offset after each line
+    # crc / 2**32 < count / spacing, so a blank line is never a candidate
+    candidates = ends[hashes < -((-counts << 32) // spacing)]
+    gaps = np.diff(candidates, prepend=0)  # tokens since the candidate before
+    cuts = candidates[gaps >= minimum].tolist()
+    # line separators are whitespace, so no token spans two lines
     tokens = doc.text.split()
-    total = len(tokens)
-    stride = chunk_size - overlap
     chunks = []
     start = 0
-    while start == 0 or start + overlap < total:
-        end = min(start + chunk_size, total)
-        chunks.append(
-            Chunk(
-                document=document,
-                version=version,
-                ordinal=len(chunks),
-                token_span=(start, end),
-                text=" ".join(tokens[start:end]),
+    for cut in cuts + [len(tokens)]:
+        while start < cut:
+            lead = min(overlap, start)
+            end = min(cut, start + chunk_size - lead)
+            if end < cut:
+                # the last line end in [start + minimum, end], if any
+                at = np.searchsorted(ends, end, side="right")
+                last = int(ends[at - 1]) if at else 0
+                if last >= start + max(1, minimum):
+                    end = last
+            chunks.append(
+                Chunk(len(chunks), (start - lead, end), " ".join(tokens[start - lead : end]))
             )
-        )
-        if end >= total:
-            break
-        start += stride
-    return chunks
+            start = end
+    return chunks or [Chunk(0, (0, 0), "")]
 
 
 def first_pages(doc: RawDocument, pages: int, page_tokens: int = PAGE_TOKENS) -> str:

@@ -4,9 +4,10 @@ Version queries answer straight off the graph (the vector index is never
 touched for them), change queries traverse the graph when a document and
 version range are resolved and otherwise search the indexed change
 records semantically, and content queries run a vector search that is
-hard-filtered to the requested version when one was extracted. A query
-must name a version that actually exists; nothing silently substitutes a
-nearby version.
+hard-filtered to the requested version when one was extracted: a content
+entry holds one chunk text over a run of versions, and the filter keeps
+the entries whose run holds that version. A query must name a version
+that actually exists; nothing silently substitutes a nearby version.
 """
 
 from __future__ import annotations
@@ -296,6 +297,7 @@ def _search_content(
     if len(index) == 0:
         raise EmptyIndexError("the vector index is empty; run indexing first")
     equality = {"origin": "content"}
+    resolved: dict = {}  # document id -> raw label of the version the query names
     if version_filter:
         if parsed.document is not None:
             equality["document"] = parsed.document
@@ -305,37 +307,51 @@ def _search_content(
                 d.id for d in graph.documents() if d.category == parsed.category
             }
         if parsed.version is not None:
-            equality["version"] = _resolve_version_raw(parsed, graph)
+            resolved = _resolve_versions(parsed, graph)
+            if parsed.document is None:  # only the documents that have the version
+                equality["document"] = set(resolved) & equality.get("document", set(resolved))
     query_vector = _embed_query(gateway, parsed.text)
-    hits = index.search(query_vector, k=k, metadata_filter=MetadataFilter(equality))
-    items = [
-        ContextItem(
-            text=hit.entry.text,
-            document=_title_of(graph, hit.entry.metadata["document"]),
-            version=hit.entry.metadata["version"],
-            origin="content",
+    metadata_filter = MetadataFilter(equality, valid_at=parsed.version.raw if resolved else None)
+    hits = index.search(query_vector, k=k, metadata_filter=metadata_filter)
+    items = []
+    for hit in hits:
+        metadata = hit.entry.metadata
+        version = resolved.get(metadata["document"])
+        if version is None:
+            first, last = metadata["first"], metadata["last"]
+            version = first if first == last else f"{first} .. {last}"
+        items.append(
+            ContextItem(
+                text=hit.entry.text,
+                document=_title_of(graph, metadata["document"]),
+                version=version,
+                origin="content",
+            )
         )
-        for hit in hits
-    ]
     return RetrievedContext(items=items, mode=RetrievalMode.VECTOR_SEARCH, intent=parsed.intent)
 
 
-def _resolve_version_raw(parsed: ParsedQuery, graph: VersionGraph) -> str:
-    """Map the requested version onto an existing version node's raw label."""
-    if parsed.document is not None:
-        node = graph.find_version(parsed.document, parsed.version)
+def _resolve_versions(parsed: ParsedQuery, graph: VersionGraph) -> dict:
+    """Each document that has the requested version, by id, mapped to that
+    version node's raw label: the named document, or else every document
+    of the graph. Raises ``VersionNotFoundError`` when there is none."""
+    documents = [parsed.document] if parsed.document is not None else [
+        doc.id for doc in graph.documents()
+    ]
+    resolved = {}
+    for document in documents:
+        node = graph.find_version(document, parsed.version)
         if node is not None:
-            return node.label.raw
+            resolved[document] = node.label.raw
+    if resolved:
+        return resolved
+    if parsed.document is not None:
         available = [v.raw for v in graph.list_versions(parsed.document)]
         raise VersionNotFoundError(
             f"version {parsed.version.raw!r} not found in "
             f"{_title_of(graph, parsed.document)!r}; available: {', '.join(available)}",
             available=available,
         )
-    for doc in sorted(graph.documents(), key=lambda d: d.title):
-        node = graph.find_version(doc.id, parsed.version)
-        if node is not None:
-            return node.label.raw
     available = sorted(
         {v.raw for doc in graph.documents() for v in graph.list_versions(doc.id)}
     )

@@ -11,10 +11,11 @@ sorted by (score, key).
 
 Filters run on interned code columns of the index: one integer code per
 row for each metadata key a filter names, plus one column of version
-sort-key classes for ``version_in``. A column is built on first use and
-dropped on the next insert or drop. A filter tests each distinct value
-once and keeps the rows whose code passed, so once the columns exist no
-Python code runs per row.
+sort-key classes for each label field a version test reads (``version``
+for ``version_in``; ``first`` and ``last`` for ``valid_at``). A column is
+built on first use and dropped on the next insert or drop. A filter tests
+each distinct value once and keeps the rows whose code passed, so once the
+columns exist no Python code runs per row.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchErr
 from .fileio import json_bytes, read_json, write_atomic
 from .versions import parse_version
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass
@@ -47,26 +48,37 @@ class IndexEntry:
 
 @dataclass
 class MetadataFilter:
-    """Equality constraints plus an optional version whitelist.
+    """Equality constraints plus an optional version whitelist and an
+    optional validity test.
 
     An empty filter matches everything. An ``equality`` value that is a set
     means "any of": the entry's value must be a member, so an unhashable
     value matches no set. ``version_in`` compares the entry's ``version``
     metadata under the version comparator, so "1.2" matches an entry
-    tagged "1.2.0".
+    tagged "1.2.0". ``valid_at`` is a version label that must lie in the
+    entry's validity interval, from its ``first`` to its ``last`` metadata
+    label, both ends included, under the same comparator.
     """
 
     equality: dict = field(default_factory=dict)
     version_in: Optional[set] = None
+    valid_at: Optional[str] = None
 
     def matches(self, metadata: dict) -> bool:
         wanted = self.version_keys()
+        at = self.valid_at_key()
         for key, value in self.equality.items():
             if not _equality_test(value)(metadata.get(key)):
                 return False
         if wanted is not None:
             raw = metadata.get("version")
             if raw is None or parse_version(raw).sort_key() not in wanted:
+                return False
+        if at is not None:
+            first, last = metadata.get("first"), metadata.get("last")
+            if first is None or last is None:
+                return False
+            if not parse_version(first).sort_key() <= at <= parse_version(last).sort_key():
                 return False
         return True
 
@@ -75,6 +87,10 @@ class MetadataFilter:
         if self.version_in is None:
             return None
         return {parse_version(str(v)).sort_key() for v in self.version_in}
+
+    def valid_at_key(self) -> Optional[tuple]:
+        """The sort key of ``valid_at``, or None without one."""
+        return None if self.valid_at is None else parse_version(str(self.valid_at)).sort_key()
 
 
 def _equality_test(value):
@@ -166,7 +182,7 @@ def _norm(vector: np.ndarray) -> float:
     return math.sqrt(float(vector.dot(vector)))
 
 
-_SORT_KEYS = object()  # column key of the version sort-key classes
+_SORT_KEYS = object()  # column key prefix of the version sort-key classes
 
 
 class VectorIndex:
@@ -201,9 +217,13 @@ class VectorIndex:
     def __contains__(self, key: str) -> bool:
         return key in self._row_of
 
-    def keys(self) -> list:
+    def keys(self, metadata_filter: Optional[MetadataFilter] = None) -> list:
+        """The keys of the entries ``metadata_filter`` matches, in insertion
+        order; every key without a filter."""
         with self._lock:
-            return list(self._keys)
+            if metadata_filter is None:
+                return list(self._keys)
+            return [self._keys[row] for row in self._candidates(metadata_filter).tolist()]
 
     def insert(self, entry: IndexEntry) -> None:
         vector = np.asarray(entry.vector, dtype=np.float32)
@@ -270,16 +290,17 @@ class VectorIndex:
             column = self._columns[key] = _intern(md.get(key) for md in self._metadata)
         return column
 
-    def _version_classes(self) -> _Column:
-        """Version sort keys by row; None where a row has no version."""
-        column = self._columns.get(_SORT_KEYS)
+    def _version_classes(self, key: str) -> _Column:
+        """The version sort keys of label field ``key`` by row; None where a
+        row has no such field."""
+        column = self._columns.get((_SORT_KEYS, key))
         if column is None:
-            versions = self._column("version")
+            labels = self._column(key)
             classes = _intern(
-                None if raw is None else parse_version(raw).sort_key() for raw in versions.values
+                None if raw is None else parse_version(raw).sort_key() for raw in labels.values
             )
-            column = _Column(classes.codes[versions.codes], classes.values)
-            self._columns[_SORT_KEYS] = column
+            column = _Column(classes.codes[labels.codes], classes.values)
+            self._columns[(_SORT_KEYS, key)] = column
         return column
 
     def _candidates(self, metadata_filter: MetadataFilter) -> np.ndarray:
@@ -295,8 +316,13 @@ class VectorIndex:
             rows = column.keep(rows, [test(held) for held in column.values])
         wanted = metadata_filter.version_keys()
         if wanted is not None:
-            column = self._version_classes()
+            column = self._version_classes("version")
             rows = column.keep(rows, [sort_key in wanted for sort_key in column.values])
+        at = metadata_filter.valid_at_key()
+        if at is not None:
+            first, last = self._version_classes("first"), self._version_classes("last")
+            rows = first.keep(rows, [key is not None and key <= at for key in first.values])
+            rows = last.keep(rows, [key is not None and at <= key for key in last.values])
         return rows
 
     def search(

@@ -14,14 +14,14 @@ from test_acceptance import DIMENSION, purity_corpus
 from verdoc.indexer import index_corpus
 
 PINNED = {
-    "graph.json": "47c17ad2788f63f5d8a10670e74d0593d8c7c64d6ec5ad75373f7d275551aced",
+    "graph.json": "2ad620fce383371047a2b9c9c897066a8d562e36e459ca91739f80391543a824",
     # holds the sha256 of vectors.npy, so it pins the vectors too
-    "vectors.json": "6bd54ed208e62a47ec421a42613d7d5cb89e4d267085c1b086a6f3e3509fdb2d",
+    "vectors.json": "aa3f717c475d591fb54ec1227c27e36a6178344705f07ddbd34957bda1c388ee",
     "attributes.json": "33f76c3edcc475a20c4c43e19036c1ba4f4aef88c5d687a0d04bc24f036ce265",
     "summary.json": "9c0f423004cfc0f3e1efe2b8e02e9f4326f001d6a9ebdbb8b4049f135580710c",
     # holds the sha256 of the other files but summary.json and of the clustered corpus,
     # and the ids of the mock's models
-    "manifest.json": "363fcaa08c2c789c7323cdf381156c3465d849584e59c0359bb888ec06a8658f",
+    "manifest.json": "a182cf2602516da874e4bf4963813094fd04dd7191435db0cd81c233f230c7dd",
 }
 
 

@@ -19,7 +19,7 @@ from verdoc.evaluation import QAItem, save_dataset
 from verdoc.fileio import json_bytes
 from verdoc.graph import VersionGraph
 from verdoc.indexer import GRAPH_FILE, HASHED_FILES, INDEX_FILE, MANIFEST_FILE, SUMMARY_FILE
-from verdoc.ingestion import chunk_key
+from verdoc.ingestion import load_corpus
 from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import assert_doc_corpus, spark_changelog_corpus, write_corpus
@@ -318,6 +318,130 @@ class TestValidateAndUsage:
         assert code == 2
 
 
+def chunk_key_4(document, version, ordinal):
+    """The key of a content entry in vector formats 1 to 4."""
+    return f"{document}@{version}#c{ordinal:04d}"
+
+
+def fixed_windows(text, chunk_size=512, overlap=50):
+    """The chunk texts of graph and vector formats 1 to 4: windows of
+    ``chunk_size`` tokens that start ``chunk_size - overlap`` apart."""
+    tokens = text.split()
+    windows, start = [], 0
+    while start == 0 or start + overlap < len(tokens):
+        end = min(start + chunk_size, len(tokens))
+        windows.append(" ".join(tokens[start:end]))
+        if end >= len(tokens):
+            break
+        start += chunk_size - overlap
+    return windows
+
+
+def rewrite_as_format_4(out, corpus, config_file):
+    """Rewrite the index in ``out`` as graph and vector format 4 wrote it.
+
+    A version node counted its chunks, fixed windows of its text, and a
+    content entry was keyed by version and ordinal and tagged with its
+    version. The manifest's inputs are left alone: the index is built with
+    the formats patched to the ones its inputs should hash.
+    """
+    gateway = build_gateway(load_config(config_file))
+    attributes = json.loads((out / "attributes.json").read_bytes())
+    for entry in attributes.values():
+        entry.pop("no_changes", None)  # format 4 kept attributes alone
+    catalog = indexer.catalog_documents(load_corpus(corpus), gateway, attribute_cache=dict(attributes))
+    indexer.build_graph(catalog)
+    source = {  # version id -> its file
+        vid: doc
+        for _, group in catalog.all_groups()
+        for (doc, _), vid in zip(group.members, group.version_ids)
+    }
+    graph_path, sidecar_path, npy_path = out / GRAPH_FILE, out / INDEX_FILE, out / "vectors.npy"
+    graph = json.loads(graph_path.read_bytes())
+    graph["format_version"] = 4
+    sidecar = json.loads(sidecar_path.read_bytes())
+    entries = [item for item in sidecar["entries"] if item["metadata"]["origin"] != "content"]
+    for node in graph["nodes"]:
+        if node["node_kind"] != "version":
+            continue
+        del node["has_text"]
+        windows = fixed_windows(source[node["id"]].text) if node["id"] in source else []
+        node["chunks"] = len(windows)
+        for ordinal, text in enumerate(windows):
+            key = chunk_key_4(node["document"], node["label"], ordinal)
+            metadata = {"document": node["document"], "origin": "content", "version": node["label"]}
+            entries.append({"key": key, "metadata": metadata, "text": text})
+    entries.sort(key=lambda item: item["key"])
+    descriptions = {node["id"]: node.get("description") for node in graph["nodes"]}
+    rows = gateway.embed([item["text"] or descriptions[item["key"]] for item in entries])
+    buffer = io.BytesIO()
+    np.save(buffer, np.stack(rows).astype("<f4"), allow_pickle=False)
+    npy_path.write_bytes(buffer.getvalue())
+    digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+    sidecar.update(format_version=4, entries=entries, vectors_sha256=digest)
+    summary = json.loads((out / SUMMARY_FILE).read_bytes())
+    summary["chunks"] = sum(item["metadata"]["origin"] == "content" for item in entries)
+    manifest = json.loads((out / MANIFEST_FILE).read_bytes())
+    for path, payload in (
+        (graph_path, graph),
+        (sidecar_path, sidecar),
+        (out / "attributes.json", attributes),
+        (out / SUMMARY_FILE, summary),
+    ):
+        path.write_bytes(json_bytes(payload))
+    for path in (graph_path, sidecar_path, npy_path, out / "attributes.json"):
+        manifest["files"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / MANIFEST_FILE).write_bytes(json_bytes(manifest))
+
+
+def build_old_index(out, corpus, config_file, monkeypatch, graph_format, vector_format):
+    """Index ``corpus`` into ``out`` with the manifest's inputs hashed at the
+    given formats, and rewrite its graph and vector files as format 4."""
+    with monkeypatch.context() as patch:
+        patch.setattr(indexer, "GRAPH_FORMAT_VERSION", graph_format)
+        patch.setattr(indexer, "VECTOR_FORMAT_VERSION", vector_format)
+        assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+    rewrite_as_format_4(out, corpus, config_file)
+
+
+class TestFormat4Upgrade:
+    """An index written when graph.json and vectors.json were format 4: one
+    content entry per fixed-window chunk of each version, and version nodes
+    that counted them."""
+
+    @pytest.fixture
+    def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
+        out = tmp_path / "old"
+        build_old_index(out, corpus, config_file, monkeypatch, 4, 4)
+        capsys.readouterr()
+        return out
+
+    def test_old_files_are_a_version_mismatch(self, old_index, config_file):
+        with pytest.raises(VersionMismatchError, match="format_version 4"):
+            VersionGraph.load(old_index / GRAPH_FILE)
+        with pytest.raises(VersionMismatchError, match="format_version 4"):
+            VectorIndex.load(old_index / INDEX_FILE)
+        with pytest.raises(VersionMismatchError):
+            Engine.load(old_index, build_gateway(load_config(config_file)))
+
+    def test_reindex_reuses_the_change_records_and_writes_what_a_fresh_index_writes(
+        self, tmp_path, old_index, corpus, config_file, capsys
+    ):
+        assert run_cli(config_file, "index", str(corpus), "--out", str(old_index)) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli(config_file, "index", str(corpus), "--out", str(fresh)) == 0
+        capsys.readouterr()
+        for name in (*HASHED_FILES, MANIFEST_FILE):
+            assert (old_index / name).read_bytes() == (fresh / name).read_bytes(), name
+        # the records of a format-4 graph.json are reused, so the one completion
+        # is the clustering prompt; the format-4 vectors do not load, so every
+        # text is embedded again
+        upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
+        assert upgraded.pop("usage")["calls"] == 1 < built.pop("usage")["calls"]
+        assert upgraded.pop("changes") == 0 < built.pop("changes")
+        assert upgraded == built and upgraded["chunks"] > 0
+
+
 class TestGraphFormatUpgrade:
     """An index written when graph.json was format 3, which stored each chunk
     a second time as a content-ref node, and each content entry of
@@ -326,19 +450,16 @@ class TestGraphFormatUpgrade:
     @pytest.fixture
     def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
         out = tmp_path / "old"
-        with monkeypatch.context() as patch:
-            # the manifest's inputs hash the graph format of the run that wrote it
-            patch.setattr(indexer, "GRAPH_FORMAT_VERSION", 3)
-            assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+        build_old_index(out, corpus, config_file, monkeypatch, 3, 4)
         capsys.readouterr()
         graph_path, vectors_path = out / GRAPH_FILE, out / INDEX_FILE
         data = json.loads(graph_path.read_bytes())
-        graph = VersionGraph.from_dict(data)
+        graph = {node["id"]: node for node in data["nodes"]}
         nodes = data["nodes"]
         for node in list(nodes):
             chunks = node.pop("chunks", 0)
             for ordinal in range(chunks):
-                key = chunk_key(node["document"], node["label"], ordinal)
+                key = chunk_key_4(node["document"], node["label"], ordinal)
                 nodes.append(
                     {
                         "id": f"content:{key}",
@@ -355,8 +476,7 @@ class TestGraphFormatUpgrade:
         for entry in vectors["entries"]:
             metadata = entry["metadata"]
             if metadata["origin"] == "content":
-                category = graph.nodes[graph.nodes[metadata["document"]].category]
-                metadata["category"] = category.name
+                metadata["category"] = graph[graph[metadata["document"]]["category"]]["name"]
         manifest = json.loads((out / MANIFEST_FILE).read_bytes())
         for path, payload in ((graph_path, data), (vectors_path, vectors)):
             path.write_bytes(json_bytes(payload))
@@ -381,12 +501,11 @@ class TestGraphFormatUpgrade:
         # summary.json holds what each run did, so it is compared below
         for name in (*HASHED_FILES, MANIFEST_FILE):
             assert (old_index / name).read_bytes() == (fresh / name).read_bytes(), name
-        # every chunk's entry holds its text and vector; the records come from
-        # graph.json, which no longer loads, so they are extracted again
+        # the format-4 vectors do not load, so every text is embedded again; the
+        # records come from a format-3 graph.json, so they are extracted again
         upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
-        assert upgraded.pop("chunks") == 0 < built.pop("chunks")
         del upgraded["usage"], built["usage"]
-        assert upgraded == built and upgraded["changes"] > 0
+        assert upgraded == built and upgraded["changes"] > 0 and upgraded["chunks"] > 0
 
 
 class TestVectorFormatUpgrade:
@@ -395,15 +514,12 @@ class TestVectorFormatUpgrade:
     @pytest.fixture
     def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
         out = tmp_path / "old"
-        with monkeypatch.context() as patch:
-            # the manifest's inputs hash the vector format of the run that wrote it
-            patch.setattr(indexer, "VECTOR_FORMAT_VERSION", 3)
-            assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+        build_old_index(out, corpus, config_file, monkeypatch, 4, 3)
         capsys.readouterr()
         sidecar_path, npy_path = out / INDEX_FILE, out / "vectors.npy"
         sidecar = json.loads(sidecar_path.read_bytes())
         # format 3 stored each vector as the backend returned it, in float64
-        records = VersionGraph.load(out / GRAPH_FILE).change_records()
+        records = VersionGraph.load_change_records(out / GRAPH_FILE)
         descriptions = {record.id: record.description for record in records}
         texts = [
             item["text"] if item["metadata"]["origin"] == "content" else descriptions[item["key"]]
@@ -424,6 +540,8 @@ class TestVectorFormatUpgrade:
 
     def test_old_vectors_are_a_version_mismatch(self, old_index, config_file):
         with pytest.raises(VersionMismatchError, match="format_version 3"):
+            VectorIndex.load(old_index / INDEX_FILE)
+        with pytest.raises(VersionMismatchError):
             Engine.load(old_index, build_gateway(load_config(config_file)))
 
     def test_reindex_reembeds_and_reuses_the_change_records(

@@ -2,8 +2,8 @@ import pytest
 
 from verdoc.engine import Engine
 from verdoc.errors import DocumentNotFoundError, InvertedRangeError
-from verdoc.indexer import index_corpus
-from verdoc.ingestion import chunk_key
+from verdoc.graph import VersionGraph
+from verdoc.indexer import CONTENT, index_corpus
 from verdoc.retrieval import ParsedQuery, QueryIntent, RetrievalMode
 from verdoc.vector_index import IndexEntry, VectorIndex
 
@@ -79,32 +79,54 @@ def fine_chunks(tmp_path_factory):
 def test_validate_checks_the_graph_against_the_index_both_ways(fine_chunks):
     """Each damage to a copy of a valid index is reported in one line."""
     graph = fine_chunks.graph
-    version = graph.versions_of(graph.documents()[0].id)[0]
-    assert version.chunks > 2
-    doc, label, last = version.document, version.label.raw, version.chunks - 1
+    doc = graph.documents()[0].id
+    chain = graph.versions_of(doc)
+    oldest, newest = chain[0], chain[-1]
+    content = fine_chunks.index.keys(CONTENT)
+    runs = {key: fine_chunks.index.get(key).metadata for key in content}
+    assert len(content) > len(chain) * 2
+    over_newest = [key for key, run in runs.items() if run["last"] == newest.label.raw]
     record = graph.change_records()[0].id
-    orphan = "referenced by no version or change"
-    missing = {
-        "first chunk": chunk_key(doc, label, 0),
-        "last chunk": chunk_key(doc, label, last),
-        "change record": record,
+
+    def run(document, first, last):
+        return {"document": document, "origin": "content", "first": first, "last": last}
+
+    def names_no_versions(key, metadata):
+        span = f"{metadata['first']!r}..{metadata['last']!r}"
+        return f"vector entry {key!r}: run {span} names no versions of {metadata['document']!r}"
+
+    strays = {
+        "run past the chain": run(doc, oldest.label.raw, "9.9.9"),
+        "run of a document the graph lacks": run("document:gone", "1.0", "1.0"),
+        "run in reverse": run(doc, newest.label.raw, oldest.label.raw),
     }
-    stale = {
-        "chunk past the version's count": chunk_key(doc, label, last + 1),
-        "chunk of a version the graph lacks": chunk_key(doc, "9.9.9", 0),
-        "entry of nothing": "orphan",
-    }
-    damages = [(name, [key], [], f"{key!r}: missing") for name, key in missing.items()]
-    damages += [(name, [], [key], f"{key!r}: {orphan}") for name, key in stale.items()]
+    damages = [
+        ("change record", [record], {}, f"vector entry {record!r}: missing"),
+        (
+            "entry of nothing",
+            [],
+            {"orphan": {"origin": "implicit"}},
+            "vector entry 'orphan': neither content nor a change record",
+        ),
+        ("runs over the newest", over_newest, {}, f"version {newest.id}: no content entry covers it"),
+    ]
+    damages += [
+        (name, [], {name: metadata}, names_no_versions(name, metadata))
+        for name, metadata in strays.items()
+    ]
     for name, dropped, added, problem in damages:
         index = VectorIndex(dimension=DIMENSION)
         for key in fine_chunks.index.keys():
             if key not in dropped:
                 index.insert(fine_chunks.index.get(key))
-        for key in added:
-            index.insert(IndexEntry(key, [1.0] * DIMENSION, {"origin": "content"}, "stale"))
-        problems = Engine(graph, index, fine_chunks.gateway).validate()
-        assert problems == [f"vector entry {problem}"], name
+        for key, metadata in added.items():
+            index.insert(IndexEntry(key, [1.0] * DIMENSION, metadata, "stale"))
+        assert Engine(graph, index, fine_chunks.gateway).validate() == [problem], name
+    textless = VersionGraph.from_dict(graph.to_dict())
+    textless.nodes[oldest.id].has_text = False
+    assert Engine(textless, fine_chunks.index, fine_chunks.gateway).validate() == [
+        f"version {oldest.id}: has no text, but content covers it"
+    ]
     assert fine_chunks.validate() == []
 
 

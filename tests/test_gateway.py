@@ -558,7 +558,9 @@ class TestHttpBackend:
         (sent,) = [body["input"] for body in behaviour["bodies"]]
         keys = index.keys()
         assert count == len(keys) == len(sent)
-        assert {index.get(key).metadata["version"] for key in keys} == {"1.0.0", "2.0.0"}
+        # every line names its version, so each text holds in one version
+        runs = {(index.get(key).metadata["first"], index.get(key).metadata["last"]) for key in keys}
+        assert runs == {("1.0.0", "1.0.0"), ("2.0.0", "2.0.0")}
         # the server answers input i with the constant vector i + 1
         for position, key in enumerate(keys):
             entry = index.get(key)

@@ -229,7 +229,6 @@ class TestValidate:
         graph, doc = graph_with_document()
         for raw in SPARK_VERSIONS:
             graph.add_version(doc, raw)
-        graph.versions_of(doc)[0].chunks = 2
         graph.add_change(
             make_record(doc, "2.4.7", "3.3.4", origin=ChangeOrigin.IMPLICIT, evidence=["h1"])
         )
@@ -463,7 +462,7 @@ def build_corpus_scale_graph():
             for raw in versions:
                 graph.add_version(doc, raw)
     chains = graph.documents()
-    graph.versions_of(chains[0].id)[0].chunks = 3
+    graph.versions_of(chains[0].id)[0].has_text = False
     graph.add_change(
         make_record(chains[0].id, "2.4.7", "3.3.4", origin=ChangeOrigin.IMPLICIT, evidence=["h0"])
     )
@@ -504,7 +503,7 @@ class TestPersistence:
             documents.append(doc)
             versions = rng.sample(versions, len(versions))
             for raw in versions:
-                graph.nodes[graph.add_version(doc, raw)].chunks = 1
+                graph.add_version(doc, raw)
             ordered = sorted(versions, key=parse_version)
             records = [make_record(doc, None, ordered[0]), make_record(doc, None, ordered[3], 9)]
             records += [
@@ -575,11 +574,11 @@ class TestPersistence:
             ("change", "kind", ["added"]),
             ("change", "from_version", 3.0),
             ("change", "to_version", ["3.3.4"]),
-            ("version", "chunks", -1),
-            ("version", "chunks", 1.5),
-            ("version", "chunks", "2"),
-            ("version", "chunks", None),
-            ("version", "chunks", True),
+            ("version", "has_text", -1),
+            ("version", "has_text", 1.5),
+            ("version", "has_text", "true"),
+            ("version", "has_text", None),
+            ("version", "has_text", 1),
         ],
         ids=[
             "unknown-node-kind",
@@ -589,11 +588,11 @@ class TestPersistence:
             "list-change-kind",
             "number-label",
             "list-label",
-            "negative-chunks",
-            "fractional-chunks",
-            "text-chunks",
-            "null-chunks",
-            "boolean-chunks",
+            "negative-has-text",
+            "fractional-has-text",
+            "text-has-text",
+            "null-has-text",
+            "integer-has-text",
         ],
     )
     def test_bad_node_field_is_corrupt_to_both_loaders(self, tmp_path, node_kind, field, value):
@@ -647,7 +646,7 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         graph.save(path)
         data = json.loads(path.read_text())
-        assert data["format_version"] == 4
+        assert data["format_version"] == 5
         assert set(data) == {"format_version", "nodes"}
         fields = {}
         for node in data["nodes"]:
@@ -655,7 +654,7 @@ class TestPersistence:
         assert fields == {
             "category": {"id", "node_kind", "name"},
             "document": {"id", "node_kind", "title", "category"},
-            "version": {"id", "node_kind", "document", "label", "synthetic", "chunks"},
+            "version": {"id", "node_kind", "document", "label", "synthetic", "has_text"},
             "change": {
                 "id",
                 "node_kind",
@@ -668,6 +667,41 @@ class TestPersistence:
                 "evidence",
             },
         }
+
+    def test_change_records_load_from_format_4(self, tmp_path):
+        """Format 5 changed only the version nodes, so the records of a
+        format-4 file, whose version nodes count chunks, still load; those
+        of format 3, or of a format to come, do not."""
+        graph = build_corpus_scale_graph()
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        data = json.loads(path.read_text())
+        data["format_version"] = 4
+        for node in data["nodes"]:
+            if node["node_kind"] == "version":
+                del node["has_text"]
+                node["chunks"] = 2
+        path.write_text(json.dumps(data))
+        with pytest.raises(VersionMismatchError):
+            VersionGraph.load(path)
+        assert VersionGraph.load_change_records(path) == graph.change_records()
+        for version in (3, 6):
+            data["format_version"] = version
+            path.write_text(json.dumps(data))
+            with pytest.raises(VersionMismatchError):
+                VersionGraph.load_change_records(path)
+
+    def test_change_records_of_a_damaged_file_are_corrupt(self, tmp_path):
+        path = tmp_path / "graph.json"
+        build_corpus_scale_graph().save(path)
+        data = json.loads(path.read_text())
+        next(n for n in data["nodes"] if n["node_kind"] == "change")["kind"] = "renamed"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptFileError):
+            VersionGraph.load_change_records(path)
+        path.write_text("{")
+        with pytest.raises(CorruptFileError):
+            VersionGraph.load_change_records(path)
 
 
 def test_concurrent_reads_while_holding_graph():

@@ -20,16 +20,19 @@ from verdoc.fileio import json_bytes
 from verdoc.gateway import Gateway, MockBackend, ResponseSchema
 from verdoc.graph import ChangeKind, ChangeOrigin, ChangeRecord, VersionGraph
 from verdoc.indexer import (
+    CONTENT,
     DocumentAttributes,
     _attach_records,
     build_graph,
     cluster_documents,
     extract_attributes,
+    catalog_documents,
+    content_key,
     index_content,
     index_corpus,
     index_documents,
 )
-from verdoc.ingestion import RawDocument, chunk_key, count_tokens, first_pages
+from verdoc.ingestion import RawDocument, chunk_document, count_tokens, first_pages
 from verdoc.retrieval import ParsedQuery, QueryIntent, RetrievalMode
 from verdoc.vector_index import IndexEntry, VectorIndex
 from verdoc.versions import parse_version
@@ -252,12 +255,15 @@ class TestIndexContent:
         return graph, catalog, gateway, index, doc
 
     def test_chunk_count_matches_formula(self):
+        """The head lines are too short to cut after, and the body is one
+        line, so the cap cuts the text into fixed windows."""
         graph, catalog, gateway, index, doc = self.build(1000)
         count = index_content(graph, catalog, gateway, index)
         total = count_tokens(doc.text)
         expected = math.ceil((total - 50) / (512 - 50)) if total > 512 else 1
         assert count == expected  # oracle: chunk-count formula
-        assert [v.chunks for v in graph.versions_of(graph.documents()[0].id)] == [expected]
+        metadata = [index.get(key).metadata for key in index.keys()]
+        assert {(m["first"], m["last"]) for m in metadata} == {("1.0.0", "1.0.0")}
         assert len(index) == expected
 
     def test_rerun_is_idempotent(self):
@@ -269,13 +275,14 @@ class TestIndexContent:
         assert len(index) == first
 
     def test_chunk_counts_name_the_index_keys(self):
-        graph, catalog, gateway, index, _ = self.build(2500)
+        """Each chunk of the one version has one entry, under the key of its
+        document, its run's first version and its text."""
+        graph, catalog, gateway, index, doc = self.build(2500)
         index_content(graph, catalog, gateway, index)
-        content_entries = [
-            key for key in index.keys() if index.get(key).metadata["origin"] == "content"
-        ]
-        assert graph.versions_of(graph.documents()[0].id)[0].chunks == len(content_entries) > 1
-        assert graph.index_keys() == set(content_entries)
+        document = graph.documents()[0].id
+        chunks = chunk_document(doc)
+        assert len(chunks) > 1
+        assert index.keys() == [content_key(document, "1.0.0", chunk.text) for chunk in chunks]
 
     def test_entry_holding_the_text_keeps_its_vector_and_takes_new_metadata(self):
         """As an index whose content entries still carry a ``category`` is
@@ -291,8 +298,9 @@ class TestIndexContent:
             held = index.get(key)
             assert held.metadata == entry.metadata == {
                 "document": graph.documents()[0].id,
-                "version": "1.0.0",
                 "origin": "content",
+                "first": "1.0.0",
+                "last": "1.0.0",
             }
             assert held.text == entry.text
             assert (held.vector == -entry.vector).all()
@@ -569,24 +577,41 @@ class TestContentBatching:
             for d in groups
         ]
         assert len(groups) == 2
-        assert all(len({e.metadata["version"] for e in group}) > 1 for group in content)
-        assert self.content_batches(backend, index) == [[e.text for e in group] for group in content]
+        assert all(len({e.metadata["first"] for e in group}) > 1 for group in content)
+        assert self.content_batches(backend, index) == [
+            list(dict.fromkeys(e.text for e in group)) for group in content
+        ]
 
         again = RecordingBackend()
         index_documents(self.documents(), Gateway(again, dimension=DIMENSION), index)
         assert self.content_batches(again, index) == []
 
     def test_keys_come_out_in_group_version_ordinal_order(self):
+        """A run's entry comes in the order its run opens: by group, then by
+        the version and the ordinal of its first chunk."""
         index = VectorIndex(dimension=DIMENSION)
-        summary = index_documents(self.documents(), make_gateway(), index, chunk_size=64, overlap=8)
+        documents = self.documents()
+        summary = index_documents(documents, make_gateway(), index, chunk_size=64, overlap=8)
         graph = summary.graph
-        expected = [
-            chunk_key(document.id, version.label.raw, ordinal)
-            for document in graph.documents()
-            for version in graph.versions_of(document.id)
-            for ordinal in range(version.chunks)
-        ]
-        keys = [key for key in index.keys() if index.get(key).metadata["origin"] == "content"]
+        catalog = catalog_documents(documents, make_gateway())
+        build_graph(catalog)
+        source = {  # version id -> its file
+            vid: doc
+            for _, group in catalog.all_groups()
+            for (doc, _), vid in zip(group.members, group.version_ids)
+        }
+        expected = []
+        for document in graph.documents():
+            opened = set()
+            for version in graph.versions_of(document.id):
+                if version.id not in source:
+                    continue
+                for chunk in chunk_document(source[version.id], chunk_size=64, overlap=8):
+                    key = content_key(document.id, version.label.raw, chunk.text)
+                    if index.get(key) is not None and key not in opened:
+                        opened.add(key)
+                        expected.append(key)
+        keys = index.keys(CONTENT)
         assert len(set(keys)) > len(graph.documents()) * 2
         assert keys == expected
 
@@ -629,8 +654,7 @@ def test_token_frugality_mechanism():
     assert summary.usage.input_tokens < total_tokens
     # chunks cover everything, so a send-every-chunk baseline costs >= N tokens
     naive_tokens = sum(
-        count_tokens(index.get(key).text) for key in index.keys()
-        if index.get(key).metadata.get("origin") == "content"
+        count_tokens(chunk.text) for document in documents for chunk in chunk_document(document)
     )
     assert naive_tokens >= total_tokens
 
@@ -889,6 +913,89 @@ def test_reindex_after_deletes_and_an_added_version_matches_a_fresh_index(tmp_pa
     versions = {item.version for item in context.items}
     assert "22.14.0 -> 23.11.0" in versions
     assert not any("20.19.0" in v or "2.4.7" in v for v in versions), versions
+
+
+def test_a_version_inserted_mid_chain_keeps_pinned_queries_pure(tmp_path):
+    """A re-index that adds 2.5 between 2.0 and 3.0 splits the run of a text
+    that 2.5 lacks into one entry per side. A pinned query of each version
+    gets only chunks of that version's own text, and the index is byte for
+    byte a fresh index of the new corpus."""
+
+    def text(label, changed):
+        lines = [f"Shared usage line {i} of the widget tool says little." for i in range(120)]
+        lines[60] = changed
+        return doc_text("Widget Tool", label, [("usage", lines + [f"The retry limit is {label}."])])
+
+    files = {f"tool/{label}.md": text(label, "Line sixty holds.") for label in ("2.0", "3.0")}
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    write_corpus(corpus, files)
+    index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+
+    def runs(index):
+        found = {}
+        for key in index.keys(CONTENT):
+            entry = index.get(key)
+            run = (entry.metadata["first"], entry.metadata["last"])
+            found.setdefault(entry.text, []).append(run)
+        return found
+
+    before = runs(VectorIndex.load(out / "vectors.json"))
+    assert ("2.0", "3.0") in [run for held in before.values() for run in held]
+    files["tool/2.5.md"] = text("2.5", "Line sixty changed in 2.5.")
+    write_corpus(corpus, files)
+    index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+    clean = tmp_path / "clean"
+    index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+    for name in (*INDEX_FILES, "manifest.json"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    engine = Engine.load(out, make_gateway())
+    assert engine.validate() == []
+    after = runs(engine.index)
+    split = [t for t, held in after.items() if held == [("2.0", "2.0"), ("3.0", "3.0")]]
+    assert split and all(before[t] == [("2.0", "3.0")] for t in split)
+    document = engine.graph.documents()[0].id
+    for path, body in files.items():
+        label = path.rpartition("/")[2][: -len(".md")]
+        question, version = "What does line sixty hold?", parse_version(label)
+        parsed = ParsedQuery(question, QueryIntent.CONTENT, document=document, version=version)
+        context = engine.retrieve(parsed, k=100)
+        chunks = {chunk.text for chunk in chunk_document(raw(path, body))}
+        assert {item.version for item in context.items} == {label}
+        assert {item.text for item in context.items} == chunks
+
+
+def test_a_changelog_without_records_is_not_prompted_again(tmp_path):
+    """A changelog that yields no record is marked in the attribute cache, so
+    a re-index after an edit elsewhere does not prompt it again."""
+    changelog = "# Gadget Changelog\n\nRelease notes for Gadget.\n\nNothing has been released yet.\n"
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    write_corpus(corpus, {**assert_doc_corpus(), "gadget/CHANGELOG.md": changelog})
+    first = RecordingBackend()
+    index_corpus(corpus, out, Gateway(first, dimension=DIMENSION), dimension=DIMENSION)
+
+    def extractions(backend):
+        return [
+            p
+            for p in backend.prompts
+            if p.startswith("The document below is a changelog") and "released yet" in p
+        ]
+
+    assert len(extractions(first)) == 1
+    cache = json.loads((out / "attributes.json").read_bytes())
+    (marked,) = [entry for key, entry in cache.items() if key.startswith("gadget/")]
+    assert marked["doc_type"] == "changelog" and marked["no_changes"] is True
+
+    edited = corpus / "assert" / "20.md"
+    edited.write_text(edited.read_text().replace("truthy", "zorblax"), encoding="utf-8")
+    again = RecordingBackend()
+    summary = index_corpus(corpus, out, Gateway(again, dimension=DIMENSION), dimension=DIMENSION)
+    assert summary.changes > 0  # the edited pair was extracted again
+    assert extractions(again) == []
+    clean = tmp_path / "clean"
+    index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+    for name in (*INDEX_FILES, "manifest.json"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
 
 
 class TestManifest:
@@ -1268,15 +1375,17 @@ class TestManifest:
 
     @staticmethod
     def counted_loads(monkeypatch) -> list:
-        """The path of each ``VersionGraph.load`` call from now on."""
+        """The path of each ``VersionGraph.load`` or ``load_change_records``
+        call from now on."""
         loads = []
-        real = VersionGraph.load.__func__
+        for name in ("load", "load_change_records"):
+            real = getattr(VersionGraph, name).__func__
 
-        def load(cls, path):
-            loads.append(Path(path))
-            return real(cls, path)
+            def load(cls, path, real=real):
+                loads.append(Path(path))
+                return real(cls, path)
 
-        monkeypatch.setattr(VersionGraph, "load", classmethod(load))
+            monkeypatch.setattr(VersionGraph, name, classmethod(load))
         return loads
 
     def test_skipped_run_parses_no_graph(self, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import re
+import zlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +38,8 @@ class TestCountTokens:
 
 
 def window_oracle(token_count, chunk_size, overlap):
-    """Enumerate expected spans with stride chunk_size - overlap."""
+    """Enumerate expected spans with stride chunk_size - overlap: how the
+    cap cuts a text that has no line end inside it."""
     stride = chunk_size - overlap
     spans = []
     start = 0
@@ -77,12 +79,6 @@ class TestChunkDocument:
         chunks = chunk_document(doc, chunk_size=512, overlap=50)
         assert [c.ordinal for c in chunks] == list(range(len(chunks)))
 
-    def test_metadata_passthrough_and_key(self):
-        doc = RawDocument(source_path="d", text=words(10))
-        (chunk,) = chunk_document(doc, document="document:x", version="1.0")
-        assert isinstance(chunk, Chunk)
-        assert chunk.key == "document:x@1.0#c0000"
-
     @settings(max_examples=60, deadline=None)
     @given(
         token_count=st.integers(min_value=1, max_value=4000),
@@ -113,6 +109,8 @@ class TestChunkDocument:
         overlap_fraction=st.floats(min_value=0.0, max_value=0.95),
     )
     def test_chunk_count_formula(self, token_count, chunk_size, overlap_fraction):
+        """A text without line ends has no content-defined cut, so the cap
+        cuts it into the fixed windows of ``window_oracle``."""
         overlap = min(int(chunk_size * overlap_fraction), chunk_size - 1)
         doc = RawDocument(source_path="d", text=words(token_count))
         chunks = chunk_document(doc, chunk_size=chunk_size, overlap=overlap)
@@ -129,6 +127,184 @@ class TestChunkDocument:
             prev_tokens = prev.text.split()
             nxt_tokens = nxt.text.split()
             assert prev_tokens[-50:] == nxt_tokens[:50]
+
+
+VOCABULARY = [f"w{i}" for i in range(12)]
+# lines of a few words from a small vocabulary, so that lines and their
+# hashes repeat; an empty line is a blank one
+LINES = st.lists(st.lists(st.sampled_from(VOCABULARY), max_size=6), min_size=1, max_size=120)
+
+
+def text_of(lines):
+    return "\n".join(" ".join(line) for line in lines)
+
+
+def leads(chunks, overlap):
+    """The length of each chunk's leading overlap: the last ``overlap``
+    tokens that the chunks before it added, or all of them when fewer."""
+    added = 0
+    out = []
+    for chunk in chunks:
+        lead = min(overlap, added)
+        out.append(lead)
+        added += len(chunk.text.split()) - lead
+    return out
+
+
+def covering(chunks, start, end):
+    """The chunks whose span holds a token of [start, end), or, for an empty
+    range, the position ``start``."""
+    if end > start:
+        return [c for c in chunks if c.token_span[0] < end and start < c.token_span[1]]
+    return [c for c in chunks if c.token_span[0] <= start < c.token_span[1]]
+
+
+def changed(chunks, others):
+    """The chunks of ``chunks`` outside the longest common prefix and suffix
+    of chunk texts that they share with ``others``."""
+    texts, other = [c.text for c in chunks], [c.text for c in others]
+    prefix = 0
+    while prefix < min(len(texts), len(other)) and texts[prefix] == other[prefix]:
+        prefix += 1
+    suffix = 0
+    while (
+        suffix < min(len(texts), len(other)) - prefix
+        and texts[len(texts) - 1 - suffix] == other[len(other) - 1 - suffix]
+    ):
+        suffix += 1
+    return chunks[prefix : len(chunks) - suffix]
+
+
+def reference_chunks(text, chunk_size, overlap):
+    """``chunk_document`` as a plain loop over lines, kept as its oracle:
+    (span, text) of each chunk."""
+    spacing, minimum = max(1, chunk_size // 4), chunk_size // 8
+    tokens, ends, cuts, since = [], [], [], 0
+    for line in text.splitlines():
+        words = line.split()
+        tokens += words
+        ends.append(len(tokens))
+        if words:
+            since += len(words)
+            if zlib.crc32(line.encode("utf-8")) * spacing < len(words) << 32:
+                if since >= minimum:
+                    cuts.append(len(tokens))
+                since = 0
+    chunks, start = [], 0
+    for cut in cuts + [len(tokens)]:
+        while start < cut:
+            lead = min(overlap, start)
+            end = min(cut, start + chunk_size - lead)
+            if end < cut:
+                fitting = [e for e in ends if start + max(1, minimum) <= e <= end]
+                end = fitting[-1] if fitting else end
+            chunks.append(((start - lead, end), " ".join(tokens[start - lead : end])))
+            start = end
+    return chunks or [((0, 0), "")]
+
+
+class TestContentDefinedChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.one_of(
+            LINES.map(text_of),
+            # separators that str.splitlines and str.split know and bytes do not
+            st.text(st.sampled_from("ab \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=300),
+        ),
+        chunk_size=st.one_of(st.integers(min_value=1, max_value=80), st.integers(1, 2**40)),
+        overlap_fraction=st.floats(min_value=0.0, max_value=0.95),
+    )
+    def test_chunks_match_the_per_line_loop(self, text, chunk_size, overlap_fraction):
+        overlap = min(int(chunk_size * overlap_fraction), chunk_size - 1)
+        chunks = chunk_document(RawDocument("d", text), chunk_size=chunk_size, overlap=overlap)
+        assert [(c.token_span, c.text) for c in chunks] == reference_chunks(text, chunk_size, overlap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=LINES,
+        chunk_size=st.integers(min_value=1, max_value=80),
+        overlap_fraction=st.floats(min_value=0.0, max_value=0.95),
+    )
+    def test_chunks_rejoin_to_the_tokens_and_fit_the_size(self, lines, chunk_size, overlap_fraction):
+        """Dropping each chunk's leading overlap rejoins the document's exact
+        token sequence; no chunk holds more than ``chunk_size`` tokens; spans
+        and ordinals describe the chunks."""
+        overlap = min(int(chunk_size * overlap_fraction), chunk_size - 1)
+        doc = RawDocument(source_path="d", text=text_of(lines))
+        tokens = doc.text.split()
+        chunks = chunk_document(doc, chunk_size=chunk_size, overlap=overlap)
+        rebuilt = []
+        for ordinal, (chunk, lead) in enumerate(zip(chunks, leads(chunks, overlap))):
+            chunk_tokens = chunk.text.split()
+            assert chunk.ordinal == ordinal
+            assert len(chunk_tokens) <= chunk_size
+            assert chunk_tokens[:lead] == rebuilt[len(rebuilt) - lead :]
+            assert chunk.token_span == (len(rebuilt) - lead, len(rebuilt) + len(chunk_tokens) - lead)
+            assert chunk.text == " ".join(tokens[slice(*chunk.token_span)])
+            rebuilt += chunk_tokens[lead:]
+        assert rebuilt == tokens
+        assert all(c.text for c in chunks) or chunks == [Chunk(0, (0, 0), "")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=LINES,
+        chunk_size=st.integers(min_value=8, max_value=80),
+        overlap_fraction=st.floats(min_value=0.0, max_value=0.25),
+        where=st.floats(min_value=0.0, max_value=1.0),
+        kind=st.sampled_from(["replace", "insert", "delete"]),
+        line=st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=6),
+    )
+    @example(  # no cap cut; the edit changes the chunk over it and the next one
+        lines=[[f"w{(i + j) % 12}" for j in range(1 + i % 6)] for i in range(50)],
+        chunk_size=32,
+        overlap_fraction=0.1,
+        where=0.5,
+        kind="replace",
+        line=["w9", "w10"],
+    )
+    def test_a_one_line_edit_changes_the_chunks_over_it_and_the_next(
+        self, lines, chunk_size, overlap_fraction, where, kind, line
+    ):
+        """Content-defined cuts depend on the lines back to the previous
+        candidate line, so an edit moves them only at the edited line and
+        the next candidate. Where the cap cut no chunk, on either side of
+        the edit, the only chunks that change are those over the edited line
+        and the one after them.
+
+        A cap cut is placed from its chunk's start and looks ahead at most
+        ``chunk_size`` tokens, so the chunks that end that far before the
+        line never change; but an edit can move the cap cut before it and
+        every later cap cut up to the next content-defined cut. The last
+        chunk ends at the end of the text, so an edit after it changes it.
+        """
+        overlap = int(chunk_size * overlap_fraction)
+        at = min(int(where * len(lines)), len(lines) - (kind != "insert"))
+        edited = list(lines)
+        if kind == "insert":
+            edited.insert(at, line)
+        elif kind == "delete":
+            del edited[at]
+        else:
+            edited[at] = line
+        start = len(text_of(lines[:at]).split())
+        old_end = start + (0 if kind == "insert" else len(lines[at]))
+        new_end = start + (0 if kind == "delete" else len(edited[at]))
+        old, new = (
+            chunk_document(RawDocument("d", text_of(version)), chunk_size, overlap)
+            for version in (lines, edited)
+        )
+        # the last chunk ends at the end of the text, not at a cut
+        before = [c for c in old[:-1] if c.token_span[1] <= start - chunk_size]
+        assert [c.text for c in new[: len(before)]] == [c.text for c in before]
+        longest = max((len(l) for l in lines + [line]), default=0)
+        capped = any(
+            len(c.text.split()) - lead > chunk_size - lead - longest
+            for chunks in (old, new)
+            for c, lead in zip(chunks, leads(chunks, overlap))
+        )
+        if not capped:
+            assert len(changed(old, new)) <= len(covering(old, start, old_end)) + 1
+            assert len(changed(new, old)) <= len(covering(new, start, new_end)) + 1
 
 
 class TestFirstPages:

@@ -111,6 +111,17 @@ class TestSearch:
         )
         assert [h.key for h in hits] == ["a"]
 
+    def test_valid_at_filter_keeps_the_runs_that_hold_the_version(self):
+        index = VectorIndex(dimension=2)
+        runs = {"a": ("1.0", "1.2"), "b": ("1.2.0", "2.0"), "c": ("2.1", "3"), "d": (None, "9")}
+        for key, (first, last) in runs.items():
+            metadata = {"last": last} if first is None else {"first": first, "last": last}
+            index.insert(entry(key, [1, 0], metadata))
+        for at, expected in (("1.2", ["a", "b"]), ("v2", ["b"]), ("2.0.1", []), ("3.0", ["c"])):
+            flt = MetadataFilter(valid_at=at)
+            assert [h.key for h in index.search(np.array([1.0, 0.0]), 5, flt)] == expected, at
+            assert index.keys(flt) == expected
+
     def test_empty_filter_matches_everything(self):
         assert MetadataFilter().matches({"anything": "x"})
 
@@ -332,12 +343,15 @@ ROW_METADATA = st.fixed_dictionaries(
     optional={
         "shard": st.one_of(FIELD_VALUES, st.just(["1"])),
         "version": st.sampled_from([*VERSION_LABELS, None]),
+        "first": st.sampled_from([*VERSION_LABELS, None]),
+        "last": st.sampled_from([*VERSION_LABELS, None]),
     },
 )
 FILTER = st.builds(
     MetadataFilter,
     st.dictionaries(st.sampled_from(["shard", "version"]), FILTER_VALUES, max_size=2),
     st.none() | st.sets(st.sampled_from([*VERSION_LABELS, "9.9"]), max_size=3),
+    st.none() | st.sampled_from([*VERSION_LABELS, "9.9"]),
 )
 GRID_VECTOR = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
     lambda v: np.asarray(v, dtype=np.float64) / 4.0  # exact dot products; some rows all zero
@@ -365,7 +379,8 @@ def rows_then_search(values, flt):
 def test_column_filter_returns_rows_matches_passes(steps):
     """Interleaved upserts and searches: each search with k = len(index)
     returns exactly the rows ``MetadataFilter.matches`` passes, by descending
-    cosine and then key; an upsert drops the columns the last search built."""
+    cosine and then key, and ``keys`` lists them in insertion order; an
+    upsert drops the columns the last search built."""
     index = VectorIndex(dimension=3)
     rows = {}
     for step in steps:
@@ -383,6 +398,7 @@ def test_column_filter_returns_rows_matches_passes(steps):
             (-cosine(e.vector, query), key) for key, e in rows.items() if flt.matches(e.metadata)
         )
         assert [(-h.score, h.key) for h in hits] == expected
+        assert index.keys(flt) == [key for key, e in rows.items() if flt.matches(e.metadata)]
 
 
 @pytest.mark.parametrize("source", ["inserted", "loaded"])
@@ -520,7 +536,7 @@ class TestPersistence:
         index.save(path)
         sidecar = json.loads(path.read_text())
         raw = (tmp_path / "vectors.npy").read_bytes()
-        assert sidecar["format_version"] == 4
+        assert sidecar["format_version"] == 5
         assert sidecar["dimension"] == 8
         assert sidecar["vectors_sha256"] == hashlib.sha256(raw).hexdigest()
         keys = [item["key"] for item in sidecar["entries"]]
