@@ -43,14 +43,13 @@ from .errors import (
 )
 from .ingestion import count_tokens
 from .textmatch import content_tokens, contains_gold_tokens
+from .vector_index import finite_float32
 from .versions import parse_version
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 256
 DEFAULT_MAX_OUTPUT_TOKENS = 512
-# the largest magnitude a vector component may have: the index stores float32 rows
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class ResponseSchema(str, Enum):
@@ -674,7 +673,7 @@ class Gateway:
                 raise DimensionMismatchError(
                     f"backend returned dimension {vector.shape}, expected ({self.dimension},)"
                 )
-            if not np.abs(vector).max() <= _FLOAT32_MAX:  # a nan fails too
+            if not finite_float32(vector):
                 raise BackendUnavailableError(
                     f"backend returned a vector for text {position} with a"
                     " component that is nan, infinite or beyond float32's range"

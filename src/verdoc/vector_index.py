@@ -9,13 +9,17 @@ reproducible and directly comparable against a brute-force oracle. Only
 the rows scoring at least the k-th score, found by one partition, are
 sorted by (score, key).
 
-Filters run on interned code columns of the index: one integer code per
-row for each metadata key a filter names, plus one column of version
-sort-key classes for each label field a version test reads (``version``
-for ``version_in``; ``first`` and ``last`` for ``valid_at``). A column is
-built on first use and dropped on the next insert or drop. A filter tests
-each distinct value once and keeps the rows whose code passed, so once the
-columns exist no Python code runs per row.
+Metadata is stored in dictionary-encoded columns, one per field, and
+nowhere else: each column lists the field's distinct values and holds one
+integer code per row, -1 where the row lacks the field. ``insert`` and
+``drop`` keep the columns current, ``get`` and search hits rebuild a row's
+metadata dict from them, and ``vectors.json`` stores them as they are, so
+``load`` builds each column's codes with one numpy conversion. A filter
+tests each distinct value once and keeps the rows whose code passed, so no
+Python code runs per row. A version test (``version`` for ``version_in``;
+``first`` and ``last`` for ``valid_at``) compares the version sort keys of
+the values, which each column parses once per value, when a test first
+reads it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchErr
 from .fileio import json_bytes, read_json, write_atomic
 from .versions import parse_version
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
+# the largest magnitude a vector component may have: the index stores float32 rows
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -128,33 +134,82 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / denom)
 
 
-class _Column(NamedTuple):
-    """Interned values of one metadata field: ``values[codes[row]]`` is the row's value."""
-
-    codes: np.ndarray
-    values: list
-
-    def keep(self, rows: np.ndarray, verdicts: list) -> np.ndarray:
-        """The ``rows`` whose value passes; ``verdicts`` holds one per ``values`` entry."""
-        return rows[np.array(verdicts, dtype=np.bool_)[self.codes[rows]]]
+def finite_float32(vector: np.ndarray) -> bool:
+    """Whether every component of ``vector`` is a finite number within
+    float32's range, the rows an index can store and score."""
+    return bool(np.abs(vector).max() <= _FLOAT32_MAX)  # a nan fails too
 
 
-def _intern(values) -> _Column:
-    """One code per distinct value. Values must also share a type to share a
-    code (so 1, 1.0 and True stay apart), and an unhashable value gets a code
-    of its own; every row of a code then compares alike against any value."""
-    code_of: dict = {}
-    distinct: list = []
-    codes = []
-    for value in values:
+class _Column:
+    """One metadata field, dictionary-encoded: ``values[codes[row]]`` is the
+    row's value, and code -1 marks a row without the field.
+
+    ``codes`` has one entry per row of the index's matrix, capacity
+    included. Values must also share a type to share a code (so 1, 1.0 and
+    True stay apart), and an unhashable value gets a code of its own; every
+    row of a code then compares alike against any value.
+    """
+
+    __slots__ = ("codes", "values", "_code_of", "_sort_keys")
+
+    def __init__(self, codes: np.ndarray, values: list):
+        self.codes = codes
+        self.values = values
+        self._code_of: dict = {}
+        for code, value in enumerate(values):
+            try:
+                self._code_of.setdefault((type(value), value), code)
+            except TypeError:  # unhashable
+                pass
+        self._sort_keys: list = []  # of values[: len(_sort_keys)]
+
+    def code(self, value) -> int:
+        """The code of ``value``, which is added to ``values`` when new."""
+        code = len(self.values)
         try:
-            code = code_of.setdefault((type(value), value), len(distinct))
-        except TypeError:
-            code = len(distinct)
-        if code == len(distinct):
-            distinct.append(value)
-        codes.append(code)
-    return _Column(np.asarray(codes, dtype=np.intp), distinct)
+            code = self._code_of.setdefault((type(value), value), code)
+        except TypeError:  # unhashable
+            pass
+        if code == len(self.values):
+            self.values.append(value)
+        return code
+
+    def sort_keys(self) -> list:
+        """The version sort key of each value, None for a None value; the
+        values added since the last call are parsed now."""
+        for raw in self.values[len(self._sort_keys) :]:
+            self._sort_keys.append(None if raw is None else parse_version(raw).sort_key())
+        return self._sort_keys
+
+
+_NO_COLUMN = _Column(np.zeros(0, dtype=np.intp), [])  # of a field that no row holds
+
+
+def _keep(rows: np.ndarray, column: _Column, verdicts: list, absent: bool) -> np.ndarray:
+    """The ``rows`` whose value passes: ``verdicts`` holds one per value of
+    ``column``, and ``absent`` is the verdict on a row without the field,
+    which is every row of ``_NO_COLUMN``."""
+    if column is _NO_COLUMN:
+        return rows if absent else rows[:0]
+    # code -1 reads the verdict appended last
+    return rows[np.array([*verdicts, absent], dtype=np.bool_)[column.codes[rows]]]
+
+
+def _column_of(name: str, data, rows: int) -> _Column:
+    """The column that sidecar ``data`` stores for field ``name`` over ``rows``
+    rows; raises ``ValueError`` unless it holds a list of values and one
+    integer code per row, each -1 or a value's position."""
+    if not (isinstance(data, dict) and set(data) == {"values", "codes"}):
+        raise ValueError(f"metadata field {name!r} is not an object of values and codes")
+    values, codes = data["values"], np.asarray(data["codes"])
+    if not isinstance(values, list):
+        raise ValueError(f"metadata field {name!r}: values are not a list")
+    if codes.shape != (rows,) or (rows and codes.dtype.kind != "i"):
+        raise ValueError(f"metadata field {name!r}: codes are not {rows} integers")
+    codes = codes.astype(np.intp, copy=False)
+    if rows and not (codes.min() >= -1 and codes.max() < len(values)):
+        raise ValueError(f"metadata field {name!r}: a code is out of range")
+    return _Column(codes, values)
 
 
 def _dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -182,20 +237,17 @@ def _norm(vector: np.ndarray) -> float:
     return math.sqrt(float(vector.dot(vector)))
 
 
-_SORT_KEYS = object()  # column key prefix of the version sort-key classes
-
-
 class VectorIndex:
     """In-memory vector store with upsert semantics, saved as ``.npy`` plus a JSON sidecar.
 
     Each row is stored once: its vector, rounded to float32, in one matrix
     whose capacity doubles as rows arrive, its float64 norm in an array
-    beside it, and its key, metadata and text in lists. Rows are stored as
-    given, not normalized, so re-inserting a vector that ``get`` handed out
-    stores the same bits. The filter columns are caches that the next
-    insert or drop clears. Every read and write of the rows runs under one
-    lock. ``insert`` copies the caller's vector in, and ``get`` and search
-    hits hand out float32 copies, so no caller can change a stored row.
+    beside it, its key and text in lists, and its metadata in the columns'
+    codes, which grow with the matrix. Rows are stored as given, not
+    normalized, so re-inserting a vector that ``get`` handed out stores the
+    same bits. Every read and write of the rows runs under one lock.
+    ``insert`` copies the caller's vector in, and ``get`` and search hits
+    hand out float32 copies, so no caller can change a stored row.
     """
 
     def __init__(self, dimension: int):
@@ -206,9 +258,8 @@ class VectorIndex:
         self._row_of: dict = {}
         self._matrix = np.zeros((0, dimension), dtype=np.float32)
         self._norms = np.zeros(0, dtype=np.float64)
-        self._metadata: list = []
         self._texts: list = []
-        self._columns: dict = {}
+        self._columns: dict = {}  # metadata field -> _Column
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -226,11 +277,19 @@ class VectorIndex:
             return [self._keys[row] for row in self._candidates(metadata_filter).tolist()]
 
     def insert(self, entry: IndexEntry) -> None:
-        vector = np.asarray(entry.vector, dtype=np.float32)
+        """Store ``entry``, replacing the entry of its key; raises
+        ``ValueError`` for a vector with a component that is nan, infinite
+        or beyond float32's range."""
+        vector = np.asarray(entry.vector)
         if vector.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"entry {entry.key!r} has shape {vector.shape}, index dimension is {self.dimension}"
             )
+        if not finite_float32(vector):
+            raise ValueError(
+                f"entry {entry.key!r} has a component that is nan, infinite or beyond float32's range"
+            )
+        vector = vector.astype(np.float32)
         with self._lock:
             row = self._row_of.get(entry.key)
             if row is None:
@@ -240,16 +299,23 @@ class VectorIndex:
                     # np.resize fills the new rows with repeats; rows past len(self) are never read
                     self._matrix = np.resize(self._matrix, (capacity, self.dimension))
                     self._norms = np.resize(self._norms, capacity)
+                    for column in self._columns.values():
+                        column.codes = np.resize(column.codes, capacity)
                 self._row_of[entry.key] = row
                 self._keys.append(entry.key)
-                self._metadata.append(dict(entry.metadata))
                 self._texts.append(entry.text)
             else:
-                self._metadata[row] = dict(entry.metadata)
                 self._texts[row] = entry.text
             self._matrix[row] = vector
             self._norms[row] = _norm(vector)
-            self._columns = {}
+            for column in self._columns.values():
+                column.codes[row] = -1
+            for field_name, value in entry.metadata.items():
+                column = self._columns.get(field_name)
+                if column is None:
+                    codes = np.full(len(self._matrix), -1, dtype=np.intp)
+                    column = self._columns[field_name] = _Column(codes, [])
+                column.codes[row] = column.code(value)
 
     def get(self, key: str) -> Optional[IndexEntry]:
         with self._lock:
@@ -269,60 +335,44 @@ class VectorIndex:
             self._row_of = {key: row for row, key in enumerate(self._keys)}
             self._matrix = self._matrix[kept]
             self._norms = self._norms[kept]
-            self._metadata = [self._metadata[row] for row in kept]
             self._texts = [self._texts[row] for row in kept]
-            self._columns = {}
+            for column in self._columns.values():
+                column.codes = column.codes[kept]
 
     def _entry(self, row: int) -> IndexEntry:
+        metadata = {}
+        for field_name, column in self._columns.items():
+            code = column.codes.item(row)  # a Python int: cheaper than a numpy scalar
+            if code >= 0:
+                metadata[field_name] = column.values[code]
         return IndexEntry(
             key=self._keys[row],
             vector=self._matrix[row].copy(),
-            metadata=dict(self._metadata[row]),
+            metadata=metadata,
             text=self._texts[row],
         )
-
-    # --- filter columns, rebuilt after an insert -----------------------------
-
-    def _column(self, key) -> _Column:
-        """The interned column of metadata ``key`` (a missing key reads as None)."""
-        column = self._columns.get(key)
-        if column is None:
-            column = self._columns[key] = _intern(md.get(key) for md in self._metadata)
-        return column
-
-    def _version_classes(self, key: str) -> _Column:
-        """The version sort keys of label field ``key`` by row; None where a
-        row has no such field."""
-        column = self._columns.get((_SORT_KEYS, key))
-        if column is None:
-            labels = self._column(key)
-            classes = _intern(
-                None if raw is None else parse_version(raw).sort_key() for raw in labels.values
-            )
-            column = _Column(classes.codes[labels.codes], classes.values)
-            self._columns[(_SORT_KEYS, key)] = column
-        return column
 
     def _candidates(self, metadata_filter: MetadataFilter) -> np.ndarray:
         """The rows ``metadata_filter.matches`` passes, in ascending order.
 
         Each constraint narrows the rows the last one kept, so only the
-        first touches every row.
+        first touches every row. A row without a field reads it as None.
         """
         rows = np.arange(len(self._keys))
         for key, value in metadata_filter.equality.items():
-            column = self._column(key)
+            column = self._columns.get(key, _NO_COLUMN)
             test = _equality_test(value)
-            rows = column.keep(rows, [test(held) for held in column.values])
+            rows = _keep(rows, column, [test(held) for held in column.values], test(None))
         wanted = metadata_filter.version_keys()
         if wanted is not None:
-            column = self._version_classes("version")
-            rows = column.keep(rows, [sort_key in wanted for sort_key in column.values])
+            column = self._columns.get("version", _NO_COLUMN)
+            rows = _keep(rows, column, [key in wanted for key in column.sort_keys()], False)
         at = metadata_filter.valid_at_key()
         if at is not None:
-            first, last = self._version_classes("first"), self._version_classes("last")
-            rows = first.keep(rows, [key is not None and key <= at for key in first.values])
-            rows = last.keep(rows, [key is not None and at <= key for key in last.values])
+            first = self._columns.get("first", _NO_COLUMN)
+            rows = _keep(rows, first, [key is not None and key <= at for key in first.sort_keys()], False)
+            last = self._columns.get("last", _NO_COLUMN)
+            rows = _keep(rows, last, [key is not None and at <= key for key in last.sort_keys()], False)
         return rows
 
     def search(
@@ -377,20 +427,36 @@ class VectorIndex:
         """Write the vectors to ``vectors_path(path)`` and then the sidecar ``path``.
 
         The ``.npy`` holds the stored rows as a little-endian float32
-        matrix whose row i is entry i of the sidecar; entries are sorted by
-        key, and the sidecar records the ``.npy``'s sha256. Each file is
-        replaced atomically, the ``.npy`` first, so a crash between the two
-        leaves a sidecar whose hash no longer matches and ``load`` reports
-        the index as corrupt.
+        matrix whose row i is the row of the sidecar's key i; rows are
+        sorted by key, and the sidecar records the ``.npy``'s sha256. The
+        sidecar stores each metadata field held by some row as a column:
+        its values, in the order the rows first use them, and one code per
+        row. So the bytes depend only on the rows held, not on the inserts
+        and drops that led to them. Each file is replaced atomically, the
+        ``.npy`` first, so a crash between the two leaves a sidecar whose
+        hash no longer matches and ``load`` reports the index as corrupt.
         Returns the sha256 of each file written, by file name.
         """
         with self._lock:
-            rows = sorted(range(len(self._keys)), key=self._keys.__getitem__)
+            rows = np.array(sorted(range(len(self._keys)), key=self._keys.__getitem__), dtype=np.intp)
             matrix = np.asarray(self._matrix[rows], dtype="<f4")
-            entries = [
-                {"key": self._keys[i], "metadata": self._metadata[i], "text": self._texts[i]}
-                for i in rows
-            ]
+            keys = [self._keys[row] for row in rows.tolist()]
+            texts = [self._texts[row] for row in rows.tolist()]
+            metadata = {}
+            for field_name, column in self._columns.items():
+                codes = column.codes[rows]
+                held = codes >= 0
+                if not held.any():
+                    continue
+                used, first = np.unique(codes[held], return_index=True)
+                used = used[np.argsort(first)]  # in the order of first use
+                renumbered = np.empty(len(column.values), dtype=np.intp)
+                renumbered[used] = np.arange(len(used))
+                codes[held] = renumbered[codes[held]]
+                metadata[field_name] = {
+                    "values": [column.values[code] for code in used.tolist()],
+                    "codes": codes.tolist(),
+                }
         buffer = io.BytesIO()
         np.save(buffer, matrix, allow_pickle=False)
         vectors = buffer.getvalue()
@@ -400,7 +466,9 @@ class VectorIndex:
             "format_version": FORMAT_VERSION,
             "dimension": self.dimension,
             "vectors_sha256": digests[npy.name],
-            "entries": entries,
+            "keys": keys,
+            "texts": texts,
+            "metadata": metadata,
         }
         payload = json_bytes(sidecar)
         write_atomic(npy, vectors)
@@ -419,17 +487,20 @@ class VectorIndex:
             raise VersionMismatchError(
                 f"unsupported index format_version {version!r} (expected {FORMAT_VERSION})"
             )
-        keys, metadata, texts = [], [], []
         try:
-            dimension = int(data["dimension"])
+            dimension = data["dimension"]
+            if type(dimension) is not int or dimension < 1:
+                raise ValueError(f"dimension {dimension!r} is not a positive integer")
             digest = data["vectors_sha256"]
-            for item in data["entries"]:
-                key, held, text = item["key"], item["metadata"], item["text"]
-                if not (isinstance(key, str) and isinstance(held, dict) and isinstance(text, str)):
-                    raise ValueError(f"entry {key!r} needs string key and text, object metadata")
-                keys.append(key)
-                metadata.append(held)
-                texts.append(text)
+            keys, texts, fields = data["keys"], data["texts"], data["metadata"]
+            if not (isinstance(keys, list) and isinstance(texts, list) and len(keys) == len(texts)):
+                raise ValueError("keys and texts are not two lists of one length")
+            for key, text in zip(keys, texts):
+                if not (isinstance(key, str) and isinstance(text, str)):
+                    raise ValueError(f"entry {key!r} needs a string key and text")
+            if not isinstance(fields, dict):
+                raise ValueError("metadata is not an object")
+            columns = {name: _column_of(name, column, len(keys)) for name, column in fields.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"malformed index payload: {exc}") from exc
         if any(a >= b for a, b in zip(keys, keys[1:])):
@@ -441,8 +512,8 @@ class VectorIndex:
         index._row_of = {key: row for row, key in enumerate(keys)}
         index._matrix = matrix
         index._norms = _row_norms(matrix)
-        index._metadata = metadata
         index._texts = texts
+        index._columns = columns
         return index
 
 

@@ -24,6 +24,19 @@ def make_gateway(script=None, dimension=DIMENSION, **kwargs) -> Gateway:
     return Gateway(MockBackend(script=script), dimension=dimension, **kwargs)
 
 
+def sidecar_entries(sidecar: dict) -> list:
+    """The rows of a ``vectors.json`` sidecar as ``{"key", "metadata",
+    "text"}`` objects, the layout vector formats 1 to 5 stored, in key order.
+    Format 6 stores the metadata as columns: code -1 is a row without the
+    field, and any other code is the position of the row's value."""
+    rows = [{"key": k, "metadata": {}, "text": t} for k, t in zip(sidecar["keys"], sidecar["texts"])]
+    for name, column in sidecar["metadata"].items():
+        for row, code in zip(rows, column["codes"]):
+            if code >= 0:
+                row["metadata"][name] = column["values"][code]
+    return rows
+
+
 def doc_text(title: str, version: str, sections) -> str:
     """Documentation file: title heading, version line, ## sections."""
     parts = [f"# {title}", "", f"Version: {version}", "", f"{title} reference documentation."]

@@ -16,12 +16,12 @@ from verdoc.indexer import index_corpus
 PINNED = {
     "graph.json": "2ad620fce383371047a2b9c9c897066a8d562e36e459ca91739f80391543a824",
     # holds the sha256 of vectors.npy, so it pins the vectors too
-    "vectors.json": "aa3f717c475d591fb54ec1227c27e36a6178344705f07ddbd34957bda1c388ee",
+    "vectors.json": "ea85774f68397d3faa964a07c6432e27c34adce98c894b3aa00c2de9bf7ab3dc",
     "attributes.json": "33f76c3edcc475a20c4c43e19036c1ba4f4aef88c5d687a0d04bc24f036ce265",
     "summary.json": "9c0f423004cfc0f3e1efe2b8e02e9f4326f001d6a9ebdbb8b4049f135580710c",
     # holds the sha256 of the other files but summary.json and of the clustered corpus,
     # and the ids of the mock's models
-    "manifest.json": "a182cf2602516da874e4bf4963813094fd04dd7191435db0cd81c233f230c7dd",
+    "manifest.json": "765ada4a66c683fb171ae08265c9e141dfd8475549a8ff62a47b7317d1606010",
 }
 
 

@@ -22,7 +22,7 @@ from verdoc.indexer import GRAPH_FILE, HASHED_FILES, INDEX_FILE, MANIFEST_FILE, 
 from verdoc.ingestion import load_corpus
 from verdoc.vector_index import IndexEntry, VectorIndex
 
-from conftest import assert_doc_corpus, spark_changelog_corpus, write_corpus
+from conftest import assert_doc_corpus, sidecar_entries, spark_changelog_corpus, write_corpus
 
 
 @pytest.fixture
@@ -360,7 +360,7 @@ def rewrite_as_format_4(out, corpus, config_file):
     graph = json.loads(graph_path.read_bytes())
     graph["format_version"] = 4
     sidecar = json.loads(sidecar_path.read_bytes())
-    entries = [item for item in sidecar["entries"] if item["metadata"]["origin"] != "content"]
+    entries = [item for item in sidecar_entries(sidecar) if item["metadata"]["origin"] != "content"]
     for node in graph["nodes"]:
         if node["node_kind"] != "version":
             continue
@@ -378,7 +378,12 @@ def rewrite_as_format_4(out, corpus, config_file):
     np.save(buffer, np.stack(rows).astype("<f4"), allow_pickle=False)
     npy_path.write_bytes(buffer.getvalue())
     digest = hashlib.sha256(buffer.getvalue()).hexdigest()
-    sidecar.update(format_version=4, entries=entries, vectors_sha256=digest)
+    sidecar = {
+        "format_version": 4,
+        "dimension": sidecar["dimension"],
+        "vectors_sha256": digest,
+        "entries": entries,
+    }
     summary = json.loads((out / SUMMARY_FILE).read_bytes())
     summary["chunks"] = sum(item["metadata"]["origin"] == "content" for item in entries)
     manifest = json.loads((out / MANIFEST_FILE).read_bytes())
@@ -436,6 +441,67 @@ class TestFormat4Upgrade:
         # the records of a format-4 graph.json are reused, so the one completion
         # is the clustering prompt; the format-4 vectors do not load, so every
         # text is embedded again
+        upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
+        assert upgraded.pop("usage")["calls"] == 1 < built.pop("usage")["calls"]
+        assert upgraded.pop("changes") == 0 < built.pop("changes")
+        assert upgraded == built and upgraded["chunks"] > 0
+
+
+class TestVectorFormat5Upgrade:
+    """An index written when vectors.json was format 5, which stored each
+    row's metadata as an object of its own, in row-wise ``entries``."""
+
+    @pytest.fixture
+    def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
+        out = tmp_path / "old"
+        with monkeypatch.context() as patch:
+            patch.setattr(indexer, "VECTOR_FORMAT_VERSION", 5)
+            assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+        capsys.readouterr()
+        sidecar_path = out / INDEX_FILE
+        sidecar = json.loads(sidecar_path.read_bytes())
+        old = {
+            "format_version": 5,
+            "dimension": sidecar["dimension"],
+            "vectors_sha256": sidecar["vectors_sha256"],
+            "entries": sidecar_entries(sidecar),
+        }
+        sidecar_path.write_bytes(json_bytes(old))
+        manifest = json.loads((out / MANIFEST_FILE).read_bytes())
+        manifest["files"][sidecar_path.name] = hashlib.sha256(sidecar_path.read_bytes()).hexdigest()
+        (out / MANIFEST_FILE).write_bytes(json_bytes(manifest))
+        return out
+
+    def test_old_vectors_are_a_version_mismatch(self, old_index, config_file):
+        with pytest.raises(VersionMismatchError, match="format_version 5"):
+            VectorIndex.load(old_index / INDEX_FILE)
+        with pytest.raises(VersionMismatchError):
+            Engine.load(old_index, build_gateway(load_config(config_file)))
+
+    def test_reindex_reembeds_each_text_once_and_writes_what_a_fresh_index_writes(
+        self, tmp_path, old_index, corpus, config_file, capsys, monkeypatch
+    ):
+        embedded = {"upgraded": [], "fresh": []}
+        run = "upgraded"
+        real_embed = verdoc.gateway.Gateway.embed
+
+        def counted_embed(gateway, texts):
+            embedded[run].extend(texts)
+            return real_embed(gateway, texts)
+
+        monkeypatch.setattr(verdoc.gateway.Gateway, "embed", counted_embed)
+        assert run_cli(config_file, "index", str(corpus), "--out", str(old_index)) == 0
+        run = "fresh"
+        fresh = tmp_path / "fresh"
+        assert run_cli(config_file, "index", str(corpus), "--out", str(fresh)) == 0
+        capsys.readouterr()
+        for name in (*HASHED_FILES, MANIFEST_FILE):
+            assert (old_index / name).read_bytes() == (fresh / name).read_bytes(), name
+        # the format-5 vectors do not load, so each text is embedded again, once,
+        # as a fresh index embeds it; graph.json still loads, so its records are
+        # reused, not extracted, and the one completion is the clustering prompt
+        assert embedded["upgraded"] and sorted(embedded["upgraded"]) == sorted(embedded["fresh"])
+        assert len(set(embedded["upgraded"])) == len(embedded["upgraded"])
         upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
         assert upgraded.pop("usage")["calls"] == 1 < built.pop("usage")["calls"]
         assert upgraded.pop("changes") == 0 < built.pop("changes")

@@ -45,6 +45,7 @@ from conftest import (
     make_gateway,
     marker_corpus,
     raw,
+    sidecar_entries,
     spark_changelog_corpus,
     write_corpus,
 )
@@ -1337,7 +1338,7 @@ class TestManifest:
         index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
 
         def content(index_dir):
-            entries = json.loads((index_dir / "vectors.json").read_text())["entries"]
+            entries = sidecar_entries(json.loads((index_dir / "vectors.json").read_text()))
             return [e for e in entries if e["metadata"]["origin"] == "content"]
 
         assert content(out) == content(clean)

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,26 @@ class TestInsert:
         index = VectorIndex(dimension=1)
         index.insert(entry("k", [1]))
         assert "k" in index and "other" not in index
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 1e39, -1e39], ids=["nan", "inf", "-inf", "1e39", "-1e39"]
+    )
+    def test_vector_that_float32_cannot_score_is_refused(self, tmp_path, bad):
+        """A component that is nan, infinite or beyond float32's range is
+        refused before anything is stored; float32's largest finite
+        magnitude is stored as it is."""
+        largest = float(np.finfo(np.float32).max)
+        index = VectorIndex(dimension=2)
+        with np.errstate(over="ignore"):  # its float32 norm overflows
+            index.insert(entry("k", [largest, -largest], {"shard": "a"}, text="kept"))
+        with pytest.raises(ValueError, match="'k'"):
+            index.insert(entry("k", [1.0, bad], {"shard": "b"}, text="new"))
+        with pytest.raises(ValueError, match="'other'"):
+            index.insert(entry("other", [bad, 0.0]))
+        assert index.keys() == ["k"] and "other" not in index
+        kept = index.get("k")
+        assert kept.vector.tolist() == [largest, -largest]
+        assert (kept.metadata, kept.text) == ({"shard": "a"}, "kept")
 
 
 class TestSearch:
@@ -401,6 +423,106 @@ def test_column_filter_returns_rows_matches_passes(steps):
         assert index.keys(flt) == [key for key, e in rows.items() if flt.matches(e.metadata)]
 
 
+# JSON reads every NaN as one float object. A set tests membership by
+# identity first, so rows and filters hold that object: a row's nan then
+# matches a set holding nan both before a save and after a load.
+JSON_NAN = json.loads("NaN")
+EDIT = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 11), ROW_METADATA, GRID_VECTOR),
+    st.tuples(st.just("drop"), st.sets(st.integers(0, 11), max_size=3)),
+)
+
+
+def as_read(value):
+    """``value``, and each value of a set or dict, with nan as ``JSON_NAN``."""
+    if isinstance(value, (set, frozenset)):
+        return {as_read(v) for v in value}
+    if isinstance(value, dict):
+        return {k: as_read(v) for k, v in value.items()}
+    return JSON_NAN if isinstance(value, float) and math.isnan(value) else value
+
+
+def typed(value):
+    """``value`` with each scalar tagged by its type, so that 1, 1.0 and True
+    differ, and with nan equal to nan."""
+    if isinstance(value, list):
+        return ("list", [typed(v) for v in value])
+    if isinstance(value, dict):
+        return ("dict", {k: typed(v) for k, v in value.items()})
+    if isinstance(value, float) and math.isnan(value):
+        return ("nan",)
+    return (type(value).__name__, value)
+
+
+def apply_edits(index, edits):
+    for edit in edits:
+        if edit[0] == "insert":
+            _, n, metadata, vector = edit
+            index.insert(entry(f"k{n:02d}", vector, as_read(metadata), text=f"t{n}"))
+        else:
+            index.drop([f"k{n:02d}" for n in edit[1]])
+
+
+def snapshot(index, filters):
+    """What an index answers: each entry, typed, and each filter's search
+    hits and keys, the keys sorted (``keys`` lists insertion order)."""
+    entries = {
+        key: (typed(got.metadata), got.text, got.vector.tobytes())
+        for key, got in ((key, index.get(key)) for key in index.keys())
+    }
+    query = np.array([1.0, 0.5, -0.25])
+    searches = [
+        (
+            [(h.key, repr(h.score)) for h in index.search(query, k=max(1, len(index)), metadata_filter=flt)],
+            sorted(index.keys(flt)),
+        )
+        for flt in filters
+    ]
+    return entries, searches
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(EDIT, max_size=25),
+    st.lists(FILTER, min_size=1, max_size=4),
+    st.lists(EDIT, max_size=10),
+)
+@example(
+    [("insert", 0, {"shard": NAN}, np.ones(3)), ("insert", 1, {"shard": None}, np.ones(3))],
+    [MetadataFilter({"shard": {NAN}}), MetadataFilter({"shard": None})],
+    [("insert", 2, {"shard": NAN}, np.ones(3))],
+)
+@example(
+    [("insert", n, {"shard": v}, np.ones(3)) for n, v in enumerate([1, 1.0, True, ["1"], ["1"]])]
+    + [("insert", 5, {}, np.ones(3)), ("drop", {1})],
+    [MetadataFilter({"shard": True}), MetadataFilter({"shard": 1.0})],
+    [("insert", 6, {"shard": ["1"]}, np.ones(3)), ("insert", 1, {"shard": 1.0}, np.ones(3))],
+)
+def test_save_and_load_keep_every_entry_and_filter(before, filters, after):
+    """After ``save`` and ``load``, every ``get`` equals the entry as it was
+    (an absent field against a null one, 1 against 1.0 and True, lists and
+    nan included), every filter returns the same keys in the same order,
+    and further inserts and drops leave an index that answers, and saves,
+    as one that was never saved."""
+    filters = [MetadataFilter(as_read(f.equality), f.version_in, f.valid_at) for f in filters]
+    index = VectorIndex(dimension=3)
+    apply_edits(index, before)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "vectors.json"
+        index.save(path)
+        loaded = VectorIndex.load(path)
+        assert snapshot(loaded, filters) == snapshot(index, filters)
+        apply_edits(loaded, after)
+        never_saved = VectorIndex(dimension=3)
+        apply_edits(never_saved, before + after)
+        assert snapshot(loaded, filters) == snapshot(never_saved, filters)
+        saved = {}
+        for name, edited in (("loaded", loaded), ("never-saved", never_saved)):
+            edited.save(Path(scratch) / f"{name}.json")
+            saved[name] = [(Path(scratch) / f"{name}{suffix}").read_bytes() for suffix in (".json", ".npy")]
+        assert saved["loaded"] == saved["never-saved"]
+
+
 @pytest.mark.parametrize("source", ["inserted", "loaded"])
 def test_writes_into_handed_out_vectors_change_no_row(tmp_path, source):
     """After an insert, writing into the caller's array, a ``get`` vector or a
@@ -536,12 +658,18 @@ class TestPersistence:
         index.save(path)
         sidecar = json.loads(path.read_text())
         raw = (tmp_path / "vectors.npy").read_bytes()
-        assert sidecar["format_version"] == 5
+        assert set(sidecar) == {"format_version", "dimension", "vectors_sha256", "keys", "texts", "metadata"}
+        assert sidecar["format_version"] == 6
         assert sidecar["dimension"] == 8
         assert sidecar["vectors_sha256"] == hashlib.sha256(raw).hexdigest()
-        keys = [item["key"] for item in sidecar["entries"]]
+        keys = sidecar["keys"]
         assert keys == sorted(index.keys())
-        assert set(sidecar["entries"][0]) == {"key", "metadata", "text"}
+        assert sidecar["texts"] == [index.get(k).text for k in keys]
+        # each field's values in the order the key-sorted rows first use them
+        assert sidecar["metadata"] == {
+            "origin": {"values": ["content"], "codes": [0] * 50},
+            "version": {"values": ["0.0", "1.0", "2.0"], "codes": [i % 3 for i in range(50)]},
+        }
         matrix = np.load(io.BytesIO(raw), allow_pickle=False)
         assert matrix.dtype == np.dtype("<f4") and matrix.flags.c_contiguous
         assert [row.tobytes() for row in matrix] == [index.get(k).vector.tobytes() for k in keys]
@@ -605,21 +733,34 @@ class TestPersistence:
         with pytest.raises(CorruptFileError):
             VectorIndex.load(path)
 
+    @staticmethod
+    def rewrite(path, change):
+        """Apply ``change`` to the sidecar at ``path`` and write it back."""
+        sidecar = json.loads(path.read_text())
+        change(sidecar)
+        path.write_text(json.dumps(sidecar))
+
     @pytest.mark.parametrize(
-        "entries",
-        [[{"key": "b"}, {"key": "a"}], [{"key": "a"}, {"key": "a"}], [{"key": 1}], "nope", [{}]],
+        "keys",
+        [["b", "a"], ["a", "a"], [1, "b"], "nope", None],
         ids=["unsorted", "duplicate", "non-string", "not-a-list", "no-key"],
     )
-    def test_malformed_entries_are_corrupt(self, tmp_path, entries):
+    def test_malformed_entries_are_corrupt(self, tmp_path, keys):
+        """Keys that are not a list of unique strings in ascending order, or
+        no keys at all, are corrupt; so are keys and texts of two lengths."""
         path = tmp_path / "vectors.json"
-        VectorIndex(dimension=2).save(path)
-        sidecar = json.loads(path.read_text())
-        sidecar["entries"] = entries
-        if isinstance(entries, list):
-            for item in entries:
-                item.update(metadata={}, text="")
-        path.write_text(json.dumps(sidecar))
+        index = VectorIndex(dimension=2)
+        for key in ("a", "b"):
+            index.insert(entry(key, [1, 0]))
+        index.save(path)
+        if keys is None:
+            self.rewrite(path, lambda sidecar: sidecar.pop("keys"))
+        else:
+            self.rewrite(path, lambda sidecar: sidecar.update(keys=keys))
         with pytest.raises(CorruptFileError):
+            VectorIndex.load(path)
+        self.rewrite(path, lambda sidecar: sidecar.update(keys=["a", "b"], texts=[""]))
+        with pytest.raises(CorruptFileError, match="length"):
             VectorIndex.load(path)
 
     @pytest.mark.parametrize(
@@ -632,16 +773,110 @@ class TestPersistence:
             ("text", None),
             ("text", 5),
             ("text", ["x"]),
+            ("metadata-object", [["version", {}]]),
+            ("texts", "text"),
         ],
-        ids=["pairs", "empty-list", "string", "null", "null-text", "number-text", "list-text"],
+        ids=[
+            "pairs",
+            "empty-list",
+            "string",
+            "null",
+            "null-text",
+            "number-text",
+            "list-text",
+            "metadata-pairs",
+            "texts-not-a-list",
+        ],
     )
     def test_non_object_metadata_or_non_string_text_is_corrupt(self, tmp_path, field, value):
+        """A column that is not an object, metadata that is not an object of
+        columns, a text that is not a string (the error names its key) and
+        texts that are not a list are corrupt."""
         path = tmp_path / "vectors.json"
         self.build().save(path)
-        sidecar = json.loads(path.read_text())
-        sidecar["entries"][7][field] = value
-        path.write_text(json.dumps(sidecar))
-        with pytest.raises(CorruptFileError, match="k07"):
+
+        def damage(sidecar):
+            if field == "metadata":
+                sidecar["metadata"]["version"] = value
+            elif field == "text":
+                sidecar["texts"][7] = value
+            else:
+                sidecar[field.removesuffix("-object")] = value
+
+        self.rewrite(path, damage)
+        with pytest.raises(CorruptFileError, match="k07" if field == "text" else None):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            {"values": ["0.0", "1.0", "2.0"], "codes": [3] + [0] * 49},
+            {"values": ["0.0", "1.0", "2.0"], "codes": [-2] + [0] * 49},
+            {"values": ["0.0"], "codes": [0] * 49},
+            {"values": ["0.0"], "codes": [0] * 51},
+            {"values": ["0.0"], "codes": [[0]] * 50},
+            {"values": ["0.0"], "codes": [0.0] * 50},
+            {"values": ["0.0"], "codes": ["0"] * 50},
+            {"values": ["0.0"], "codes": [None] * 50},
+            {"values": ["0.0"], "codes": "0" * 50},
+            {"values": "0.0", "codes": [0] * 50},
+            {"values": {"0": "0.0"}, "codes": [0] * 50},
+            {"values": ["0.0"]},
+            {"codes": [0] * 50},
+        ],
+        ids=[
+            "code-past-the-values",
+            "code-below-minus-one",
+            "short-codes",
+            "long-codes",
+            "nested-codes",
+            "float-codes",
+            "string-codes",
+            "null-codes",
+            "codes-not-a-list",
+            "values-a-string",
+            "values-an-object",
+            "no-codes",
+            "no-values",
+        ],
+    )
+    def test_malformed_column_is_corrupt(self, tmp_path, column):
+        """A column needs a list of values and one integer code per row, each
+        -1 or the position of a value."""
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        self.rewrite(path, lambda sidecar: sidecar["metadata"].update(version=column))
+        with pytest.raises(CorruptFileError, match="version"):
+            VectorIndex.load(path)
+
+    def test_column_codes_of_minus_one_mark_rows_without_the_field(self, tmp_path):
+        """Code -1 is a row without the field, which ``get`` leaves out and a
+        filter reads as None."""
+        path = tmp_path / "vectors.json"
+        self.build().save(path)
+        column = {"values": [None, "x"], "codes": [-1, 0, 1] * 16 + [-1, -1]}
+        self.rewrite(path, lambda sidecar: sidecar["metadata"].update(extra=column))
+        loaded = VectorIndex.load(path)
+        assert "extra" not in loaded.get("k00").metadata
+        assert loaded.get("k01").metadata["extra"] is None
+        assert loaded.get("k02").metadata["extra"] == "x"
+        assert loaded.keys(MetadataFilter({"extra": "x"})) == [f"k{i:02d}" for i in range(2, 48, 3)]
+        none = [key for key in loaded.keys() if int(key[1:]) % 3 != 2]
+        assert loaded.keys(MetadataFilter({"extra": None})) == none
+
+    @pytest.mark.parametrize(
+        "dimension", [2.9, 2.0, "2", 0, -2, True, None, [2]], ids=repr
+    )
+    def test_dimension_must_be_a_positive_integer(self, tmp_path, dimension):
+        """``dimension`` must be a JSON integer of at least 1; a fraction, a
+        string or a boolean is not read as one, and 0 is corrupt, not a
+        dimension mismatch."""
+        path = tmp_path / "vectors.json"
+        index = VectorIndex(dimension=2)
+        index.insert(entry("a", [1, 0]))
+        index.save(path)
+        self.rewrite(path, lambda sidecar: sidecar.update(dimension=dimension))
+        with pytest.raises(CorruptFileError, match="dimension"):
             VectorIndex.load(path)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
@@ -749,18 +984,19 @@ def test_a_rows_score_does_not_depend_on_its_neighbours(tmp_path):
 
 
 def test_nan_scores_come_last_in_key_order():
-    """A row with an infinite component scores nan (an infinite dot over an
-    infinite norm); nan hits follow every other hit in ascending key order,
-    the order ``np.lexsort`` gives by descending score and then key, in an
-    unfiltered and in a filtered search."""
-    inf = np.inf
-    rows = {"g": [inf, 0], "e": [1, 0], "a": [inf, 1], "d": [0, 1]}
-    rows.update({"c": [-inf, 0], "b": [1, 1], "f": [1, 0]})
+    """A finite row whose float32 dot with the query and with itself
+    overflows scores nan (an infinite dot over an infinite norm); nan hits
+    follow every other hit in ascending key order, the order ``np.lexsort``
+    gives by descending score and then key, in an unfiltered and in a
+    filtered search."""
+    big = 3e38
+    rows = {"g": [big, big], "e": [1, 1], "a": [big, 2e38], "d": [0, -1]}
+    rows.update({"c": [-big, -big], "b": [1, 0], "f": [1, 1]})
     index = VectorIndex(dimension=2)
-    for key, vector in rows.items():
-        index.insert(entry(key, vector, {"shard": "b" if key in "bg" else "a"}))
-    query = np.array([1.0, 0.0])
-    with np.errstate(invalid="ignore"):
+    query = np.array([1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, vector in rows.items():
+            index.insert(entry(key, vector, {"shard": "b" if key in "bg" else "a"}))
         hits = index.search(query, k=len(rows))
         assert [h.key for h in hits] == ["e", "f", "b", "d", "a", "c", "g"]
         assert [math.isnan(h.score) for h in hits] == [False] * 4 + [True] * 3
