@@ -27,17 +27,23 @@ entries it wrote as the one record of what the index holds: the vector
 entries of anything else and the cached attributes of files no longer in
 the corpus are dropped.
 
-Every full run writes ``manifest.json`` last. It records a digest of the
-clustered catalog (each category name, group title and member's cache key
-and attributes), the chunking, page and embedding parameters, the ids of
-the completion and embedding models, and the sha256 of ``graph.json``,
-``vectors.json``, ``vectors.npy`` and ``attributes.json``. The manifest is
-the one shortcut: a re-index whose catalog, parameters and files match it
-stops right after clustering, parses neither the graph nor the vectors and
-writes nothing, and any other run rebuilds and rewrites every file. A run
-that stops early leaves a manifest that no longer matches, so the next run
-takes the full path. An index without a manifest vouches for nothing, so
-none of its files is reused.
+Every full run writes ``manifest.json`` after the other index files. It
+records a digest of the clustered catalog (each category name, group title
+and member's cache key and attributes), the chunking, page and embedding
+parameters, the ids of the completion and embedding models, and the sha256
+of ``graph.json``, ``vectors.json``, ``vectors.npy`` and
+``attributes.json``. A re-index whose catalog, parameters and files match
+it stops right after clustering, parses neither the graph nor the vectors
+and writes none of the index files, and any other run rebuilds and
+rewrites every file. A run that stops early leaves a manifest that no
+longer matches, so the next run takes the full path. An index without a
+manifest vouches for nothing, so none of its files is reused.
+
+The stat signature (:mod:`verdoc.signature`), written after the manifest,
+spares that check its reads: a re-index whose corpus and index files still
+have the rows the signature holds reads no corpus text and hashes no index
+file, and a run that had to read and hash to find the index current
+writes the signature alone.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from . import prompts
+from . import prompts, signature
 from .changes import (
     changelog_tag,
     extract_explicit_changes,
@@ -74,11 +80,13 @@ from .ingestion import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
     PAGE_TOKENS,
+    CorpusFile,
     RawDocument,
     chunk_document,
     first_pages,
     load_corpus,
     outline,
+    walk_corpus,
 )
 from .textmatch import content_tokens
 from .vector_index import FORMAT_VERSION as VECTOR_FORMAT_VERSION
@@ -97,6 +105,8 @@ MANIFEST_FORMAT_VERSION = 1
 CONTENT = MetadataFilter({"origin": "content"})
 # the files whose sha256 the manifest records
 HASHED_FILES = (GRAPH_FILE, INDEX_FILE, vectors_path(INDEX_FILE).name, ATTRIBUTES_FILE)
+# the index files whose rows the stat signature holds
+SIGNED_FILES = (MANIFEST_FILE, *HASHED_FILES)
 
 
 @dataclass
@@ -693,8 +703,61 @@ def _summary(graph, catalog, documents, usage, chunks=0, changes=0) -> IndexSumm
     )
 
 
-def _cache_key(doc: RawDocument) -> str:
+def _cache_key(doc) -> str:
+    if isinstance(doc, _Vouched):
+        return doc.key
     return f"{doc.source_path}:{doc.sha256[:16]}"
+
+
+@dataclass(eq=False)
+class _Vouched:
+    """A corpus file that the stat signature vouches for, in place of its
+    document: ``key`` is the attribute-cache key of the text the file held
+    when the signature was written, and that text is not read unless a
+    stage after clustering needs it."""
+
+    file: CorpusFile
+    key: str
+
+    @property
+    def source_path(self) -> str:
+        return self.file.source_path
+
+
+def _vouched_documents(files: list, attribute_cache: dict) -> Optional[list]:
+    """A ``_Vouched`` for each of ``files`` that ``attribute_cache`` names
+    with attributes, under the key it is named by; None when no file is so
+    named, or when one of the others now reads as a document.
+
+    The run that wrote the signature cached the attributes of every file it
+    kept and of no other, so each other file is one it skipped; it is read
+    to log why it is skipped again.
+    """
+    named = {}
+    for key, entry in attribute_cache.items():
+        if _cached_attributes(entry) is not None:
+            named[key.rpartition(":")[0]] = key
+    documents = [_Vouched(file, named[file.source_path]) for file in files if file.source_path in named]
+    if not documents or any(file.read() is not None for file in files if file.source_path not in named):
+        return None
+    return documents
+
+
+def _read_vouched(catalog: CorpusCatalog, documents: list) -> Optional[list]:
+    """``documents`` with each ``_Vouched`` replaced by the document its file
+    holds, in ``catalog`` as well; None when a file no longer holds the
+    text its cache key names, or cannot be read."""
+    read = {}
+    for doc in documents:
+        if isinstance(doc, _Vouched):
+            held = doc.file.read()
+            if held is None or _cache_key(held) != doc.key:
+                return None
+            read[id(doc)] = held
+    if read:
+        for _, group in catalog.all_groups():
+            group.members = [(read.get(id(doc), doc), attrs) for doc, attrs in group.members]
+    return [read.get(id(doc), doc) for doc in documents]
 
 
 # --- the manifest ------------------------------------------------------------------------
@@ -807,10 +870,20 @@ def index_corpus(
     parameters, and each file it lists still has its recorded sha256, the
     index already holds what this run would write: the run returns 0
     chunks, 0 changes and a graph that is read from ``graph.json`` on first
-    use, and writes no file, so ``summary.json`` still describes the run
-    that built the index. An attribute-cache miss or a cached file that is
-    gone changes the catalog, and a damaged cache its sha256, so neither
-    passes this check. Each index file is hashed at most once per run.
+    use, and writes none of the six index files, so ``summary.json`` still
+    describes the run that built the index. An attribute-cache miss or a
+    cached file that is gone changes the catalog, and a damaged cache its
+    sha256, so neither passes this check. Each index file is hashed at most
+    once per run.
+
+    When the stat signature in ``out_dir`` (see :mod:`verdoc.signature`)
+    vouches for the corpus and the index files, no file's sha256 is taken:
+    the manifest's are trusted, and each corpus file the attribute cache
+    names is clustered under the cache key it is named by, unread. Only
+    when that index turns out not to be current are the texts read, and a
+    text that no longer has its cache key makes the run start over,
+    reading and hashing everything. A run that hashed its way to a current
+    index writes the signature alone.
 
     Otherwise the vector entries, cached attributes and change records of
     an index in ``out_dir`` are reused, so an unchanged corpus re-indexes
@@ -821,14 +894,22 @@ def index_corpus(
     readable manifest reuses none of the three. An unreadable vector index
     (an older format, one torn by a crash, or one of another dimension) is
     re-embedded in full, and an unreadable graph has its changes
-    re-extracted. Every file is replaced atomically, and
-    ``manifest.json`` is written last, so a run that stops early leaves a
-    manifest whose inputs or file hashes do not match, and the next run
-    builds the index again.
+    re-extracted. Every file is replaced atomically, and ``manifest.json``
+    is written after the other five and before the signature, so a run
+    that stops early leaves a manifest whose inputs or file hashes do not
+    match, and a signature that does not match the new files, and the next
+    run builds the index again.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    documents = load_corpus(root_path)
+    files = walk_corpus(root_path)
+    # a clock reading taken before every stat this run records: the
+    # signature's mtime, when it vouches for the stats it holds
+    since = signature.vouched(out, files, SIGNED_FILES)
+    hashing, rows = since is None, None
+    if hashing:
+        since = signature.clock(out)
+        rows = signature.index_rows(out, SIGNED_FILES)
     recorded = _read_manifest(out / MANIFEST_FILE)
     parameters = {
         "chunk_size": chunk_size,
@@ -840,6 +921,9 @@ def index_corpus(
     }
 
     digests: dict = {}  # path -> sha256, each index file hashed at most once
+    if not hashing and isinstance(recorded.get("files"), dict):
+        # a signature is written only over files found to have these sha256
+        digests = {out / name: recorded["files"].get(name) for name in HASHED_FILES}
     cache_path = out / ATTRIBUTES_FILE
     attribute_cache: dict = {}
     # attributes cached at another page_tokens were extracted from other pages,
@@ -847,13 +931,19 @@ def index_corpus(
     if cache_path.exists() and _unchanged(recorded, parameters, "page_tokens", "model"):
         try:
             cached = cache_path.read_bytes()
-            digests[cache_path] = hashlib.sha256(cached).hexdigest()
+            if cache_path not in digests:
+                digests[cache_path] = hashlib.sha256(cached).hexdigest()
             attribute_cache = json.loads(cached.decode("utf-8"))
         except (OSError, ValueError):
             attribute_cache = None
         if not isinstance(attribute_cache, dict):
             logger.warning("ignoring unreadable attribute cache at %s", cache_path)
             attribute_cache = {}
+    documents = None
+    if not hashing and attribute_cache:
+        documents = _vouched_documents(files, attribute_cache)
+    if documents is None:
+        documents = load_corpus(root_path, files)
     usage_before = gateway.usage()
     catalog = catalog_documents(documents, gateway, page_tokens, attribute_cache)
     manifest = {
@@ -863,7 +953,14 @@ def index_corpus(
     }
     graph_path = out / GRAPH_FILE
     if _index_is_current(out, recorded, manifest, digests):
+        if hashing and rows is not None:
+            signature.write(out, files, since, SIGNED_FILES, rows)
         return _summary(graph_path, catalog, documents, gateway.usage().minus(usage_before))
+    documents = _read_vouched(catalog, documents)
+    if documents is None:
+        logger.warning("a corpus file changed during the run; indexing %s again", root_path)
+        (out / signature.SIGNATURE_FILE).unlink(missing_ok=True)
+        return index_corpus(root_path, out_dir, gateway, dimension, chunk_size, overlap, page_tokens)
 
     index_path = out / INDEX_FILE
     vector_index = VectorIndex(dimension)
@@ -901,10 +998,11 @@ def index_corpus(
     )
     summary.usage = gateway.usage().minus(usage_before)  # the clustering above included
 
-    files = {GRAPH_FILE: summary.graph.save(graph_path), **vector_index.save(index_path)}
+    files_written = {GRAPH_FILE: summary.graph.save(graph_path), **vector_index.save(index_path)}
     attributes = json_bytes(attribute_cache)
     write_atomic(cache_path, attributes)
-    files[ATTRIBUTES_FILE] = hashlib.sha256(attributes).hexdigest()
+    files_written[ATTRIBUTES_FILE] = hashlib.sha256(attributes).hexdigest()
     write_atomic(out / SUMMARY_FILE, json_bytes(summary.to_dict()))
-    write_atomic(out / MANIFEST_FILE, json_bytes({**manifest, "files": files}))
+    write_atomic(out / MANIFEST_FILE, json_bytes({**manifest, "files": files_written}))
+    signature.write(out, files, since, SIGNED_FILES)
     return summary

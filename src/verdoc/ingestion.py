@@ -8,19 +8,23 @@ defined over the token sequence, so rejoining chunk tokens (dropping each
 chunk's leading overlap) reproduces the document's token sequence
 exactly.
 
-Loading a corpus reads the files and nothing more: a document's token count
-and hash are computed when first read.
+Loading a corpus walks the root once and reads the files and nothing more:
+a document's token count and hash are computed when first read. Each file
+keeps the stat of its open handle, taken before its text is read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import logging
+import os
 import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -169,33 +173,89 @@ def outline(doc: RawDocument, page_tokens: int = PAGE_TOKENS) -> str:
     return _head("\n".join(kept), page_tokens)
 
 
-def load_corpus(root_path) -> list:
-    """Load every .md/.txt file under ``root_path``, path-sorted.
+@dataclass(eq=False)
+class CorpusFile:
+    """A file that :func:`walk_corpus` found.
 
-    A document's ``source_path`` is its path relative to the root, with
-    POSIX separators, so it does not depend on how the root was given.
-    An unreadable or empty file is logged and skipped without aborting the
-    load; an empty result raises ``EmptyCorpusError``.
+    ``source_path`` is its path relative to the corpus root, with POSIX
+    separators, and ``path`` the path to open. ``stat`` is the file's last
+    ``os.stat_result``: :meth:`read` takes it on the open handle before it
+    reads the text, so it never describes a later state of the file than
+    the text read.
+    """
+
+    source_path: str
+    path: str
+    stat: Optional[os.stat_result] = None
+
+    def read(self) -> Optional[RawDocument]:
+        """The file's document; None, and logged, when the file cannot be
+        read, is not UTF-8 or holds only whitespace. A file that cannot be
+        opened takes its ``stat`` from its path, and None when that fails too."""
+        self.stat = None
+        try:
+            with open(self.path, encoding="utf-8") as handle:
+                self.stat = os.fstat(handle.fileno())
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            logger.warning("skipping unreadable file %s: %s", self.path, exc)
+            if self.stat is None:
+                with contextlib.suppress(OSError):
+                    self.stat = os.stat(self.path)
+            return None
+        if not text.strip():
+            logger.warning("skipping empty file %s", self.path)
+            return None
+        return RawDocument(source_path=self.source_path, text=text)
+
+
+def _is_corpus_name(name: str) -> bool:
+    """Whether ``name``'s suffix, as ``pathlib`` reads it, is a corpus extension."""
+    dot = name.rfind(".")
+    return 0 < dot < len(name) - 1 and name[dot:].lower() in CORPUS_EXTENSIONS
+
+
+def walk_corpus(root_path) -> list:
+    """Every .md/.txt file under ``root_path``, as a :class:`CorpusFile`,
+    sorted by source path; no file is opened.
+
+    The walk finds what ``Path.rglob`` finds: hidden files are included, a
+    symlink to a file is a file, a symlink to a directory is not entered,
+    and a directory that cannot be listed is skipped.
     """
     root = Path(root_path)
     if not root.is_dir():
         raise EmptyCorpusError(f"corpus root {root} is not a directory")
-    paths = sorted(
-        (p.relative_to(root).as_posix(), p)
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix.lower() in CORPUS_EXTENSIONS
-    )
-    documents = []
-    for source_path, path in paths:
+    files = []
+    pending = [("", os.fspath(root))]
+    while pending:
+        prefix, directory = pending.pop()
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            logger.warning("skipping unreadable file %s: %s", path, exc)
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((f"{prefix}{entry.name}/", entry.path))
+                    elif _is_corpus_name(entry.name) and entry.is_file():
+                        files.append(CorpusFile(prefix + entry.name, entry.path))
+        except OSError:
             continue
-        if not text.strip():
-            logger.warning("skipping empty file %s", path)
-            continue
-        documents.append(RawDocument(source_path=source_path, text=text))
+    files.sort(key=lambda file: file.source_path)
+    return files
+
+
+def load_corpus(root_path, files: Optional[list] = None) -> list:
+    """Read the .md/.txt files under ``root_path``, path-sorted: ``files``,
+    when :func:`walk_corpus` already found them, or else a new walk's.
+
+    A document's ``source_path`` is its path relative to the root, with
+    POSIX separators, so it does not depend on how the root was given.
+    An unreadable or empty file is logged and skipped without aborting the
+    load; an empty result raises ``EmptyCorpusError``. Each file's ``stat``
+    is taken as it is read (see :meth:`CorpusFile.read`).
+    """
+    if files is None:
+        files = walk_corpus(root_path)
+    documents = [doc for doc in (file.read() for file in files) if doc is not None]
     if not documents:
-        raise EmptyCorpusError(f"no readable .md/.txt documents under {root}")
+        raise EmptyCorpusError(f"no readable .md/.txt documents under {Path(root_path)}")
     return documents

@@ -14,7 +14,9 @@ nowhere else: each column lists the field's distinct values and holds one
 integer code per row, -1 where the row lacks the field. ``insert`` and
 ``drop`` keep the columns current, ``get`` and search hits rebuild a row's
 metadata dict from them, and ``vectors.json`` stores them as they are, so
-``load`` builds each column's codes with one numpy conversion. A filter
+``load`` builds each column's codes with one numpy conversion. A column
+drops the values no row uses any more once they are more than half of it,
+so upserts that keep changing a field's value leave a bounded list. A filter
 tests each distinct value once and keeps the rows whose code passed, so no
 Python code runs per row. A version test (``version`` for ``version_in``;
 ``first`` and ``last`` for ``valid_at``) compares the version sort keys of
@@ -40,6 +42,8 @@ from .fileio import json_bytes, read_json, write_atomic
 from .versions import parse_version
 
 FORMAT_VERSION = 6
+# a column holding at most this many values is never renumbered
+_COMPACT_AT = 16
 # the largest magnitude a vector component may have: the index stores float32 rows
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
@@ -148,20 +152,49 @@ class _Column:
     included. Values must also share a type to share a code (so 1, 1.0 and
     True stay apart), and an unhashable value gets a code of its own; every
     row of a code then compares alike against any value.
+
+    A value stays listed when its last row goes, until :meth:`compact`
+    renumbers the codes over the values still in use. The index asks for
+    that once ``values`` grows past ``limit``, and after each drop.
     """
 
-    __slots__ = ("codes", "values", "_code_of", "_sort_keys")
+    __slots__ = ("codes", "values", "limit", "_code_of", "_sort_keys")
 
     def __init__(self, codes: np.ndarray, values: list):
         self.codes = codes
+        self._set_values(values)
+        self._sort_keys: list = []  # of values[: len(_sort_keys)]
+
+    def _set_values(self, values: list) -> None:
         self.values = values
+        self.limit = max(_COMPACT_AT, 2 * len(values))
         self._code_of: dict = {}
         for code, value in enumerate(values):
             try:
                 self._code_of.setdefault((type(value), value), code)
             except TypeError:  # unhashable
                 pass
-        self._sort_keys: list = []  # of values[: len(_sort_keys)]
+
+    def compact(self, rows: int) -> None:
+        """Drop the values that none of the first ``rows`` rows uses, once
+        fewer than half of more than ``_COMPACT_AT`` values are in use; the
+        codes of those rows are renumbered, in the values' order. Either
+        way, the next call from ``insert`` waits until the values double.
+        A row's value, and the order of the values it uses, do not change.
+        """
+        codes = self.codes[:rows]
+        used = np.zeros(len(self.values) + 1, dtype=np.bool_)
+        used[codes] = True  # code -1 marks the extra last slot
+        kept = np.flatnonzero(used[:-1])
+        if len(self.values) > _COMPACT_AT and 2 * len(kept) < len(self.values):
+            renumbered = np.full(len(self.values) + 1, -1, dtype=np.intp)
+            renumbered[kept] = np.arange(len(kept))
+            self.codes[:rows] = renumbered[codes]
+            kept = kept.tolist()
+            parsed = self._sort_keys
+            self._sort_keys = [parsed[code] for code in kept if code < len(parsed)]
+            self._set_values([self.values[code] for code in kept])
+        self.limit = max(_COMPACT_AT, 2 * len(self.values))
 
     def code(self, value) -> int:
         """The code of ``value``, which is added to ``values`` when new."""
@@ -316,6 +349,8 @@ class VectorIndex:
                     codes = np.full(len(self._matrix), -1, dtype=np.intp)
                     column = self._columns[field_name] = _Column(codes, [])
                 column.codes[row] = column.code(value)
+                if len(column.values) > column.limit:
+                    column.compact(len(self._keys))
 
     def get(self, key: str) -> Optional[IndexEntry]:
         with self._lock:
@@ -338,6 +373,7 @@ class VectorIndex:
             self._texts = [self._texts[row] for row in kept]
             for column in self._columns.values():
                 column.codes = column.codes[kept]
+                column.compact(len(kept))
 
     def _entry(self, row: int) -> IndexEntry:
         metadata = {}

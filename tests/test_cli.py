@@ -20,6 +20,7 @@ from verdoc.fileio import json_bytes
 from verdoc.graph import VersionGraph
 from verdoc.indexer import GRAPH_FILE, HASHED_FILES, INDEX_FILE, MANIFEST_FILE, SUMMARY_FILE
 from verdoc.ingestion import load_corpus
+from verdoc.signature import SIGNATURE_FILE
 from verdoc.vector_index import IndexEntry, VectorIndex
 
 from conftest import assert_doc_corpus, sidecar_entries, spark_changelog_corpus, write_corpus
@@ -786,14 +787,15 @@ def verdoc_cli(*args, cwd):
 def test_entry_point_indexes_reindexes_answers_and_validates(tmp_path):
     """The module entry point end to end on a two-version corpus: an
     unchanged re-index prints the same counts and leaves all six index
-    files untouched; an in-place edit is re-indexed, validated and read
-    back; a damaged graph makes ``validate`` exit with 2."""
+    files and the stat signature untouched; an in-place edit, and then a
+    same-size edit whose mtime is restored, are re-indexed, validated and
+    read back; a damaged graph makes ``validate`` exit with 2."""
     widget = tmp_path / "corpus" / "widget"
     widget.mkdir(parents=True)
     (widget / "1.0.0.md").write_text(WIDGET.format(version="1.0.0", flag="blue"), encoding="utf-8")
     (widget / "2.0.0.md").write_text(WIDGET.format(version="2.0.0", flag="red"), encoding="utf-8")
     index = tmp_path / "index"
-    files = [index / name for name in (*HASHED_FILES, SUMMARY_FILE, MANIFEST_FILE)]
+    files = [index / name for name in (*HASHED_FILES, SUMMARY_FILE, MANIFEST_FILE, SIGNATURE_FILE)]
 
     def run(*args):
         done = verdoc_cli(*args, cwd=tmp_path)
@@ -823,6 +825,15 @@ def test_entry_point_indexes_reindexes_answers_and_validates(tmp_path):
     run("validate", "--index", "index")
     question = "Which flag does Widget Guide 2.0.0 use?"
     assert "green" in json.loads(run("query", question, "--index", "index", "--json"))["answer"]
+
+    # same size, same mtime: only the ctime tells the stat signature of the edit
+    edited = widget / "2.0.0.md"
+    mtime = edited.stat().st_mtime_ns
+    edited.write_text(WIDGET.format(version="2.0.0", flag="black"), encoding="utf-8")
+    os.utime(edited, ns=(mtime, mtime))
+    run("index", "corpus", "--out", "index")
+    run("validate", "--index", "index")
+    assert "black" in json.loads(run("query", question, "--index", "index", "--json"))["answer"]
 
     graph = index / "graph.json"
     graph.write_bytes(graph.read_bytes()[:-100])

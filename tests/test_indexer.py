@@ -3,11 +3,13 @@ import json
 import logging
 import math
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 
-from verdoc import prompts
+from verdoc import indexer, prompts
+from verdoc.cli import main
 from verdoc.engine import Engine
 from verdoc.errors import (
     AttributeExtractionError,
@@ -31,9 +33,11 @@ from verdoc.indexer import (
     index_content,
     index_corpus,
     index_documents,
+    manifest_problems,
 )
-from verdoc.ingestion import RawDocument, chunk_document, count_tokens, first_pages
+from verdoc.ingestion import CorpusFile, RawDocument, chunk_document, count_tokens, first_pages
 from verdoc.retrieval import ParsedQuery, QueryIntent, RetrievalMode
+from verdoc.signature import SIGNATURE_FILE
 from verdoc.vector_index import IndexEntry, VectorIndex
 from verdoc.versions import parse_version
 
@@ -493,7 +497,7 @@ class TestIndexCorpus:
         out = tmp_path / "out"
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
-        written = (*INDEX_FILES, "summary.json", "manifest.json")
+        written = (*INDEX_FILES, "summary.json", "manifest.json", "stat.json")
         assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
     def test_step_failures_carry_step_name(self, tmp_path):
@@ -1429,13 +1433,18 @@ class TestManifest:
         assert json_bytes(summary.graph.to_dict()) == (out / "graph.json").read_bytes()
         assert loads == expected
 
-    @pytest.mark.parametrize("damage", ["none", "torn-npy"])
+    @pytest.mark.parametrize("damage", ["none", "torn-npy", "signed"])
     def test_run_reads_each_hashed_file_once(self, tmp_path, monkeypatch, damage):
-        """The attribute cache is parsed and hashed from one read, and a run
-        whose manifest check fails on another file hashes graph.json once,
-        both for that check and to decide whether to reuse its change
-        records."""
-        corpus, out = self.indexed(tmp_path)
+        """Without the stat signature, the attribute cache is parsed and
+        hashed from one read, and a run whose manifest check fails on another
+        file hashes graph.json once, both for that check and to decide
+        whether to reuse its change records. With the signature in place,
+        attributes.json is the one index file read, once."""
+        if damage == "signed":
+            corpus, out = TestStatSignature.signed(tmp_path)
+        else:
+            corpus, out = self.indexed(tmp_path)
+            (out / SIGNATURE_FILE).unlink(missing_ok=True)
         if damage == "torn-npy":
             npy = out / "vectors.npy"
             npy.write_bytes(npy.read_bytes()[:-8])
@@ -1449,6 +1458,10 @@ class TestManifest:
 
             monkeypatch.setattr(Path, method, counted)
         index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        if damage == "signed":
+            expected = {**dict.fromkeys(INDEX_FILES, 0), "attributes.json": 1}
+            assert {name: reads.count(name) for name in INDEX_FILES} == expected
+            return
         once = INDEX_FILES if damage == "none" else ("graph.json", "attributes.json")
         assert {name: reads.count(name) for name in once} == dict.fromkeys(once, 1)
 
@@ -1478,3 +1491,241 @@ class TestManifest:
         index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
         assert backend.batches == []
         assert len(backend.prompts) == 1
+
+
+def same_size_edit(corpus, out):
+    """One file's text changes but not its size or mtime."""
+    path = corpus / "assert" / "22.md"
+    stat = path.stat()
+    path.write_text(path.read_text(encoding="utf-8").replace("truthy", "zorbly"), encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    return corpus, out
+
+
+def replaced_by_rename(corpus, out):
+    """One file is replaced by another of the same size and mtime."""
+    path = corpus / "assert" / "22.md"
+    stat = path.stat()
+    new = path.with_name("22.md.new")
+    new.write_text(path.read_text(encoding="utf-8").replace("truthy", "zorbly"), encoding="utf-8")
+    os.utime(new, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    os.replace(new, path)
+    return corpus, out
+
+
+def renamed(corpus, out):
+    path = corpus / "assert" / "22.md"
+    path.rename(path.with_name("22-renamed.md"))
+    return corpus, out
+
+
+def new_empty_file(corpus, out):
+    (corpus / "assert" / "empty.md").write_bytes(b"")
+    return corpus, out
+
+
+def racy_row(corpus, out):
+    """The signature is dated back to the newest mtime or ctime it holds."""
+    paths = [*corpus.rglob("*.md"), *(out / name for name in (*INDEX_FILES, "manifest.json"))]
+    newest = max(max(p.stat().st_mtime_ns, p.stat().st_ctime_ns) for p in paths)
+    os.utime(out / SIGNATURE_FILE, ns=(newest, newest))
+    return corpus, out
+
+
+def signature_deleted(corpus, out):
+    (out / SIGNATURE_FILE).unlink()
+    return corpus, out
+
+
+def signature_truncated(corpus, out):
+    path = out / SIGNATURE_FILE
+    path.write_bytes(path.read_bytes()[:20])
+    return corpus, out
+
+
+def signature_not_json(corpus, out):
+    (out / SIGNATURE_FILE).write_bytes(b"\xff not json")
+    return corpus, out
+
+
+def graph_damaged_in_place(corpus, out):
+    """A byte of a title in graph.json changes; its size and mtime do not,
+    and ``verdoc validate`` reports it."""
+    path = out / "graph.json"
+    stat = path.stat()
+    with open(path, "r+b") as handle:
+        handle.seek(path.read_bytes().index(b"Node.js Assert"))
+        handle.write(b"M")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert main(["validate", "--index", str(out)]) == 2
+    assert manifest_problems(out) == ["graph.json: sha256 differs from the one in manifest.json"]
+    return corpus, out
+
+
+def copied_elsewhere(corpus, out):
+    """The corpus and the index are copied, mtimes included, to another directory."""
+    elsewhere = out.parent / "elsewhere"
+    shutil.copytree(corpus, elsewhere / "corpus")
+    shutil.copytree(out, elsewhere / "out")
+    return elsewhere / "corpus", elsewhere / "out"
+
+
+class TestStatSignature:
+    """A re-index whose stat signature vouches for the corpus and the index
+    reads no corpus text and hashes no index file. Every other re-index
+    takes the hashing path, and ends in the bytes a fresh index writes."""
+
+    @staticmethod
+    def signed(tmp_path):
+        """An indexed corpus whose signature is in place: the first run
+        writes none when a corpus file is as new as the run, and the
+        second, hashing, run writes it then."""
+        corpus, out = TestVectorFileWrites.indexed(tmp_path)
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        assert (out / SIGNATURE_FILE).exists()
+        return corpus, out
+
+    @staticmethod
+    def hashed(monkeypatch) -> list:
+        """The name of each file read whole from now on: graph.json is read
+        only to hash it."""
+        reads = []
+        real = Path.read_bytes
+
+        def counted(path):
+            reads.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        return reads
+
+    def test_unchanged_reindex_reads_and_writes_no_index_file(self, tmp_path, monkeypatch):
+        corpus, out = self.signed(tmp_path)
+        names = (*INDEX_FILES, "summary.json", "manifest.json", SIGNATURE_FILE)
+
+        def state():
+            return {n: ((out / n).read_bytes(), (out / n).stat().st_ino, (out / n).stat().st_mtime_ns) for n in names}
+
+        before = state()
+        reads = self.hashed(monkeypatch)
+        texts = []
+        real = CorpusFile.read
+        monkeypatch.setattr(CorpusFile, "read", lambda file: texts.append(file) or real(file))
+        backend = RecordingBackend()
+        summary = index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        assert reads == ["manifest.json", "attributes.json"] and texts == []
+        assert len(backend.prompts) == 1 and backend.batches == []
+        monkeypatch.undo()
+        assert state() == before
+        assert summary.to_dict() == json.loads((out / "summary.json").read_bytes()) | {
+            "chunks": 0,
+            "changes": 0,
+            "usage": summary.usage.to_dict(),
+        }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            same_size_edit,
+            replaced_by_rename,
+            renamed,
+            new_empty_file,
+            racy_row,
+            signature_deleted,
+            signature_truncated,
+            signature_not_json,
+            graph_damaged_in_place,
+            copied_elsewhere,
+        ],
+    )
+    def test_any_other_reindex_hashes_and_ends_in_a_fresh_index_bytes(self, tmp_path, monkeypatch, change):
+        corpus, out = self.signed(tmp_path)
+        before = {name: (out / name).read_bytes() for name in (*INDEX_FILES, "summary.json", "manifest.json")}
+        corpus, out = change(corpus, out)
+        reads = self.hashed(monkeypatch)
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        assert "graph.json" in reads
+        monkeypatch.undo()
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        if change in (new_empty_file, racy_row, signature_deleted, signature_truncated, signature_not_json, copied_elsewhere):
+            # the index was current: the run wrote the signature and nothing else
+            assert {name: (out / name).read_bytes() for name in before} == before
+            assert (out / SIGNATURE_FILE).exists()
+
+    def test_each_run_walks_the_corpus_once(self, tmp_path, monkeypatch):
+        """A fresh index, a re-index the signature vouches for and one that
+        hashes each list the corpus root once: loading and the signature
+        share one walk."""
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, assert_doc_corpus())
+        out = tmp_path / "out"
+        listed = []
+        real = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: listed.append(Path(path)) or real(path))
+        for run in ("fresh", "fresh-or-refresh", "vouched", "hashed"):
+            if run == "hashed":
+                (out / SIGNATURE_FILE).unlink()
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+            assert listed.count(corpus) == 1, run
+            listed.clear()
+
+    def test_fast_path_logs_the_files_it_skips(self, tmp_path, caplog, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, assert_doc_corpus())
+        (corpus / "assert" / "empty.md").write_text("  \n", encoding="utf-8")
+        (corpus / "assert" / "latin1.md").write_bytes(b"caf\xe9\n")
+        out = tmp_path / "out"
+        for _ in range(2):
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        reads = self.hashed(monkeypatch)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="verdoc.ingestion"):
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+        assert "graph.json" not in reads
+        skipped = sorted(r.getMessage().split(" file ")[0] + " " + Path(r.args[0]).name for r in caplog.records)
+        assert skipped == ["skipping empty empty.md", "skipping unreadable latin1.md"]
+
+    def test_stale_index_reads_each_text_once_and_clusters_once(self, tmp_path, monkeypatch):
+        """A vouched-for corpus whose index was built with another chunk size
+        is read, each file once, and sends only its clustering completion."""
+        corpus, out = self.signed(tmp_path)
+        texts = []
+        real = CorpusFile.read
+        monkeypatch.setattr(CorpusFile, "read", lambda file: texts.append(file.source_path) or real(file))
+        backend = RecordingBackend()
+        index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION, chunk_size=128)
+        assert len(backend.prompts) == 1
+        assert sorted(texts) == sorted(p.relative_to(corpus).as_posix() for p in corpus.rglob("*.md"))
+        monkeypatch.undo()
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION, chunk_size=128)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_file_changed_after_clustering_starts_the_run_over(self, tmp_path, monkeypatch, caplog):
+        """The catalog of a vouched-for corpus names the texts its files held;
+        a file edited before its text is read sends the run back to the
+        start, so no stage sees the old text and the new one together."""
+        corpus, out = self.signed(tmp_path)
+        real = indexer.catalog_documents
+        edits = []
+
+        def edit_after(*args, **kwargs):
+            catalog = real(*args, **kwargs)
+            if not edits:
+                edits.append(same_size_edit(corpus, out))
+            return catalog
+
+        monkeypatch.setattr(indexer, "catalog_documents", edit_after)
+        with caplog.at_level(logging.WARNING, logger="verdoc.indexer"):
+            index_corpus(corpus, out, make_gateway(), dimension=DIMENSION, chunk_size=128)
+        assert "a corpus file changed during the run" in caplog.text
+        monkeypatch.undo()
+        clean = tmp_path / "clean"
+        index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION, chunk_size=128)
+        for name in (*INDEX_FILES, "manifest.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name

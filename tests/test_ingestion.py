@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from verdoc.errors import EmptyCorpusError, InvalidChunkParamsError
 from verdoc.ingestion import (
+    CORPUS_EXTENSIONS,
     Chunk,
     RawDocument,
     _head,
@@ -17,6 +18,7 @@ from verdoc.ingestion import (
     first_pages,
     load_corpus,
     outline,
+    walk_corpus,
 )
 
 
@@ -478,6 +480,25 @@ class TestLoadCorpus:
         assert len(skipped) == 1
         assert skipped[0].startswith("skipping unreadable file ")
         assert "bad.md" in skipped[0]
+
+    def test_walk_finds_what_rglob_finds(self, tmp_path):
+        """Hidden files and directories, upper-case and odd suffixes, a
+        directory named like a document, a symlink to a file, one to a
+        directory and a broken one: the walk keeps the file set, order and
+        paths of ``rglob`` with the suffix filter."""
+        for rel in ("a/x.md", "a/b/Y.TXT", ".h/z.md", ".md", "a..md", "e.", "d.md/in.md", "n.bin"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("text\n", encoding="utf-8")
+        (tmp_path / "link.md").symlink_to(tmp_path / "a" / "x.md")
+        (tmp_path / "linkdir").symlink_to(tmp_path / "a", target_is_directory=True)
+        (tmp_path / "broken.md").symlink_to(tmp_path / "nowhere.md")
+        expected = sorted(
+            (p.relative_to(tmp_path).as_posix(), str(p))
+            for p in tmp_path.rglob("*")
+            if p.is_file() and p.suffix.lower() in CORPUS_EXTENSIONS
+        )
+        assert [(f.source_path, f.path) for f in walk_corpus(tmp_path)] == expected
+        assert [d.source_path for d in load_corpus(tmp_path)] == [rel for rel, _ in expected]
 
     def test_empty_file_skipped(self, tmp_path):
         (tmp_path / "good.md").write_text("content here\n", encoding="utf-8")

@@ -4,12 +4,14 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from verdoc import vector_index
 from verdoc.errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
 from verdoc.vector_index import IndexEntry, MetadataFilter, VectorIndex, cosine, vectors_path
 from verdoc.versions import parse_version
@@ -401,8 +403,8 @@ def rows_then_search(values, flt):
 def test_column_filter_returns_rows_matches_passes(steps):
     """Interleaved upserts and searches: each search with k = len(index)
     returns exactly the rows ``MetadataFilter.matches`` passes, by descending
-    cosine and then key, and ``keys`` lists them in insertion order; an
-    upsert drops the columns the last search built."""
+    cosine and then key, and ``keys`` lists them in insertion order; each
+    upsert keeps the columns current for the searches after it."""
     index = VectorIndex(dimension=3)
     rows = {}
     for step in steps:
@@ -521,6 +523,51 @@ def test_save_and_load_keep_every_entry_and_filter(before, filters, after):
             edited.save(Path(scratch) / f"{name}.json")
             saved[name] = [(Path(scratch) / f"{name}{suffix}").read_bytes() for suffix in (".json", ".npy")]
         assert saved["loaded"] == saved["never-saved"]
+        # an index whose columns drop unused values at every chance answers and
+        # saves as one whose columns never do, also after searches parsed the
+        # version keys of the values
+        answered = {}
+        for name, compact_at in (("compacting", 0), ("never-compacting", 10**9)):
+            with mock.patch.object(vector_index, "_COMPACT_AT", compact_at):
+                built = VectorIndex(dimension=3)
+                apply_edits(built, before)
+                first = snapshot(built, filters)
+                apply_edits(built, after)
+                answered[name] = (first, snapshot(built, filters))
+                built.save(Path(scratch) / f"{name}.json")
+            saved[name] = [(Path(scratch) / f"{name}{suffix}").read_bytes() for suffix in (".json", ".npy")]
+        assert answered["compacting"] == answered["never-compacting"]
+        assert saved["compacting"] == saved["never-compacting"] == saved["never-saved"]
+
+
+def test_upserts_of_changing_values_leave_a_bounded_value_list(tmp_path):
+    """1000 upserts of one key, each with a new ``n`` and a new unhashable
+    ``tags`` list, leave each column a few dozen values, not 1000, and the
+    index answers and saves as one that received only the last upsert."""
+    others = [entry(f"o{j}", [1.0, -j], {"tags": ["b"], "n": -j}) for j in range(10)]
+    index, last = VectorIndex(dimension=2), VectorIndex(dimension=2)
+    for other in others:
+        index.insert(other)
+        last.insert(other)
+    for i in range(1000):
+        index.insert(entry("k", [1.0, 1.0], {"tags": ["a"], "n": i}))
+    last.insert(entry("k", [1.0, 1.0], {"tags": ["a"], "n": 999}))
+    assert {name: len(column.values) < 64 for name, column in index._columns.items()} == {"tags": True, "n": True}
+
+    def answers(idx, name):
+        filters = [
+            MetadataFilter({"n": 999}),
+            MetadataFilter({"n": 5}),
+            MetadataFilter({"n": {-3, 999}}),
+            MetadataFilter({"tags": ["a"]}),
+            MetadataFilter({"tags": ["b"]}),
+        ]
+        hits = [[(h.key, h.score, h.entry.metadata) for h in idx.search([1.0, 0.5], k=20, metadata_filter=f)] for f in filters]
+        idx.save(tmp_path / f"{name}.json")
+        saved = [(tmp_path / f"{name}{suffix}").read_bytes() for suffix in (".json", ".npy")]
+        return [idx.get(key).metadata for key in sorted(idx.keys())], hits, saved
+
+    assert answers(index, "upserted") == answers(last, "last")
 
 
 @pytest.mark.parametrize("source", ["inserted", "loaded"])
