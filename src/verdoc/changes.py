@@ -27,10 +27,10 @@ diff(a, b) and diff(b, a) pick mirrored paths.
 
 Implicit records come from diffing adjacent version texts and summarizing
 the hunks in one completion per version pair; explicit records come from
-one completion over a changelog document. A record's id carries the
-``source_tag`` of the texts it came from, so the id alone tells whether a
-record still describes the corpus. A record is stored once, as a node of
-the version graph.
+one completion over a changelog document. A record's id names the source
+it came from (``pair_source``, ``changelog_source``), so the id alone
+tells whether a record still describes the corpus. A record is stored
+once, as a node of the version graph.
 """
 
 from __future__ import annotations
@@ -449,20 +449,28 @@ def deterministic_description(hunk: DiffHunk) -> str:
     return ""
 
 
-def source_tag(*sources: str) -> str:
-    """The tag that names, in a change record's id, what the record was
-    extracted from: ``#r<tag>-`` hashes the sha256 of an implicit record's
-    two version texts, ``#x<tag>-`` is a ``changelog_tag``. A record whose
-    sources changed gets a new id."""
-    return hashlib.sha1("\n".join(sources).encode("utf-8")).hexdigest()[:8]
+def _tag(*parts: str) -> str:
+    return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()[:8]
 
 
-def changelog_tag(changelog: RawDocument, attrs) -> str:
-    """The ``source_tag`` of a changelog file's explicit records: its path,
-    the sha256 of its text, and the version of its attributes, which the
-    extraction prompt names."""
+def pair_source(prev: RawDocument, nxt: RawDocument) -> str:
+    """The source that the ids of a version pair's implicit records name:
+    ``r`` and a tag of the sha256 of the two texts."""
+    return "r" + _tag(prev.sha256, nxt.sha256)
+
+
+def changelog_source(changelog: RawDocument, attrs) -> str:
+    """The source that the ids of a changelog file's explicit records name:
+    ``x`` and a tag of its path, the sha256 of its text and the version of
+    its attributes, which the extraction prompt names."""
     version = "" if attrs.version is None else attrs.version.raw
-    return source_tag(changelog.source_path, changelog.sha256, version)
+    return "x" + _tag(changelog.source_path, changelog.sha256, version)
+
+
+def record_source(record: ChangeRecord) -> str:
+    """The source that ``record``'s id names; an id of an older format names
+    none that :func:`pair_source` or :func:`changelog_source` gives."""
+    return record.id.rpartition("-")[0].rpartition("#")[2]
 
 
 def extract_implicit_changes(document: str, prev: tuple, nxt: tuple, gateway: Gateway) -> list:
@@ -472,7 +480,7 @@ def extract_implicit_changes(document: str, prev: tuple, nxt: tuple, gateway: Ga
     nxt. One completion summarizes all hunks of the pair; the reply may
     merge adjacent hunks when it returns a valid partition of hunk indices,
     otherwise every hunk gets its own record with the deterministic
-    first-line description. Record ids carry the ``source_tag`` of the two
+    first-line description. Record ids name the ``pair_source`` of the two
     texts.
     """
     (prev_label, prev_doc) = prev
@@ -485,10 +493,10 @@ def extract_implicit_changes(document: str, prev: tuple, nxt: tuple, gateway: Ga
         return []
 
     groups = _summarize_hunks(hunks, document, prev_label, next_label, gateway)
-    tag = source_tag(prev_doc.sha256, next_doc.sha256)
+    source = pair_source(prev_doc, next_doc)
     return [
         ChangeRecord(
-            id=f"{pair}#r{tag}-{ordinal:04d}",
+            id=f"{pair}#{source}-{ordinal:04d}",
             document=document,
             from_version=prev_label,
             to_version=next_label,
@@ -557,8 +565,9 @@ def extract_explicit_changes(
     """Extract per-version change items from a changelog document.
 
     ``attrs`` must classify the document as a changelog. Versions are kept
-    as parsed labels; records carry no from_version (the graph attaches
-    them to the chain-adjacent pair at insertion time).
+    as parsed labels. A record carries no from_version: it belongs to
+    whichever adjacent version pair ends at its to-version in the graph
+    (``VersionGraph.changes_for_pair``), so the chain alone places it.
     """
     if attrs.doc_type != "changelog":
         raise ValueError(f"{changelog.source_path} is not classified as a changelog")
@@ -578,7 +587,7 @@ def extract_explicit_changes(
         raise ExplicitExtractionError(
             f"changelog extraction failed for {changelog.source_path}: {exc}"
         ) from exc
-    tag = changelog_tag(changelog, attrs)
+    source = changelog_source(changelog, attrs)
     records = []
     for item in data["changes"]:
         raw_version = item.get("version")
@@ -590,7 +599,7 @@ def extract_explicit_changes(
         label = parse_version(str(raw_version))
         records.append(
             ChangeRecord(
-                id=f"change:{document}@{label.raw}#x{tag}-{len(records):04d}",
+                id=f"change:{document}@{label.raw}#{source}-{len(records):04d}",
                 document=document,
                 from_version=None,
                 to_version=label,

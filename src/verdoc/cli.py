@@ -152,8 +152,7 @@ def changes(ctx, document, frm, to, index_dir, as_json):
     if not records:
         click.echo("(no change records in range)")
     for r in records:
-        frm_raw = r.from_version.raw if r.from_version is not None else "?"
-        click.echo(f"{frm_raw} -> {r.to_version.raw} [{r.kind.value}/{r.origin.value}] {r.description}")
+        click.echo(f"{r.span} [{r.kind.value}/{r.origin.value}] {r.description}")
 
 
 @cli.command(name="eval")

@@ -21,8 +21,8 @@ Structural invariants (checked by :meth:`VersionGraph.validate`):
 * each parent field names a node of the level above: a document's a
   category, and the document of a version or change record a document,
 * no two versions of a document have labels the comparator equates,
-* change records name versions of their document (from-version may be
-  absent for a document's first version), an implicit one an adjacent pair.
+* change records name versions of their document (an explicit one need
+  name no from-version), an implicit one an adjacent pair.
 
 Mutations take an internal lock (single writer); reads are lock-free and
 may run from any thread.
@@ -125,6 +125,13 @@ class ChangeRecord:
     description: str
     origin: ChangeOrigin
     evidence: list = field(default_factory=list)  # diff hunk ids, empty for explicit
+
+    @property
+    def span(self) -> str:
+        """The record's versions: "<from> -> <to>", or the to-version alone."""
+        if self.from_version is None:
+            return self.to_version.raw
+        return f"{self.from_version.raw} -> {self.to_version.raw}"
 
 
 Node = Union[CategoryNode, DocumentNode, VersionNode, ChangeRecord]

@@ -20,7 +20,7 @@ content keys and change ids are deterministic, extracted attributes are
 cached next to the index, a text that an entry already holds is not
 embedded again, and the change records of the previous graph are reused
 per changelog file and per version pair whose current texts their ids
-name (``changes.source_tag``). A changelog that yielded no record is
+name (``changes.record_source``). A changelog that yielded no record is
 marked ``no_changes`` in its attribute-cache entry, and is not prompted
 again while that entry stands. A run ends with the graph and the content
 entries it wrote as the one record of what the index holds: the vector
@@ -58,10 +58,11 @@ from typing import Iterable, Optional
 
 from . import prompts, signature
 from .changes import (
-    changelog_tag,
+    changelog_source,
     extract_explicit_changes,
     extract_implicit_changes,
-    source_tag,
+    pair_source,
+    record_source,
 )
 from .errors import (
     AttributeExtractionError,
@@ -399,13 +400,14 @@ def extract_changes(
     """Explicit records for changelog documents, implicit diffs elsewhere.
 
     ``previous`` holds the change records of an earlier run. A record's id
-    names its source (see ``changes.source_tag``), so a changelog file or
-    version pair that has records in ``previous`` under its current source
-    is not re-extracted: its records are re-attached to the (fresh) graph,
-    and re-runs spend no completion tokens on changes. A unit whose text
-    changed since has no records under its new source, and is extracted
-    again. An explicit record's from-version is derived again from the new
-    chain, so a changelog file that is gone leaves no stale pair behind.
+    names its source (see ``changes.record_source``), so a changelog file
+    or version pair that has records in ``previous`` under its current
+    source is not re-extracted: its records are re-attached to the (fresh)
+    graph, and re-runs spend no completion tokens on changes. A unit whose
+    text changed since has no records under its new source, and is
+    extracted again. An explicit record has no from-version: the chain
+    places it in the pair that ends at its to-version. A reused one drops
+    any from-version that an older index stored.
 
     ``attribute_cache`` maps a file's path:hash to its cached attributes. A
     changelog that yields no record is marked ``no_changes`` there, and a
@@ -424,10 +426,8 @@ def extract_changes(
             for doc, attrs in group.members:
                 if attrs.doc_type != "changelog":
                     continue
-                existing = reusable.get((document_id, "x" + changelog_tag(doc, attrs)))
+                existing = reusable.get((document_id, changelog_source(doc, attrs)))
                 if existing:
-                    # in extraction order, each from-version derived as for a fresh record
-                    existing.sort(key=lambda r: int(r.id.rpartition("-")[2]))
                     for record in existing:
                         record.from_version = None
                     _attach_records(graph, vector_index, gateway, existing, fresh=False)
@@ -444,8 +444,8 @@ def extract_changes(
                 if prev_node.id not in doc_of or next_node.id not in doc_of:
                     continue
                 prev_doc, next_doc = doc_of[prev_node.id], doc_of[next_node.id]
-                tag = "r" + source_tag(prev_doc.sha256, next_doc.sha256)
-                existing = reusable.get((document_id, prev_node.label.raw, next_node.label.raw, tag))
+                source = pair_source(prev_doc, next_doc)
+                existing = reusable.get((document_id, prev_node.label.raw, next_node.label.raw, source))
                 if existing:
                     _attach_records(graph, vector_index, gateway, existing, fresh=False)
                     continue
@@ -457,14 +457,12 @@ def extract_changes(
 
 
 def _extraction_unit(record) -> tuple:
-    """What a record's id names as its source: (document, "x" + changelog
-    tag) for an explicit record, (document, from, to, "r" + texts tag) for
-    an implicit one. An id of an older format names no current source."""
-    tag = record.id.rpartition("-")[0].rpartition("#")[2]
+    """The unit a record was extracted from: (document, source) for an
+    explicit record, (document, from, to, source) for an implicit one."""
     if record.origin is ChangeOrigin.EXPLICIT:
-        return record.document, tag
+        return record.document, record_source(record)
     from_raw = "" if record.from_version is None else record.from_version.raw
-    return record.document, from_raw, record.to_version.raw, tag
+    return record.document, from_raw, record.to_version.raw, record_source(record)
 
 
 def _attach_records(
@@ -482,8 +480,7 @@ def _attach_records(
     """
     pending = []
     for record in records:
-        chain = graph.versions_of(record.document)
-        if not any(v.label == record.to_version for v in chain):
+        if graph.find_version(record.document, record.to_version) is None:
             # changelog mentions a version with no retained documentation
             graph.add_version(record.document, record.to_version, synthetic=True, has_text=False)
             logger.warning(
@@ -491,12 +488,6 @@ def _attach_records(
                 record.to_version.raw,
                 record.document,
             )
-            chain = graph.versions_of(record.document)
-        if record.origin.value == "explicit" and record.from_version is None:
-            for prev, nxt in zip(chain, chain[1:]):
-                if nxt.label.sort_key() == record.to_version.sort_key():
-                    record.from_version = prev.label
-                    break
         if record.id in graph.nodes:
             continue
         graph.add_change(record)

@@ -9,8 +9,8 @@ chunk's leading overlap) reproduces the document's token sequence
 exactly.
 
 Loading a corpus walks the root once and reads the files and nothing more:
-a document's token count and hash are computed when first read. Each file
-keeps the stat of its open handle, taken before its text is read.
+a document's hash is computed when first read. Each file keeps the stat of
+its open handle, taken before its text is read.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ def count_tokens(text: str) -> int:
 class RawDocument:
     source_path: str
     text: str
-
-    @functools.cached_property
-    def token_count(self) -> int:
-        return count_tokens(self.text)
 
     @functools.cached_property
     def sha256(self) -> str:

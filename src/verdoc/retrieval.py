@@ -247,13 +247,9 @@ def _retrieve_change_range(parsed: ParsedQuery, graph: VersionGraph) -> Retrieve
 
 
 def _change_item(record: ChangeRecord, title: str) -> ContextItem:
-    """A change record as context; its version is "from -> to", or the
-    target alone without a from version."""
-    version = record.to_version.raw
-    if record.from_version is not None:
-        version = f"{record.from_version.raw} -> {version}"
+    """A change record as context, under its ``span``."""
     return ContextItem(
-        text=record.description, document=title, version=version, origin=record.origin.value
+        text=record.description, document=title, version=record.span, origin=record.origin.value
     )
 
 

@@ -333,7 +333,7 @@ def test_criterion_7_token_frugality():
                 [("reference", body_lines + [f"release note unique to {v} of service {d}"])],
             )
             documents.append(RawDocument(source_path=f"bulk{d}/v{v}.md", text=text))
-    corpus_tokens = sum(d.token_count for d in documents)
+    corpus_tokens = sum(count_tokens(d.text) for d in documents)
 
     gateway = make_gateway(dimension=DIMENSION)
     index = VectorIndex(dimension=DIMENSION)

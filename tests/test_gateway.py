@@ -328,6 +328,19 @@ class TestValidators:
             (ResponseSchema.CLUSTERS, '{"categories": [{"name": "a", "groups": [[1]]}]}'),
             (ResponseSchema.JUDGE, '{"verdict": "maybe"}'),
             (ResponseSchema.JUDGE, "no json here"),
+            (ResponseSchema.ATTRIBUTES, '{"title": "T", "summary": 1}'),
+            (ResponseSchema.ATTRIBUTES, '{"title": "T", "summary": "", "version": 2}'),
+            (ResponseSchema.CLUSTERS, '{"categories": [{"name": 1, "groups": []}]}'),
+            (ResponseSchema.CLUSTERS, '{"categories": [{"name": "a", "groups": "g"}]}'),
+            (ResponseSchema.CLUSTERS, '{"categories": [{"name": "a", "groups": [{"title": 1, "members": [0]}]}]}'),
+            (ResponseSchema.CLUSTERS, '{"categories": [{"name": "a", "groups": [{"title": "t", "members": ["0"]}]}]}'),
+            (ResponseSchema.PARSED_QUERY, '{"intent": "content", "document": 1}'),
+            (ResponseSchema.PARSED_QUERY, '{"intent": "change", "version_range": ["1.0"]}'),
+            (ResponseSchema.CHANGE_SUMMARY, '{"changes": {}}'),
+            (ResponseSchema.CHANGE_SUMMARY, '{"changes": [{"kind": "added", "description": 1}]}'),
+            (ResponseSchema.CHANGE_SUMMARY, '{"changes": [{"kind": "added", "description": "d", "version": 2}]}'),
+            (ResponseSchema.CHANGE_SUMMARY, '{"changes": [{"kind": "added", "description": "d", "hunks": [0.5]}]}'),
+            (ResponseSchema.FREE_TEXT, None),
         ],
     )
     def test_rejects_invalid(self, schema, bad):

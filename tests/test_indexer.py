@@ -387,8 +387,9 @@ def test_attach_records_walks_each_chain_once():
     ]
     index = VectorIndex(dimension=DIMENSION)
     assert _attach_records(graph, index, make_gateway(), records) == 4
-    assert [r.from_version.raw for r in records] == ["1.0", "1.0", "2.0", "2.5"]
-    assert graph.find_version(doc, "2.5").synthetic
+    assert [r.from_version for r in records] == [None] * 4
+    added = graph.find_version(doc, "2.5")
+    assert added.synthetic and not added.has_text
     assert graph.validate() == []
     assert len(index) == 4
 
@@ -652,7 +653,7 @@ def test_token_frugality_mechanism():
         for v in ("1.0.0", "2.0.0"):
             text = doc_text(f"Service {chr(65 + d)}", v, [("body", [body, f"unique {d} {v}"])])
             documents.append(raw(f"s{d}-{v}.md", text))
-    total_tokens = sum(d.token_count for d in documents)
+    total_tokens = sum(count_tokens(d.text) for d in documents)
     gateway = make_gateway()
     index = VectorIndex(dimension=DIMENSION)
     summary = index_documents(documents, gateway, index)
@@ -699,7 +700,7 @@ def test_criterion_7_shaped_corpus_prompts_a_twentieth_of_its_tokens():
         for v in ("1.0.0", "2.0.0"):
             text = doc_text(f"Bulk Service {chr(65 + d)}", v, [("reference", body_lines + [f"note {v} {d}"])])
             documents.append(raw(f"bulk{d}/v{v}.md", text))
-    corpus_tokens = sum(d.token_count for d in documents)
+    corpus_tokens = sum(count_tokens(d.text) for d in documents)
     summary = index_documents(documents, make_gateway(), VectorIndex(dimension=DIMENSION))
     assert summary.usage.input_tokens / corpus_tokens <= 0.05
 
@@ -968,6 +969,66 @@ def test_a_version_inserted_mid_chain_keeps_pinned_queries_pure(tmp_path):
         chunks = {chunk.text for chunk in chunk_document(raw(path, body))}
         assert {item.version for item in context.items} == {label}
         assert {item.text for item in context.items} == chunks
+
+
+def test_a_newest_first_changelog_places_each_record_by_the_chain(tmp_path, capsys):
+    """r3.md lists 3.0 above 2.5, and 2.5 has no file of its own. Each
+    explicit record keeps no from-version, so the chain places it in the
+    pair that ends at its release: the range 2.0 .. 3.0 holds the 2.5 item
+    and both 3.0 items, through the graph, the CLI and a question alike."""
+    r3 = "\n".join(
+        [
+            "# Widget Changelog",
+            "",
+            "Release notes for Widget.",
+            "",
+            "## Version 3.0",
+            "",
+            "- Added the turbo mode",
+            "- Removed the legacy dial",
+            "",
+            "## Version 2.5",
+            "",
+            "- Fixed the stuck lever",
+        ]
+    )
+    files = {"widget/r1.md": changelog_text("Widget", "2.0", ["Added the first dial"]), "widget/r3.md": r3 + "\n"}
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    write_corpus(corpus, files)
+    index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+    expected = [
+        ("2.5", "modified", "Fixed the stuck lever"),
+        ("3.0", "added", "Added the turbo mode"),
+        ("3.0", "removed", "Removed the legacy dial"),
+    ]
+
+    engine = Engine.load(out, make_gateway())
+    assert engine.validate() == []
+    assert all(record.from_version is None for record in engine.graph.change_records())
+    document = engine.graph.documents()[0].id
+    records = engine.graph.changes_between(document, "2.0", "3.0")
+    assert [(r.to_version.raw, r.kind.value, r.description) for r in records] == expected
+
+    result = engine.ask("What changed in Widget Changelog between 2.0 and 3.0?")
+    assert result.context.mode is RetrievalMode.GRAPH_TRAVERSAL
+    assert [(item.version, item.text) for item in result.context.items] == [
+        (version, text) for version, _, text in expected
+    ]
+
+    capsys.readouterr()
+    assert main(["changes", "Widget Changelog", "2.0", "3.0", "--index", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{version} [{kind}/explicit] {text}" for version, kind, text in expected
+    ]
+
+    files["widget/r2.md"] = changelog_text("Widget", "2.5", ["Fixed the stuck lever"])
+    write_corpus(corpus, files)
+    index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
+    clean = tmp_path / "clean"
+    index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION)
+    for name in (*INDEX_FILES, "manifest.json"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+    assert Engine.load(out, make_gateway()).validate() == []
 
 
 def test_a_changelog_without_records_is_not_prompted_again(tmp_path):

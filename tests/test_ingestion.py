@@ -505,8 +505,3 @@ class TestLoadCorpus:
         (tmp_path / "empty.md").write_text("   \n", encoding="utf-8")
         docs = load_corpus(tmp_path)
         assert len(docs) == 1
-
-    def test_token_count_invariant(self, tmp_path):
-        self.write_files(tmp_path, 3)
-        for doc in load_corpus(tmp_path):
-            assert doc.token_count == count_tokens(doc.text)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -373,3 +374,70 @@ def test_ask_path_reads_no_node_scan(indexed, monkeypatch):
     engine = Engine(graph, index, gateway)
     for text in ASK_ROUTES:
         assert engine.ask(text).answer.text
+
+
+class TestCategoryRouting:
+    """A clustering reply files Widget Guide and Gadget Manual under
+    "Hardware" and Sprocket Notes under "Tooling": no category name shares
+    a token with a title, so a question resolves a category only by its name."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        def doc(title, label, lines):
+            return doc_text(title, label, [("calibration", lines)])
+
+        torque = [f"Calibration torque step {i} sets the calibration torque." for i in range(40)]
+        files = [
+            ("widget/1.md", doc("Widget Guide", "1.0", ["The widget hums when switched on."])),
+            ("widget/2.md", doc("Widget Guide", "2.0", ["The widget hums twice when switched on."])),
+            ("gadget/1.md", doc("Gadget Manual", "3.1", ["The gadget blinks in blue."])),
+            ("sprocket/1.md", doc("Sprocket Notes", "0.9", torque)),
+        ]
+        groups = {
+            "Hardware": [("Widget Guide", [0, 1]), ("Gadget Manual", [2])],
+            "Tooling": [("Sprocket Notes", [3])],
+        }
+        reply = json.dumps(
+            {
+                "categories": [
+                    {"name": name, "groups": [{"title": t, "members": m} for t, m in members]}
+                    for name, members in groups.items()
+                ]
+            }
+        )
+        gateway = make_gateway(script=[{"schema": "clusters", "match": [], "reply": reply}])
+        index = VectorIndex(dimension=DIMENSION)
+        graph = index_documents([raw(p, t) for p, t in files], gateway, index).graph
+        assert [d.title for d in graph.documents()] == ["Widget Guide", "Gadget Manual", "Sprocket Notes"]
+        return Engine(graph, index, gateway)
+
+    def test_a_version_question_naming_a_category_lists_its_documents(self, engine):
+        result = engine.ask("Which versions of the hardware are available?")
+        category = engine.graph.nodes[result.parsed.category]
+        assert category.name == "Hardware" and result.parsed.document is None
+        assert result.context.mode is RetrievalMode.GRAPH_TRAVERSAL
+        assert [(item.document, item.version) for item in result.context.items] == [
+            ("Widget Guide", "1.0"),
+            ("Widget Guide", "2.0"),
+            ("Gadget Manual", "3.1"),
+        ]
+
+    def test_a_content_question_naming_a_category_searches_its_documents(self, engine):
+        question = "What does the hardware say about calibration torque?"
+        result = engine.ask(question, k=100)
+        assert engine.graph.nodes[result.parsed.category].name == "Hardware"
+        assert result.context.mode is RetrievalMode.VECTOR_SEARCH
+        assert {item.document for item in result.context.items} == {"Widget Guide", "Gadget Manual"}
+        # the question's words are Sprocket Notes' own, so unfiltered it ranks first
+        unfiltered = engine.ask(question, k=100, version_filter=False)
+        assert unfiltered.context.items[0].document == "Sprocket Notes"
+
+    def test_a_version_question_naming_nothing_lists_every_document_by_title(self, engine):
+        result = engine.ask("Which versions are available?")
+        assert result.parsed.document is None and result.parsed.category is None
+        assert [(item.document, item.version) for item in result.context.items] == [
+            ("Gadget Manual", "3.1"),
+            ("Sprocket Notes", "0.9"),
+            ("Widget Guide", "1.0"),
+            ("Widget Guide", "2.0"),
+        ]
