@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import DocumentNotFoundError, EmptyIndexError
+from .errors import DocumentNotFoundError, EmptyIndexError, InvalidQuestionError
 from .gateway import Gateway
 from .generation import Answer, answer as generate_answer
 from .graph import DocumentNode, VersionGraph
@@ -64,6 +64,9 @@ class Engine:
         )
 
     def ask(self, text: str, k: Optional[int] = None, version_filter: bool = True) -> AskResult:
+        """Parse, retrieve and answer ``text``. A question that is not
+        valid Unicode raises ``InvalidQuestionError`` before any request."""
+        _check_question(text)
         parsed = self.parse(text)
         context = self.retrieve(parsed, k=k, version_filter=version_filter)
         result = generate_answer(parsed, context, self.gateway)
@@ -118,6 +121,19 @@ class Engine:
             for key in sorted(held - records)
         ]
         return problems
+
+
+def _check_question(text: str) -> None:
+    """Refuse a question with a lone surrogate, which no request can carry:
+    what Python makes of undecodable bytes on a command line, or of a
+    ``\\udcff`` escape in JSON."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidQuestionError(
+            f"the question is not valid Unicode: character {exc.start}"
+            f" ({ascii(text[exc.start])}) is a lone surrogate"
+        ) from None
 
 
 def _run_of(graph: VersionGraph, metadata: dict) -> Optional[list]:

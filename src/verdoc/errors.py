@@ -114,6 +114,12 @@ class QueryParseError(VerdocError):
     pass
 
 
+class InvalidQuestionError(VerdocError):
+    """A question that is not valid Unicode text."""
+
+    exit_code = 1
+
+
 class VersionNotFoundError(VerdocError):
     def __init__(self, message, available=None):
         super().__init__(message)

@@ -413,6 +413,11 @@ def extract_changes(
     changelog that yields no record is marked ``no_changes`` there, and a
     changelog so marked is not prompted: an entry of the cache holds the
     attributes, and so the version, that the extraction prompt names.
+
+    Records join the graph as each unit is extracted. A group's records to
+    embed, fresh or missing from ``vector_index``, go to the gateway in one
+    embed call once the group's extraction ends; the count returned is of
+    the fresh ones.
     """
     reusable: dict = {}
     for record in previous:
@@ -422,6 +427,7 @@ def extract_changes(
     for _, group in catalog.all_groups():
         document_id = group.document_id
         doc_of = {vid: doc for (doc, _), vid in zip(group.members, group.version_ids)}
+        pending = []  # the group's records to embed, in attach order
         if group.is_changelog:
             for doc, attrs in group.members:
                 if attrs.doc_type != "changelog":
@@ -430,7 +436,7 @@ def extract_changes(
                 if existing:
                     for record in existing:
                         record.from_version = None
-                    _attach_records(graph, vector_index, gateway, existing, fresh=False)
+                    _attach_records(graph, vector_index, existing, pending, fresh=False)
                     continue
                 entry = (attribute_cache or {}).get(_cache_key(doc))
                 if isinstance(entry, dict) and entry.get("no_changes") is True:
@@ -438,7 +444,7 @@ def extract_changes(
                 records = extract_explicit_changes(doc, attrs, document_id, gateway)
                 if not records and isinstance(entry, dict):
                     entry["no_changes"] = True
-                total += _attach_records(graph, vector_index, gateway, records)
+                total += _attach_records(graph, vector_index, records, pending)
         else:
             for prev_node, next_node in graph.version_pairs(document_id):
                 if prev_node.id not in doc_of or next_node.id not in doc_of:
@@ -447,12 +453,14 @@ def extract_changes(
                 source = pair_source(prev_doc, next_doc)
                 existing = reusable.get((document_id, prev_node.label.raw, next_node.label.raw, source))
                 if existing:
-                    _attach_records(graph, vector_index, gateway, existing, fresh=False)
+                    _attach_records(graph, vector_index, existing, pending, fresh=False)
                     continue
                 records = extract_implicit_changes(
                     document_id, (prev_node.label, prev_doc), (next_node.label, next_doc), gateway
                 )
-                total += _attach_records(graph, vector_index, gateway, records)
+                total += _attach_records(graph, vector_index, records, pending)
+        if pending:
+            _embed_records(gateway, vector_index, pending)
     return total
 
 
@@ -468,17 +476,18 @@ def _extraction_unit(record) -> tuple:
 def _attach_records(
     graph: VersionGraph,
     vector_index: VectorIndex,
-    gateway: Gateway,
     records: list,
+    pending: list,
     fresh: bool = True,
 ) -> int:
-    """Add ``records`` to the graph and embed them; returns the count embedded.
+    """Add ``records`` to the graph and append those to embed to
+    ``pending``; returns the count appended.
 
     A ``fresh`` record was just extracted and is embedded even when its id
     has an entry, because a record keeps its id when its description
     changes; a reused record is embedded only when its entry is missing.
     """
-    pending = []
+    count = len(pending)
     for record in records:
         if graph.find_version(record.document, record.to_version) is None:
             # changelog mentions a version with no retained documentation
@@ -493,13 +502,16 @@ def _attach_records(
         graph.add_change(record)
         if fresh or record.id not in vector_index:
             pending.append(record)
-    if pending:
-        vectors = gateway.embed([record.description for record in pending])
-        for record, vector in zip(pending, vectors):
-            # the record lives in the graph; its entry holds what a change search filters on
-            metadata = {"document": record.document, "origin": record.origin.value}
-            vector_index.insert(IndexEntry(record.id, vector, metadata, text=""))
-    return len(pending)
+    return len(pending) - count
+
+
+def _embed_records(gateway: Gateway, vector_index: VectorIndex, records: list) -> None:
+    """Embed the descriptions of ``records`` in one call and write their entries."""
+    vectors = gateway.embed([record.description for record in records])
+    for record, vector in zip(records, vectors):
+        # the record lives in the graph; its entry holds what a change search filters on
+        metadata = {"document": record.document, "origin": record.origin.value}
+        vector_index.insert(IndexEntry(record.id, vector, metadata, text=""))
 
 
 # --- step 5: content indexing --------------------------------------------------------
@@ -613,7 +625,12 @@ def catalog_documents(
     with _stage("attributes"):
         cache_keys = [_cache_key(doc) for doc in documents]
         for doc, key in zip(documents, cache_keys):
-            cached = None if attribute_cache is None else _cached_attributes(attribute_cache.get(key))
+            if isinstance(doc, _Vouched):  # its entry was decoded when the file was vouched for
+                cached = doc.attributes
+            elif attribute_cache is not None:
+                cached = _cached_attributes(attribute_cache.get(key))
+            else:
+                cached = None
             if cached is not None:
                 attrs.append((doc, cached))
                 continue
@@ -704,11 +721,13 @@ def _cache_key(doc) -> str:
 class _Vouched:
     """A corpus file that the stat signature vouches for, in place of its
     document: ``key`` is the attribute-cache key of the text the file held
-    when the signature was written, and that text is not read unless a
-    stage after clustering needs it."""
+    when the signature was written, and ``attributes`` the decoded entry
+    under it. That text is not read unless a stage after clustering needs
+    it."""
 
     file: CorpusFile
     key: str
+    attributes: DocumentAttributes
 
     @property
     def source_path(self) -> str:
@@ -717,18 +736,20 @@ class _Vouched:
 
 def _vouched_documents(files: list, attribute_cache: dict) -> Optional[list]:
     """A ``_Vouched`` for each of ``files`` that ``attribute_cache`` names
-    with attributes, under the key it is named by; None when no file is so
-    named, or when one of the others now reads as a document.
+    with attributes, under the key it is named by and with those attributes,
+    each entry decoded once; None when no file is so named, or when one of
+    the others now reads as a document.
 
     The run that wrote the signature cached the attributes of every file it
     kept and of no other, so each other file is one it skipped; it is read
     to log why it is skipped again.
     """
-    named = {}
+    named = {}  # source path -> (cache key, attributes)
     for key, entry in attribute_cache.items():
-        if _cached_attributes(entry) is not None:
-            named[key.rpartition(":")[0]] = key
-    documents = [_Vouched(file, named[file.source_path]) for file in files if file.source_path in named]
+        attributes = _cached_attributes(entry)
+        if attributes is not None:
+            named[key.rpartition(":")[0]] = (key, attributes)
+    documents = [_Vouched(file, *named[file.source_path]) for file in files if file.source_path in named]
     if not documents or any(file.read() is not None for file in files if file.source_path not in named):
         return None
     return documents

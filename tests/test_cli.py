@@ -17,6 +17,7 @@ from verdoc.errors import ConfigError, EmptyIndexError, VersionMismatchError
 from verdoc.config import load_config, build_gateway
 from verdoc.evaluation import QAItem, save_dataset
 from verdoc.fileio import json_bytes
+from verdoc.gateway import MockBackend
 from verdoc.graph import VersionGraph
 from verdoc.indexer import GRAPH_FILE, HASHED_FILES, INDEX_FILE, MANIFEST_FILE, SUMMARY_FILE
 from verdoc.ingestion import load_corpus
@@ -128,6 +129,22 @@ class TestQueryCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "[Node.js Assert @" in captured.out
+
+    def test_question_that_is_not_unicode_is_a_usage_error(self, indexed_dir, config_file, capsys, monkeypatch):
+        """Undecodable bytes on a command line reach the program as lone
+        surrogates: ``printf 'what is \\xff here'`` reads as below. The
+        question is refused before any completion or embed."""
+
+        def refuse(*args):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(MockBackend, "complete", refuse)
+        monkeypatch.setattr(MockBackend, "embed", refuse)
+        code = run_cli(config_file, "query", "what is \udcff here", "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("InvalidQuestionError: ")
+        assert "character 8 ('\\udcff') is a lone surrogate" in captured.err
 
     def test_query_before_index_fails_with_data_error(self, tmp_path, config_file, capsys):
         empty = tmp_path / "empty_index"
@@ -244,6 +261,30 @@ class TestEvalCommand:
         assert "overall: 1/1 = 1.000" in captured.out
         payload = json.loads(report_path.read_text())
         assert payload["overall_accuracy"] == 1.0
+
+    def test_an_item_that_is_not_unicode_fails_alone(self, indexed_dir, config_file, tmp_path, capsys):
+        """A ``\\udcff`` escape in the dataset's JSON counts its item as
+        incorrect, and the other items are still asked."""
+        dataset = tmp_path / "qa.jsonl"
+        question = "What Apache Spark versions are available?"
+        save_dataset(
+            [
+                QAItem("bad", question + " \udcff", "3.5.5", "VersionListingInquiry", True),
+                QAItem("good", question, "3.5.5", "VersionListingInquiry", True),
+            ],
+            dataset,
+        )
+        assert b"\\udcff" in dataset.read_bytes()
+        report_path = tmp_path / "report.json"
+        code = run_cli(
+            config_file, "eval", str(dataset), "--index", str(indexed_dir), "--report", str(report_path)
+        )
+        capsys.readouterr()
+        assert code == 0
+        items = {item["id"]: item for item in json.loads(report_path.read_text())["per_item"]}
+        assert items["bad"]["verdict"] is False
+        assert items["bad"]["judge_rationale"].startswith("InvalidQuestionError: ")
+        assert items["good"]["verdict"] is True
 
     def test_llm_judge_mode(self, indexed_dir, config_file, tmp_path, capsys):
         dataset = tmp_path / "qa.jsonl"

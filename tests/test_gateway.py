@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
@@ -294,6 +296,40 @@ def test_batch_kernel_matches_the_per_gram_loop_byte_for_byte(batch, dimension):
         expected = reference_embedding(text, dimension)
         assert vector.dtype == expected.dtype and vector.shape == expected.shape
         assert vector.tobytes() == expected.tobytes(), text
+
+
+def test_blank_texts_interleaved_in_a_large_batch_match_the_per_gram_loop():
+    """Empty and whitespace-only texts among 100+ others keep their rows."""
+    blanks = ["", " ", "\t\n", "\xa0\u2003", ""]
+    batch = []
+    for n in range(120):
+        batch.append(blanks[n % len(blanks)] if n % 3 == 0 else f"Word{n % 9} shared w{n} ß {n % 4}")
+    vectors = MockBackend().embed(batch, 64)
+    assert len(vectors) == len(batch)
+    for text, vector in zip(batch, vectors):
+        assert vector.tobytes() == reference_embedding(text, 64).tobytes(), repr(text)
+
+
+@pytest.fixture
+def gateway_without_builtin_md5(monkeypatch):
+    """The gateway module as loaded by an interpreter without ``_md5``; the
+    module's own namespace is put back afterwards."""
+    saved = dict(vars(gateway_module))
+    monkeypatch.setitem(sys.modules, "_md5", None)  # makes `import _md5` fail
+    try:
+        yield importlib.reload(gateway_module)
+    finally:
+        vars(gateway_module).clear()
+        vars(gateway_module).update(saved)
+
+
+def test_hashlib_md5_gives_the_same_bytes_without_the_builtin_md5(gateway_without_builtin_md5):
+    assert gateway_without_builtin_md5._md5 is hashlib.md5
+    batch = ["Alpha beta", "", "beta ALPHA gamma", "ß straße", "alpha beta"]
+    for dimension in (1, 64, 256):
+        vectors = gateway_without_builtin_md5.MockBackend().embed(batch, dimension)
+        for text, vector in zip(batch, vectors):
+            assert vector.tobytes() == reference_embedding(text, dimension).tobytes(), text
 
 
 class TestValidators:

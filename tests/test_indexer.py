@@ -25,6 +25,7 @@ from verdoc.indexer import (
     CONTENT,
     DocumentAttributes,
     _attach_records,
+    _embed_records,
     build_graph,
     cluster_documents,
     extract_attributes,
@@ -386,7 +387,10 @@ def test_attach_records_walks_each_chain_once():
         for n, to in enumerate(["2.0", "2.0", "2.5", "3.0"])
     ]
     index = VectorIndex(dimension=DIMENSION)
-    assert _attach_records(graph, index, make_gateway(), records) == 4
+    pending = []
+    assert _attach_records(graph, index, records, pending) == 4
+    assert pending == records
+    _embed_records(make_gateway(), index, pending)
     assert [r.from_version for r in records] == [None] * 4
     added = graph.find_version(doc, "2.5")
     assert added.synthetic and not added.has_text
@@ -620,6 +624,74 @@ class TestContentBatching:
         keys = index.keys(CONTENT)
         assert len(set(keys)) > len(graph.documents()) * 2
         assert keys == expected
+
+
+class TestRecordBatching:
+    """A group's change records go to the gateway in one embed call."""
+
+    documents = TestContentBatching.documents
+
+    @staticmethod
+    def record_batches(backend, graph):
+        """The recorded embed batches that carry change descriptions."""
+        descriptions = {record.description for record in graph.change_records()}
+        return [batch for batch in backend.batches if descriptions.issuperset(batch)]
+
+    def test_one_record_request_per_group_and_none_on_reindex(self):
+        backend = RecordingBackend()
+        index = VectorIndex(dimension=DIMENSION)
+        cache = {}
+        summary = index_documents(
+            self.documents(), Gateway(backend, dimension=DIMENSION), index, attribute_cache=cache
+        )
+        graph = summary.graph
+        expected = [
+            [r.description for r in graph.change_records() if r.document == document.id]
+            for document in graph.documents()
+        ]
+        expected = [batch for batch in expected if batch]
+        assert len(expected) == 2  # the spark changelog and the assert docs
+        assert all(len(batch) > 1 for batch in expected)
+        assert self.record_batches(backend, graph) == expected
+        assert summary.changes == sum(map(len, expected))
+
+        again = RecordingBackend()
+        rerun = index_documents(
+            self.documents(),
+            Gateway(again, dimension=DIMENSION),
+            index,
+            attribute_cache=cache,
+            change_records=graph.change_records(),
+        )
+        assert rerun.changes == 0
+        assert self.record_batches(again, rerun.graph) == []
+        assert len(rerun.graph.change_records()) == len(graph.change_records())
+
+    def test_a_missing_record_entry_is_embedded_with_its_group(self):
+        """Reused records whose entries are gone, from two changelogs of one
+        group, are embedded in the group's one request."""
+        index = VectorIndex(dimension=DIMENSION)
+        cache = {}
+        summary = index_documents(self.documents(), make_gateway(), index, attribute_cache=cache)
+        records = summary.graph.change_records()
+        explicit = [r for r in records if r.origin is ChangeOrigin.EXPLICIT]
+        lost = [explicit[0], explicit[-1]]
+        assert lost[0].to_version.raw != lost[1].to_version.raw
+        vectors = {r.id: index.get(r.id).vector.copy() for r in lost}
+        index.drop([r.id for r in lost])
+
+        backend = RecordingBackend()
+        rerun = index_documents(
+            self.documents(),
+            Gateway(backend, dimension=DIMENSION),
+            index,
+            attribute_cache=cache,
+            change_records=records,
+        )
+        assert rerun.changes == 0
+        assert self.record_batches(backend, rerun.graph) == [[r.description for r in lost]]
+        for record in lost:
+            assert index.get(record.id).vector.tobytes() == vectors[record.id].tobytes()
 
 
 def test_no_completion_ever_carries_a_full_documentation_body():
@@ -1684,6 +1756,19 @@ class TestStatSignature:
             "changes": 0,
             "usage": summary.usage.to_dict(),
         }
+
+    def test_unchanged_reindex_decodes_each_cached_entry_once(self, tmp_path, monkeypatch):
+        corpus, out = self.signed(tmp_path)
+        before = {name: (out / name).read_bytes() for name in (*INDEX_FILES, "manifest.json")}
+        entries = json.loads(before["attributes.json"])
+        decoded = []
+        real = indexer._cached_attributes
+        monkeypatch.setattr(indexer, "_cached_attributes", lambda entry: decoded.append(entry) or real(entry))
+        backend = RecordingBackend()
+        index_corpus(corpus, out, Gateway(backend, dimension=DIMENSION), dimension=DIMENSION)
+        assert sorted(map(json.dumps, decoded)) == sorted(map(json.dumps, entries.values()))
+        assert len(backend.prompts) == 1
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     @pytest.mark.parametrize(
         "change",
