@@ -141,7 +141,7 @@ def _run_of(graph: VersionGraph, metadata: dict) -> Optional[list]:
     ``last`` version in its document's chain; None unless both name
     versions of the document, in that order."""
     document, first, last = (metadata.get(name) for name in ("document", "first", "last"))
-    if not isinstance(document, str) or not isinstance(graph.nodes.get(document), DocumentNode):
+    if not isinstance(document, str) or not isinstance(graph.node(document), DocumentNode):
         return None
     if not (isinstance(first, str) and isinstance(last, str)):
         return None

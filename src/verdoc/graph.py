@@ -16,13 +16,30 @@ entry names the first and last version of its document that hold it. A
 version node records only whether it has a text: one that only a change
 record names has none.
 
+``graph.json`` (format 6) lists the categories, documents and versions in
+``nodes``, sorted by id, and stores the change records apart, in
+``changes``: one column per record field, each row a record, sorted by id.
+The ids, descriptions and evidence lists are plain lists; the document,
+from-version, to-version, kind and origin columns are dictionary-encoded as
+``values`` plus one ``codes`` entry per row, the position of the row's
+value, and from-version code -1 marks a record without one. Change records
+are most of the file, and a content question reads none of them, so a
+loaded graph checks their columns but builds no :class:`ChangeRecord` until
+one is asked for: by ``changes_for_pair`` (and so ``changes_between``), a
+``node`` lookup of a change id, a read of ``nodes``, ``change_records``,
+``validate``, ``to_dict`` (and so ``save``) or ``add_change``. Then one step
+builds them all and files them in ``nodes``, in id order, and in the derived
+indexes. A lookup that finds a category, document or version never takes
+that step.
+
 Structural invariants (checked by :meth:`VersionGraph.validate`):
 
 * each parent field names a node of the level above: a document's a
   category, and the document of a version or change record a document,
 * no two versions of a document have labels the comparator equates,
-* change records name versions of their document (an explicit one need
-  name no from-version), an implicit one an adjacent pair.
+* change records name versions of their document; an explicit one names
+  no from-version, since the chain places it, and an implicit one names an
+  adjacent pair.
 
 Mutations take an internal lock (single writer); reads are lock-free and
 may run from any thread.
@@ -33,6 +50,8 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
+import heapq
+import operator
 import re
 import threading
 from dataclasses import dataclass, field
@@ -51,10 +70,10 @@ from .errors import (
 from .fileio import json_bytes, read_json, write_atomic
 from .versions import VersionLabel, compare_versions, parse_version
 
-FORMAT_VERSION = 5
-# the formats whose change records read as this format's: format 5 changed
-# only the version nodes
-RECORD_FORMATS = (4, FORMAT_VERSION)
+FORMAT_VERSION = 6
+# the formats whose change records load_change_records reads: format 5
+# changed only the version nodes, and format 6 moved the records into columns
+RECORD_FORMATS = (4, 5, FORMAT_VERSION)
 
 _SLUG = re.compile(r"[^a-z0-9]+")
 
@@ -88,7 +107,10 @@ def _by_value(enum: type) -> dict:
     return {member.value: member for member in enum}
 
 
-_NODE_KINDS = _by_value(NodeKind)
+# the kinds that "nodes" lists; the change records have columns of their own
+_NODE_KINDS = {
+    value: kind for value, kind in _by_value(NodeKind).items() if kind is not NodeKind.CHANGE
+}
 _CHANGE_KINDS = _by_value(ChangeKind)
 _ORIGINS = _by_value(ChangeOrigin)
 
@@ -163,6 +185,9 @@ def _flag(value) -> bool:
     return value
 
 
+_node_id = operator.attrgetter("id")
+
+
 def _version_order(node: VersionNode) -> tuple:
     return node.label.sort_key(), node.id
 
@@ -176,22 +201,170 @@ def _find(versions: list, label: VersionLabel) -> Optional[VersionNode]:
     return None
 
 
+# the fields of a change record in ChangeRecord's order, each a column of
+# "changes", and those of them stored as values plus codes
+_CHANGE_FIELDS = (
+    "id",
+    "document",
+    "from_version",
+    "to_version",
+    "kind",
+    "description",
+    "origin",
+    "evidence",
+)
+_CODED = ("document", "from_version", "to_version", "kind", "origin")
+
+
+def _record_row(record: ChangeRecord) -> tuple:
+    """``record``'s fields as JSON values, in ``_CHANGE_FIELDS`` order."""
+    return (
+        record.id,
+        record.document,
+        None if record.from_version is None else record.from_version.raw,
+        record.to_version.raw,
+        record.kind.value,
+        record.description,
+        record.origin.value,
+        list(record.evidence),
+    )
+
+
+def _change_columns(rows: list) -> dict:
+    """The ``changes`` object of ``rows``, each a record's fields as
+    ``_record_row`` gives them, in id order. A coded column lists each value
+    once, as first seen, and a row without a from-version has code -1."""
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(_CHANGE_FIELDS)}
+    for name in _CODED:
+        code_of: dict = {}  # (type, value) -> code, so that 1 and True stay apart
+        codes = [
+            -1
+            if value is None and name == "from_version"
+            else code_of.setdefault((type(value), value), len(code_of))
+            for value in columns[name]
+        ]
+        columns[name] = {"codes": codes, "values": [value for _, value in code_of]}
+    return columns
+
+
+def _hashable(value):
+    """``value``; TypeError unless it is hashable, as a record's document,
+    which the graph files the record under, must be."""
+    hash(value)
+    return value
+
+
+def _coded(name: str, column, rows: int, decode, optional: bool = False) -> tuple:
+    """(values, codes) of the coded change column ``name`` over ``rows``
+    records, each value passed through ``decode``. Raises ``ValueError``
+    unless the column holds a list of values and one integer code per row,
+    each a value's position, or -1 when ``optional``; -1 then reads the None
+    appended to the values."""
+    if not (isinstance(column, dict) and set(column) == {"values", "codes"}):
+        raise ValueError(f"change column {name!r} is not an object of values and codes")
+    values, codes = column["values"], column["codes"]
+    if not (isinstance(values, list) and isinstance(codes, list) and len(codes) == rows):
+        raise ValueError(f"change column {name!r}: values and {rows} codes are not two lists")
+    if not set(map(type, codes)) <= {int}:
+        raise ValueError(f"change column {name!r}: a code is not an integer")
+    if rows and not (min(codes) >= (-1 if optional else 0) and max(codes) < len(values)):
+        raise ValueError(f"change column {name!r}: a code is out of range")
+    values = list(map(decode, values))
+    if optional:
+        values.append(None)
+    return values, codes
+
+
+def _decode_changes(data, label) -> tuple:
+    """The columns of a ``changes`` object, checked and decoded, in
+    ``_CHANGE_FIELDS`` order: plain columns as lists, coded ones as (values,
+    codes) pairs, labels parsed by ``label``. Raises ``ValueError``,
+    ``KeyError`` or ``TypeError`` when a column is malformed, the columns
+    differ in length, or the ids are not strings sorted without repeats."""
+    if not (isinstance(data, dict) and set(data) == set(_CHANGE_FIELDS)):
+        raise ValueError("changes are not an object of one column per record field")
+    ids, descriptions, evidence = data["id"], data["description"], data["evidence"]
+    if not (
+        isinstance(ids, list)
+        and isinstance(descriptions, list)
+        and isinstance(evidence, list)
+        and len(ids) == len(descriptions) == len(evidence)
+    ):
+        raise ValueError("change columns id, description and evidence are not lists of one length")
+    if not (set(map(type, ids)) <= {str} and all(map(operator.lt, ids, ids[1:]))):
+        raise ValueError("change ids are not strings sorted without repeats")
+    if not set(map(type, evidence)) <= {list}:
+        raise ValueError("a change record's evidence is not a list")
+    rows = len(ids)
+    return (
+        ids,
+        _coded("document", data["document"], rows, _hashable),
+        _coded("from_version", data["from_version"], rows, label, optional=True),
+        _coded("to_version", data["to_version"], rows, label),
+        _coded("kind", data["kind"], rows, _CHANGE_KINDS.__getitem__),
+        descriptions,
+        _coded("origin", data["origin"], rows, _ORIGINS.__getitem__),
+        evidence,
+    )
+
+
+def _records(columns: tuple) -> list[ChangeRecord]:
+    """The change records of columns ``_decode_changes`` gave, in id order."""
+    ids, document, from_version, to_version, kind, descriptions, origin, evidence = columns
+
+    def rows(coded):
+        values, codes = coded
+        return map(values.__getitem__, codes)
+
+    return list(
+        map(
+            ChangeRecord,
+            ids,
+            rows(document),
+            rows(from_version),
+            rows(to_version),
+            rows(kind),
+            descriptions,
+            rows(origin),
+            evidence,
+        )
+    )
+
+
 class VersionGraph:
     """In-memory store for the version graph with traversal primitives."""
 
     def __init__(self):
-        self.nodes: dict[str, Node] = {}
+        self._nodes: dict[str, Node] = {}
         self._by_kind: dict[type, dict[str, Node]] = {cls: {} for cls in _KIND_OF}
         # document id -> its versions in versions_of order
         self._versions: dict[str, list[VersionNode]] = {}
         # document id -> to-version sort key -> change records
         self._changes: dict[str, dict[tuple, list[ChangeRecord]]] = {}
+        # the decoded change columns of a loaded graph, until _build_changes
+        self._unbuilt: Optional[tuple] = None
         self._lock = threading.RLock()
+
+    @property
+    def nodes(self) -> dict[str, Node]:
+        """Every node by id, change records included."""
+        self._build_changes()
+        return self._nodes
+
+    def node(self, node_id: str) -> Optional[Node]:
+        """The node with id ``node_id``, None when there is none. The change
+        records of a loaded graph are built only for an id that names no
+        category, document or version."""
+        node = self._nodes.get(node_id)
+        if node is None and self._unbuilt is not None:
+            self._build_changes()
+            node = self._nodes.get(node_id)
+        return node
 
     # --- low-level helpers -------------------------------------------------
 
     def _add_node(self, node: Node) -> str:
-        self.nodes[node.id] = node
+        self._nodes[node.id] = node
         self._index(node)
         return node.id
 
@@ -205,16 +378,33 @@ class VersionGraph:
             by_key = self._changes.setdefault(node.document, {})
             by_key.setdefault(node.to_version.sort_key(), []).append(node)
 
+    def _build_changes(self) -> None:
+        """Build every change record whose columns ``from_dict`` kept, and
+        file each in ``nodes`` and the derived indexes. The records join
+        ``nodes`` merged by id, so the nodes of a file in id order stay so."""
+        if self._unbuilt is None:
+            return
+        with self._lock:
+            if self._unbuilt is None:
+                return
+            records = _records(self._unbuilt)
+            merged = heapq.merge(self._nodes.values(), records, key=_node_id)
+            self._nodes = {node.id: node for node in merged}
+            for record in records:
+                self._index(record)
+            self._unbuilt = None
+
     def _unique_id(self, base: str) -> str:
-        if base not in self.nodes:
+        # no id of a change record starts as a category, document or version id does
+        if base not in self._nodes:
             return base
         n = 2
-        while f"{base}-{n}" in self.nodes:
+        while f"{base}-{n}" in self._nodes:
             n += 1
         return f"{base}-{n}"
 
     def _require(self, node_id: str, kind: NodeKind) -> Node:
-        node = self.nodes.get(node_id)
+        node = self.node(node_id)
         if node is None or node_kind(node) is not kind:
             raise UnknownNodeError(f"no {kind.value} node with id {node_id!r}")
         return node
@@ -258,13 +448,14 @@ class VersionGraph:
         """Add a change record under its document; nothing is added when a
         version it names is not one of the document's."""
         with self._lock:
+            self._build_changes()
             chain = self.versions_of(record.document)
             if _find(chain, record.to_version) is None:
                 raise UnknownVersionError(
                     f"version {record.to_version.raw!r} not in document {record.document!r}",
                     available=[v.label.raw for v in chain],
                 )
-            if record.id in self.nodes:
+            if record.id in self._nodes:
                 return record.id
             if record.from_version is not None and _find(chain, record.from_version) is None:
                 raise UnknownVersionError(
@@ -301,6 +492,7 @@ class VersionGraph:
     def changes_for_pair(self, prev: VersionNode, nxt: VersionNode) -> list[ChangeRecord]:
         """Change records of one adjacent version pair, id-ordered: those whose
         to-version is ``nxt`` and whose from-version is absent or ``prev``."""
+        self._build_changes()
         records = self._changes.get(nxt.document, {}).get(nxt.label.sort_key(), ())
         key = prev.label.sort_key()
         return sorted(
@@ -338,6 +530,7 @@ class VersionGraph:
         return records
 
     def change_records(self) -> list[ChangeRecord]:
+        self._build_changes()
         return list(self._by_kind[ChangeRecord].values())
 
     # --- validation ---------------------------------------------------------
@@ -360,13 +553,14 @@ class VersionGraph:
             )
             versions[doc.id] = (set(labels), set(zip(labels, labels[1:])))
 
-        for node in self.nodes.values():
+        nodes = self.nodes
+        for node in nodes.values():
             if isinstance(node, CategoryNode):
                 continue
             name, level = _PARENT[type(node)]
             # a loaded field may hold any JSON value, and one that is not a string names no node
             ref = getattr(node, name)
-            parent = self.nodes.get(ref) if isinstance(ref, str) else None
+            parent = nodes.get(ref) if isinstance(ref, str) else None
             where = f"{node_kind(node).value} {node.id}"
             if parent is None:
                 problems.append(f"{where}: {name} missing from graph")
@@ -384,8 +578,12 @@ class VersionGraph:
         if record.to_version.sort_key() not in versions:
             problems.append(f"change {record.id}: to_version missing from graph")
             return problems
-        if record.origin is ChangeOrigin.EXPLICIT and record.evidence:
-            problems.append(f"change {record.id}: explicit record carries evidence")
+        if record.origin is ChangeOrigin.EXPLICIT:
+            if record.evidence:
+                problems.append(f"change {record.id}: explicit record carries evidence")
+            # the chain places an explicit record; a stored from-version goes stale
+            if record.from_version is not None:
+                problems.append(f"change {record.id}: explicit record stores a from_version")
         if record.origin is ChangeOrigin.IMPLICIT:
             if not record.evidence:
                 problems.append(f"change {record.id}: implicit record without evidence")
@@ -407,64 +605,49 @@ class VersionGraph:
 
     def _node_to_dict(self, node: Node) -> dict:
         # "node_kind" is the payload discriminator; a change record's own
-        # classification keeps the plain "kind" field name
+        # classification keeps the plain "kind" field name in its column
         data = {"id": node.id, "node_kind": node_kind(node).value}
         if isinstance(node, CategoryNode):
             data["name"] = node.name
         elif isinstance(node, DocumentNode):
             data.update(title=node.title, category=node.category)
-        elif isinstance(node, VersionNode):
+        else:
             data.update(
                 document=node.document,
                 label=node.label.raw,
                 synthetic=node.synthetic,
                 has_text=node.has_text,
             )
-        else:
-            data.update(
-                document=node.document,
-                from_version=None if node.from_version is None else node.from_version.raw,
-                to_version=node.to_version.raw,
-                kind=node.kind.value,
-                description=node.description,
-                origin=node.origin.value,
-                evidence=list(node.evidence),
-            )
         return data
 
     @staticmethod
     def _node_from_dict(data: dict, label) -> Node:
-        """The node ``_node_to_dict`` wrote; ``label`` parses a raw version label."""
+        """The node ``_node_to_dict`` wrote; ``label`` parses a raw version label.
+
+        Fields go in by position, which a dataclass takes at under half the
+        cost of keywords; most nodes are versions, so they are tested first.
+        """
         kind = _NODE_KINDS[data["node_kind"]]
-        if kind is NodeKind.CATEGORY:
-            return CategoryNode(id=data["id"], name=data["name"])
-        if kind is NodeKind.DOCUMENT:
-            return DocumentNode(id=data["id"], title=data["title"], category=data["category"])
         if kind is NodeKind.VERSION:
             return VersionNode(
-                id=data["id"],
-                document=data["document"],
-                label=label(data["label"]),
-                synthetic=bool(data.get("synthetic", False)),
-                has_text=_flag(data.get("has_text", True)),
+                data["id"],
+                data["document"],
+                label(data["label"]),
+                bool(data.get("synthetic", False)),
+                _flag(data.get("has_text", True)),
             )
-        return ChangeRecord(
-            id=data["id"],
-            document=data["document"],
-            from_version=(
-                None if data.get("from_version") is None else label(data["from_version"])
-            ),
-            to_version=label(data["to_version"]),
-            kind=_CHANGE_KINDS[data["kind"]],
-            description=data["description"],
-            origin=_ORIGINS[data["origin"]],
-            evidence=list(data.get("evidence", [])),
-        )
+        if kind is NodeKind.DOCUMENT:
+            return DocumentNode(data["id"], data["title"], data["category"])
+        return CategoryNode(data["id"], data["name"])
 
     def to_dict(self) -> dict:
+        nodes = sorted(self.nodes.values(), key=_node_id)
         return {
             "format_version": FORMAT_VERSION,
-            "nodes": [self._node_to_dict(n) for n in sorted(self.nodes.values(), key=lambda n: n.id)],
+            "nodes": [self._node_to_dict(n) for n in nodes if not isinstance(n, ChangeRecord)],
+            "changes": _change_columns(
+                [_record_row(n) for n in nodes if isinstance(n, ChangeRecord)]
+            ),
         }
 
     def save(self, path) -> str:
@@ -478,10 +661,12 @@ class VersionGraph:
         """The graph ``to_dict`` wrote, filled in bulk and not validated, so that
         :meth:`validate` can report a parent field that names no node of the
         level above, and equivalent labels. A malformed payload raises
-        ``CorruptFileError``.
+        ``CorruptFileError``, a change column included; the change records
+        themselves are built when first needed (see the module docstring).
 
-        Each distinct version label is parsed once. An id given twice keeps
-        its first place in ``nodes`` and its last node.
+        Each distinct version label is parsed once. An id given twice in
+        ``nodes`` keeps its first place and its last node; a change record
+        may not reuse the id of another node.
         """
         graph = cls()
         label = functools.cache(parse_version)
@@ -492,11 +677,24 @@ class VersionGraph:
                 raise VersionMismatchError(
                     f"unsupported graph format_version {version!r} (expected {FORMAT_VERSION})"
                 )
-            graph.nodes = {node.id: node for node in (decode(d, label) for d in data["nodes"])}
-            for node in graph.nodes.values():
-                graph._index(node)
+            graph._nodes = {node.id: node for node in (decode(d, label) for d in data["nodes"])}
+            changes = _decode_changes(data["changes"], label)
+            # the change records join nodes merged by id, which takes ids of one type
+            if not set(map(type, graph._nodes)) <= {str}:
+                raise ValueError("a node id is not a string")
+            if not graph._nodes.keys().isdisjoint(changes[0]):
+                raise ValueError("a change record has the id of another node")
+            # _index, in bulk: each chain sorted once, as insertion in nodes order would
+            for node in graph._nodes.values():
+                graph._by_kind[type(node)][node.id] = node
+                if isinstance(node, VersionNode):
+                    graph._versions.setdefault(node.document, []).append(node)
+            for chain in graph._versions.values():
+                chain.sort(key=_version_order)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptFileError(f"malformed graph payload: {exc}") from exc
+        if changes[0]:
+            graph._unbuilt = changes
         return graph
 
     @classmethod
@@ -505,21 +703,35 @@ class VersionGraph:
 
     @classmethod
     def load_change_records(cls, path) -> list[ChangeRecord]:
-        """The change records of the graph file at ``path``, which may also
-        be of an older format in ``RECORD_FORMATS``; no other node is
-        decoded. Raises as :meth:`load` does."""
+        """The change records of the graph file at ``path``, in id order;
+        no other node is decoded. The file may also be of an older format in
+        ``RECORD_FORMATS``, whose record nodes are turned into the columns
+        format 6 stores and decoded as those are. Raises as :meth:`load` does."""
         data = read_json(path, "graph file", CorruptFileError)
-        label = functools.cache(parse_version)
         try:
             version = data["format_version"]
             if version not in RECORD_FORMATS:
                 raise VersionMismatchError(
                     f"unsupported graph format_version {version!r} (expected one of {RECORD_FORMATS})"
                 )
-            return [
-                cls._node_from_dict(item, label)
-                for item in data["nodes"]
-                if item["node_kind"] == NodeKind.CHANGE.value
-            ]
+            if version == FORMAT_VERSION:
+                changes = data["changes"]
+            else:
+                rows = [
+                    (
+                        item["id"],
+                        item["document"],
+                        item.get("from_version"),
+                        item["to_version"],
+                        item["kind"],
+                        item["description"],
+                        item["origin"],
+                        item.get("evidence", []),
+                    )
+                    for item in data["nodes"]
+                    if item["node_kind"] == NodeKind.CHANGE.value
+                ]
+                changes = _change_columns(sorted(rows, key=operator.itemgetter(0)))
+            return _records(_decode_changes(changes, functools.cache(parse_version)))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptFileError(f"malformed graph payload: {exc}") from exc

@@ -497,7 +497,7 @@ def _attach_records(
                 record.to_version.raw,
                 record.document,
             )
-        if record.id in graph.nodes:
+        if graph.node(record.id) is not None:
             continue
         graph.add_change(record)
         if fresh or record.id not in vector_index:
@@ -556,7 +556,7 @@ def index_content(
     embedded = 0
     for _, group in catalog.all_groups():
         document = group.document_id
-        if document not in graph.nodes:
+        if graph.node(document) is None:
             raise IndexingError("content", f"group {group.canonical_title!r} missing from graph")
         text_of = {vid: doc for (doc, _), vid in zip(group.members, group.version_ids)}
         runs = _runs(graph.versions_of(document), text_of, chunk_size, overlap)

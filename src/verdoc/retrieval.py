@@ -200,15 +200,15 @@ def retrieve(
 
 
 def _title_of(graph: VersionGraph, document_id: str) -> str:
-    node = graph.nodes.get(document_id)
-    return getattr(node, "title", document_id)
+    return getattr(graph.node(document_id), "title", document_id)
 
 
 def _retrieve_versions(parsed: ParsedQuery, graph: VersionGraph) -> RetrievedContext:
     if parsed.document is not None:
-        if parsed.document not in graph.nodes:
+        document = graph.node(parsed.document)
+        if document is None:
             raise DocumentNotFoundError(f"document {parsed.document!r} is not in the graph")
-        documents = [graph.nodes[parsed.document]]
+        documents = [document]
     elif parsed.category is not None:
         documents = [d for d in graph.documents() if d.category == parsed.category]
     else:
@@ -231,7 +231,7 @@ def _retrieve_versions(parsed: ParsedQuery, graph: VersionGraph) -> RetrievedCon
 
 def _retrieve_change_range(parsed: ParsedQuery, graph: VersionGraph) -> RetrievedContext:
     frm, to = parsed.version_range
-    if parsed.document not in graph.nodes:
+    if graph.node(parsed.document) is None:
         raise DocumentNotFoundError(f"document {parsed.document!r} is not in the graph")
     available = [v.raw for v in graph.list_versions(parsed.document)]
     for label in (frm, to):
@@ -275,7 +275,7 @@ def _search_changes(
     )
     items = []
     for hit in hits:
-        record = graph.nodes.get(hit.key)
+        record = graph.node(hit.key)
         if not isinstance(record, ChangeRecord):
             raise CorruptFileError(f"change entry {hit.key!r} has no change record in the graph")
         items.append(_change_item(record, _title_of(graph, record.document)))

@@ -20,14 +20,35 @@ from functools import total_ordering
 
 _SPLIT = re.compile(r"[.\-_+]")
 _LEADING_V = re.compile(r"^[vV](?=\d)")
+# most labels: ASCII digit runs joined by single dots, nothing around them
+_DOTTED = re.compile(r"[0-9]+(?:\.[0-9]+)*")
 
 
 def _segments(raw: str) -> tuple:
+    if _DOTTED.fullmatch(raw):
+        return tuple(map(int, raw.split(".")))
+    return _general_segments(raw)
+
+
+def _general_segments(raw: str) -> tuple:
     text = _LEADING_V.sub("", raw.strip())
     parts = [p for p in _SPLIT.split(text) if p]
     if not parts:
         return ()
     return tuple(int(p) if p.isdigit() else p for p in parts)
+
+
+def _sort_key(components: tuple) -> tuple:
+    """(0, int) / (1, str) pairs of ``components``, trailing zeros stripped."""
+    key = [(0, s) if isinstance(s, int) else (1, s) for s in components]
+    while key and key[-1] == (0, 0):
+        key.pop()
+    return tuple(key)
+
+
+def sort_key_of(raw: str) -> tuple:
+    """``parse_version(raw).sort_key()``, without building the label."""
+    return _sort_key(_segments(raw))
 
 
 @total_ordering
@@ -41,10 +62,7 @@ class VersionLabel:
     def __post_init__(self):
         if not self.components:
             object.__setattr__(self, "components", _segments(self.raw))
-        key = [(0, s) if isinstance(s, int) else (1, s) for s in self.components]
-        while key and key[-1] == (0, 0):
-            key.pop()
-        object.__setattr__(self, "_key", tuple(key))
+        object.__setattr__(self, "_key", _sort_key(self.components))
 
     def sort_key(self) -> tuple:
         """Comparison key: (0, int) / (1, str) pairs, trailing zeros stripped.

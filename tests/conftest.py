@@ -37,6 +37,26 @@ def sidecar_entries(sidecar: dict) -> list:
     return rows
 
 
+def graph_nodes(graph: dict) -> list:
+    """The nodes of a ``graph.json`` payload with each change record a node
+    of its own (``"node_kind": "change"``), the layout graph formats 1 to 5
+    stored, in id order. Format 6 stores the records as columns: a coded
+    column holds values and one code per record, the position of its value,
+    and from-version code -1 is a record without one."""
+    changes = graph["changes"]
+    records = []
+    for row, record_id in enumerate(changes["id"]):
+        record = {"id": record_id, "node_kind": "change"}
+        for name, column in changes.items():
+            if isinstance(column, dict):
+                code = column["codes"][row]
+                record[name] = None if code < 0 else column["values"][code]
+            else:
+                record[name] = column[row]
+        records.append(record)
+    return sorted(graph["nodes"] + records, key=lambda node: node["id"])
+
+
 def doc_text(title: str, version: str, sections) -> str:
     """Documentation file: title heading, version line, ## sections."""
     parts = [f"# {title}", "", f"Version: {version}", "", f"{title} reference documentation."]

@@ -23,8 +23,15 @@ from verdoc.indexer import GRAPH_FILE, HASHED_FILES, INDEX_FILE, MANIFEST_FILE, 
 from verdoc.ingestion import load_corpus
 from verdoc.signature import SIGNATURE_FILE
 from verdoc.vector_index import IndexEntry, VectorIndex
+from verdoc.versions import parse_version
 
-from conftest import assert_doc_corpus, sidecar_entries, spark_changelog_corpus, write_corpus
+from conftest import (
+    assert_doc_corpus,
+    graph_nodes,
+    sidecar_entries,
+    spark_changelog_corpus,
+    write_corpus,
+)
 
 
 @pytest.fixture
@@ -345,6 +352,41 @@ class TestValidateAndUsage:
         assert code == 0
         assert "graph valid" in captured.out
 
+    def test_validate_reports_a_bad_change_record_as_a_data_error(
+        self, indexed_dir, config_file, capsys
+    ):
+        graph_path = indexed_dir / GRAPH_FILE
+        data = json.loads(graph_path.read_bytes())
+        changes = data["changes"]
+        explicit = changes["origin"]["values"].index("explicit")
+        first, second = [
+            record_id
+            for record_id, code in zip(changes["id"], changes["origin"]["codes"])
+            if code == explicit
+        ][:2]
+        row = changes["id"].index(second)
+        document = changes["document"]["values"][changes["document"]["codes"][row]]
+        to_version = changes["to_version"]["values"][changes["to_version"]["codes"][row]]
+        older = next(
+            node["label"]
+            for node in data["nodes"]
+            if node.get("document") == document and node["label"] != to_version
+        )
+        edits = ((first, "to_version", "9.9.9"), (second, "from_version", older))
+        for record_id, name, value in edits:
+            column = changes[name]
+            column["values"].append(value)
+            column["codes"][changes["id"].index(record_id)] = len(column["values"]) - 1
+        graph_path.write_bytes(json_bytes(data))
+        (indexed_dir / MANIFEST_FILE).unlink()
+        code = run_cli(config_file, "validate", "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            f"violation: change {first}: to_version missing from graph",
+            f"violation: change {second}: explicit record stores a from_version",
+        ]
+
     def test_usage_prints_token_accounting(self, indexed_dir, config_file, capsys):
         code = run_cli(config_file, "usage", "--index", str(indexed_dir))
         captured = capsys.readouterr()
@@ -399,8 +441,7 @@ def rewrite_as_format_4(out, corpus, config_file):
         for (doc, _), vid in zip(group.members, group.version_ids)
     }
     graph_path, sidecar_path, npy_path = out / GRAPH_FILE, out / INDEX_FILE, out / "vectors.npy"
-    graph = json.loads(graph_path.read_bytes())
-    graph["format_version"] = 4
+    graph = {"format_version": 4, "nodes": graph_nodes(json.loads(graph_path.read_bytes()))}
     sidecar = json.loads(sidecar_path.read_bytes())
     entries = [item for item in sidecar_entries(sidecar) if item["metadata"]["origin"] != "content"]
     for node in graph["nodes"]:
@@ -614,6 +655,71 @@ class TestGraphFormatUpgrade:
         upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (old_index, fresh))
         del upgraded["usage"], built["usage"]
         assert upgraded == built and upgraded["changes"] > 0 and upgraded["chunks"] > 0
+
+
+class TestGraphFormat5Upgrade:
+    """An index written when graph.json was format 5, which listed each
+    change record as a node beside the others, and whose code kept an
+    explicit record's from-version."""
+
+    @pytest.fixture
+    def old_index(self, tmp_path, corpus, config_file, capsys, monkeypatch):
+        out = tmp_path / "old"
+        with monkeypatch.context() as patch:
+            patch.setattr(indexer, "GRAPH_FORMAT_VERSION", 5)
+            assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+        capsys.readouterr()
+        graph_path = out / GRAPH_FILE
+        nodes = graph_nodes(json.loads(graph_path.read_bytes()))
+        # the newest explicit record gets the from-version an older index gave it
+        record = max(
+            (node for node in nodes if node.get("origin") == "explicit"),
+            key=lambda node: parse_version(node["to_version"]),
+        )
+        versions = [n for n in nodes if n["node_kind"] == "version"]
+        labels = sorted(
+            (n["label"] for n in versions if n["document"] == record["document"]), key=parse_version
+        )
+        record["from_version"] = labels[labels.index(record["to_version"]) - 1]
+        graph_path.write_bytes(json_bytes({"format_version": 5, "nodes": nodes}))
+        manifest = json.loads((out / MANIFEST_FILE).read_bytes())
+        manifest["files"][graph_path.name] = hashlib.sha256(graph_path.read_bytes()).hexdigest()
+        (out / MANIFEST_FILE).write_bytes(json_bytes(manifest))
+        return out, record
+
+    def test_old_graph_is_a_version_mismatch_whose_records_still_read(self, old_index, config_file):
+        out, stale = old_index
+        with pytest.raises(VersionMismatchError, match="format_version 5"):
+            VersionGraph.load(out / GRAPH_FILE)
+        with pytest.raises(VersionMismatchError):
+            Engine.load(out, build_gateway(load_config(config_file)))
+        records = VersionGraph.load_change_records(out / GRAPH_FILE)
+        assert {r.id: r for r in records}[stale["id"]].from_version.raw == stale["from_version"]
+
+    def test_reindex_reuses_the_records_and_rewrites_them_as_format_6(
+        self, tmp_path, old_index, corpus, config_file, capsys
+    ):
+        out, stale = old_index
+        # the manifest's inputs hash the graph format, so this is a full run
+        assert run_cli(config_file, "index", str(corpus), "--out", str(out)) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli(config_file, "index", str(corpus), "--out", str(fresh)) == 0
+        capsys.readouterr()
+        for name in (*HASHED_FILES, MANIFEST_FILE):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        graph = json.loads((out / GRAPH_FILE).read_bytes())
+        assert graph["format_version"] == 6
+        row = graph["changes"]["id"].index(stale["id"])
+        assert graph["changes"]["from_version"]["codes"][row] == -1
+        assert VersionGraph.load(out / GRAPH_FILE).validate() == []
+        # every record is reused, stale one included: the one completion is
+        # the clustering prompt, and no change is extracted; vectors.json still
+        # loads, so no chunk is embedded either
+        upgraded, built = (json.loads((d / SUMMARY_FILE).read_bytes()) for d in (out, fresh))
+        assert upgraded.pop("usage")["calls"] == 1 < built.pop("usage")["calls"]
+        assert upgraded.pop("changes") == 0 < built.pop("changes")
+        assert upgraded.pop("chunks") == 0 < built.pop("chunks")
+        assert upgraded == built
 
 
 class TestVectorFormatUpgrade:

@@ -2,7 +2,7 @@ import pytest
 
 from verdoc.engine import Engine
 from verdoc.errors import DocumentNotFoundError, InvertedRangeError
-from verdoc.graph import VersionGraph
+from verdoc.graph import ChangeRecord, VersionGraph
 from verdoc.indexer import CONTENT, index_corpus
 from verdoc.retrieval import ParsedQuery, QueryIntent, RetrievalMode
 from verdoc.vector_index import IndexEntry, VectorIndex
@@ -11,14 +11,19 @@ from conftest import DIMENSION, assert_doc_corpus, make_gateway, spark_changelog
 
 
 @pytest.fixture(scope="module")
-def engine(tmp_path_factory):
+def index_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("engine")
     corpus = root / "corpus"
     corpus.mkdir()
     write_corpus(corpus, {**spark_changelog_corpus(), **assert_doc_corpus()})
     out = root / "index"
     index_corpus(corpus, out, make_gateway(), dimension=DIMENSION)
-    return Engine.load(out, make_gateway())
+    return out
+
+
+@pytest.fixture(scope="module")
+def engine(index_dir):
+    return Engine.load(index_dir, make_gateway())
 
 
 def test_ask_returns_parse_context_and_answer(engine):
@@ -149,3 +154,27 @@ def test_baseline_toggle_passes_through(engine):
         version_filter=False,
     )
     assert loose.context.items  # unfiltered still answers, may mix versions
+
+
+def test_content_and_version_questions_build_no_change_record(index_dir, monkeypatch):
+    """A loaded graph keeps its change records as columns until a question
+    reads one; a change search then builds them all, once."""
+    built = []
+    init = ChangeRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("id", args[0] if args else None))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChangeRecord, "__init__", counted)
+    engine = Engine.load(index_dir, make_gateway())
+    content = engine.ask(
+        "What is the stability level of the assert.CallTracker in Node.js version 20.19.0?"
+    )
+    assert content.context.mode is RetrievalMode.VECTOR_SEARCH and content.context.items
+    listing = engine.ask("What Apache Spark versions are available?")
+    assert listing.context.mode is RetrievalMode.GRAPH_TRAVERSAL
+    assert built == []
+    change = engine.ask("In which version was assert.deepEqual() removed?")
+    assert change.context.mode is RetrievalMode.CHANGE_SEARCH and change.context.items
+    assert built and sorted(built) == sorted(record.id for record in engine.graph.change_records())

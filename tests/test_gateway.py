@@ -235,6 +235,35 @@ class TestEmbeddingRange:
         good, extreme = gateway.embed(["good", "extreme"])
         assert extreme.tolist() == [top, -top, 0.0, 1e-45] and good.tolist() == [0.5] * 4
 
+    @pytest.mark.parametrize(
+        "rows,bad,message",
+        [
+            ([[0.5] * 4], [0], "text 0 with a component"),
+            ([[0.5] * 4] * 9, [3, 7], "text 3 with a component"),
+            ([[0.5] * 4] * 9, [8], "text 8 with a component"),
+        ],
+        ids=["one-text", "first-of-two-bad-rows", "last-row"],
+    )
+    def test_one_check_of_the_reply_names_the_first_bad_row(self, rows, bad, message):
+        rows = [list(row) for row in rows]
+        for position in bad:
+            rows[position][1] = "NaN"
+        reply = json.dumps({"data": [{"embedding": row} for row in rows]}).replace('"NaN"', "NaN")
+        gateway = Gateway(_ReplyBackend(reply), dimension=4)
+        with pytest.raises(BackendUnavailableError, match=message):
+            gateway.embed([f"text {i}" for i in range(len(rows))])
+
+    def test_first_fault_of_a_reply_decides_the_error(self):
+        """A bad component ahead of a row of another dimension is a backend
+        fault; a row of another dimension ahead of a bad component is a
+        dimension mismatch."""
+        nan_first = '{"data": [{"embedding": [NaN, 0, 0, 0]}, {"embedding": [0.5, 0.5]}]}'
+        with pytest.raises(BackendUnavailableError, match="text 0 with a component"):
+            Gateway(_ReplyBackend(nan_first), dimension=4).embed(["a", "b"])
+        short_first = '{"data": [{"embedding": [0.5, 0.5]}, {"embedding": [NaN, 0, 0, 0]}]}'
+        with pytest.raises(DimensionMismatchError, match=r"dimension \(2,\), expected \(4,\)"):
+            Gateway(_ReplyBackend(short_first), dimension=4).embed(["a", "b"])
+
     def test_non_number_component_is_backend_unavailable(self):
         gateway = Gateway(_ReplyBackend(embeddings_reply('[0.5, "x", 0.5, 0.5]')), dimension=4)
         with pytest.raises(BackendUnavailableError, match="unexpected embeddings payload"):

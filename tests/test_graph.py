@@ -1,7 +1,9 @@
+import bisect
 import json
 import random
 
 import pytest
+from conftest import graph_nodes
 
 from verdoc import graph as graph_module
 from verdoc.errors import (
@@ -224,6 +226,32 @@ def payload_of(data, node_id):
     return next(node for node in data["nodes"] if node["id"] == node_id)
 
 
+def edit_change(data, record_id, **fields):
+    """Set ``fields`` of one change record in a payload's columns; a coded
+    column gets the new value appended and the record's code pointed at it."""
+    changes = data["changes"]
+    row = changes["id"].index(record_id)
+    for name, value in fields.items():
+        column = changes[name]
+        if isinstance(column, dict):
+            column["values"].append(value)
+            column["codes"][row] = len(column["values"]) - 1
+        else:
+            column[row] = value
+
+
+def copy_change(data, record_id, new_id, **fields):
+    """Add a copy of one change record under ``new_id``, in id order, then
+    set ``fields`` of the copy as :func:`edit_change` does."""
+    changes = data["changes"]
+    row = changes["id"].index(record_id)
+    at = bisect.bisect(changes["id"], new_id)
+    for name, column in changes.items():
+        cells = column["codes"] if isinstance(column, dict) else column
+        cells.insert(at, new_id if name == "id" else cells[row])
+    edit_change(data, new_id, **fields)
+
+
 class TestValidate:
     def test_valid_graph_has_no_violations(self):
         graph, doc = graph_with_document()
@@ -287,7 +315,7 @@ class TestValidate:
         graph, doc = graph_with_document()
         for raw in ["10.0", "9.0", "9.1"]:
             graph.add_version(doc, raw)
-        graph.add_change(make_record(doc, "9.1", "10.0"))
+        graph.add_change(make_record(doc, None, "10.0"))
         # saved nodes sort by id, which puts 10.0 first; reversed, 9.1 comes first
         loaded = hand_edited(graph, tmp_path, lambda data: data["nodes"].reverse())
         assert chain_labels(loaded, doc) == ["9.0", "9.1", "10.0"]
@@ -301,12 +329,14 @@ class TestValidate:
         graph, doc = graph_with_document()
         for raw in ["1.0", "2.0"]:
             graph.add_version(doc, raw)
-        record = make_record(doc, "1.0", "2.0")
+        record = make_record(doc, "1.0", "2.0", origin=ChangeOrigin.IMPLICIT, evidence=["h"])
         graph.add_change(record)
         v2 = graph.find_version(doc, "2.0").id
-        ghost = payload_of(graph.to_dict(), record.id)
-        ghost.update(id="change:ghost", to_version="3.0")
-        loaded = hand_edited(graph, tmp_path, lambda data: data["nodes"].append(ghost))
+        loaded = hand_edited(
+            graph,
+            tmp_path,
+            lambda data: copy_change(data, record.id, "change:ghost", to_version="3.0"),
+        )
         assert chain_labels(loaded, doc) == ["1.0", "2.0"]
         assert loaded.find_version(doc, "2.0").id == v2
         assert len(loaded.changes_between(doc, "1.0", "2.0")) == 1
@@ -318,14 +348,10 @@ class TestValidate:
             graph.add_version(doc, raw)
         record = make_record(doc, "1.0", "2.0")
         graph.add_change(record)
-        path = tmp_path / "graph.json"
-        graph.save(path)
-        data = json.loads(path.read_text())
-        for node in data["nodes"]:
-            if node["id"] == record.id:
-                node["document"] = "document:gone"
-        path.write_text(json.dumps(data))
-        problems = VersionGraph.load(path).validate()
+        loaded = hand_edited(
+            graph, tmp_path, lambda data: edit_change(data, record.id, document="document:gone")
+        )
+        problems = loaded.validate()
         assert f"change {record.id}: document missing from graph" in problems
 
     def test_loaded_version_edge_into_missing_node_validates(self, tmp_path):
@@ -333,7 +359,9 @@ class TestValidate:
         graph, doc = graph_with_document()
         for raw in ["1.0", "2.0"]:
             graph.add_version(doc, raw)
-        graph.add_change(make_record(doc, "1.0", "2.0"))
+        graph.add_change(
+            make_record(doc, "1.0", "2.0", origin=ChangeOrigin.IMPLICIT, evidence=["h"])
+        )
         ghost = {
             "id": "version:ghost",
             "node_kind": "version",
@@ -375,7 +403,7 @@ class TestValidate:
         payload_of(data, doc)["category"] = ["category:data-processing"]
         # the loader files versions and records under their document, so those stay hashable
         payload_of(data, version)["document"] = 7
-        payload_of(data, record.id)["document"] = None
+        edit_change(data, record.id, document=None)
         assert VersionGraph.from_dict(data).validate() == [
             f"change {record.id}: document missing from graph",
             f"document {doc}: category missing from graph",
@@ -497,7 +525,7 @@ class TestPersistence:
         rng = random.Random(seed)
         graph = VersionGraph()
         category = graph.add_category("Data Processing")
-        documents = []
+        documents, stale = [], []
         for title, versions in (("Spark", SPARK_VERSIONS), ("Bootstrap", BOOTSTRAP_VERSIONS)):
             doc = graph.add_document(title, category)
             documents.append(doc)
@@ -511,7 +539,9 @@ class TestPersistence:
                 for ordinal, (frm, to) in enumerate(zip(ordered, ordered[1:]))
                 if ordinal != 1
             ]
+            # an explicit record with a from-version, as an older index stored it
             records.append(make_record(doc, ordered[1], ordered[2], 1))
+            stale.append(f"change {records[-1].id}: explicit record stores a from_version")
             for record in rng.sample(records, len(records)):
                 graph.add_change(record)
             # late synthetic versions join a chain that already has records:
@@ -519,7 +549,7 @@ class TestPersistence:
             # version, one between the from- and to-version of a record
             graph.add_version(doc, "0.0.1", synthetic=True)
             graph.add_version(doc, ordered[1] + ".1", synthetic=True)
-        assert graph.validate() == []
+        assert graph.validate() == stale
         path = tmp_path / "graph.json"
         graph.save(path)
         loaded = VersionGraph.load(path)
@@ -600,8 +630,11 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         build_corpus_scale_graph().save(path)
         data = json.loads(path.read_text())
-        node = next(n for n in data["nodes"] if n["node_kind"] == node_kind)
-        node[field] = value
+        if node_kind == "change":
+            edit_change(data, data["changes"]["id"][0], **{field: value})
+        else:
+            node = next(n for n in data["nodes"] if n["node_kind"] == node_kind)
+            node[field] = value
         path.write_text(json.dumps(data))
         with pytest.raises(CorruptFileError):
             VersionGraph.load(path)
@@ -646,8 +679,8 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         graph.save(path)
         data = json.loads(path.read_text())
-        assert data["format_version"] == 5
-        assert set(data) == {"format_version", "nodes"}
+        assert data["format_version"] == 6
+        assert set(data) == {"format_version", "nodes", "changes"}
         fields = {}
         for node in data["nodes"]:
             assert fields.setdefault(node["node_kind"], set(node)) == set(node)
@@ -655,18 +688,14 @@ class TestPersistence:
             "category": {"id", "node_kind", "name"},
             "document": {"id", "node_kind", "title", "category"},
             "version": {"id", "node_kind", "document", "label", "synthetic", "has_text"},
-            "change": {
-                "id",
-                "node_kind",
-                "document",
-                "from_version",
-                "to_version",
-                "kind",
-                "description",
-                "origin",
-                "evidence",
-            },
         }
+        changes = data["changes"]
+        plain = {name for name, column in changes.items() if isinstance(column, list)}
+        assert plain == {"id", "description", "evidence"}
+        coded = {name: set(column) for name, column in changes.items() if name not in plain}
+        assert coded == dict.fromkeys(
+            ["document", "from_version", "to_version", "kind", "origin"], {"values", "codes"}
+        )
 
     def test_change_records_load_from_format_4(self, tmp_path):
         """Format 5 changed only the version nodes, so the records of a
@@ -676,7 +705,7 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         graph.save(path)
         data = json.loads(path.read_text())
-        data["format_version"] = 4
+        data = {"format_version": 4, "nodes": graph_nodes(data)}
         for node in data["nodes"]:
             if node["node_kind"] == "version":
                 del node["has_text"]
@@ -685,7 +714,7 @@ class TestPersistence:
         with pytest.raises(VersionMismatchError):
             VersionGraph.load(path)
         assert VersionGraph.load_change_records(path) == graph.change_records()
-        for version in (3, 6):
+        for version in (3, 7):
             data["format_version"] = version
             path.write_text(json.dumps(data))
             with pytest.raises(VersionMismatchError):
@@ -695,13 +724,251 @@ class TestPersistence:
         path = tmp_path / "graph.json"
         build_corpus_scale_graph().save(path)
         data = json.loads(path.read_text())
-        next(n for n in data["nodes"] if n["node_kind"] == "change")["kind"] = "renamed"
+        edit_change(data, data["changes"]["id"][0], kind="renamed")
         path.write_text(json.dumps(data))
+        with pytest.raises(CorruptFileError):
+            VersionGraph.load_change_records(path)
+        old = {"format_version": 5, "nodes": graph_nodes(data)}
+        path.write_text(json.dumps(old))
         with pytest.raises(CorruptFileError):
             VersionGraph.load_change_records(path)
         path.write_text("{")
         with pytest.raises(CorruptFileError):
             VersionGraph.load_change_records(path)
+
+
+def saved_payload(graph, tmp_path) -> dict:
+    path = tmp_path / "graph.json"
+    graph.save(path)
+    return json.loads(path.read_text())
+
+
+def records_graph():
+    """Two documents with explicit, implicit and from-less records."""
+    graph = build_corpus_scale_graph()
+    spark, bootstrap = (d.id for d in graph.documents()[:2])
+    graph.add_change(make_record(spark, None, "3.5.5", 1))
+    graph.add_change(make_record(bootstrap, None, "5.3.1", 2))
+    graph.add_change(
+        make_record(bootstrap, "5.3.1", "5.3.2", 3, ChangeOrigin.IMPLICIT, ["h3", "h4"])
+    )
+    return graph
+
+
+class TestChangeColumns:
+    """Format 6 stores the change records as columns, decoded on load and
+    built into records only when one is needed."""
+
+    def test_records_read_the_same_from_formats_4_5_and_6(self, tmp_path):
+        graph = records_graph()
+        data = saved_payload(graph, tmp_path)
+        path = tmp_path / "records.json"
+        old = {"nodes": graph_nodes(data)}
+        assert [n for n in old["nodes"] if n["node_kind"] != "change"] == data["nodes"]
+        read = {}
+        for version, payload in ((6, data), (5, {**old, "format_version": 5}), (4, None)):
+            if payload is None:  # format 4: version nodes counted chunks
+                nodes = [dict(n) for n in old["nodes"]]
+                for node in nodes:
+                    if node["node_kind"] == "version":
+                        node["chunks"] = int(node.pop("has_text"))
+                payload = {"format_version": 4, "nodes": nodes}
+            path.write_text(json.dumps(payload))
+            read[version] = VersionGraph.load_change_records(path)
+        assert read[4] == read[5] == read[6] == sorted(graph.change_records(), key=lambda r: r.id)
+
+    def test_old_records_out_of_id_order_read_in_id_order(self, tmp_path):
+        graph = records_graph()
+        nodes = graph_nodes(saved_payload(graph, tmp_path))
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps({"format_version": 5, "nodes": nodes[::-1]}))
+        assert VersionGraph.load_change_records(path) == sorted(
+            graph.change_records(), key=lambda r: r.id
+        )
+
+    def test_coded_columns_list_each_value_once(self, tmp_path):
+        changes = saved_payload(records_graph(), tmp_path)["changes"]
+        for name in ("document", "from_version", "to_version", "kind", "origin"):
+            values = changes[name]["values"]
+            assert len(set(values)) == len(values) and None not in values, name
+            assert sorted(set(changes[name]["codes"]) - {-1}) == list(range(len(values))), name
+        assert changes["from_version"]["codes"].count(-1) == 2
+        assert changes["id"] == sorted(changes["id"])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["description"].pop(),
+            lambda c: c["evidence"].append([]),
+            lambda c: c["kind"]["codes"].pop(),
+            lambda c: c["document"]["codes"].__setitem__(0, len(c["document"]["values"])),
+            lambda c: c["to_version"]["codes"].__setitem__(0, -1),
+            lambda c: c["from_version"]["codes"].__setitem__(0, -2),
+            lambda c: c["origin"]["codes"].__setitem__(0, True),
+            lambda c: c["origin"]["codes"].__setitem__(0, 0.0),
+            lambda c: c["kind"]["values"].__setitem__(0, "renamed"),
+            lambda c: c["origin"]["values"].__setitem__(0, "guessed"),
+            lambda c: c["origin"].pop("values"),
+            lambda c: c.pop("evidence"),
+            lambda c: c.__setitem__("extra", []),
+            lambda c: c["evidence"].__setitem__(0, "h0"),
+            lambda c: c["document"]["values"].__setitem__(0, ["document:x"]),
+            lambda c: c["id"].reverse(),
+            lambda c: c["id"].__setitem__(1, c["id"][0]),
+        ],
+        ids=[
+            "short-description-column",
+            "long-evidence-column",
+            "short-codes",
+            "code-past-the-values",
+            "missing-to-version",
+            "from-version-code-below-minus-one",
+            "boolean-code",
+            "float-code",
+            "unknown-kind",
+            "unknown-origin",
+            "codes-without-values",
+            "missing-column",
+            "unknown-column",
+            "evidence-not-a-list",
+            "unhashable-document",
+            "unsorted-ids",
+            "repeated-id",
+        ],
+    )
+    def test_malformed_columns_are_corrupt_on_load(self, tmp_path, edit):
+        data = saved_payload(records_graph(), tmp_path)
+        edit(data["changes"])
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptFileError):
+            VersionGraph.load(path)
+        with pytest.raises(CorruptFileError):
+            VersionGraph.load_change_records(path)
+
+    def test_a_record_with_the_id_of_another_node_is_corrupt_on_load(self, tmp_path):
+        data = saved_payload(records_graph(), tmp_path)
+        data["changes"]["id"][0] = "category:data-processing"
+        with pytest.raises(CorruptFileError, match="id of another node"):
+            VersionGraph.from_dict(data)
+
+    def test_a_loaded_graph_builds_its_records_only_when_one_is_needed(self, tmp_path, monkeypatch):
+        graph = records_graph()
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        extra = make_record(graph.documents()[0].id, None, "3.4.4", 7)
+        built = []
+        init = ChangeRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("id", args[0] if args else None))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChangeRecord, "__init__", counted)
+        uses = {
+            "changes_between": lambda g, d: g.changes_between(d.id, "2.4.7", "3.5.5"),
+            "node of a change id": lambda g, d: g.node(graph.change_records()[0].id),
+            "nodes": lambda g, d: g.nodes,
+            "change_records": lambda g, d: g.change_records(),
+            "validate": lambda g, d: g.validate(),
+            "to_dict": lambda g, d: g.to_dict(),
+            "add_change": lambda g, d: g.add_change(extra),
+        }
+        for name, use in uses.items():
+            loaded = VersionGraph.load(path)
+            document = loaded.documents()[0]
+            # lookups of documents, titles and versions build nothing
+            assert loaded.node(document.id) is document
+            assert loaded.node(document.category).name == "Data Processing"
+            assert [v.label.raw for v in loaded.versions_of(document.id)] == SPARK_VERSIONS
+            assert loaded.find_version(document.id, "3.5.5") is not None
+            assert built == [], name
+            use(loaded, document)
+            assert sorted(built) == sorted(r.id for r in graph.change_records()), name
+            use(loaded, document)
+            assert len(built) == len(graph.change_records()), f"{name} built twice"
+            built.clear()
+            # once built, the records sit in nodes in id order, as format 5 loaded
+            # them; a record added since comes last
+            assert list(loaded.nodes)[: len(graph.nodes)] == sorted(graph.nodes)
+
+    def test_a_document_lookup_that_misses_builds_the_records(self, tmp_path):
+        path = tmp_path / "graph.json"
+        records_graph().save(path)
+        loaded = VersionGraph.load(path)
+        assert loaded.node("document:missing") is None
+        assert loaded.node(loaded.change_records()[0].id) is not None
+
+
+def test_concurrent_first_reads_build_the_records_once(tmp_path, monkeypatch):
+    import sys
+    import threading
+
+    graph = records_graph()
+    path = tmp_path / "graph.json"
+    graph.save(path)
+    expected = sorted(r.id for r in graph.change_records())
+    built, results, errors = [], [], []
+    init = ChangeRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("id", args[0] if args else None))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChangeRecord, "__init__", counted)
+    for _ in range(20):
+        loaded = VersionGraph.load(path)
+        spark = loaded.documents()[0].id
+        barrier = threading.Barrier(6)
+        reads = [
+            lambda: [r.id for r in loaded.change_records()],
+            lambda: [r.id for r in loaded.changes_between(spark, "2.4.7", "3.5.5")],
+            lambda: [loaded.node(record_id).id for record_id in expected],
+            lambda: [n.id for n in loaded.nodes.values() if isinstance(n, ChangeRecord)],
+            lambda: loaded.validate(),
+            lambda: [r.id for r in loaded.change_records()],
+        ]
+
+        def reader(read):
+            try:
+                barrier.wait(timeout=10)
+                results.append(read())
+            except Exception as exc:  # noqa: BLE001 - collected for the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(read,)) for read in reads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert sorted(built) == expected, "each record built once"
+        assert sorted(loaded.nodes) == sorted(graph.nodes)
+        built.clear()
+
+
+class TestStaleFromVersion:
+    def test_explicit_record_with_a_from_version_is_reported(self, tmp_path):
+        graph, doc = graph_with_document()
+        for raw in ["1.0", "2.0", "3.0"]:
+            graph.add_version(doc, raw)
+        fine = make_record(doc, None, "2.0", 0)
+        stale = make_record(doc, "1.0", "3.0", 1)
+        graph.add_change(fine)
+        graph.add_change(stale)
+        expected = [f"change {stale.id}: explicit record stores a from_version"]
+        assert graph.validate() == expected
+        path = tmp_path / "graph.json"
+        graph.save(path)
+        assert VersionGraph.load(path).validate() == expected
+        # the chain places a from-less record in the pair that ends at its to-version
+        assert graph.changes_between(doc, "1.0", "2.0") == [fine]
 
 
 def test_concurrent_reads_while_holding_graph():

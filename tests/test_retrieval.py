@@ -362,7 +362,7 @@ ASK_ROUTES = [
 def test_ask_path_reads_no_node_scan(indexed, monkeypatch):
     graph, index, gateway = indexed
     category = graph.nodes[graph.documents()[0].category]
-    monkeypatch.setattr(graph, "nodes", NoScanDict(graph.nodes))
+    monkeypatch.setattr(graph, "_nodes", NoScanDict(graph.nodes))
     parsed = [parse_query(text, graph, gateway) for text in ASK_ROUTES]
     parsed += [
         ParsedQuery(text="q", intent=QueryIntent.VERSION, category=category.id),

@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from verdoc import versions
 from verdoc.versions import VersionLabel, compare_versions, parse_version
 
 
@@ -112,3 +113,32 @@ def test_label_ordering_dunder():
 def test_components_not_recomputed_when_given():
     label = VersionLabel(raw="1.2", components=(9,))
     assert label.components == (9,)
+
+
+# plain dotted ASCII-digit labels, which take the fast path, and labels
+# one step away from one, which do not
+dotted_strategy = st.one_of(
+    st.lists(st.integers(0, 10**20), min_size=1, max_size=6).map(lambda p: ".".join(map(str, p))),
+    st.from_regex(r"0*[0-9]{1,4}(\.0*[0-9]{1,4}){0,5}", fullmatch=True),
+    st.text(alphabet="0123456789.vV -_+\u0663\n", max_size=12),
+)
+
+
+@given(raw=dotted_strategy)
+def test_dotted_fast_path_parses_as_the_general_path(raw):
+    general = versions._general_segments(raw)
+    label = parse_version(raw)
+    assert versions._segments(raw) == label.components == general
+    assert label.sort_key() == VersionLabel(raw="", components=general).sort_key()
+
+
+def test_fast_path_takes_only_plain_dotted_ascii_digits():
+    assert versions._DOTTED.fullmatch("22.14.0")
+    for raw in ["v1.2", " 1.2", "1.2 ", "1..2", "1.2.", ".1", "1.\u0663", "1.2\n", "1-2", ""]:
+        assert not versions._DOTTED.fullmatch(raw), raw
+        assert versions._segments(raw) == versions._general_segments(raw)
+
+
+@given(raw=st.one_of(label_strategy, dotted_strategy))
+def test_sort_key_of_is_the_parsed_label_sort_key(raw):
+    assert versions.sort_key_of(raw) == parse_version(raw).sort_key()
