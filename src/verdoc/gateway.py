@@ -633,17 +633,6 @@ class HttpBackend:
 # --- gateway ---------------------------------------------------------------------
 
 
-def _refuse_non_finite(vectors: list) -> None:
-    """Raise ``BackendUnavailableError`` naming the first of ``vectors`` with
-    a component that is nan, infinite or beyond float32's range, if any."""
-    for position, vector in enumerate(vectors):
-        if not finite_float32(vector):
-            raise BackendUnavailableError(
-                f"backend returned a vector for text {position} with a"
-                " component that is nan, infinite or beyond float32's range"
-            )
-
-
 class Gateway:
     """Uniform completion/embedding entry point with usage accounting.
 
@@ -695,16 +684,16 @@ class Gateway:
             raise BackendUnavailableError(
                 f"backend returned {len(vectors)} vectors for {len(texts)} texts"
             )
-        shape = (self.dimension,)
         for position, vector in enumerate(vectors):
-            if vector.shape != shape:
-                _refuse_non_finite(vectors[:position])
+            if vector.shape != (self.dimension,):
                 raise DimensionMismatchError(
-                    f"backend returned dimension {vector.shape}, expected {shape}"
+                    f"backend returned dimension {vector.shape}, expected ({self.dimension},)"
                 )
-        # one check of the whole reply; its rows are walked only to name a bad one
-        if not finite_float32(vectors[0] if len(vectors) == 1 else np.stack(vectors)):
-            _refuse_non_finite(vectors)
+            if not finite_float32(vector):
+                raise BackendUnavailableError(
+                    f"backend returned a vector for text {position} with a"
+                    " component that is nan, infinite or beyond float32's range"
+                )
         return vectors
 
     def _record(self, prompt: str, reply: str) -> None:

@@ -50,7 +50,6 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-import heapq
 import operator
 import re
 import threading
@@ -381,15 +380,16 @@ class VersionGraph:
     def _build_changes(self) -> None:
         """Build every change record whose columns ``from_dict`` kept, and
         file each in ``nodes`` and the derived indexes. The records join
-        ``nodes`` merged by id, so the nodes of a file in id order stay so."""
+        ``nodes`` sorted by id, so the nodes of a file in id order stay so."""
         if self._unbuilt is None:
             return
         with self._lock:
             if self._unbuilt is None:
                 return
             records = _records(self._unbuilt)
-            merged = heapq.merge(self._nodes.values(), records, key=_node_id)
-            self._nodes = {node.id: node for node in merged}
+            # two runs sorted by id, which sorted merges in one pass
+            nodes = sorted([*self._nodes.values(), *records], key=_node_id)
+            self._nodes = {node.id: node for node in nodes}
             for record in records:
                 self._index(record)
             self._unbuilt = None
@@ -679,7 +679,7 @@ class VersionGraph:
                 )
             graph._nodes = {node.id: node for node in (decode(d, label) for d in data["nodes"])}
             changes = _decode_changes(data["changes"], label)
-            # the change records join nodes merged by id, which takes ids of one type
+            # the change records join nodes sorted by id, which compares ids of one type
             if not set(map(type, graph._nodes)) <= {str}:
                 raise ValueError("a node id is not a string")
             if not graph._nodes.keys().isdisjoint(changes[0]):

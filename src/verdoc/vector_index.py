@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CorruptFileError, DimensionMismatchError, VersionMismatchError
 from .fileio import json_bytes, read_json, write_atomic
-from .versions import sort_key_of
+from .versions import parse_version
 
 FORMAT_VERSION = 6
 # a column holding at most this many values is never renumbered
@@ -82,13 +82,13 @@ class MetadataFilter:
                 return False
         if wanted is not None:
             raw = metadata.get("version")
-            if raw is None or sort_key_of(raw) not in wanted:
+            if raw is None or parse_version(raw).sort_key() not in wanted:
                 return False
         if at is not None:
             first, last = metadata.get("first"), metadata.get("last")
             if first is None or last is None:
                 return False
-            if not sort_key_of(first) <= at <= sort_key_of(last):
+            if not parse_version(first).sort_key() <= at <= parse_version(last).sort_key():
                 return False
         return True
 
@@ -96,11 +96,11 @@ class MetadataFilter:
         """Sort keys of the ``version_in`` whitelist, or None without one."""
         if self.version_in is None:
             return None
-        return {sort_key_of(str(v)) for v in self.version_in}
+        return {parse_version(str(v)).sort_key() for v in self.version_in}
 
     def valid_at_key(self) -> Optional[tuple]:
         """The sort key of ``valid_at``, or None without one."""
-        return None if self.valid_at is None else sort_key_of(str(self.valid_at))
+        return None if self.valid_at is None else parse_version(str(self.valid_at)).sort_key()
 
 
 def _equality_test(value):
@@ -211,7 +211,7 @@ class _Column:
         """The version sort key of each value, None for a None value; the
         values added since the last call are parsed now."""
         for raw in self.values[len(self._sort_keys) :]:
-            self._sort_keys.append(None if raw is None else sort_key_of(raw))
+            self._sort_keys.append(None if raw is None else parse_version(raw).sort_key())
         return self._sort_keys
 
 

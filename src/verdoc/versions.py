@@ -38,19 +38,6 @@ def _general_segments(raw: str) -> tuple:
     return tuple(int(p) if p.isdigit() else p for p in parts)
 
 
-def _sort_key(components: tuple) -> tuple:
-    """(0, int) / (1, str) pairs of ``components``, trailing zeros stripped."""
-    key = [(0, s) if isinstance(s, int) else (1, s) for s in components]
-    while key and key[-1] == (0, 0):
-        key.pop()
-    return tuple(key)
-
-
-def sort_key_of(raw: str) -> tuple:
-    """``parse_version(raw).sort_key()``, without building the label."""
-    return _sort_key(_segments(raw))
-
-
 @total_ordering
 @dataclass(frozen=True)
 class VersionLabel:
@@ -62,7 +49,10 @@ class VersionLabel:
     def __post_init__(self):
         if not self.components:
             object.__setattr__(self, "components", _segments(self.raw))
-        object.__setattr__(self, "_key", _sort_key(self.components))
+        key = [(0, s) if isinstance(s, int) else (1, s) for s in self.components]
+        while key and key[-1] == (0, 0):
+            key.pop()
+        object.__setattr__(self, "_key", tuple(key))
 
     def sort_key(self) -> tuple:
         """Comparison key: (0, int) / (1, str) pairs, trailing zeros stripped.

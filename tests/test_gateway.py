@@ -244,7 +244,7 @@ class TestEmbeddingRange:
         ],
         ids=["one-text", "first-of-two-bad-rows", "last-row"],
     )
-    def test_one_check_of_the_reply_names_the_first_bad_row(self, rows, bad, message):
+    def test_non_finite_reply_names_the_first_bad_row(self, rows, bad, message):
         rows = [list(row) for row in rows]
         for position in bad:
             rows[position][1] = "NaN"

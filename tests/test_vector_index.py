@@ -340,7 +340,7 @@ def test_version_whitelist_parsed_once_per_search(monkeypatch):
 
     def counting_parse(raw):
         calls.append(raw)
-        return parse_version(raw).sort_key()
+        return parse_version(raw)
 
     rng = np.random.default_rng(8)
     entries = random_entries(rng, 200, 4)
@@ -348,7 +348,7 @@ def test_version_whitelist_parsed_once_per_search(monkeypatch):
     index = VectorIndex(dimension=4)
     for e in entries:
         index.insert(e)
-    monkeypatch.setattr(vector_index, "sort_key_of", counting_parse)
+    monkeypatch.setattr(vector_index, "parse_version", counting_parse)
     hits = index.search(rng.normal(size=4), k=5, metadata_filter=flt)
     assert hits
     assert len(calls) <= len(entries) + len(flt.version_in)

@@ -137,8 +137,3 @@ def test_fast_path_takes_only_plain_dotted_ascii_digits():
     for raw in ["v1.2", " 1.2", "1.2 ", "1..2", "1.2.", ".1", "1.\u0663", "1.2\n", "1-2", ""]:
         assert not versions._DOTTED.fullmatch(raw), raw
         assert versions._segments(raw) == versions._general_segments(raw)
-
-
-@given(raw=st.one_of(label_strategy, dotted_strategy))
-def test_sort_key_of_is_the_parsed_label_sort_key(raw):
-    assert versions.sort_key_of(raw) == parse_version(raw).sort_key()
