@@ -43,6 +43,7 @@ from .errors import (
     RateLimitedError,
     SchemaViolationError,
 )
+from .graph import ChangeKind
 from .ingestion import count_tokens
 from .textmatch import content_tokens, contains_gold_tokens
 from .vector_index import finite_float32
@@ -118,7 +119,8 @@ def parse_json_reply(text: str) -> dict:
 
 # --- schema validators ------------------------------------------------------
 
-_CHANGE_KINDS = {"added", "removed", "modified", "other"}
+# a tuple, as in the other validators: its test compares, so an unhashable kind fails it
+_CHANGE_KINDS = tuple(kind.value for kind in ChangeKind)
 
 
 def _validate_attributes(data: dict) -> None:
@@ -178,7 +180,7 @@ def _validate_change_summary(data: dict) -> None:
         if not isinstance(item, dict):
             raise ValueError("change must be an object")
         if item.get("kind") not in _CHANGE_KINDS:
-            raise ValueError("change kind must be added/removed/modified/other")
+            raise ValueError(f"change kind must be {'/'.join(_CHANGE_KINDS)}")
         if not isinstance(item.get("description"), str):
             raise ValueError("change description must be a string")
         if "version" in item and item["version"] is not None and not isinstance(item["version"], str):

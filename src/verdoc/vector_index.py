@@ -12,13 +12,13 @@ sorted by (score, key).
 Metadata is stored in dictionary-encoded columns, one per field, and
 nowhere else: each column lists the field's distinct values and holds one
 integer code per row, -1 where the row lacks the field. ``insert`` and
-``drop`` keep the columns current, ``get`` and search hits rebuild a row's
-metadata dict from them, and ``vectors.json`` stores them as they are, so
-``load`` builds each column's codes with one numpy conversion. A column
-drops the values no row uses any more once they are more than half of it,
-so upserts that keep changing a field's value leave a bounded list. A filter
-tests each distinct value once and keeps the rows whose code passed, so no
-Python code runs per row. A version test (``version`` for ``version_in``;
+``drop`` write the rows' codes, and ``get`` and search hits rebuild a row's
+metadata dict from them. In memory a column's values are append-only: they
+list every value written since load, also one that no row uses any more.
+``save`` writes each column with only the values in use, and ``load``
+builds its codes with one numpy conversion. A filter tests each listed
+value once and keeps the rows whose code passed, so no Python code runs
+per row. A version test (``version`` for ``version_in``;
 ``first`` and ``last`` for ``valid_at``) compares the version sort keys of
 the values, which each column parses once per value, when a test first
 reads it.
@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -42,8 +43,6 @@ from .fileio import json_bytes, read_json, write_atomic
 from .versions import parse_version
 
 FORMAT_VERSION = 6
-# a column holding at most this many values is never renumbered
-_COMPACT_AT = 16
 # the largest magnitude a vector component may have: the index stores float32 rows
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
@@ -153,48 +152,23 @@ class _Column:
     True stay apart), and an unhashable value gets a code of its own; every
     row of a code then compares alike against any value.
 
-    A value stays listed when its last row goes, until :meth:`compact`
-    renumbers the codes over the values still in use. The index asks for
-    that once ``values`` grows past ``limit``, and after each drop.
+    ``values`` is append-only, so a code never changes its value: it lists
+    every value written since the column was built, and a value stays
+    listed when its last row goes. ``save`` writes only the values in use.
     """
 
-    __slots__ = ("codes", "values", "limit", "_code_of", "_sort_keys")
+    __slots__ = ("codes", "values", "_code_of", "_sort_keys")
 
     def __init__(self, codes: np.ndarray, values: list):
         self.codes = codes
-        self._set_values(values)
-        self._sort_keys: list = []  # of values[: len(_sort_keys)]
-
-    def _set_values(self, values: list) -> None:
         self.values = values
-        self.limit = max(_COMPACT_AT, 2 * len(values))
         self._code_of: dict = {}
         for code, value in enumerate(values):
             try:
                 self._code_of.setdefault((type(value), value), code)
             except TypeError:  # unhashable
                 pass
-
-    def compact(self, rows: int) -> None:
-        """Drop the values that none of the first ``rows`` rows uses, once
-        fewer than half of more than ``_COMPACT_AT`` values are in use; the
-        codes of those rows are renumbered, in the values' order. Either
-        way, the next call from ``insert`` waits until the values double.
-        A row's value, and the order of the values it uses, do not change.
-        """
-        codes = self.codes[:rows]
-        used = np.zeros(len(self.values) + 1, dtype=np.bool_)
-        used[codes] = True  # code -1 marks the extra last slot
-        kept = np.flatnonzero(used[:-1])
-        if len(self.values) > _COMPACT_AT and 2 * len(kept) < len(self.values):
-            renumbered = np.full(len(self.values) + 1, -1, dtype=np.intp)
-            renumbered[kept] = np.arange(len(kept))
-            self.codes[:rows] = renumbered[codes]
-            kept = kept.tolist()
-            parsed = self._sort_keys
-            self._sort_keys = [parsed[code] for code in kept if code < len(parsed)]
-            self._set_values([self.values[code] for code in kept])
-        self.limit = max(_COMPACT_AT, 2 * len(self.values))
+        self._sort_keys: list = []  # of values[: len(_sort_keys)]
 
     def code(self, value) -> int:
         """The code of ``value``, which is added to ``values`` when new."""
@@ -349,8 +323,6 @@ class VectorIndex:
                     codes = np.full(len(self._matrix), -1, dtype=np.intp)
                     column = self._columns[field_name] = _Column(codes, [])
                 column.codes[row] = column.code(value)
-                if len(column.values) > column.limit:
-                    column.compact(len(self._keys))
 
     def get(self, key: str) -> Optional[IndexEntry]:
         with self._lock:
@@ -373,7 +345,6 @@ class VectorIndex:
             self._texts = [self._texts[row] for row in kept]
             for column in self._columns.values():
                 column.codes = column.codes[kept]
-                column.compact(len(kept))
 
     def _entry(self, row: int) -> IndexEntry:
         metadata = {}
@@ -531,15 +502,15 @@ class VectorIndex:
             keys, texts, fields = data["keys"], data["texts"], data["metadata"]
             if not (isinstance(keys, list) and isinstance(texts, list) and len(keys) == len(texts)):
                 raise ValueError("keys and texts are not two lists of one length")
-            for key, text in zip(keys, texts):
-                if not (isinstance(key, str) and isinstance(text, str)):
-                    raise ValueError(f"entry {key!r} needs a string key and text")
+            if not (set(map(type, keys)) <= {str} and set(map(type, texts)) <= {str}):
+                bad = next(k for k, t in zip(keys, texts) if not (type(k) is str and type(t) is str))
+                raise ValueError(f"entry {bad!r} needs a string key and text")
             if not isinstance(fields, dict):
                 raise ValueError("metadata is not an object")
             columns = {name: _column_of(name, column, len(keys)) for name, column in fields.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"malformed index payload: {exc}") from exc
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if not all(map(operator.lt, keys, keys[1:])):
             raise CorruptFileError(f"entries of {path} are not sorted by unique keys")
 
         matrix = _read_matrix(vectors_path(path), digest, (len(keys), dimension))
@@ -553,12 +524,6 @@ class VectorIndex:
         return index
 
 
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
-
-
 def _read_matrix(npy: Path, digest: str, shape: tuple) -> np.ndarray:
     """The float32 (``<f4``) matrix of ``shape`` that ``npy`` holds, raising
     ``CorruptFileError`` unless the file's sha256 is ``digest`` and its
@@ -569,10 +534,10 @@ def _read_matrix(npy: Path, digest: str, shape: tuple) -> np.ndarray:
     """
     try:
         with open(npy, "rb") as handle:
-            version = np.lib.format.read_magic(handle)
-            if version not in _NPY_HEADERS:
-                raise ValueError(f"unsupported .npy version {version}")
-            stored, fortran_order, dtype = _NPY_HEADERS[version](handle)
+            # np.save writes 1.0 for every (n, d) <f4 matrix, and the digest pins save's bytes
+            if np.lib.format.read_magic(handle) != (1, 0):
+                raise ValueError("its .npy header is not version 1.0")
+            stored, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
             offset = handle.tell()
             raw = bytearray(os.fstat(handle.fileno()).st_size)
             handle.seek(0)

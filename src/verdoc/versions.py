@@ -1,7 +1,10 @@
 """Version label parsing and ordering.
 
-Labels are parsed into segments split on ``. - _ +``. All-digit segments
-become integers, everything else stays a string. Ordering rules:
+Labels are parsed into segments split on ``. - _ +``. A segment of decimal
+digits becomes an integer, everything else stays a string, so every string
+parses. A run that ``int`` refuses is a string too: one with a digit that
+is not decimal (``"²"``), or one longer than Python's limit on converting
+a string to an int (4,300 digits by default). Ordering rules:
 
 * numeric segments compare numerically ("5.3.2" < "5.3.10"),
 * a missing trailing segment counts as 0 ("1.2" == "1.2.0"),
@@ -15,6 +18,7 @@ The result is a total order on equivalence classes of labels.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import total_ordering
 
@@ -24,8 +28,16 @@ _LEADING_V = re.compile(r"^[vV](?=\d)")
 _DOTTED = re.compile(r"[0-9]+(?:\.[0-9]+)*")
 
 
+def _int_fits(digits: int) -> bool:
+    """Whether ``int`` converts a run of ``digits`` decimal digits: at most
+    the interpreter's limit, where 0 means none, as on Python before 3.10.7,
+    which has no such limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or digits <= limit
+
+
 def _segments(raw: str) -> tuple:
-    if _DOTTED.fullmatch(raw):
+    if _DOTTED.fullmatch(raw) and _int_fits(len(raw)):
         return tuple(map(int, raw.split(".")))
     return _general_segments(raw)
 
@@ -35,7 +47,7 @@ def _general_segments(raw: str) -> tuple:
     parts = [p for p in _SPLIT.split(text) if p]
     if not parts:
         return ()
-    return tuple(int(p) if p.isdigit() else p for p in parts)
+    return tuple(int(p) if p.isdecimal() and _int_fits(len(p)) else p for p in parts)
 
 
 @total_ordering

@@ -13,7 +13,7 @@ import verdoc
 from verdoc import indexer
 from verdoc.cli import main
 from verdoc.engine import Engine
-from verdoc.errors import ConfigError, EmptyIndexError, VersionMismatchError
+from verdoc.errors import ConfigError, EmptyIndexError, VersionMismatchError, VersionNotFoundError
 from verdoc.config import load_config, build_gateway
 from verdoc.evaluation import QAItem, save_dataset
 from verdoc.fileio import json_bytes
@@ -160,6 +160,16 @@ class TestQueryCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "EmptyIndex" in captured.err
+
+    def test_version_of_5000_digits_is_a_typed_error(self, indexed_dir, config_file, capsys):
+        """A digit run past Python's int-string limit is a string segment of
+        the label, so the question names a version the index lacks and
+        exits with that typed error, not a traceback."""
+        question = f"What does Foo Guide 1.{'9' * 5000} say about foo?"
+        code = run_cli(config_file, "query", question, "--index", str(indexed_dir))
+        captured = capsys.readouterr()
+        assert code == VersionNotFoundError.exit_code == 2
+        assert captured.err.startswith("VersionNotFoundError: version '1.999")
 
 
 class TestVersionsCommand:

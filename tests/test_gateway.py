@@ -388,6 +388,7 @@ class TestValidators:
             (ResponseSchema.CLUSTERS, '{"categories": "nope"}'),
             (ResponseSchema.PARSED_QUERY, '{"intent": "wat"}'),
             (ResponseSchema.CHANGE_SUMMARY, '{"changes": [{"kind": "huge"}]}'),
+            (ResponseSchema.CHANGE_SUMMARY, '{"changes": [{"kind": ["added"], "description": "d"}]}'),
             (ResponseSchema.CHANGE_SUMMARY, '{"changes": ["oops"]}'),
             (ResponseSchema.CLUSTERS, '{"categories": [1]}'),
             (ResponseSchema.CLUSTERS, '{"categories": [{"name": "a", "groups": [[1]]}]}'),

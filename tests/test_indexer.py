@@ -1875,3 +1875,29 @@ class TestStatSignature:
         index_corpus(corpus, clean, make_gateway(), dimension=DIMENSION, chunk_size=128)
         for name in (*INDEX_FILES, "manifest.json"):
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_each_run_inserts_each_vector_key_at_most_once(tmp_path, monkeypatch):
+    """A fresh run, a run after one appended line and a run with a new
+    ``chunk_size`` each insert every vector-index key at most once, so a
+    column's in-memory values, which only grow, gain at most one value per
+    row the run writes."""
+    inserted = []
+    insert = VectorIndex.insert
+
+    def spy(self, entry):
+        inserted.append(entry.key)
+        insert(self, entry)
+
+    monkeypatch.setattr(VectorIndex, "insert", spy)
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    write_corpus(corpus, {**spark_changelog_corpus(), **assert_doc_corpus()})
+    edited = corpus / "assert" / "22.md"
+    seen = {}
+    for run, params in (("fresh", {}), ("appended-line", {}), ("chunk_size-128", {"chunk_size": 128})):
+        if run == "appended-line":
+            edited.write_text(edited.read_text(encoding="utf-8") + "\nOne more line.\n", encoding="utf-8")
+        inserted.clear()
+        index_corpus(corpus, out, make_gateway(), dimension=DIMENSION, **params)
+        seen[run] = (bool(inserted), len(inserted) == len(set(inserted)))
+    assert seen == {run: (True, True) for run in seen}

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verdoc import versions
 from verdoc.versions import VersionLabel, compare_versions, parse_version
@@ -137,3 +137,43 @@ def test_fast_path_takes_only_plain_dotted_ascii_digits():
     for raw in ["v1.2", " 1.2", "1.2 ", "1..2", "1.2.", ".1", "1.\u0663", "1.2\n", "1-2", ""]:
         assert not versions._DOTTED.fullmatch(raw), raw
         assert versions._segments(raw) == versions._general_segments(raw)
+
+
+NINES = "9" * 5000  # past Python's default limit of 4,300 digits for int("...")
+
+
+def segments_before(raw):
+    """The segments ``raw`` had when every ``isdigit`` run went to ``int``,
+    or None where ``int`` refused one and parsing raised."""
+    parts = [p for p in re.split(r"[.\-_+]", re.sub(r"^[vV](?=\d)", "", raw.strip())) if p]
+    try:
+        return tuple(int(p) if p.isdigit() else p for p in parts)
+    except ValueError:
+        return None
+
+
+@settings(deadline=None)
+@given(a=st.text(), b=st.text())
+@example(a="1.\u00b2", b="1.2")
+@example(a="1." + NINES, b=NINES)
+@example(a="v" + NINES + "-rc1", b="1.\u0663\u00b2")
+def test_every_string_parses_and_compares(a, b):
+    """Every string is a label; one that parsed before keeps its components,
+    and in one that did not, each run that ``int`` refuses is a string."""
+    for raw in (a, b):
+        components = parse_version(raw).components
+        before = segments_before(raw)
+        if before is not None:
+            assert components == before
+        else:
+            assert any(isinstance(s, str) and s.isdigit() for s in components)
+    assert compare_versions(a, b) == -compare_versions(b, a)
+    assert compare_versions(a, a) == 0
+
+
+def test_runs_that_int_refuses_are_string_segments():
+    assert parse_version("1.\u00b2").components == (1, "\u00b2")
+    assert parse_version("1." + NINES).components == (1, NINES)
+    assert parse_version(NINES).components == (NINES,)
+    # a string segment sorts after every number at its position
+    assert compare_versions("1." + NINES, "1.9") == 1
